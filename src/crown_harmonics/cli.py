@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -121,7 +120,7 @@ def _parse_calibration(pairs, line_tmax) -> Calibration:
 
 def _cmd_analyze(args) -> int:
     f = loads_grid_function(_read_text(args.input))
-    table = analyze(f, args.lmax, args.n_boundary)
+    table = analyze(f, args.lmax)
     _write_text(args.output, dumps_table(table))
     return 0
 
@@ -139,7 +138,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_extend(args) -> int:
     f = loads_grid_function(_read_text(args.input))
     ell = _parse_complex(args.ell)
-    value = extend(f, ell, args.m, n_boundary=args.n_boundary or 512)
+    value = extend(f, ell, args.m)
     payload = (
         '{"ell": [%s,%s], "m": %d, "re": %s, "im": %s}'
         % (
@@ -175,7 +174,7 @@ def _cmd_intertwiner_dump(args) -> int:
     ts = np.arange(-2.0, 2.0 + 1e-9, 0.25)
     blocks = []
     for m in range(args.m_max + 1):
-        scalar = sample_intertwiner(m, ts)
+        samples = sample_intertwiner(m, ts)
         rows = ",".join(
             '{"t_re": %s, "t_im": %s, "re": %s, "im": %s}'
             % (
@@ -184,7 +183,7 @@ def _cmd_intertwiner_dump(args) -> int:
                 format_float(v.real),
                 format_float(v.imag),
             )
-            for t, v in sorted(scalar.samples.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+            for t, v in sorted(samples.items(), key=lambda kv: (kv[0].real, kv[0].imag))
         )
         blocks.append('{"m": %d, "samples": [%s]}' % (m, rows))
     _write_text(
@@ -208,14 +207,6 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--sequential",
-        action="store_true",
-        help="force single-threaded execution (the reference implementation "
-        "is sequential; the flag is accepted for interface stability)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="crown-harmonics",
         description="Kernel Fourier transform on the sphere, holomorphic "
@@ -224,16 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="coefficient table of a sampled function")
+    p = sub.add_parser("analyze", help="coefficient table of a sampled function")
     p.add_argument("--input", required=True, help="grid function JSON file")
     p.add_argument("--lmax", required=True, type=int)
-    p.add_argument("--n-boundary", type=int, default=None)
     p.add_argument("--output", default=None, help="table JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("synthesize", parents=[common],
-                       help="sample a function from a coefficient table")
+    p = sub.add_parser("synthesize", help="sample a function from a coefficient table")
     p.add_argument("--input", required=True, help="coefficient table JSON file")
     p.add_argument("--grid", required=True, help="target grid, e.g. 96x192")
     p.add_argument("--lmax", type=int, default=None,
@@ -241,18 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("extend", parents=[common],
-                       help="one holomorphically extended coefficient")
+    p = sub.add_parser("extend", help="one holomorphically extended coefficient")
     p.add_argument("--input", required=True, help="grid function JSON file")
     p.add_argument("--ell", required=True,
                    help="complex degree, e.g. '0.5+1.2j' or '0.5,1.2'")
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n-boundary", type=int, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("pw-report", parents=[common],
-                       help="support certification from spectral data")
+    p = sub.add_parser("pw-report", help="support certification from spectral data")
     p.add_argument("--input", required=True, help="grid function JSON file")
     p.add_argument("--radii", required=True,
                    help="comma-separated candidate radii")
@@ -265,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_pw_report)
 
-    p = sub.add_parser("intertwiner-dump", parents=[common],
-                       help="table of intertwining scalars on a t-lattice")
+    p = sub.add_parser("intertwiner-dump", help="table of intertwining scalars on a t-lattice")
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_intertwiner_dump)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the named end-to-end checks")
+    p = sub.add_parser("verify", help="run the named end-to-end checks")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -284,27 +267,8 @@ def _emit_error(kind: str, exc: BaseException) -> None:
     )
 
 
-def _thread_cap() -> None:
-    raw = os.environ.get("CROWN_HARMONICS_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(
-            f"CROWN_HARMONICS_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise SchemaError("CROWN_HARMONICS_THREADS must be at least 1")
-    # the reference implementation runs sequentially; the cap is honored
-    # trivially but validated so misconfiguration fails loudly
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
-
-
 def main(argv=None) -> int:
     try:
-        _thread_cap()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SchemaError as exc:

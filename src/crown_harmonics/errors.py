@@ -6,7 +6,7 @@ callers (and the CLI) can map failures onto exit codes:
   SchemaError          -> malformed input files / bad call arguments (exit 2)
   CrownDomainError     -> crown or support-radius violations          (exit 3)
   GridResolutionError  -> grid too coarse for the requested degree    (exit 3)
-  SingularParameterError, PoleError, NumericalError -> exit 4
+  SingularParameterError, ProviderError, NumericalError -> exit 4
 """
 
 
@@ -33,14 +33,6 @@ class GridResolutionError(CrownHarmonicsError):
 
 class SingularParameterError(CrownHarmonicsError):
     """A meromorphic quantity was requested at (or too near) a pole."""
-
-
-class PoleError(SingularParameterError):
-    """Gamma evaluated at a nonpositive integer.
-
-    Kept distinct from overflow: a pole is a property of the argument,
-    overflow a property of the floating-point range.
-    """
 
 
 class ProviderError(CrownHarmonicsError):

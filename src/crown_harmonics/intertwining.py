@@ -18,14 +18,13 @@ any other module is allowed to lean on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import SchemaError, SingularParameterError
-from .sphere import SpectralParam, boundary_log_pairing, ell_value, kernel_mode_profiles
+from .errors import SingularParameterError
+from .sphere import DEFAULT_BOUNDARY_SAMPLES, boundary_log_pairing, kernel_mode_profiles
 
-#: probe colatitudes tried in order when the leading probe degenerates
+#: probe colatitudes inside the crown (0, pi/2), tried in order until
+#: one does not degenerate
 _PROBE_LADDER = (0.5, 0.2, 1.0, 0.35, 0.8, 1.2)
 
 #: a probe counts as degenerate when the denominator is this small
@@ -33,30 +32,27 @@ _PROBE_LADDER = (0.5, 0.2, 1.0, 0.35, 0.8, 1.2)
 _DEGENERATE_REL = 1e-12
 
 
-def probe_integral(m: int, t, theta: float, n_boundary: int = 512) -> complex:
+def probe_integral(m: int, t, theta: float) -> complex:
     """F_m(t; theta), the boundary mode of the pairing power -t-1/2."""
     t = complex(t)
-    lq = boundary_log_pairing(np.array([theta]), n_boundary)
+    lq = boundary_log_pairing(np.array([theta]))
     profiles = kernel_mode_profiles(-t - 0.5, lq)
-    return complex(profiles[0, int(m) % n_boundary])
+    return complex(profiles[0, int(m) % DEFAULT_BOUNDARY_SAMPLES])
 
 
-def intertwiner_scalar(m: int, t, theta_probe: float = 0.5, n_boundary: int = 512) -> complex:
+def intertwiner_scalar(m: int, t) -> complex:
     """b_m(t) as the probe-integral ratio F_m(-t)/F_m(t).
 
-    The probe colatitude must lie in the crown (0, pi/2). When the
-    denominator integral degenerates at the requested probe the ratio
-    is retried at alternates; if every probe degenerates the parameter
-    is singular (the scalar is only meromorphic in t) and a
-    SingularParameterError is raised.
+    The ratio is taken at the first probe colatitude of the ladder; when
+    the denominator integral degenerates there it is retried at the
+    next. If every probe degenerates the parameter is singular (the
+    scalar is only meromorphic in t) and a SingularParameterError is
+    raised.
     """
-    if not 0.0 < theta_probe < np.pi / 2.0:
-        raise SchemaError("theta_probe must lie in the crown (0, pi/2)")
     t = complex(t)
-    probes = (theta_probe,) + tuple(p for p in _PROBE_LADDER if p != theta_probe)
-    for theta in probes:
-        num = probe_integral(m, -t, theta, n_boundary)
-        den = probe_integral(m, t, theta, n_boundary)
+    for theta in _PROBE_LADDER:
+        num = probe_integral(m, -t, theta)
+        den = probe_integral(m, t, theta)
         scale = max(abs(num), abs(den), 1.0)
         if abs(den) >= _DEGENERATE_REL * scale:
             return num / den
@@ -102,34 +98,15 @@ def singular_distance(m: int, t) -> float:
     return min(abs(t + 0.5 + j) for j in range(m))
 
 
-def weyl_reflected(ell):
-    """The rho-shifted reflection ell -> -ell - 1 on spectral parameters.
+def sample_intertwiner(m: int, ts) -> dict:
+    """Evaluate b_m over an iterable of parameters as {t: b_m(t)}.
 
-    An involution whose fixed point is ell = -1/2; accepts and returns
-    either SpectralParam or a plain complex number.
+    Singular parameters are skipped.
     """
-    if isinstance(ell, SpectralParam):
-        return SpectralParam(-ell.ell - 1.0)
-    return -ell_value(ell) - 1.0
-
-
-@dataclass
-class IntertwinerScalar:
-    """Sampled values of b_m(t) on a K-type."""
-
-    m: int
-    samples: dict = field(default_factory=dict)
-
-    def add(self, t, value: complex):
-        self.samples[complex(t)] = complex(value)
-
-
-def sample_intertwiner(m: int, ts, theta_probe: float = 0.5) -> IntertwinerScalar:
-    """Evaluate b_m over an iterable of parameters, skipping singular ones."""
-    out = IntertwinerScalar(m=int(m))
+    out = {}
     for t in ts:
         try:
-            out.add(t, intertwiner_scalar(m, t, theta_probe))
+            out[complex(t)] = complex(intertwiner_scalar(m, t))
         except SingularParameterError:
             continue
     return out

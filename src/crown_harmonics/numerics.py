@@ -1,10 +1,8 @@
 """Quadrature rules and special functions used across the library.
 
 Everything here is dependency-free plumbing: Gauss-Legendre rules found
-by Newton iteration, Legendre and associated Legendre functions by
-three-term recurrences, a Lanczos complex gamma, and the principal
-complex power restricted to the right half plane (the only region where
-downstream code is allowed to exponentiate the pairing).
+by Newton iteration, and Legendre and associated Legendre functions by
+three-term recurrences.
 
 All functions are pure; the quadrature cache is populated once per
 order and then only read, so concurrent callers are safe.
@@ -12,14 +10,13 @@ order and then only read, so concurrent callers are safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrownDomainError, PoleError, SchemaError
+from .errors import CrownDomainError, SchemaError
 
 _NEWTON_TOL = 1e-15
 
@@ -96,20 +93,6 @@ def legendre_p(l: int, x):
     return float(out) if np.isscalar(x) else out
 
 
-def legendre_p_table(lmax: int, x) -> np.ndarray:
-    """All P_l(x) for l = 0..lmax stacked along axis 0 (one recurrence pass)."""
-    if lmax < 0:
-        raise SchemaError("lmax must be nonnegative")
-    arr = np.atleast_1d(_check_unit_interval(x))
-    out = np.empty((lmax + 1,) + arr.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = arr
-    for j in range(2, lmax + 1):
-        out[j] = ((2 * j - 1) * arr * out[j - 1] - (j - 1) * out[j - 2]) / j
-    return out
-
-
 def assoc_legendre(l: int, m: int, x):
     """Associated Legendre P_l^m(x) without the Condon-Shortley phase.
 
@@ -145,74 +128,3 @@ def assoc_legendre(l: int, m: int, x):
                 pmm, pm1 = pm1, ((2 * j - 1) * arr * pm1 - (j + m - 1) * pmm) / (j - m)
             out = pm1
     return float(out) if np.isscalar(x) else out
-
-
-# Lanczos approximation, g = 607/128, 15 coefficients. Relative accuracy
-# is better than 1e-13 for |z| <= 50, which covers every gamma call the
-# library makes (intertwining-scalar validation never leaves that disc).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def complex_gamma(z) -> complex:
-    """Gamma function on the complex plane, poles reported as PoleError.
-
-    Reflection formula takes Re z < 1/2 to the convergent half plane;
-    overflow for large positive real arguments raises OverflowError,
-    which is deliberately a different type than the pole error.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise SchemaError("gamma argument must be finite")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise PoleError(f"gamma pole at nonpositive integer {int(z.real)}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at {z}")
-        return cmath.pi / (s * complex_gamma(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    try:
-        value = cmath.sqrt(2.0 * cmath.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
-    except OverflowError as exc:
-        raise OverflowError(f"gamma overflow at {z}") from exc
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError(f"gamma overflow at {z}")
-    return value
-
-
-def principal_pow(q, s) -> complex:
-    """exp(s * Log q) with the principal logarithm, only for Re q > 0.
-
-    The restriction is the crown condition: downstream code raises the
-    pairing to complex powers only where the principal branch is
-    holomorphic, and a base in the closed left half plane means a point
-    left the crown. That is a hard domain error, not a numerical one.
-    """
-    q = complex(q)
-    s = complex(s)
-    if q.real <= 0.0:
-        raise CrownDomainError(f"principal power needs Re q > 0, got q = {q}")
-    log_q = complex(math.log(abs(q)), math.atan2(q.imag, q.real))
-    return cmath.exp(s * log_q)

@@ -230,7 +230,7 @@ def weyl_lattice(ktypes, re_parts=DEFAULT_WEYL_RE, im_parts=DEFAULT_WEYL_IM):
     ]
 
 
-def _weyl_residual_detail(provider, lattice, singular_skip, n_boundary):
+def _weyl_residual_detail(provider, lattice, singular_skip):
     worst = 0.0
     used = 0
     for ell, m in lattice:
@@ -239,7 +239,7 @@ def _weyl_residual_detail(provider, lattice, singular_skip, n_boundary):
         if singular_distance(m, t) < singular_skip:
             continue
         try:
-            b = intertwiner_scalar(m, t, n_boundary=n_boundary)
+            b = intertwiner_scalar(m, t)
         except SingularParameterError:
             continue
         lhs = complex(provider.eval(-ell - 1.0, m))
@@ -256,8 +256,7 @@ def _weyl_residual_detail(provider, lattice, singular_skip, n_boundary):
     return worst, used, len(lattice) - used
 
 
-def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3,
-                  n_boundary: int = 512) -> float:
+def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3) -> float:
     """Worst relative defect of phi(-l-1, m) = b_m(-l-1/2) phi(l, m).
 
     The scalar b_m comes from the independent probe-ratio route, not
@@ -267,8 +266,7 @@ def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3,
     """
     if lattice is None:
         lattice = weyl_lattice(provider.ktypes)
-    worst, _, _ = _weyl_residual_detail(provider, lattice, singular_skip,
-                                        n_boundary)
+    worst, _, _ = _weyl_residual_detail(provider, lattice, singular_skip)
     return worst
 
 
@@ -307,8 +305,7 @@ class PWReport:
         return self.verdict_for(radius).passed
 
 
-def pw_report(provider, candidate_radii, calibration: Calibration | None = None,
-              n_boundary: int = 512) -> PWReport:
+def pw_report(provider, candidate_radii, calibration: Calibration | None = None) -> PWReport:
     """Judge whether spectral data is consistent with each support radius.
 
     A radius passes when the type interval's upper end does not exceed
@@ -332,8 +329,7 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None,
     te = fit_type(ts, line_vals, calib.tail_fraction)
     profile = decay_profile(provider, calib.disc_radius)
     lattice = weyl_lattice(provider.ktypes)
-    wr, used, skipped = _weyl_residual_detail(provider, lattice,
-                                              calib.singular_skip, n_boundary)
+    wr, used, skipped = _weyl_residual_detail(provider, lattice, calib.singular_skip)
     constants_at_hat, _ = decay_constants(provider, te.r_hat,
                                           calib.decay_kmax,
                                           calib.disc_radius, profile)

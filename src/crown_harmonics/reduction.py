@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
-from .sphere import (GridFunction, SphereGrid, boundary_log_pairing,
-                     cap_quadrature, kernel_mode_profiles)
+from .sphere import (DEFAULT_BOUNDARY_SAMPLES, GridFunction, SphereGrid,
+                     boundary_log_pairing, cap_quadrature, kernel_mode_profiles)
 from .transform import ladder_components
 
 _GENERATORS = ("Z", "X", "Y")
+
+#: order of the cap-fitted Gauss-Legendre rule in intertwine_check
+_CAP_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -89,39 +92,6 @@ def sigma_action(psi: PrincipalSeriesFunction, generator: str) -> PrincipalSerie
     return PrincipalSeriesFunction(out, psi.lam)
 
 
-class SigmaTransformedProvider:
-    """Coefficient provider obtained by acting with a generator model.
-
-    Wraps a base provider and applies the boundary action at each
-    spectral point with the matching parameter lam = -l - 1/2 (so that
-    nu = -l). Used to close the loop: transforming a rotation
-    derivative on the sphere must agree with this provider.
-    """
-
-    def __init__(self, base, generator: str):
-        gen = str(generator).upper()
-        if gen not in _GENERATORS:
-            raise SchemaError(f"unknown generator label {generator!r}")
-        self._base = base
-        self._generator = gen
-        shifts = (0,) if gen == "Z" else (-1, 1)
-        self.ktypes = frozenset(m + s for m in base.ktypes for s in shifts)
-
-    def eval(self, ell, m: int) -> complex:
-        ell = complex(ell)
-        m = int(m)
-        needed = {m} if self._generator == "Z" else {m - 1, m + 1}
-        comps = {
-            mm: complex(self._base.eval(ell, mm))
-            for mm in needed
-            if mm in self._base.ktypes
-        }
-        if not comps:
-            return 0.0 + 0.0j
-        psi = PrincipalSeriesFunction(comps, lam=-ell - 0.5)
-        return sigma_action(psi, self._generator).amplitude(m)
-
-
 # ---------------------------------------------------------------------------
 # intertwining residual with support-fitted quadrature
 
@@ -130,8 +100,7 @@ def _cap_coefficient(weights, profile_values, kernel, m: int) -> complex:
     return complex(np.sum(weights * profile_values * kernel[:, m % kernel.shape[1]]))
 
 
-def intertwine_check(f, generator: str, ell, m_range=None,
-                     n_theta: int = 96, n_boundary: int = 512) -> float:
+def intertwine_check(f, generator: str, ell, m_range=None) -> float:
     """Relative residual of the derivative-transform exchange identity.
 
     f must be a pure-type handle (a pole-centered bump): f carries one
@@ -150,8 +119,8 @@ def intertwine_check(f, generator: str, ell, m_range=None,
     radius = f.spec.radius if hasattr(f, "spec") else getattr(f, "radius", None)
     if radius is None:
         raise SchemaError("handle does not declare its support radius")
-    theta, weights = cap_quadrature(radius, n_theta)
-    kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta, n_boundary))
+    theta, weights = cap_quadrature(radius, _CAP_NODES)
+    kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta))
 
     lhs = {
         m: _cap_coefficient(weights, prof(theta), kernel, m)
@@ -180,35 +149,7 @@ def intertwine_check(f, generator: str, ell, m_range=None,
 # ladder ratios and their rational scalars
 
 
-def ladder_scalar(m: int, t) -> complex:
-    """Closed-form rational scalar matched by the measured ladder ratios.
-
-        m=0: 1
-        m=1: i / (1/2 - t)
-        m=2: -1 / ((1/2 - t)(3/2 - t))
-
-    Degree (1,1) and (2,2) in t after clearing, which is what
-    rational_fit recovers from samples. Poles at t = 1/2 (m=1) and
-    t in {1/2, 3/2} (m=2) are raised as domain errors.
-    """
-    t = complex(t)
-    m = abs(int(m))
-    if m == 0:
-        return 1.0 + 0.0j
-    if m == 1:
-        den = 0.5 - t
-        if abs(den) < 1e-14:
-            raise CrownDomainError(f"ladder scalar pole at t={t}")
-        return 1j / den
-    if m == 2:
-        den = (0.5 - t) * (1.5 - t)
-        if abs(den) < 1e-14:
-            raise CrownDomainError(f"ladder scalar pole at t={t}")
-        return -1.0 / den
-    raise SchemaError("ladder scalars implemented for |m| <= 2")
-
-
-def kostant_ratio(m: int, t, theta_samples, n_boundary: int = 512):
+def kostant_ratio(m: int, t, theta_samples):
     """Probe-independence measurement for the ladder scalar.
 
     For each probe angle theta, computes the ratio of the m-th kernel
@@ -235,7 +176,8 @@ def kostant_ratio(m: int, t, theta_samples, n_boundary: int = 512):
 
     t = complex(t)
     s = -t - 0.5
-    c = 2.0 * math.pi * np.arange(n_boundary) / n_boundary
+    nb = DEFAULT_BOUNDARY_SAMPLES
+    c = 2.0 * math.pi * np.arange(nb) / nb
     phase = np.exp(-1j * m * c)
     ratios = []
     for th in thetas:

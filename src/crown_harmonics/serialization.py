@@ -57,8 +57,16 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def _parse(text: str, where: str):
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            dup = next(k for k in keys if keys.count(k) > 1)
+            raise SchemaError(f"{where}: duplicate key {dup!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
 

@@ -12,133 +12,35 @@ are well defined exactly on the crown cap theta < pi/2, where
 Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
 Grids are Gauss-Legendre in cos(theta) crossed with uniform azimuths,
-with total weight normalized to 1 so that integrate(1) == 1.
+with total weight normalized to 1 so that the constant function
+integrates to 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CrownDomainError, GridResolutionError, SchemaError
 from .numerics import gauss_legendre
 
-#: number of boundary samples used for kernel mode integrals; a power of
-#: two keeps the FFT exact-length and resolves modes |m| < 256, far past
-#: any K-type this library touches.
+#: number of boundary samples used for every kernel mode integral; a
+#: power of two keeps the FFT exact-length. Mode m of Q^l is alias-free
+#: while l + |m| < DEFAULT_BOUNDARY_SAMPLES.
 DEFAULT_BOUNDARY_SAMPLES = 512
 
-
-# ---------------------------------------------------------------------------
-# spectral bookkeeping
-
-
-class RootDatum:
-    """Spectral bookkeeping for the sphere in the ell-coordinate.
-
-    The spectrum of the transform is the nonnegative integers, the half
-    sum of roots is rho = 1/2, representation dimensions are 2*ell + 1,
-    and the nontrivial reflection acts on the spectral coordinate as
-    ell -> -ell (the rho-shifted version -ell-1 lives in the
-    intertwining module).
-    """
-
-    rho: float = 0.5
-    two_rho: float = 1.0
-
-    @staticmethod
-    def weyl_nontrivial(ell):
-        return -ell
-
-    @staticmethod
-    def dimension(ell):
-        return 2 * ell + 1
-
-    @staticmethod
-    def in_spectrum(ell) -> bool:
-        ell = complex(ell)
-        return ell.imag == 0.0 and ell.real >= 0 and ell.real == round(ell.real)
-
-
-ROOT_DATUM = RootDatum()
-
-
-@dataclass(frozen=True)
-class SpectralParam:
-    """A complex spectral coordinate ell."""
-
-    ell: complex
-
-    def __post_init__(self):
-        ell = complex(self.ell)
-        if not (math.isfinite(ell.real) and math.isfinite(ell.imag)):
-            raise SchemaError("spectral parameter must be finite")
-        object.__setattr__(self, "ell", ell)
+#: a grid row counts toward the support when its peak magnitude exceeds
+#: this fraction of the overall peak
+SUPPORT_REL_THRESHOLD = 1e-12
 
 
 def ell_value(ell) -> complex:
-    """Accept either a SpectralParam or a plain number and return complex."""
-    if isinstance(ell, SpectralParam):
-        return ell.ell
+    """Convert a spectral parameter to complex, rejecting non-finite values."""
     ell = complex(ell)
     if not (math.isfinite(ell.real) and math.isfinite(ell.imag)):
         raise SchemaError("spectral parameter must be finite")
     return ell
-
-
-# ---------------------------------------------------------------------------
-# points
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point on the sphere: colatitude theta in [0, pi], azimuth phi."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise SchemaError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point on the boundary circle, the angle phi_b in [0, 2*pi)."""
-
-    phi_b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_b", float(self.phi_b) % (2.0 * math.pi))
-
-
-def poisson_pairing(x: SpherePoint, b: BoundaryPoint) -> complex:
-    """The pairing Q(x, b) = cos(theta) + i sin(theta) cos(phi_x - phi_b).
-
-    Defined on the whole sphere; |Q| <= 1 with Re Q = cos(theta), and on
-    the crown cap the argument of Q is bounded by theta.
-    """
-    return complex(
-        math.cos(x.theta),
-        math.sin(x.theta) * math.cos(x.phi - b.phi_b),
-    )
-
-
-def iwasawa_log(x: SpherePoint, b: BoundaryPoint) -> complex:
-    """Principal logarithm of the pairing, defined on the crown only.
-
-    exp(ell * iwasawa_log(x, b)) equals the pairing raised to any
-    complex power ell; the imaginary part stays in (-pi/2, pi/2).
-    """
-    if x.theta >= math.pi / 2.0:
-        raise CrownDomainError(
-            f"point with theta = {x.theta:.6g} is outside the crown cap theta < pi/2"
-        )
-    q = poisson_pairing(x, b)
-    return complex(math.log(abs(q)), math.atan2(q.imag, q.real))
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +109,19 @@ class GridFunction:
         return cls(grid, values)
 
 
-def integrate(f: GridFunction) -> complex:
-    """Quadrature value of the normalized sphere integral of f."""
-    row_means = f.values.mean(axis=1)
-    return complex(np.sum(f.grid.theta_weights * row_means))
-
-
-def rotate(f: GridFunction, steps: int) -> GridFunction:
-    """Rotate about the pole by c = 2*pi*steps/n_phi grid increments.
-
-    The result samples f(theta, phi - c); restricting to whole grid
-    steps keeps the rotation exact (no interpolation).
-    """
-    return GridFunction(f.grid, np.roll(f.values, int(steps), axis=1))
-
-
-def support_radius(f: GridFunction, rel_threshold: float = 1e-12) -> float:
+def support_radius(f: GridFunction) -> float:
     """Colatitude of the last grid row carrying significant mass.
 
     Returns the smallest grid colatitude r such that every sample with
-    theta > r has magnitude <= rel_threshold * max|f|. By convention an
-    identically-zero function reports 0 and a function significant all
-    the way to the antipode reports pi.
+    theta > r has magnitude <= SUPPORT_REL_THRESHOLD * max|f|. By
+    convention an identically-zero function reports 0 and a function
+    significant all the way to the antipode reports pi.
     """
-    if not 0.0 < rel_threshold < 1.0:
-        raise SchemaError("rel_threshold must lie in (0, 1)")
     mags = np.abs(f.values)
     peak = mags.max()
     if peak == 0.0:
         return 0.0
-    significant = mags.max(axis=1) > rel_threshold * peak
+    significant = mags.max(axis=1) > SUPPORT_REL_THRESHOLD * peak
     idx = np.nonzero(significant)[0]
     if idx.size == 0:
         return 0.0
@@ -271,16 +156,17 @@ def cap_quadrature(radius: float, n_theta: int):
 # kernel mode profiles
 
 
-def boundary_log_pairing(theta, n_boundary: int = DEFAULT_BOUNDARY_SAMPLES) -> np.ndarray:
-    """Principal log of Q((theta, 0), c) on a uniform boundary grid.
+def boundary_log_pairing(theta) -> np.ndarray:
+    """Principal log of Q((theta, 0), c) on the uniform boundary grid.
 
-    Returns an array of shape (len(theta), n_boundary). The principal
+    Returns an array of shape (len(theta), DEFAULT_BOUNDARY_SAMPLES). The principal
     branch is holomorphic in theta on the crown; rows with theta >= pi/2
     are still well defined pointwise and may be exponentiated at
     integer powers only (integer powers are branch-free).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    c = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    nb = DEFAULT_BOUNDARY_SAMPLES
+    c = 2.0 * np.pi * np.arange(nb) / nb
     q = np.cos(theta)[:, None] + 1j * np.sin(theta)[:, None] * np.cos(c)[None, :]
     return np.log(q)
 
@@ -288,7 +174,7 @@ def boundary_log_pairing(theta, n_boundary: int = DEFAULT_BOUNDARY_SAMPLES) -> n
 def kernel_mode_profiles(ell, log_pairing: np.ndarray) -> np.ndarray:
     """All boundary Fourier modes of the pairing power Q^ell at once.
 
-    Output column m % n_boundary holds
+    Output column m % DEFAULT_BOUNDARY_SAMPLES holds
 
         (1/2*pi) * integral of Q((theta,0), c)^ell * exp(-i m c) dc,
 
@@ -301,12 +187,10 @@ def kernel_mode_profiles(ell, log_pairing: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.exp(ell * log_pairing), axis=-1) / nb
 
 
-def kernel_mode(ell, m: int, theta, n_boundary: int = DEFAULT_BOUNDARY_SAMPLES) -> np.ndarray:
+def kernel_mode(ell, m: int, theta) -> np.ndarray:
     """Single boundary mode of Q^ell along an array of colatitudes."""
-    lq = boundary_log_pairing(theta, n_boundary)
-    profiles = kernel_mode_profiles(ell, lq)
-    out = profiles[:, int(m) % n_boundary]
-    return out
+    profiles = kernel_mode_profiles(ell, boundary_log_pairing(theta))
+    return profiles[:, int(m) % DEFAULT_BOUNDARY_SAMPLES]
 
 
 def require_resolution(grid: SphereGrid, lmax: int):

@@ -215,19 +215,6 @@ def _unit_harmonic_norm(l: int, m: int) -> float:
     return math.sqrt((2 * l + 1) / ratio)
 
 
-def spherical_harmonic(grid: SphereGrid, l: int, m: int) -> GridFunction:
-    """Orthonormal harmonic under the normalized measure, no phase factor.
-
-    Y_l^m = sqrt((2l+1)(l-|m|)!/(l+|m|)!) P_l^{|m|}(cos theta) e^{i m phi}
-    with the Condon-Shortley-free associated Legendre convention.
-    """
-    if abs(m) > l:
-        raise SchemaError("harmonic order exceeds degree")
-    u = np.cos(grid.theta)
-    radial = _unit_harmonic_norm(l, m) * assoc_legendre(l, abs(m), u)
-    return GridFunction(grid, np.outer(radial, np.exp(1j * m * grid.phi_nodes)))
-
-
 def oracle_sht(f: GridFunction, lmax: int) -> CoefficientTable:
     """Classical coefficients by brute-force projection onto harmonics.
 

@@ -18,9 +18,9 @@ library's primary cross-checks. synthesize runs the inversion series
 
 pulling provider values at the reflected parameter -ell-1.
 
-Coefficient providers (the table-backed, extension-backed, and callable
-varieties) live here too, since synthesize consumes them and extend
-produces the canonical one.
+Coefficient providers (table-backed and extension-backed) live here
+too, since synthesize consumes them and extend produces the canonical
+one.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
 from .intertwining import intertwiner_rational
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
+    SUPPORT_REL_THRESHOLD,
     GridFunction,
     SphereGrid,
     boundary_log_pairing,
@@ -96,21 +97,19 @@ class CoefficientTable:
 # analyze: direct double quadrature over an explicit boundary grid
 
 
-def analyze(f: GridFunction, lmax: int, n_boundary: int | None = None) -> CoefficientTable:
+def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
     """Full integer coefficient table of f up to degree lmax.
 
     Direct route: the pairing is tabulated on (theta, phi, boundary)
     nodes, raised through successive integer powers, integrated against
     f, and the boundary dependence is resolved by an FFT. The boundary
-    grid defaults to 2*lmax + 2 nodes, which is alias-free because the
+    grid has 2*lmax + 2 nodes, which is alias-free because the
     b-profile of the degree-ell term is a trigonometric polynomial of
     degree at most ell.
     """
     require_resolution(f.grid, lmax)
     grid = f.grid
-    nb = int(n_boundary) if n_boundary is not None else 2 * lmax + 2
-    if nb < 2 * lmax + 2:
-        raise GridResolutionError(f"boundary grid {nb} aliases modes at lmax={lmax}")
+    nb = 2 * lmax + 2
     th = grid.theta
     ph = grid.phi_nodes
     b = 2.0 * np.pi * np.arange(nb) / nb
@@ -131,116 +130,9 @@ def analyze(f: GridFunction, lmax: int, n_boundary: int | None = None) -> Coeffi
     return CoefficientTable(lmax, entries)
 
 
-def zonal_transform(f: GridFunction, lmax: int) -> np.ndarray:
-    """Coefficients of a zonal f against Legendre polynomials.
-
-    Independent of the kernel route on purpose: uses the classical
-    three-term recurrence over the quadrature nodes, and must agree
-    with analyze(...)(l, 0) to quadrature accuracy.
-    """
-    from .numerics import legendre_p_table
-
-    require_resolution(f.grid, lmax)
-    row_mean = f.values.mean(axis=1)
-    spread = np.max(np.abs(f.values - row_mean[:, None]))
-    scale = max(np.max(np.abs(f.values)), 1.0)
-    if spread > 1e-12 * scale:
-        raise SchemaError(
-            f"input is not zonal: azimuthal spread {spread:.3e} exceeds 1e-12 relative"
-        )
-    u = np.cos(f.grid.theta)
-    table = legendre_p_table(lmax, u)
-    w = f.grid.theta_weights
-    return np.array([np.sum(w * row_mean * table[l]) for l in range(lmax + 1)])
-
-
 # ---------------------------------------------------------------------------
-# extend: holomorphic evaluation at complex ell for cap-supported f
-
-
-class _ExtendCore:
-    """Shared machinery for extending a cap-supported grid function.
-
-    Precomputes the azimuthal Fourier rows of f, the significant-row
-    mask, and the boundary log-pairing on those rows; eval(ell, m) then
-    costs one kernel exponential sweep. Instances are immutable after
-    construction and safe to share across threads.
-    """
-
-    def __init__(self, f: GridFunction, n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
-                 support_threshold: float = 1e-12):
-        self.grid = f.grid
-        self.n_boundary = int(n_boundary)
-        self.radius = support_radius(f, support_threshold)
-        peak = np.abs(f.values).max()
-        self.is_zero = peak == 0.0
-        if self.is_zero:
-            self.mask = np.zeros(f.grid.n_theta, dtype=bool)
-            self.row_modes = None
-            self.log_pairing = None
-            return
-        if self.radius >= math.pi / 2.0:
-            raise CrownDomainError(
-                f"support radius {self.radius:.6g} reaches the crown boundary pi/2; "
-                "holomorphic extension requires cap support"
-            )
-        row_mag = np.abs(f.values).max(axis=1)
-        self.mask = row_mag > support_threshold * peak
-        self.weights = f.grid.theta_weights[self.mask]
-        # azimuthal modes: row_modes[:, m % n_phi] = (1/2pi) int f e^{-im phi}
-        self.row_modes = np.fft.fft(f.values[self.mask], axis=1) / f.grid.n_phi
-        self.log_pairing = boundary_log_pairing(f.grid.theta[self.mask], self.n_boundary)
-
-    def resolves_mode(self, m: int) -> bool:
-        return 2 * abs(int(m)) < self.grid.n_phi
-
-    def _log_amplitude(self, ell: complex) -> float:
-        return float(np.max(np.real(ell * self.log_pairing)))
-
-    def _direct(self, ell: complex, m: int) -> complex:
-        kernel = kernel_mode_profiles(ell, self.log_pairing)
-        col = kernel[:, int(m) % self.n_boundary]
-        fm = self.row_modes[:, int(m) % self.grid.n_phi]
-        return complex(np.sum(self.weights * fm * col))
-
-    def eval(self, ell, m: int) -> complex:
-        ell = ell_value(ell)
-        m = int(m)
-        if self.is_zero:
-            return 0.0 + 0.0j
-        if not self.resolves_mode(m):
-            raise GridResolutionError(
-                f"azimuthal grid {self.grid.n_phi} cannot resolve K-type m={m}"
-            )
-        log_amp = self._log_amplitude(ell)
-        reflected = -ell - 1.0
-        log_amp_reflected = self._log_amplitude(reflected)
-        if (
-            log_amp > _LOG_AMP_DIRECT_MAX
-            and log_amp_reflected < log_amp - _LOG_AMP_ADVANTAGE_MIN
-        ):
-            # direct power would cancel catastrophically; route through
-            # the reflection functional equation phi(ell) =
-            # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
-            # validated against the quadrature ratio by the test suite.
-            return intertwiner_rational(m, ell + 0.5) * self._direct(reflected, m)
-        return self._direct(ell, m)
-
-
-def extend(f: GridFunction, ell, m: int,
-           n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
-           support_threshold: float = 1e-12) -> complex:
-    """One coefficient of f at a complex spectral parameter.
-
-    Requires the support of f to stay inside the crown cap (checked via
-    support_radius). At integer ell this agrees with the analyze table;
-    off the integers it is the holomorphic interpolation of it.
-    """
-    return _ExtendCore(f, n_boundary, support_threshold).eval(ell, m)
-
-
-# ---------------------------------------------------------------------------
-# coefficient providers
+# coefficient providers, and extend: holomorphic evaluation at complex ell
+# for cap-supported f
 
 
 class CoefficientProvider:
@@ -260,21 +152,39 @@ class CoefficientProvider:
 class ExtendProvider(CoefficientProvider):
     """Provider wrapping the holomorphic extension of a grid function.
 
+    Precomputes the azimuthal Fourier rows of f, the significant-row
+    mask, and the boundary log-pairing on those rows; eval(ell, m) then
+    costs one kernel exponential sweep. Instances are immutable after
+    construction and safe to share across threads.
+
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
     modes carry more than rel 1e-12 of the overall peak.
     """
 
-    def __init__(self, f: GridFunction, ktypes=None,
-                 n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
-                 support_threshold: float = 1e-12):
-        self._core = _ExtendCore(f, n_boundary, support_threshold)
+    def __init__(self, f: GridFunction, ktypes=None):
+        self.grid = f.grid
+        self.radius = support_radius(f)
+        peak = np.abs(f.values).max()
+        self.is_zero = peak == 0.0
+        if not self.is_zero:
+            if self.radius >= math.pi / 2.0:
+                raise CrownDomainError(
+                    f"support radius {self.radius:.6g} reaches the crown boundary pi/2; "
+                    "holomorphic extension requires cap support"
+                )
+            row_mag = np.abs(f.values).max(axis=1)
+            mask = row_mag > SUPPORT_REL_THRESHOLD * peak
+            self.weights = f.grid.theta_weights[mask]
+            # azimuthal modes: row_modes[:, m % n_phi] = (1/2pi) int f e^{-im phi}
+            self.row_modes = np.fft.fft(f.values[mask], axis=1) / f.grid.n_phi
+            self.log_pairing = boundary_log_pairing(f.grid.theta[mask])
         if ktypes is not None:
             self.ktypes = frozenset(int(m) for m in ktypes)
-        elif self._core.is_zero:
+        elif self.is_zero:
             self.ktypes = frozenset()
         else:
-            modes = self._core.row_modes
+            modes = self.row_modes
             peak = np.abs(modes).max()
             half = f.grid.n_phi // 2
             present = []
@@ -283,14 +193,49 @@ class ExtendProvider(CoefficientProvider):
                     present.append(m)
             self.ktypes = frozenset(present)
 
-    @property
-    def radius(self) -> float:
-        return self._core.radius
+    def _log_amplitude(self, ell: complex) -> float:
+        return float(np.max(np.real(ell * self.log_pairing)))
+
+    def _direct(self, ell: complex, m: int) -> complex:
+        kernel = kernel_mode_profiles(ell, self.log_pairing)
+        col = kernel[:, m % DEFAULT_BOUNDARY_SAMPLES]
+        fm = self.row_modes[:, m % self.grid.n_phi]
+        return complex(np.sum(self.weights * fm * col))
 
     def eval(self, ell, m: int) -> complex:
-        if int(m) not in self.ktypes:
+        m = int(m)
+        if m not in self.ktypes:
             return 0.0 + 0.0j
-        return self._core.eval(ell, m)
+        ell = ell_value(ell)
+        if self.is_zero:
+            return 0.0 + 0.0j
+        if 2 * abs(m) >= self.grid.n_phi:
+            raise GridResolutionError(
+                f"azimuthal grid {self.grid.n_phi} cannot resolve K-type m={m}"
+            )
+        log_amp = self._log_amplitude(ell)
+        reflected = -ell - 1.0
+        log_amp_reflected = self._log_amplitude(reflected)
+        if (
+            log_amp > _LOG_AMP_DIRECT_MAX
+            and log_amp_reflected < log_amp - _LOG_AMP_ADVANTAGE_MIN
+        ):
+            # direct power would cancel catastrophically; route through
+            # the reflection functional equation phi(ell) =
+            # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
+            # validated against the quadrature ratio by the test suite.
+            return intertwiner_rational(m, ell + 0.5) * self._direct(reflected, m)
+        return self._direct(ell, m)
+
+
+def extend(f: GridFunction, ell, m: int) -> complex:
+    """One coefficient of f at a complex spectral parameter.
+
+    Requires the support of f to stay inside the crown cap (checked via
+    support_radius). At integer ell this agrees with the analyze table;
+    off the integers it is the holomorphic interpolation of it.
+    """
+    return ExtendProvider(f, ktypes=(m,)).eval(ell, m)
 
 
 class TableProvider(CoefficientProvider):
@@ -332,38 +277,32 @@ class TableProvider(CoefficientProvider):
         return intertwiner_rational(m, ell + 0.5) * self.table.get(n, m)
 
 
-class CallableProvider(CoefficientProvider):
-    """Provider from an arbitrary function (ell, m) -> complex."""
-
-    def __init__(self, fn, ktypes):
-        self._fn = fn
-        self.ktypes = frozenset(int(m) for m in ktypes)
-
-    def eval(self, ell, m: int) -> complex:
-        if int(m) not in self.ktypes:
-            return 0.0 + 0.0j
-        return complex(self._fn(ell_value(ell), int(m)))
-
-
 # ---------------------------------------------------------------------------
 # synthesize: the inversion series
 
 
-def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int,
-               n_boundary: int = DEFAULT_BOUNDARY_SAMPLES) -> GridFunction:
+def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
     Evaluates the provider at the reflected parameters -ell-1 for
     ell = 0..lmax and contracts against the kernel modes. Terms with
     |m| > ell vanish identically and are skipped. Summation order is
     fixed (ascending ell, then ascending m), so results are
-    bit-reproducible.
+    bit-reproducible. Kernel mode m of degree l aliases on the boundary
+    grid unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum that would
+    include an aliased term raises GridResolutionError up front.
     """
     require_resolution(grid, 0)
-    log_pairing = boundary_log_pairing(grid.theta, n_boundary)
+    ms = sorted(provider.ktypes)
+    mmax = min(max((abs(m) for m in ms), default=0), lmax)
+    if lmax + mmax >= DEFAULT_BOUNDARY_SAMPLES:
+        raise GridResolutionError(
+            f"lmax={lmax} with K-type |m|={mmax} aliases on the "
+            f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
+            f"need lmax + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
+    log_pairing = boundary_log_pairing(grid.theta)
     phases = {}
     out = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
-    ms = sorted(provider.ktypes)
     for m in ms:
         if 2 * abs(m) >= grid.n_phi:
             raise GridResolutionError(
@@ -384,29 +323,13 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int,
                     ell=-l - 1.0, m=m) from exc
             if value == 0.0:
                 continue
-            accum += value * np.outer(kernel[:, m % n_boundary], phases[m])
+            accum += value * np.outer(kernel[:, m % DEFAULT_BOUNDARY_SAMPLES], phases[m])
         out += (2 * l + 1) * accum
     return GridFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------
-# K-type projection and rotation derivatives
-
-
-def ktype_project(f: GridFunction, m: int) -> GridFunction:
-    """Component of f transforming by exp(-i m c) under pole rotations.
-
-    Averages f(theta, phi + c) against exp(-i m c) over the rotation
-    angle; on the uniform azimuthal grid this is one FFT row. Summing
-    the projections over all resolved m recovers band-limited f.
-    """
-    m = int(m)
-    if 2 * abs(m) >= f.grid.n_phi:
-        raise GridResolutionError(
-            f"azimuthal grid {f.grid.n_phi} cannot resolve K-type m={m}")
-    modes = np.fft.fft(f.values, axis=1) / f.grid.n_phi
-    profile = modes[:, m % f.grid.n_phi]
-    return GridFunction(f.grid, np.outer(profile, np.exp(1j * m * f.grid.phi_nodes)))
+# rotation derivatives
 
 
 def ladder_components(handle, generator: str) -> dict:

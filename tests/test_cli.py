@@ -78,6 +78,13 @@ class TestSynthesize:
         expect = synthesize(TableProvider(table), SphereGrid(24, 12), 4)
         assert np.max(np.abs(got.values - expect.values)) == 0.0
 
+    def test_duplicate_key_is_schema_error(self, tmp_path, capsys):
+        tpath = tmp_path / "table.json"
+        tpath.write_text('{"lmax": 1, "lmax": 2, "entries": []}')
+        rc = main(["synthesize", "--input", str(tpath), "--grid", "12x8"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
     def test_bad_grid_shape_is_schema_error(self, tmp_path, capsys):
         tpath = tmp_path / "table.json"
         tpath.write_text(dumps_table(random_table(2, 1)))
@@ -185,20 +192,3 @@ class TestHarness:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == "1.0.0"
-
-    def test_bad_thread_count_is_schema_error(self, capsys, monkeypatch,
-                                              tmp_path):
-        monkeypatch.setenv("CROWN_HARMONICS_THREADS", "many")
-        tpath = tmp_path / "table.json"
-        tpath.write_text(dumps_table(random_table(2, 1)))
-        rc = main(["synthesize", "--input", str(tpath), "--grid", "12x8"])
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "schema"
-
-    def test_sequential_flag_accepted(self, capsys, tmp_path):
-        tpath = tmp_path / "table.json"
-        tpath.write_text(dumps_table(random_table(2, 1)))
-        rc = main(["synthesize", "--sequential", "--input", str(tpath),
-                   "--grid", "12x8"])
-        assert rc == 0
-        loads_grid_function(capsys.readouterr().out)

@@ -15,8 +15,10 @@ from crown_harmonics.intertwining import (
     probe_integral,
     sample_intertwiner,
     singular_distance,
-    weyl_reflected,
 )
+from crown_harmonics.sphere import SphereGrid
+from crown_harmonics.testbed import BumpSpec, make_bump
+from crown_harmonics.transform import ExtendProvider
 
 GENERIC_TS = [
     0.3 + 0.4j, -1.2 + 0.9j, 2.1 - 0.6j, 0.05 + 1.5j, -2.3 - 1.1j,
@@ -65,8 +67,10 @@ class TestQuadratureScalar:
 
     def test_probe_angle_irrelevant(self):
         t = 0.8 + 0.25j
-        vals = [intertwiner_scalar(2, t, theta_probe=th) for th in (0.2, 0.5, 1.0)]
+        vals = [probe_integral(2, -t, th) / probe_integral(2, t, th)
+                for th in (0.2, 0.5, 1.0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-12 * abs(vals[0])
+        assert abs(intertwiner_scalar(2, t) - vals[1]) < 1e-12 * abs(vals[1])
 
     def test_probe_integral_reflection_consistency(self):
         # the defining ratio: F_m(-t) / F_m(t) with F built from the
@@ -74,6 +78,33 @@ class TestQuadratureScalar:
         m, t, theta = 2, 0.6 + 0.4j, 0.7
         ratio = probe_integral(m, -t, theta) / probe_integral(m, t, theta)
         assert abs(ratio - intertwiner_rational(m, t)) < 1e-12
+
+
+class TestWeylReflection:
+    """The reflection ell -> -ell - 1 acting on holomorphic extensions.
+
+    phi(ell) = b_m(ell + 1/2) phi(-ell - 1) for the extension phi of a
+    cap-supported function; both sides are evaluated directly here.
+    """
+
+    @staticmethod
+    def _provider():
+        grid = SphereGrid(96, 12)
+        return ExtendProvider(make_bump(BumpSpec(radius=0.7, ktype=2), grid))
+
+    def test_formula_and_involution(self):
+        provider = self._provider()
+        # 3 and -4 are exchanged, and so are ell and its reflection
+        for ell in (3.0, -4.0, 0.25 + 2.25j, -1.25 - 2.25j):
+            lhs = provider.eval(ell, 2)
+            rhs = intertwiner_rational(2, ell + 0.5) * provider.eval(-ell - 1.0, 2)
+            assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+
+    def test_fixed_point_is_minus_half(self):
+        # ell = -1/2 is its own reflection, so b_m(0) must be exactly 1
+        for m in range(5):
+            assert intertwiner_rational(m, 0.0) == 1.0
+            assert abs(intertwiner_scalar(m, 0.0) - 1.0) < 1e-12
 
 
 class TestSingularBookkeeping:
@@ -87,20 +118,7 @@ class TestSingularBookkeeping:
 
     def test_sample_intertwiner_skips_singular_points(self):
         ts = [-2.5, -1.5, -0.5, 0.5, 1.5]
-        scalar = sample_intertwiner(2, ts)
-        assert scalar.m == 2
-        kept = {complex(t) for t in scalar.samples}
+        kept = set(sample_intertwiner(2, ts))
         assert complex(-0.5) not in kept
         assert complex(-1.5) not in kept
         assert complex(0.5) in kept
-
-
-class TestWeylReflection:
-    def test_formula_and_involution(self):
-        assert weyl_reflected(3) == -4
-        assert weyl_reflected(-4) == 3
-        ell = 0.25 + 2.25j
-        assert weyl_reflected(weyl_reflected(ell)) == ell
-
-    def test_fixed_point_is_minus_half(self):
-        assert weyl_reflected(-0.5) == -0.5

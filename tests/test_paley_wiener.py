@@ -26,7 +26,8 @@ from crown_harmonics.paley_wiener import (
 )
 from crown_harmonics.sphere import SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
-from crown_harmonics.transform import CallableProvider, ExtendProvider
+from crown_harmonics.transform import ExtendProvider
+from oracles import FakeProvider
 
 
 def symmetric_poly_provider():
@@ -34,7 +35,7 @@ def symmetric_poly_provider():
     # invariant under l -> -l-1, so the reflection identity holds with
     # the trivial m=0 scalar; the decay is kept gentle so the disc
     # maxima are resolved at the base lattice
-    return CallableProvider(
+    return FakeProvider(
         lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
         ktypes=(0,),
     )
@@ -42,7 +43,7 @@ def symmetric_poly_provider():
 
 class TestTypeFit:
     def test_zero_provider(self):
-        provider = CallableProvider(lambda ell, m: 0.0, ktypes=(0,))
+        provider = FakeProvider(lambda ell, m: 0.0, ktypes=(0,))
         te = type_estimate(provider)
         assert (te.r_hat, te.lower, te.upper) == (0.0, 0.0, 0.0)
 
@@ -85,7 +86,7 @@ class TestDecayConstants:
             assert ratios[k] >= 1.0
 
     def test_zero_provider_ratios_default_to_one(self):
-        provider = CallableProvider(lambda ell, m: 0.0, ktypes=(0,))
+        provider = FakeProvider(lambda ell, m: 0.0, ktypes=(0,))
         consts, ratios = decay_constants(provider, 0.5, kmax=2)
         assert all(consts[k] == 0.0 for k in range(3))
         assert all(ratios[k] == 1.0 for k in range(3))
@@ -100,12 +101,12 @@ class TestWeylResidual:
         assert weyl_residual(symmetric_poly_provider()) < 1e-12
 
     def test_all_singular_lattice_raises(self):
-        provider = CallableProvider(lambda ell, m: 1.0, ktypes=(1,))
+        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         with pytest.raises(NumericalError):
             weyl_residual(provider, lattice=[(0.0j, 1)])
 
     def test_constant_on_type_one_breaks_symmetry(self):
-        provider = CallableProvider(lambda ell, m: 1.0, ktypes=(1,))
+        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         assert weyl_residual(provider) > 0.1
 
     def test_lattice_shape(self):
@@ -133,7 +134,7 @@ class TestReport:
             assert report.passed(r), report.verdict_for(r).reasons
 
     def test_asymmetric_provider_fails_with_symmetry_reason(self):
-        provider = CallableProvider(lambda ell, m: 1.0, ktypes=(1,))
+        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         report = pw_report(provider, [0.5])
         verdict = report.verdict_for(0.5)
         assert not verdict.passed

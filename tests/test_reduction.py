@@ -14,10 +14,8 @@ from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.reduction import (
     LadderFunction,
     PrincipalSeriesFunction,
-    SigmaTransformedProvider,
     intertwine_check,
     kostant_ratio,
-    ladder_scalar,
     rational_fit,
     reduction_synthesize,
     sigma_action,
@@ -31,6 +29,15 @@ GENERIC_TS = [0.3 + 0.4j, -1.2 + 0.9j, 2.1 - 0.6j, 0.05 + 1.5j]
 
 def psi_of(components, nu):
     return PrincipalSeriesFunction(dict(components), lam=nu - 0.5)
+
+
+def ladder_scalar(m, t):
+    """Closed-form scalar the ladder ratios are expected to match.
+
+    m=0: 1,  m=1: i / (1/2 - t),  m=2: -1 / ((1/2 - t)(3/2 - t)).
+    """
+    t = complex(t)
+    return {0: 1.0 + 0.0j, 1: 1j / (0.5 - t), 2: -1.0 / ((0.5 - t) * (1.5 - t))}[abs(m)]
 
 
 class TestSigmaAction:
@@ -116,7 +123,7 @@ class TestIntertwineCheck:
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         ell = 0.4 + 0.6j
         theta, weights = cap_quadrature(0.6, 96)
-        kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta, 512))
+        kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta))
         lhs = {
             m: _cap_coefficient(weights, prof(theta), kernel, m)
             for m, prof in ladder_components(bump, "X").items()
@@ -141,18 +148,6 @@ class TestIntertwineCheck:
 
 
 class TestLadderScalars:
-    def test_closed_forms(self):
-        t = 0.3 + 0.4j
-        assert ladder_scalar(0, t) == 1.0
-        assert abs(ladder_scalar(1, t) - 1j / (0.5 - t)) < 1e-15
-        assert abs(ladder_scalar(2, t) + 1.0 / ((0.5 - t) * (1.5 - t))) < 1e-15
-
-    def test_pole_raises(self):
-        with pytest.raises(CrownDomainError):
-            ladder_scalar(1, 0.5)
-        with pytest.raises(CrownDomainError):
-            ladder_scalar(2, 1.5)
-
     def test_reflection_relation_constant_one(self):
         # p_m(-t) b_m(-t) = p_m(t), exactly, for both ladder orders
         for m in (1, 2):
@@ -238,30 +233,37 @@ class TestReductionSynthesize:
 
 
 class TestSigmaTransformedProvider:
+    """sigma_action applied to the values of an ExtendProvider at an integer degree."""
+
     def test_ktype_arithmetic(self):
         grid = SphereGrid(64, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         base = ExtendProvider(bump)
-        assert SigmaTransformedProvider(base, "Z").ktypes == frozenset({1})
-        assert SigmaTransformedProvider(base, "X").ktypes == frozenset({0, 2})
+        psi = PrincipalSeriesFunction(
+            {m: base.eval(2.0, m) for m in base.ktypes}, lam=-2.5)
+        assert set(sigma_action(psi, "Z").components) == {1}
+        assert set(sigma_action(psi, "X").components) == {0, 2}
+        assert set(sigma_action(psi, "Y").components) == {0, 2}
 
     def test_closes_with_geometric_derivative(self):
         # analyze o (rotation derivative) must equal the boundary model
-        # applied to analyze o f, degree by degree; the derivative bump
-        # is rougher than the seed, so the grid is kept generous
+        # at lam = -l - 1/2 applied to the extension of f, degree by
+        # degree; the derivative bump is rougher than the seed, so the
+        # grid is kept generous
         grid = SphereGrid(768, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         base = ExtendProvider(bump)
         lmax = 5
         for gen in ("Z", "X", "Y"):
             derived = analyze(rotation_derivative(bump, gen), lmax)
-            provider = SigmaTransformedProvider(base, gen)
-            worst = 0.0
             scale = max(derived.max_abs(), 1e-300)
+            worst = 0.0
             for l in range(lmax + 1):
-                for m in sorted(provider.ktypes):
-                    if abs(m) > l:
-                        continue
-                    got = provider.eval(float(l), m)
-                    worst = max(worst, abs(got - derived.get(l, m)))
+                psi = PrincipalSeriesFunction(
+                    {m: base.eval(float(l), m) for m in base.ktypes}, lam=-l - 0.5)
+                acted = sigma_action(psi, gen).components
+                assert set(acted) == ({1} if gen == "Z" else {0, 2})
+                for m, got in acted.items():
+                    if abs(m) <= l:
+                        worst = max(worst, abs(got - derived.get(l, m)))
             assert worst / scale < 1e-9

@@ -18,7 +18,8 @@ from crown_harmonics.serialization import (
     loads_table,
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
-from crown_harmonics.transform import CallableProvider, CoefficientTable
+from crown_harmonics.transform import CoefficientTable
+from oracles import FakeProvider
 
 
 class TestFormatFloat:
@@ -75,6 +76,10 @@ class TestGridFunctionRoundTrip:
             loads_grid_function(
                 '{"n_theta": true, "n_phi": 1, "values": [[1.0,0.0]]}'
             )
+        with pytest.raises(SchemaError, match="duplicate key 'n_phi'"):
+            loads_grid_function(
+                '{"n_theta": 1, "n_phi": 2, "n_phi": 1, "values": [[1.0,0.0]]}'
+            )
 
 
 class TestTableRoundTrip:
@@ -108,6 +113,12 @@ class TestTableRoundTrip:
         )
         with pytest.raises(SchemaError):
             loads_table(text)
+        # duplicate keys, at the top level and inside an entry
+        with pytest.raises(SchemaError, match="duplicate key 'lmax'"):
+            loads_table('{"lmax": 1, "lmax": 2, "entries": []}')
+        with pytest.raises(SchemaError, match="duplicate key 're'"):
+            loads_table('{"lmax": 1, "entries": ['
+                        '{"l": 1, "m": 0, "re": 1.0, "re": 2.0, "im": 0.0}]}')
 
     def test_out_of_range_entry_rejected(self):
         text = '{"lmax": 1, "entries": [{"l": 2, "m": 0, "re": 1.0, "im": 0.0}]}'
@@ -117,7 +128,7 @@ class TestTableRoundTrip:
 
 class TestReportSerialization:
     def test_report_is_valid_json_with_expected_keys(self):
-        provider = CallableProvider(
+        provider = FakeProvider(
             lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))), ktypes=(0,)
         )
         report = pw_report(provider, [0.4, 1.0])

@@ -14,47 +14,33 @@ from crown_harmonics.errors import CrownDomainError, GridResolutionError, Schema
 from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.numerics import gauss_legendre, legendre_p
 from crown_harmonics.sphere import (
-    ROOT_DATUM,
-    BoundaryPoint,
+    DEFAULT_BOUNDARY_SAMPLES,
     GridFunction,
-    SpectralParam,
     SphereGrid,
-    SpherePoint,
     boundary_log_pairing,
     cap_quadrature,
-    integrate,
-    iwasawa_log,
+    ell_value,
     kernel_mode,
     kernel_mode_profiles,
-    poisson_pairing,
     require_resolution,
-    rotate,
     support_radius,
 )
 from crown_harmonics.testbed import BumpSpec, make_bump
+from crown_harmonics.transform import analyze
+from oracles import sphere_integral
 
 ONE_SEVENTH = 0.14285714285714285714
 TWO_OVER_101 = 0.01980198019801980198
 
 
 class TestRootDatum:
-    def test_half_sum_and_dimensions(self):
-        assert ROOT_DATUM.rho == 0.5
-        for l in (0, 1, 7):
-            assert ROOT_DATUM.dimension(l) == 2 * l + 1
-
-    def test_weyl_reflection_is_involution(self):
-        for l in (0.3 + 1j, -2.0, 5.0):
-            assert ROOT_DATUM.weyl_nontrivial(ROOT_DATUM.weyl_nontrivial(l)) == l
-
-    def test_spectrum_membership(self):
-        assert ROOT_DATUM.in_spectrum(3)
-        assert not ROOT_DATUM.in_spectrum(-1)
-        assert not ROOT_DATUM.in_spectrum(2.5)
-
     def test_spectral_param_requires_finite(self):
-        with pytest.raises(SchemaError):
-            SpectralParam(float("nan"))
+        assert ell_value(2) == 2.0 + 0.0j
+        for ell in (float("nan"), complex(1.0, float("inf"))):
+            with pytest.raises(SchemaError):
+                ell_value(ell)
+            with pytest.raises(SchemaError):
+                kernel_mode(ell, 0, 0.3)
 
 
 class TestSphereGrid:
@@ -68,11 +54,11 @@ class TestSphereGrid:
     def test_integrate_constants_and_moments(self):
         grid = SphereGrid(16, 8)
         one = GridFunction.from_callable(grid, lambda th, ph: np.ones_like(th))
-        assert abs(integrate(one) - 1.0) < 5e-15
+        assert abs(sphere_integral(one) - 1.0) < 5e-15
         cos1 = GridFunction.from_callable(grid, lambda th, ph: np.cos(th))
-        assert abs(integrate(cos1)) < 5e-15
+        assert abs(sphere_integral(cos1)) < 5e-15
         cos2 = GridFunction.from_callable(grid, lambda th, ph: np.cos(th) ** 2)
-        assert abs(integrate(cos2) - 1.0 / 3.0) < 5e-15
+        assert abs(sphere_integral(cos2) - 1.0 / 3.0) < 5e-15
 
     def test_integrate_legendre_square_frozen(self):
         # mean of P_3(cos)^2 over the sphere is 1/(2*3+1)
@@ -80,7 +66,7 @@ class TestSphereGrid:
         f = GridFunction.from_callable(
             grid, lambda th, ph: legendre_p(3, np.cos(th)) ** 2 + 0j
         )
-        assert abs(integrate(f) - ONE_SEVENTH) < 5e-15
+        assert abs(sphere_integral(f) - ONE_SEVENTH) < 5e-15
 
     def test_raw_rule_integrates_p50_square_frozen(self):
         rule = gauss_legendre(64)
@@ -92,7 +78,7 @@ class TestSphereGrid:
         r = 0.8
         grid = SphereGrid(192, 4)
         bump = make_bump(BumpSpec(r, "smooth"), grid)
-        ours = integrate(bump)
+        ours = sphere_integral(bump)
 
         def radial(theta):
             t2 = theta * theta
@@ -111,31 +97,25 @@ class TestSphereGrid:
 
 
 class TestPairing:
+    # boundary_log_pairing tabulates the principal log of
+    # Q((theta, 0), c) = cos(theta) + i sin(theta) cos(c)
+
     def test_values_on_axis(self):
-        north = SpherePoint(1e-12, 0.0)
-        b = BoundaryPoint(0.7)
-        assert abs(poisson_pairing(north, b) - 1.0) < 1e-9
+        log_q = boundary_log_pairing(np.array([1e-12]))
+        assert np.max(np.abs(np.exp(log_q) - 1.0)) < 1e-9
 
     def test_magnitude_bounded_by_one(self):
-        for theta in (0.3, 1.0, 1.5):
-            for c in (0.0, 0.9, 2.2, 4.4):
-                q = poisson_pairing(SpherePoint(theta, 0.4), BoundaryPoint(c))
-                assert abs(q) <= 1.0 + 1e-15
+        log_q = boundary_log_pairing(np.array([0.3, 1.0, 1.5]))
+        assert np.max(log_q.real) <= 1e-15
 
     def test_iwasawa_log_inverts_exp(self):
-        x = SpherePoint(1.1, 0.6)
-        b = BoundaryPoint(2.3)
-        assert abs(np.exp(iwasawa_log(x, b)) - poisson_pairing(x, b)) < 1e-15
-
-    def test_iwasawa_log_requires_crown(self):
-        with pytest.raises(CrownDomainError):
-            iwasawa_log(SpherePoint(1.7, 0.0), BoundaryPoint(0.0))
-
-    def test_point_validation(self):
-        with pytest.raises(SchemaError):
-            SpherePoint(-0.1, 0.0)
-        p = SpherePoint(0.5, 2 * math.pi + 0.25)
-        assert abs(p.phi - 0.25) < 1e-12
+        theta = 1.1
+        c = 2.0 * np.pi * np.arange(DEFAULT_BOUNDARY_SAMPLES) / DEFAULT_BOUNDARY_SAMPLES
+        log_q = boundary_log_pairing(np.array([theta]))[0]
+        q = math.cos(theta) + 1j * math.sin(theta) * np.cos(c)
+        assert np.max(np.abs(np.exp(log_q) - q)) < 1e-15
+        # principal branch: on the crown the argument stays below theta
+        assert np.max(np.abs(log_q.imag)) <= theta + 1e-15
 
 
 class TestKernelModes:
@@ -166,36 +146,51 @@ class TestKernelModes:
 
     def test_profiles_match_scalar_interface(self):
         thetas = np.array([0.2, 0.7, 1.3])
-        table = kernel_mode_profiles(2.0 + 1.0j, boundary_log_pairing(thetas, 128))
+        table = kernel_mode_profiles(2.0 + 1.0j, boundary_log_pairing(thetas))
         for i, theta in enumerate(thetas):
             for m in (0, 1, -3):
-                scalar = kernel_mode(2.0 + 1.0j, m, theta, n_boundary=128)
-                assert abs(table[i, m % 128] - scalar) < 1e-14
+                scalar = kernel_mode(2.0 + 1.0j, m, theta)
+                assert abs(table[i, m % DEFAULT_BOUNDARY_SAMPLES] - scalar) < 1e-14
 
     def test_integer_power_rows_beyond_crown(self):
         # integer powers are branch-free, so profile rows past pi/2 are fine
         thetas = np.array([0.5, 1.6, 2.8])
-        table = kernel_mode_profiles(3.0, boundary_log_pairing(thetas, 64))
+        table = kernel_mode_profiles(3.0, boundary_log_pairing(thetas))
         for i, theta in enumerate(thetas):
             assert abs(table[i, 0] - legendre_p(3, math.cos(theta))) < 1e-13
 
 
+
 class TestRotate:
+    """Rotation about the pole by whole azimuthal grid steps.
+
+    The azimuthal nodes are uniform, so rotating by k steps is the
+    cyclic shift np.roll(values, k, axis=1) of the samples.
+    """
+
     def test_exact_phase_shift(self):
         grid = SphereGrid(8, 12)
         f = GridFunction.from_callable(
             grid, lambda th, ph: np.exp(1j * ph) * np.sin(th)
         )
-        shifted = rotate(f, 3)
+        shifted = np.roll(f.values, 3, axis=1)
         c = 2 * math.pi * 3 / 12
+        rotated = GridFunction.from_callable(
+            grid, lambda th, ph: np.exp(1j * (ph - c)) * np.sin(th)
+        )
+        assert np.max(np.abs(shifted - rotated.values)) < 1e-14
         expected = f.values * np.exp(-1j * c)
-        assert np.max(np.abs(shifted.values - expected)) < 1e-14
+        assert np.max(np.abs(shifted - expected)) < 1e-14
 
     def test_integral_invariance(self):
+        # the degree-0 coefficient of analyze is the sphere integral
         grid = SphereGrid(10, 14)
         rng = np.random.default_rng(5)
         f = GridFunction(grid, rng.standard_normal((10, 14)) + 0j)
-        assert abs(integrate(rotate(f, 6)) - integrate(f)) < 1e-15
+        g = GridFunction(grid, np.roll(f.values, 6, axis=1))
+        before = analyze(f, 0).get(0, 0)
+        assert abs(analyze(g, 0).get(0, 0) - before) < 1e-15
+        assert abs(before - sphere_integral(f)) < 1e-15
 
 
 class TestSupportRadius:

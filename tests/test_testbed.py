@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from crown_harmonics.errors import SchemaError
-from crown_harmonics.sphere import GridFunction, SphereGrid, integrate
+from crown_harmonics.numerics import assoc_legendre
+from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import (
     BumpSpec,
     bridge_factor_candidate,
@@ -21,8 +22,19 @@ from crown_harmonics.testbed import (
     oracle_sht,
     random_bandlimited,
     random_table,
-    spherical_harmonic,
 )
+from oracles import sphere_integral
+
+
+def spherical_harmonic(grid, l, m):
+    """Orthonormal harmonic under the normalized measure, no phase factor.
+
+    Y_l^m = sqrt((2l+1)(l-|m|)!/(l+|m|)!) P_l^{|m|}(cos theta) e^{i m phi}
+    """
+    k = abs(m)
+    norm = math.sqrt((2 * l + 1) * math.factorial(l - k) / math.factorial(l + k))
+    radial = norm * assoc_legendre(l, k, np.cos(grid.theta))
+    return GridFunction(grid, np.outer(radial, np.exp(1j * m * grid.phi_nodes)))
 
 
 def richardson_d1(fn, x, h=1e-3):
@@ -129,7 +141,7 @@ class TestClassicalOracle:
         grid = SphereGrid(48, 24)
         for l, m in ((0, 0), (3, 0), (4, 2), (5, -4)):
             y = spherical_harmonic(grid, l, m)
-            norm = integrate(GridFunction(grid, np.abs(y.values) ** 2))
+            norm = sphere_integral(GridFunction(grid, np.abs(y.values) ** 2))
             assert abs(norm - 1.0) < 1e-12
 
     def test_degree_one_zonal_is_sqrt3_cos(self):

@@ -18,19 +18,17 @@ from crown_harmonics.errors import (
     ProviderError,
     SchemaError,
 )
-from crown_harmonics.sphere import GridFunction, SphereGrid, rotate
+from crown_harmonics.numerics import legendre_p
+from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump, random_bandlimited
 from crown_harmonics.transform import (
-    CallableProvider,
     CoefficientTable,
     ExtendProvider,
     TableProvider,
     analyze,
     extend,
-    ktype_project,
     rotation_derivative,
     synthesize,
-    zonal_transform,
 )
 
 
@@ -108,7 +106,9 @@ class TestAnalyzeSynthesize:
         steps = 4
         c = 2.0 * np.pi * steps / grid.n_phi
         before = analyze(f, 5)
-        after = analyze(rotate(f, steps), 5)
+        # f(theta, phi - c): an exact shift by whole azimuthal grid steps
+        rotated = GridFunction(grid, np.roll(f.values, steps, axis=1))
+        after = analyze(rotated, 5)
         worst = 0.0
         for (l, m), v in before.items_sorted():
             worst = max(worst, abs(after.get(l, m) - np.exp(-1j * m * c) * v))
@@ -135,46 +135,33 @@ class TestAnalyzeSynthesize:
         with pytest.raises(GridResolutionError):
             synthesize(TableProvider(table), grid, 4)
 
+    def test_synthesize_rejects_boundary_aliasing(self):
+        # mode m of Q^l aliases on the 512-sample boundary grid once
+        # l + |m| >= 512; the guard fires before any provider evaluation
+        grid = SphereGrid(4, 8)
+        with pytest.raises(GridResolutionError):
+            synthesize(TableProvider(CoefficientTable(512, {(0, 0): 1.0})), grid, 512)
+        with pytest.raises(GridResolutionError):
+            synthesize(TableProvider(CoefficientTable(509, {(509, 3): 1.0})), grid, 509)
+        # l + |m| = 511 is the largest alias-free pair
+        table = CoefficientTable(508, {(508, 3): 1.0})
+        assert np.all(np.isfinite(synthesize(TableProvider(table), grid, 508).values))
+
 
 class TestZonalTransform:
     def test_agrees_with_analyze(self):
+        # the zonal column of analyze against the classical Legendre
+        # projection by the three-term recurrence, a route that shares
+        # no inner loop with the kernel powers
         grid = SphereGrid(64, 24)
         bump = make_bump(BumpSpec(radius=0.9), grid)
-        coeffs = zonal_transform(bump, 10)
+        row_mean = bump.values.mean(axis=1)
+        u = np.cos(grid.theta)
+        coeffs = np.array([np.sum(grid.theta_weights * row_mean * legendre_p(l, u))
+                           for l in range(11)])
         table = analyze(bump, 10)
         worst = max(abs(coeffs[l] - table.get(l, 0)) for l in range(11))
         assert worst < 1e-12 * max(np.max(np.abs(coeffs)), 1e-300)
-
-    def test_rejects_non_zonal(self):
-        grid = SphereGrid(32, 12)
-        vals = np.cos(grid.theta)[:, None] * np.exp(1j * grid.phi_nodes)[None, :]
-        with pytest.raises(SchemaError):
-            zonal_transform(GridFunction(grid, vals), 4)
-
-
-class TestKtypeProject:
-    def test_pure_type_passthrough(self):
-        grid = SphereGrid(20, 12)
-        g = np.exp(-grid.theta)
-        f = GridFunction(grid, np.outer(g, np.exp(2j * grid.phi_nodes)))
-        same = ktype_project(f, 2)
-        zero = ktype_project(f, 1)
-        assert np.max(np.abs(same.values - f.values)) < 1e-14
-        assert np.max(np.abs(zero.values)) < 1e-14
-
-    def test_projections_sum_to_band_limited_input(self):
-        grid = SphereGrid(24, 16)
-        f, _ = random_bandlimited(grid, lmax=4, mmax=3, seed=5)
-        total = np.zeros_like(f.values)
-        for m in range(-3, 4):
-            total += ktype_project(f, m).values
-        assert np.max(np.abs(total - f.values)) < 1e-12 * np.max(np.abs(f.values))
-
-    def test_resolution_guard(self):
-        grid = SphereGrid(12, 6)
-        f = GridFunction(grid, np.ones((12, 6), dtype=complex))
-        with pytest.raises(GridResolutionError):
-            ktype_project(f, 3)
 
 
 class TestExtend:
@@ -235,8 +222,3 @@ class TestProviders:
         provider = TableProvider(CoefficientTable(1, {(1, 0): 1.0}))
         with pytest.raises(ProviderError):
             provider.eval(-3.0, 0)
-
-    def test_callable_provider_restricts_ktypes(self):
-        provider = CallableProvider(lambda ell, m: 1.0, ktypes=(0,))
-        assert provider.eval(2.0, 1) == 0.0
-        assert provider.eval(2.0, 0) == 1.0
