@@ -67,7 +67,6 @@ from .reduction import (
     PrincipalSeriesFunction,
     intertwine_check,
     kostant_ratio,
-    rational_fit,
     reduction_synthesize,
     sigma_action,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "pw_report",
     "random_bandlimited",
     "random_table",
-    "rational_fit",
     "reduction_synthesize",
     "rotation_derivative",
     "run_acceptance",

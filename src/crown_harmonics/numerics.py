@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrownDomainError, SchemaError
+from .errors import CrownDomainError, NumericalError, SchemaError
 
 _NEWTON_TOL = 1e-15
 
@@ -40,7 +40,8 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
 
     Roots of P_n are refined by Newton iteration from the Chebyshev
     initial guesses cos(pi*(4k+3)/(4n+2)) to tolerance 1e-15, which is
-    deterministic and reproducible for any fixed n.
+    deterministic and reproducible for any fixed n. Raises
+    NumericalError when 100 Newton steps do not reach the tolerance.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise SchemaError(f"quadrature order must be a positive integer, got {n!r}")
@@ -58,6 +59,10 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
         x = x - dx
         if np.max(np.abs(dx)) < _NEWTON_TOL:
             break
+    else:
+        raise NumericalError(
+            f"Gauss-Legendre order {n}: Newton step {np.max(np.abs(dx)):.3g} "
+            f"still above {_NEWTON_TOL:g} after 100 iterations")
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     nodes = x[order]
@@ -65,6 +70,16 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule1D(nodes=nodes, weights=weights, order=n)
+
+
+def complex_abs(z) -> np.ndarray:
+    """Elementwise |z|, rounded exactly as Python's abs(complex).
+
+    Both go through libm hypot on the real and imaginary parts; np.abs on
+    a complex array takes a vectorized route whose last bit can differ.
+    """
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
 
 
 def _check_unit_interval(x) -> np.ndarray:

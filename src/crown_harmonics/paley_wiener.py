@@ -283,7 +283,11 @@ class RadiusVerdict:
 
 @dataclass(frozen=True)
 class PWReport:
-    """Bundle of spectral evidence plus per-radius verdicts."""
+    """Bundle of spectral evidence plus per-radius verdicts.
+
+    decay_constants and decay_ratios are both taken at the type estimate
+    r_hat; each verdict uses the constants at its own radius.
+    """
 
     ktypes: tuple
     type_estimate: TypeEstimate
@@ -330,12 +334,10 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     profile = decay_profile(provider, calib.disc_radius)
     lattice = weyl_lattice(provider.ktypes)
     wr, used, skipped = _weyl_residual_detail(provider, lattice, calib.singular_skip)
-    constants_at_hat, _ = decay_constants(provider, te.r_hat,
-                                          calib.decay_kmax,
-                                          calib.disc_radius, profile)
+    hat_constants, hat_ratios = decay_constants(provider, te.r_hat, calib.decay_kmax,
+                                                calib.disc_radius, profile)
 
     verdicts = []
-    ratios_at_hat = None
     for r in radii:
         reasons = []
         if te.upper > r * (1.0 + calib.type_slack):
@@ -345,8 +347,6 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
             )
         consts, ratios = decay_constants(provider, r, calib.decay_kmax,
                                          calib.disc_radius, profile)
-        if ratios_at_hat is None:
-            ratios_at_hat = ratios
         bad = [k for k in consts
                if not math.isfinite(consts[k]) or ratios[k] > calib.decay_ratio_max]
         if bad:
@@ -371,8 +371,8 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     return PWReport(
         ktypes=tuple(sorted(provider.ktypes)),
         type_estimate=te,
-        decay_constants=constants_at_hat,
-        decay_ratios=ratios_at_hat or {},
+        decay_constants=hat_constants,
+        decay_ratios=hat_ratios,
         weyl_residual=wr,
         verdicts=tuple(verdicts),
         samples_used=samples_used,

@@ -5,8 +5,8 @@ into a first-order difference operator on azimuthal components at a
 reflected parameter. This module implements that boundary action,
 verifies the resulting intertwining identity with cap-fitted
 quadrature, and exposes the ladder machinery connecting zonal data to
-higher K-types: pure-type synthesis, ratio measurements, and rational
-fits for the scalars those ratios define.
+higher K-types: pure-type synthesis and measurements of the ladder
+ratios.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def intertwine_check(f, generator: str, ell, m_range=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ladder ratios and their rational scalars
+# ladder ratios
 
 
 def kostant_ratio(m: int, t, theta_samples):
@@ -204,44 +204,6 @@ def kostant_ratio(m: int, t, theta_samples):
     mean = ratios.mean()
     spread = float(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-300))
     return ratios, spread
-
-
-def rational_fit(ts, values, deg_num: int, deg_den: int):
-    """Fit values ~ num(t)/den(t) by a homogeneous least-squares problem.
-
-    Builds the linear system num(t_i) - v_i den(t_i) = 0 and takes the
-    SVD null vector, so no coefficient is privileged. Coefficients are
-    returned lowest degree first, normalized to den[0] = 1 when that
-    entry is not degenerate. The residual is the worst pointwise
-    mismatch relative to the data scale.
-    """
-    ts = np.asarray(ts, dtype=complex)
-    values = np.asarray(values, dtype=complex)
-    if ts.shape != values.shape or ts.ndim != 1:
-        raise SchemaError("need matching 1-d sample and value arrays")
-    n_unknown = deg_num + deg_den + 2
-    if ts.size < n_unknown:
-        raise SchemaError(
-            f"need at least {n_unknown} samples for degrees "
-            f"({deg_num}, {deg_den})"
-        )
-    cols = [ts**k for k in range(deg_num + 1)]
-    cols += [-values * ts**k for k in range(deg_den + 1)]
-    system = np.column_stack(cols)
-    _, _, vh = np.linalg.svd(system)
-    coeffs = vh[-1].conj()
-    num = coeffs[: deg_num + 1]
-    den = coeffs[deg_num + 1:]
-    anchor = den[0] if abs(den[0]) > 1e-12 * np.max(np.abs(coeffs)) else None
-    if anchor is not None:
-        num = num / anchor
-        den = den / anchor
-    from numpy.polynomial import polynomial as P
-
-    fitted = P.polyval(ts, num) / P.polyval(ts, den)
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    residual = float(np.max(np.abs(fitted - values)) / scale)
-    return num, den, residual
 
 
 # ---------------------------------------------------------------------------

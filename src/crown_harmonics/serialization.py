@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import SchemaError
-from .sphere import GridFunction, SphereGrid
+from .sphere import DEFAULT_BOUNDARY_SAMPLES, GridFunction, SphereGrid
 from .transform import CoefficientTable
 
 
@@ -117,11 +117,11 @@ def loads_grid_function(text: str) -> GridFunction:
 
 def dumps_table(table: CoefficientTable) -> str:
     """Serialize a coefficient table, sorted by (l, m), zeros omitted."""
+    ls, cols = np.nonzero(table.values)  # row-major: ascending l, then m
     rows = ",".join(
         '{"l": %d, "m": %d, "re": %s, "im": %s}'
-        % (l, m, format_float(v.real), format_float(v.imag))
-        for (l, m), v in table.items_sorted()
-        if v != 0.0
+        % (l, c - table.lmax, format_float(v.real), format_float(v.imag))
+        for l, c, v in zip(ls.tolist(), cols.tolist(), table.values[ls, cols].tolist())
     )
     return '{"lmax": %d, "entries": [%s]}' % (table.lmax, rows)
 
@@ -130,21 +130,32 @@ def loads_table(text: str) -> CoefficientTable:
     obj = _parse(text, "coefficient table")
     _require_keys(obj, ("lmax", "entries"), "coefficient table")
     lmax = _int_field(obj, "lmax", "coefficient table")
+    # the dense table is allocated from lmax alone, and no degree at or past
+    # the boundary sample count can be synthesized without aliasing
+    if not 0 <= lmax < DEFAULT_BOUNDARY_SAMPLES:
+        raise SchemaError(
+            f"coefficient table: lmax={lmax} outside [0, {DEFAULT_BOUNDARY_SAMPLES})")
     rows = obj["entries"]
     if not isinstance(rows, list):
         raise SchemaError("coefficient table: entries must be a list")
-    entries = {}
+    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    seen = np.zeros(values.shape, dtype=bool)
     for i, row in enumerate(rows):
         where = f"entries[{i}]"
         _require_keys(row, ("l", "m", "re", "im"), where)
         l = _int_field(row, "l", where)
         m = _int_field(row, "m", where)
-        if (l, m) in entries:
+        # l < |m| is accepted: analyze writes its roundoff there, and the
+        # sub-frequency-vanishing check measures exactly those entries
+        if not (0 <= l <= lmax and abs(m) <= lmax):
+            raise SchemaError(f"{where}: entry ({l}, {m}) outside lmax={lmax}")
+        if seen[l, m + lmax]:
             raise SchemaError(f"{where}: duplicate entry for (l={l}, m={m})")
-        entries[(l, m)] = complex(
+        seen[l, m + lmax] = True
+        values[l, m + lmax] = complex(
             _finite(row["re"], f"{where}.re"), _finite(row["im"], f"{where}.im")
         )
-    return CoefficientTable(lmax, entries)
+    return CoefficientTable(values)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SchemaError
-from .numerics import assoc_legendre
+from .numerics import assoc_legendre, complex_abs
 from .sphere import GridFunction, SphereGrid, require_resolution
-from .transform import CoefficientTable, TableProvider, synthesize
+from .transform import CoefficientTable, TableProvider, lm_grid, synthesize
 
 PROFILE_SMOOTH = "smooth"
 PROFILE_COSPOW = "cospow"
@@ -188,11 +188,12 @@ def random_table(lmax: int, mmax: int, seed: int = 0) -> CoefficientTable:
     if mmax > lmax:
         raise SchemaError("mmax cannot exceed lmax")
     rng = np.random.default_rng(seed)
-    entries = {}
-    for l in range(lmax + 1):
-        for m in range(-min(mmax, l), min(mmax, l) + 1):
-            entries[(l, m)] = complex(rng.standard_normal(), rng.standard_normal())
-    return CoefficientTable(lmax, entries)
+    ls, ms = lm_grid(lmax)
+    drawn = np.abs(ms) <= np.minimum(ls, mmax)
+    values = np.zeros(drawn.shape, dtype=complex)
+    # (re, im) pairs drawn in row-major order: ascending l, then ascending m
+    values[drawn] = rng.standard_normal((int(drawn.sum()), 2)).view(complex)[:, 0]
+    return CoefficientTable(values)
 
 
 def random_bandlimited(grid: SphereGrid, lmax: int, mmax: int, seed: int = 0):
@@ -226,14 +227,14 @@ def oracle_sht(f: GridFunction, lmax: int) -> CoefficientTable:
     grid = f.grid
     u = np.cos(grid.theta)
     w = grid.theta_weights / grid.n_phi
-    entries = {}
+    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
     for m in range(-lmax, lmax + 1):
         phase = np.exp(-1j * m * grid.phi_nodes)
         azimuthal = f.values @ phase  # sum_j f(theta_i, phi_j) e^{-im phi_j}
         for l in range(abs(m), lmax + 1):
             radial = _unit_harmonic_norm(l, m) * assoc_legendre(l, abs(m), u)
-            entries[(l, m)] = complex(np.sum(w * radial * azimuthal))
-    return CoefficientTable(lmax, entries)
+            values[l, m + lmax] = np.sum(w * radial * azimuthal)
+    return CoefficientTable(values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +276,23 @@ def bridge_factors(lmax: int, m: int, grid: SphereGrid | None = None,
         raise SchemaError("|m| exceeds lmax")
     if grid is None:
         grid = SphereGrid(lmax + 8, 2 * lmax + 8)
-    measured = []
+    previous = None
     for seed in seeds:
         f, _ = random_bandlimited(grid, lmax, min(abs(m) + 2, lmax), seed)
-        kernel_side = analyze(f, lmax)
-        classical_side = oracle_sht(f, lmax)
-        scale = classical_side.max_abs()
-        ratios = {}
-        for l in range(abs(m), lmax + 1):
-            den = classical_side.get(l, m)
-            if abs(den) > 1e-6 * scale:
-                ratios[l] = kernel_side.get(l, m) / den
-        measured.append(ratios)
-        if len(measured) >= 2:
-            a, b = measured[-2], measured[-1]
-            common = sorted(set(a) & set(b))
-            if len(common) == lmax - abs(m) + 1:
-                worst = max(
-                    abs(a[l] - b[l]) / max(abs(a[l]), 1e-300) for l in common
-                )
-                if worst <= 1e-9:
-                    return np.array([a[l] for l in common])
+        classical = oracle_sht(f, lmax).values
+        den = classical[abs(m):, m + lmax]
+        num = analyze(f, lmax).values[abs(m):, m + lmax]
+        if not np.all(complex_abs(den) > 1e-6 * complex_abs(classical).max()):
+            previous = None  # a near-zero classical coefficient leaves a degree unmeasured
+            continue
+        # Python's complex division rounds once; NumPy's multiplies by a reciprocal
+        ratios = np.array([a / b for a, b in zip(num.tolist(), den.tolist())])
+        if previous is not None:
+            worst = np.max(complex_abs(previous - ratios)
+                           / np.maximum(complex_abs(previous), 1e-300))
+            if worst <= 1e-9:
+                return previous
+        previous = ratios
     raise NumericalError(
         f"bridge factors for m={m} did not stabilize across test functions"
     )

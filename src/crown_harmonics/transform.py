@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     CrownDomainError,
+    CrownHarmonicsError,
     GridResolutionError,
     ProviderError,
     SchemaError,
@@ -64,33 +65,37 @@ _LOG_AMP_ADVANTAGE_MIN = math.log(1e3)
 
 
 class CoefficientTable:
-    """Integer-spectrum coefficient data {(l, m) -> complex}, l <= lmax."""
+    """Integer-spectrum coefficients as one dense complex array.
 
-    def __init__(self, lmax: int, entries: dict):
-        if lmax < 0:
-            raise SchemaError("lmax must be nonnegative")
-        self.lmax = int(lmax)
-        self.entries = {}
-        for key, value in entries.items():
-            l, m = key
-            l, m = int(l), int(m)
-            if not (0 <= l <= self.lmax and abs(m) <= self.lmax):
-                raise SchemaError(f"table entry ({l}, {m}) outside lmax={self.lmax}")
-            self.entries[(l, m)] = complex(value)
+    values has shape (lmax + 1, 2 lmax + 1); the coefficient (l, m) sits
+    at values[l, m + lmax]. The K-types are the orders m whose column
+    holds a nonzero entry, the same set a JSON round trip keeps.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] != 2 * values.shape[0] - 1:
+            raise SchemaError(
+                f"table values need shape (lmax + 1, 2 lmax + 1), got {values.shape}")
+        self.values = values
+        self.lmax = values.shape[0] - 1
 
     def get(self, l: int, m: int) -> complex:
-        return self.entries.get((int(l), int(m)), 0.0 + 0.0j)
-
-    def max_abs(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(abs(v) for v in self.entries.values())
+        """Coefficient (l, m), and 0 outside the stored range."""
+        l, m = int(l), int(m)
+        if 0 <= l <= self.lmax and abs(m) <= self.lmax:
+            return complex(self.values[l, m + self.lmax])
+        return 0.0 + 0.0j
 
     def ktypes(self) -> frozenset:
-        return frozenset(m for (_, m) in self.entries)
+        columns = np.flatnonzero(np.any(self.values != 0.0, axis=0))
+        return frozenset((columns - self.lmax).tolist())
 
-    def items_sorted(self):
-        return sorted(self.entries.items())
+
+def lm_grid(lmax: int):
+    """Broadcastable degree and order arrays (l[:, None], m[None, :]) of the
+    dense (lmax + 1, 2 lmax + 1) table layout."""
+    return np.arange(lmax + 1)[:, None], np.arange(-lmax, lmax + 1)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +124,14 @@ def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
     )
     weighted = f.values * (grid.theta_weights[:, None] / grid.n_phi)
     power = np.ones_like(pairing)
-    entries = {}
+    values = np.empty((lmax + 1, 2 * lmax + 1), dtype=complex)
+    columns = np.arange(-lmax, lmax + 1) % nb
     for l in range(lmax + 1):
         profile = np.einsum("tp,tpb->b", weighted, power)
-        modes = np.fft.fft(profile) / nb
-        for m in range(-lmax, lmax + 1):
-            entries[(l, m)] = complex(modes[m % nb])
+        values[l] = (np.fft.fft(profile) / nb)[columns]
         if l < lmax:
             power *= pairing
-    return CoefficientTable(lmax, entries)
+    return CoefficientTable(values)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,9 @@ class ExtendProvider(CoefficientProvider):
 
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
-    modes carry more than rel 1e-12 of the overall peak.
+    modes carry more than rel 1e-12 of the overall peak. A detected or
+    declared K-type with 2|m| >= n_phi is aliased on the grid and raises
+    GridResolutionError here, before any evaluation.
     """
 
     def __init__(self, f: GridFunction, ktypes=None):
@@ -192,6 +198,11 @@ class ExtendProvider(CoefficientProvider):
                 if np.abs(modes[:, m % f.grid.n_phi]).max() > 1e-12 * peak:
                     present.append(m)
             self.ktypes = frozenset(present)
+        aliased = sorted(m for m in self.ktypes if 2 * abs(m) >= f.grid.n_phi)
+        if aliased:
+            raise GridResolutionError(
+                f"grid {f.grid.n_theta}x{f.grid.n_phi} cannot resolve K-type "
+                f"m={aliased[-1]}: need n_phi > 2|m|")
 
     def _log_amplitude(self, ell: complex) -> float:
         return float(np.max(np.real(ell * self.log_pairing)))
@@ -209,10 +220,6 @@ class ExtendProvider(CoefficientProvider):
         ell = ell_value(ell)
         if self.is_zero:
             return 0.0 + 0.0j
-        if 2 * abs(m) >= self.grid.n_phi:
-            raise GridResolutionError(
-                f"azimuthal grid {self.grid.n_phi} cannot resolve K-type m={m}"
-            )
         log_amp = self._log_amplitude(ell)
         reflected = -ell - 1.0
         log_amp_reflected = self._log_amplitude(reflected)
@@ -290,7 +297,9 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     fixed (ascending ell, then ascending m), so results are
     bit-reproducible. Kernel mode m of degree l aliases on the boundary
     grid unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum that would
-    include an aliased term raises GridResolutionError up front.
+    include an aliased term raises GridResolutionError up front. A
+    library error or an ArithmeticError raised by the provider becomes a
+    ProviderError naming the parameter; any other exception propagates.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
@@ -317,7 +326,7 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
         for m in active:
             try:
                 value = provider.eval(-l - 1.0, m)
-            except Exception as exc:
+            except (CrownHarmonicsError, ArithmeticError) as exc:
                 raise ProviderError(
                     f"provider failed at (ell={-l - 1}, m={m}): {exc}",
                     ell=-l - 1.0, m=m) from exc
@@ -398,17 +407,16 @@ def rotation_derivative(f, generator: str, band_limit: int | None = None) -> Gri
         from .reduction import PrincipalSeriesFunction, sigma_action
 
         table = analyze(f, band_limit)
-        entries = {}
-        for l in range(band_limit + 1):
+        out = np.zeros_like(table.values)
+        for l, row in enumerate(table.values):
             psi = PrincipalSeriesFunction(
-                components={m: table.get(l, m) for m in range(-l, l + 1)},
+                components=dict(zip(range(-l, l + 1),
+                                    row[band_limit - l:band_limit + l + 1].tolist())),
                 lam=-l - 0.5)
-            acted = sigma_action(psi, generator)
-            for m, v in acted.components.items():
-                if v != 0.0 and abs(m) <= band_limit:
-                    entries[(l, m)] = entries.get((l, m), 0.0) + v
-        out_table = CoefficientTable(band_limit, entries)
-        return synthesize(TableProvider(out_table), f.grid, band_limit)
+            for m, v in sigma_action(psi, generator).components.items():
+                if abs(m) <= band_limit:
+                    out[l, m + band_limit] += v
+        return synthesize(TableProvider(CoefficientTable(out)), f.grid, band_limit)
 
     components = ladder_components(f, generator)
     grid = f.grid

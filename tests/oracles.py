@@ -6,10 +6,20 @@ but the library itself never calls.
 
 import numpy as np
 
+from crown_harmonics.transform import CoefficientTable
+
 
 def sphere_integral(f) -> complex:
     """Quadrature value of the normalized sphere integral of a GridFunction."""
     return complex(np.sum(f.grid.theta_weights * f.values.mean(axis=1)))
+
+
+def table(lmax: int, entries: dict) -> CoefficientTable:
+    """Dense coefficient table of degree lmax from a sparse {(l, m): value} dict."""
+    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    for (l, m), v in entries.items():
+        values[l, m + lmax] = v
+    return CoefficientTable(values)
 
 
 class FakeProvider:

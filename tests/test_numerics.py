@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from crown_harmonics.errors import CrownDomainError
-from crown_harmonics.numerics import assoc_legendre, gauss_legendre, legendre_p
+from crown_harmonics import numerics
+from crown_harmonics.errors import CrownDomainError, NumericalError
+from crown_harmonics.numerics import assoc_legendre, complex_abs, gauss_legendre, legendre_p
 
 # frozen oracles (sympy, 2026-08)
 P40_AT_03 = 0.12511584585570795544
@@ -50,6 +51,26 @@ class TestGaussLegendre:
         rule = gauss_legendre(8)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_NEWTON_TOL", 0.0)
+        gauss_legendre.cache_clear()
+        try:
+            with pytest.raises(NumericalError, match="order 7"):
+                gauss_legendre(7)
+        finally:
+            gauss_legendre.cache_clear()
+
+
+class TestComplexAbs:
+    def test_rounds_as_python_abs(self):
+        rng = np.random.default_rng(3)
+        z = (rng.standard_normal(2000) + 1j * rng.standard_normal(2000)) \
+            * np.exp(rng.uniform(-30.0, 30.0, 2000))
+        expect = np.array([abs(v) for v in z.tolist()])
+        assert np.array_equal(complex_abs(z), expect)
+        assert complex_abs(3.0 + 4.0j) == 5.0
 
 
 class TestLegendre:

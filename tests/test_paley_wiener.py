@@ -157,6 +157,20 @@ class TestReport:
         reason = " ".join(report.verdict_for(0.4).reasons)
         assert "type upper bound" in reason
 
+    def test_decay_ratios_are_taken_at_r_hat(self):
+        # the constants and ratios both come from the r_hat weight; on the
+        # r = 1.0 bump those ratios differ from the ones at radius 0.5
+        provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
+        report = pw_report(provider, [0.5, 1.1])
+        calib = report.calibration
+        profile = decay_profile(provider, calib.disc_radius)
+        at_hat = decay_constants(provider, report.type_estimate.r_hat, calib.decay_kmax,
+                                 calib.disc_radius, profile)
+        assert report.decay_constants == at_hat[0]
+        assert report.decay_ratios == at_hat[1]
+        at_tight = decay_constants(provider, 0.5, calib.decay_kmax, calib.disc_radius, profile)
+        assert report.decay_ratios != at_tight[1]
+
     def test_report_carries_inputs(self):
         report = pw_report(symmetric_poly_provider(), [0.5])
         ts, vals = report.line_samples

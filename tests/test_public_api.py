@@ -21,8 +21,7 @@ PUBLIC_NAMES = [
     "kernel_mode", "kernel_mode_profiles", "kostant_ratio", "ladder_components",
     "legendre_p", "line_scan_csv", "loads_grid_function", "loads_table",
     "make_bump", "oracle_sht", "probe_integral", "pw_report",
-    "random_bandlimited", "random_table", "rational_fit",
-    "reduction_synthesize", "rotation_derivative", "run_acceptance",
+    "random_bandlimited", "random_table", "reduction_synthesize", "rotation_derivative", "run_acceptance",
     "sample_intertwiner", "sample_line", "sigma_action", "singular_distance",
     "support_radius", "synthesize", "type_estimate", "weyl_lattice",
     "weyl_residual",
@@ -30,7 +29,7 @@ PUBLIC_NAMES = [
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 67
     assert sorted(crown_harmonics.__all__) == PUBLIC_NAMES
 
 

@@ -16,13 +16,13 @@ from crown_harmonics.reduction import (
     PrincipalSeriesFunction,
     intertwine_check,
     kostant_ratio,
-    rational_fit,
     reduction_synthesize,
     sigma_action,
 )
 from crown_harmonics.sphere import SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import ExtendProvider, analyze, rotation_derivative
+from crown_harmonics.verify import _ladder_scalar
 
 GENERIC_TS = [0.3 + 0.4j, -1.2 + 0.9j, 2.1 - 0.6j, 0.05 + 1.5j]
 
@@ -166,6 +166,14 @@ class TestLadderScalars:
                 expect = ladder_scalar(m, t)
                 assert abs(mean - expect) < 1e-10 * abs(expect)
 
+    def test_verify_closed_form_matches_ladder_scalar(self):
+        # the general-order closed form in verify, i^m / ((l+1)...(l+m))
+        # at l = -t - 1/2, against the hand-written low orders here
+        for m in (0, 1, 2):
+            for t in GENERIC_TS:
+                expect = ladder_scalar(m, t)
+                assert abs(_ladder_scalar(m, t) - expect) < 1e-15 * abs(expect)
+
     def test_kostant_zonal_is_trivial(self):
         ratios, spread = kostant_ratio(0, 0.3 + 0.4j, (0.5, 1.0))
         assert spread == 0.0
@@ -174,23 +182,6 @@ class TestLadderScalars:
     def test_kostant_probe_domain(self):
         with pytest.raises(CrownDomainError):
             kostant_ratio(1, 0.3, (1.6,))
-
-
-class TestRationalFit:
-    def test_recovers_rational_function(self):
-        ts = np.array([0.1, 0.35, -0.7, 1.3, -1.1, 2.4], dtype=complex)
-        values = (2.0 + ts) / (1.0 - 3.0 * ts)
-        num, den, residual = rational_fit(ts, values, 1, 1)
-        assert residual < 1e-12
-        assert abs(num[0] - 2.0) < 1e-10
-        assert abs(num[1] - 1.0) < 1e-10
-        assert abs(den[0] - 1.0) < 1e-12
-        assert abs(den[1] + 3.0) < 1e-10
-
-    def test_underdetermined_rejected(self):
-        ts = np.array([0.1, 0.2, 0.3], dtype=complex)
-        with pytest.raises(SchemaError):
-            rational_fit(ts, ts, 1, 1)
 
 
 class TestReductionSynthesize:
@@ -256,7 +247,7 @@ class TestSigmaTransformedProvider:
         lmax = 5
         for gen in ("Z", "X", "Y"):
             derived = analyze(rotation_derivative(bump, gen), lmax)
-            scale = max(derived.max_abs(), 1e-300)
+            scale = max(np.max(np.abs(derived.values)), 1e-300)
             worst = 0.0
             for l in range(lmax + 1):
                 psi = PrincipalSeriesFunction(

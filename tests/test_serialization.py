@@ -18,8 +18,7 @@ from crown_harmonics.serialization import (
     loads_table,
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
-from crown_harmonics.transform import CoefficientTable
-from oracles import FakeProvider
+from oracles import FakeProvider, table
 
 
 class TestFormatFloat:
@@ -84,12 +83,11 @@ class TestGridFunctionRoundTrip:
 
 class TestTableRoundTrip:
     def test_exact_round_trip_and_zero_omission(self):
-        table = CoefficientTable(3, {
+        text = dumps_table(table(3, {
             (0, 0): 1.0 / 3.0,
             (2, -1): complex(-0.7, 1e-17),
             (3, 3): 0.0,
-        })
-        text = dumps_table(table)
+        }))
         assert '"l": 3' not in text  # exact zero dropped
         back = loads_table(text)
         assert back.get(0, 0) == 1.0 / 3.0
@@ -98,8 +96,7 @@ class TestTableRoundTrip:
         assert back.lmax == 3
 
     def test_sorted_output(self):
-        table = CoefficientTable(2, {(2, 1): 1.0, (0, 0): 2.0, (2, -2): 3.0})
-        text = dumps_table(table)
+        text = dumps_table(table(2, {(2, 1): 1.0, (0, 0): 2.0, (2, -2): 3.0}))
         first = text.index('"l": 0')
         mid = text.index('"l": 2, "m": -2')
         last = text.index('"l": 2, "m": 1')
@@ -124,6 +121,23 @@ class TestTableRoundTrip:
         text = '{"lmax": 1, "entries": [{"l": 2, "m": 0, "re": 1.0, "im": 0.0}]}'
         with pytest.raises(SchemaError):
             loads_table(text)
+        for l, m in ((-1, 0), (1, 2), (0, -2)):
+            with pytest.raises(SchemaError, match=rf"entry \({l}, {m}\) outside lmax=1"):
+                loads_table('{"lmax": 1, "entries": [{"l": %d, "m": %d, "re": 1.0, "im": 0.0}]}'
+                            % (l, m))
+        # lmax sizes the dense table: it must stay below the 512-sample
+        # boundary limit that synthesize can sum to
+        for lmax in (-1, 512, 10**9):
+            with pytest.raises(SchemaError, match=rf"lmax={lmax} outside \[0, 512\)"):
+                loads_table('{"lmax": %d, "entries": []}' % lmax)
+        assert loads_table('{"lmax": 511, "entries": []}').values.shape == (512, 1023)
+
+    def test_sub_frequency_entries_accepted(self):
+        # analyze writes roundoff at l < |m|; the loader keeps it so that
+        # analyze | synthesize and the vanishing check see the same table
+        back = loads_table('{"lmax": 2, "entries": [{"l": 0, "m": -2, "re": 1e-17, "im": 0.0}]}')
+        assert back.get(0, -2) == 1e-17
+        assert back.ktypes() == frozenset({-2})
 
 
 class TestReportSerialization:

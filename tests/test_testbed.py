@@ -126,10 +126,22 @@ class TestRandomTables:
     def test_deterministic_and_triangular(self):
         a = random_table(6, 3, seed=42)
         b = random_table(6, 3, seed=42)
-        assert a.items_sorted() == b.items_sorted()
-        for (l, m), _ in a.items_sorted():
-            assert abs(m) <= min(l, 3)
+        assert np.array_equal(a.values, b.values)
+        ls, ms = np.nonzero(a.values)
+        assert ls.size == sum(2 * min(l, 3) + 1 for l in range(7))
+        assert np.all(np.abs(ms - 6) <= np.minimum(ls, 3))
         assert a.get(1, 3) == 0.0
+
+    def test_draw_order_is_l_then_m_then_re_im(self):
+        # the dense draw keeps the stream of one scalar draw per part
+        rng = np.random.default_rng(5)
+        expect = {}
+        for l in range(5):
+            for m in range(-min(2, l), min(2, l) + 1):
+                expect[(l, m)] = complex(rng.standard_normal(), rng.standard_normal())
+        got = random_table(4, 2, seed=5)
+        assert all(got.get(l, m) == v for (l, m), v in expect.items())
+        assert np.count_nonzero(got.values) == len(expect)
 
     def test_mmax_bound(self):
         with pytest.raises(SchemaError):
@@ -153,10 +165,9 @@ class TestClassicalOracle:
     def test_oracle_projects_harmonics_to_deltas(self):
         grid = SphereGrid(48, 24)
         for l0, m0 in ((1, 0), (2, 1), (4, -3)):
-            table = oracle_sht(spherical_harmonic(grid, l0, m0), 5)
-            for (l, m), v in table.items_sorted():
-                target = 1.0 if (l, m) == (l0, m0) else 0.0
-                assert abs(v - target) < 1e-12
+            values = oracle_sht(spherical_harmonic(grid, l0, m0), 5).values.copy()
+            values[l0, m0 + 5] -= 1.0
+            assert np.max(np.abs(values)) < 1e-12
 
 
 class TestBridge:
@@ -180,8 +191,7 @@ class TestBridge:
         classical = oracle_sht(f, 4)
         # kernel-route coefficients convert to classical ones through
         # the bridge factor, degree by degree
-        worst = 0.0
-        for (l, m), v in table.items_sorted():
-            rho = bridge_factor_candidate(l, m)
-            worst = max(worst, abs(classical.get(l, m) * rho - v))
-        assert worst < 1e-10 * table.max_abs()
+        rho = np.array([[bridge_factor_candidate(l, m) if abs(m) <= l else 0.0
+                         for m in range(-4, 5)] for l in range(5)])
+        worst = np.max(np.abs(classical.values * rho - table.values))
+        assert worst < 1e-10 * np.max(np.abs(table.values))

@@ -27,9 +27,12 @@ from crown_harmonics.transform import (
     TableProvider,
     analyze,
     extend,
+    lm_grid,
     rotation_derivative,
     synthesize,
 )
+from crown_harmonics.serialization import dumps_table, loads_table
+from oracles import FakeProvider, table
 
 
 def grid_cos_theta(grid, scale=3.0):
@@ -39,28 +42,32 @@ def grid_cos_theta(grid, scale=3.0):
 
 class TestCoefficientTable:
     def test_validation(self):
-        with pytest.raises(SchemaError):
-            CoefficientTable(-1, {})
-        with pytest.raises(SchemaError):
-            CoefficientTable(2, {(3, 0): 1.0})
-        with pytest.raises(SchemaError):
-            CoefficientTable(2, {(1, 3): 1.0})
+        for shape in ((0, 0), (0, 1), (3, 4), (3,), (2, 3, 1)):
+            with pytest.raises(SchemaError):
+                CoefficientTable(np.zeros(shape))
+        assert CoefficientTable(np.zeros((3, 5))).lmax == 2
 
     def test_accessors(self):
-        table = CoefficientTable(3, {(2, 1): 2j, (0, 0): 1.0, (3, -2): -0.5})
-        assert table.get(2, 1) == 2j
-        assert table.get(1, 0) == 0.0
-        assert table.ktypes() == frozenset({1, 0, -2})
-        assert table.max_abs() == 2.0
-        assert [k for k, _ in table.items_sorted()] == [(0, 0), (2, 1), (3, -2)]
-        assert CoefficientTable(1, {}).max_abs() == 0.0
+        t = table(3, {(2, 1): 2j, (0, 0): 1.0, (3, -2): -0.5})
+        assert t.values.shape == (4, 7)
+        assert t.values[2, 1 + 3] == 2j
+        assert t.get(2, 1) == 2j
+        assert t.get(1, 0) == 0.0
+        # outside the stored range: 0, which TableProvider relies on
+        assert t.get(4, 0) == 0.0 and t.get(2, 4) == 0.0 and t.get(-1, 0) == 0.0
+        assert t.ktypes() == frozenset({1, 0, -2})
+
+    def test_ktypes_are_nonzero_columns(self):
+        # an explicit zero is no K-type, as after a JSON round trip
+        t = table(2, {(1, 1): 0.0, (2, -1): 1e-300j})
+        assert t.ktypes() == frozenset({-1})
+        assert loads_table(dumps_table(t)).ktypes() == t.ktypes()
 
 
 class TestExactDegreeOne:
     def test_synthesize_zonal_degree_one(self):
         grid = SphereGrid(24, 8)
-        table = CoefficientTable(1, {(1, 0): 1.0})
-        f = synthesize(TableProvider(table), grid, 1)
+        f = synthesize(TableProvider(table(1, {(1, 0): 1.0})), grid, 1)
         expect = grid_cos_theta(grid).values
         assert np.max(np.abs(f.values - expect)) < 1e-13
 
@@ -92,13 +99,9 @@ class TestExactDegreeOne:
 class TestAnalyzeSynthesize:
     def test_round_trip_random_band_limited(self):
         grid = SphereGrid(40, 20)
-        f, table = random_bandlimited(grid, lmax=6, mmax=3, seed=11)
+        f, t = random_bandlimited(grid, lmax=6, mmax=3, seed=11)
         recovered = analyze(f, 6)
-        worst = 0.0
-        scale = table.max_abs()
-        for (l, m), v in table.items_sorted():
-            worst = max(worst, abs(recovered.get(l, m) - v) / scale)
-        assert worst < 1e-10
+        assert np.max(np.abs(recovered.values - t.values)) < 1e-10 * np.max(np.abs(t.values))
 
     def test_rotation_equivariance(self):
         grid = SphereGrid(40, 20)
@@ -109,10 +112,9 @@ class TestAnalyzeSynthesize:
         # f(theta, phi - c): an exact shift by whole azimuthal grid steps
         rotated = GridFunction(grid, np.roll(f.values, steps, axis=1))
         after = analyze(rotated, 5)
-        worst = 0.0
-        for (l, m), v in before.items_sorted():
-            worst = max(worst, abs(after.get(l, m) - np.exp(-1j * m * c) * v))
-        assert worst < 1e-10 * before.max_abs()
+        _, ms = lm_grid(5)
+        worst = np.max(np.abs(after.values - np.exp(-1j * ms * c) * before.values))
+        assert worst < 1e-10 * np.max(np.abs(before.values))
 
     def test_refinement_invariance(self):
         # analyze must be stable under doubling the colatitude grid
@@ -122,30 +124,25 @@ class TestAnalyzeSynthesize:
             fine = make_bump(BumpSpec(radius=radius), SphereGrid(768, 24))
             a = analyze(bump, lmax)
             b = analyze(fine, lmax)
-            worst = max(
-                abs(a.get(l, m) - b.get(l, m))
-                for l in range(lmax + 1)
-                for m in range(-l, l + 1)
-            )
-            assert worst < 1e-10
+            ls, ms = lm_grid(lmax)
+            assert np.max(np.abs(a.values - b.values)[ls >= np.abs(ms)]) < 1e-10
 
     def test_synthesize_rejects_unresolved_ktype(self):
         grid = SphereGrid(12, 6)
-        table = CoefficientTable(4, {(4, 3): 1.0})
         with pytest.raises(GridResolutionError):
-            synthesize(TableProvider(table), grid, 4)
+            synthesize(TableProvider(table(4, {(4, 3): 1.0})), grid, 4)
 
     def test_synthesize_rejects_boundary_aliasing(self):
         # mode m of Q^l aliases on the 512-sample boundary grid once
         # l + |m| >= 512; the guard fires before any provider evaluation
         grid = SphereGrid(4, 8)
         with pytest.raises(GridResolutionError):
-            synthesize(TableProvider(CoefficientTable(512, {(0, 0): 1.0})), grid, 512)
+            synthesize(TableProvider(table(512, {(0, 0): 1.0})), grid, 512)
         with pytest.raises(GridResolutionError):
-            synthesize(TableProvider(CoefficientTable(509, {(509, 3): 1.0})), grid, 509)
+            synthesize(TableProvider(table(509, {(509, 3): 1.0})), grid, 509)
         # l + |m| = 511 is the largest alias-free pair
-        table = CoefficientTable(508, {(508, 3): 1.0})
-        assert np.all(np.isfinite(synthesize(TableProvider(table), grid, 508).values))
+        t = table(508, {(508, 3): 1.0})
+        assert np.all(np.isfinite(synthesize(TableProvider(t), grid, 508).values))
 
 
 class TestZonalTransform:
@@ -159,8 +156,8 @@ class TestZonalTransform:
         u = np.cos(grid.theta)
         coeffs = np.array([np.sum(grid.theta_weights * row_mean * legendre_p(l, u))
                            for l in range(11)])
-        table = analyze(bump, 10)
-        worst = max(abs(coeffs[l] - table.get(l, 0)) for l in range(11))
+        zonal = analyze(bump, 10).values[:, 10]
+        worst = np.max(np.abs(coeffs - zonal))
         assert worst < 1e-12 * max(np.max(np.abs(coeffs)), 1e-300)
 
 
@@ -168,11 +165,9 @@ class TestExtend:
     def test_matches_analyze_on_integers(self):
         grid = SphereGrid(96, 16)
         bump = make_bump(BumpSpec(radius=0.7, ktype=1), grid)
-        table = analyze(bump, 6)
-        worst = max(
-            abs(extend(bump, float(l), 1) - table.get(l, 1)) for l in range(1, 7)
-        )
-        assert worst < 1e-12 * table.max_abs()
+        t = analyze(bump, 6)
+        worst = max(abs(extend(bump, float(l), 1) - t.get(l, 1)) for l in range(1, 7))
+        assert worst < 1e-12 * np.max(np.abs(t.values))
 
     def test_full_sphere_support_rejected(self):
         grid = SphereGrid(24, 8)
@@ -204,21 +199,52 @@ class TestProviders:
         provider = ExtendProvider(bump)
         assert provider.eval(-97.0, 0) == provider.eval(96.0, 0)
 
+    def test_extend_provider_rejects_nyquist_ktype(self):
+        # an off-pole bump on an even azimuthal grid carries the Nyquist
+        # mode m = n_phi / 2: construction refuses it and names the grid
+        grid = SphereGrid(144, 16)
+        with pytest.raises(GridResolutionError, match="grid 144x16 .* m=8"):
+            ExtendProvider(make_bump(BumpSpec(0.3, center=(0.35, 0.0)), grid))
+        zonal = make_bump(BumpSpec(0.3), grid)
+        with pytest.raises(GridResolutionError, match="m=-8"):
+            ExtendProvider(zonal, ktypes=(0, -8))
+        with pytest.raises(GridResolutionError):
+            extend(GridFunction(grid, np.zeros((144, 16), dtype=complex)), 1.0, 9)
+        assert ExtendProvider(zonal, ktypes=(0, 7)).ktypes == frozenset({0, 7})
+
     def test_table_provider_reflection(self):
-        table = CoefficientTable(2, {(1, 1): 0.25j, (1, -1): 2.0})
-        provider = TableProvider(table)
+        provider = TableProvider(table(2, {(1, 1): 0.25j, (1, -1): 2.0}))
         # phi(-2) = b_1(-3/2) phi(1) = -2 phi(1)
         assert abs(provider.eval(-2.0, 1) - (-0.5j)) < 1e-15
         assert abs(provider.eval(-2.0, -1) - (-4.0)) < 1e-15
 
     def test_table_provider_rejects_non_integers(self):
-        provider = TableProvider(CoefficientTable(1, {(1, 0): 1.0}))
+        provider = TableProvider(table(1, {(1, 0): 1.0}))
         with pytest.raises(ProviderError):
             provider.eval(0.5, 0)
         with pytest.raises(ProviderError):
             provider.eval(1.0 + 0.3j, 0)
 
     def test_table_provider_out_of_range(self):
-        provider = TableProvider(CoefficientTable(1, {(1, 0): 1.0}))
+        provider = TableProvider(table(1, {(1, 0): 1.0}))
         with pytest.raises(ProviderError):
             provider.eval(-3.0, 0)
+
+
+class TestSynthesizeProviderErrors:
+    @staticmethod
+    def raising(exc):
+        def fn(ell, m):
+            raise exc
+        return FakeProvider(fn, ktypes=(0,))
+
+    def test_library_and_arithmetic_errors_become_provider_errors(self):
+        grid = SphereGrid(8, 8)
+        for exc in (ZeroDivisionError("division by zero"), SchemaError("bad table")):
+            with pytest.raises(ProviderError, match="ell=-1, m=0") as info:
+                synthesize(self.raising(exc), grid, 2)
+            assert info.value.__cause__ is exc
+
+    def test_other_exceptions_propagate(self):
+        with pytest.raises(TypeError, match="not a coefficient"):
+            synthesize(self.raising(TypeError("not a coefficient")), SphereGrid(8, 8), 2)
