@@ -43,7 +43,7 @@ class Calibration:
     type_slack: float = 0.10
     decay_ratio_max: float = 2.0
     decay_kmax: int = 3
-    t_max: float = 40.0
+    t_max: float = 80.0
     n_samples: int = 160
     tail_fraction: float = 0.5
     disc_radius: float = 20.0
@@ -71,10 +71,12 @@ class TypeEstimate:
 
 
 def sample_line(provider, t_max: float = 40.0, n_samples: int = 160):
-    """Sample max_m |phi(-1/2 + it, m)| for t in (0, t_max].
+    """Sample |phi(-1/2 + it, m)| for t in (0, t_max], K-type by K-type.
 
-    Returns (ts, magnitudes). Overflow in the provider is reported with
-    the largest t that was still evaluated cleanly.
+    Returns (ts, magnitudes) with magnitudes of shape (number of
+    K-types, n_samples), one row per K-type in ascending order.
+    Overflow in the provider is reported with the largest t that was
+    still evaluated cleanly.
     """
     if t_max <= 0 or n_samples < 8:
         raise SchemaError("need t_max > 0 and at least 8 line samples")
@@ -82,44 +84,51 @@ def sample_line(provider, t_max: float = 40.0, n_samples: int = 160):
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
     ts = np.linspace(t_max / n_samples, t_max, n_samples)
-    vals = np.zeros(n_samples)
+    vals = np.zeros((len(ktypes), n_samples))
     achieved = 0.0
     for i, t in enumerate(ts):
         ell = -0.5 + 1j * t
-        best = 0.0
-        for m in ktypes:
+        for j, m in enumerate(ktypes):
             v = complex(provider.eval(ell, m))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise NumericalError(
                     f"provider overflowed on the line at t={t:.6g}; "
                     f"achieved ceiling t={achieved:.6g}"
                 )
-            best = max(best, abs(v))
-        vals[i] = best
+            vals[j, i] = abs(v)
         achieved = t
     return ts, vals
 
 
 def type_estimate(provider, t_max: float = 40.0, n_samples: int = 160,
                   tail_fraction: float = 0.5) -> TypeEstimate:
-    """Fit the growth rate of log max_m |phi| on the tempered line.
+    """Exponential type of the provider along the tempered line.
 
-    The tail of the line samples is fitted against the basis
-    {t, sqrt(t), log(t), 1}; the coefficient of t is the type. The
-    sub-exponential basis terms absorb the algebraic prefactors that
-    otherwise bias a plain slope well outside ten percent for small
-    radii. The interval is r_hat +/- 2 standard errors, clamped at 0.
+    Each K-type is fitted on its own line samples (see fit_type); the
+    type of a K-finite function is the largest type among its K-type
+    components, so the fit with the largest upper end is returned.
     """
     ts, vals = sample_line(provider, t_max, n_samples)
     return fit_type(ts, vals, tail_fraction)
 
 
 def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
-    """Type fit on an existing line scan (see type_estimate)."""
+    """Type fit on an existing line scan.
+
+    vals holds one magnitude series, or one row per K-type, in which
+    case every row is fitted and the fit with the largest upper end is
+    returned. The tail of a series is fitted against the basis
+    {t, log(t), 1, 1/t}, the asymptotic form of log |phi| on the line;
+    the coefficient of t is the type. The interval is r_hat +/- 2
+    standard errors, clamped at 0.
+    """
     if not 0.0 < tail_fraction <= 1.0:
         raise SchemaError("tail_fraction must lie in (0, 1]")
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 2:
+        fits = [fit_type(ts, row, tail_fraction) for row in vals]
+        return max(fits, key=lambda te: te.upper)
     n_samples = ts.size
     t_max = float(ts[-1])
     if np.max(vals) == 0.0:
@@ -132,7 +141,7 @@ def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
     if tt.size < 8:
         raise NumericalError("too few nonzero tail samples for the type fit")
     y = np.log(vv)
-    design = np.column_stack([tt, np.sqrt(tt), np.log(tt), np.ones_like(tt)])
+    design = np.column_stack([tt, np.log(tt), np.ones_like(tt), 1.0 / tt])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     dof = max(tt.size - design.shape[1], 1)
@@ -287,6 +296,7 @@ class PWReport:
 
     decay_constants and decay_ratios are both taken at the type estimate
     r_hat; each verdict uses the constants at its own radius.
+    line_samples holds the line scan as (ts, max over K-types of |phi|).
     """
 
     ktypes: tuple
@@ -331,6 +341,7 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
 
     ts, line_vals = sample_line(provider, calib.t_max, calib.n_samples)
     te = fit_type(ts, line_vals, calib.tail_fraction)
+    line_vals = line_vals.max(axis=0)
     profile = decay_profile(provider, calib.disc_radius)
     lattice = weyl_lattice(provider.ktypes)
     wr, used, skipped = _weyl_residual_detail(provider, lattice, calib.singular_skip)

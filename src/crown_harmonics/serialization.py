@@ -145,8 +145,8 @@ def loads_table(text: str) -> CoefficientTable:
         _require_keys(row, ("l", "m", "re", "im"), where)
         l = _int_field(row, "l", where)
         m = _int_field(row, "m", where)
-        # l < |m| is accepted: analyze writes its roundoff there, and the
-        # sub-frequency-vanishing check measures exactly those entries
+        # l < |m| is accepted: tables from earlier versions of analyze carry
+        # roundoff there, and synthesize never reads those entries
         if not (0 <= l <= lmax and abs(m) <= lmax):
             raise SchemaError(f"{where}: entry ({l}, {m}) outside lmax={lmax}")
         if seen[l, m + lmax]:

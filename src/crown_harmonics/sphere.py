@@ -193,6 +193,41 @@ def kernel_mode(ell, m: int, theta) -> np.ndarray:
     return profiles[:, int(m) % DEFAULT_BOUNDARY_SAMPLES]
 
 
+def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
+    """Boundary mode m of Q^l for every degree l = 0..lmax, in closed form.
+
+    Row l of the (lmax + 1, len(theta)) result holds
+
+        G_m(l; theta) = i^|m| l! / (l + |m|)! * P_l^|m|(cos theta),
+
+    Laplace's integral for the associated Legendre function (DLMF 14.12),
+    so it equals kernel_mode(l, m, theta) with no boundary grid and no
+    aliasing limit. Rows l < |m| are exact zeros. The rows come from the
+    three-term recurrence
+
+        g_{l+1} = ((2l+1) cos(theta) g_l - l g_{l-1}) (l+1) / ((l+1-|m|)(l+1+|m|))
+
+    seeded by g_|m| = (sin(theta) / 2)^|m|; every |g_l| <= 1, so nothing
+    overflows. Where the seed underflows (high order near a pole) the
+    rows are zero, below anything a degree <= lmax can resolve.
+    """
+    k = abs(int(m))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = np.zeros((lmax + 1, theta.size), dtype=complex)
+    if k > lmax:
+        return out
+    x = np.cos(theta)
+    rows = np.empty((lmax + 1 - k, theta.size))
+    rows[0] = g = (0.5 * np.sin(theta)) ** k
+    g_prev = np.zeros_like(g)
+    for l in range(k, lmax):
+        scale = (l + 1) / ((l + 1 - k) * (l + 1 + k))
+        g_prev, g = g, ((2 * l + 1) * x * g - l * g_prev) * scale
+        rows[l + 1 - k] = g
+    out[k:] = (1, 1j, -1, -1j)[k % 4] * rows
+    return out
+
+
 def require_resolution(grid: SphereGrid, lmax: int):
     """Raise unless the grid is fine enough for band limit lmax."""
     if lmax < 0:

@@ -6,17 +6,19 @@ pairing:
     c(ell, m) = (1/2*pi) * integral over b of exp(-i m b)
                 * integral over the sphere of f(x) Q(x, b)^ell dx db.
 
-analyze computes the full integer table by direct quadrature over an
-explicit boundary grid. extend evaluates a single coefficient at any
-complex ell for cap-supported f, using a separated route (azimuthal FFT
-of f against boundary modes of the kernel) that shares no inner loop
-with analyze; agreement of the two routes at integer ell is one of the
+At integer degree the boundary modes of Q^ell have the closed form
+sphere.integer_kernel_modes, and analyze pairs them with the azimuthal
+FFT of f. extend evaluates a single coefficient at any complex ell for
+cap-supported f against boundary modes computed by an FFT of Q^ell on
+the 512-sample boundary grid, a route that shares no inner loop with
+analyze; agreement of the two routes at integer ell is one of the
 library's primary cross-checks. synthesize runs the inversion series
 
     f(x) = sum over ell of (2*ell+1) * (1/2*pi)
            * integral of phi_hat(-ell-1, b) Q(x, b)^ell db,
 
-pulling provider values at the reflected parameter -ell-1.
+pulling provider values at the reflected parameter -ell-1 and
+contracting them with the closed-form modes.
 
 Coefficient providers (table-backed and extension-backed) live here
 too, since synthesize consumes them and extend produces the canonical
@@ -45,6 +47,7 @@ from .sphere import (
     SphereGrid,
     boundary_log_pairing,
     ell_value,
+    integer_kernel_modes,
     kernel_mode_profiles,
     require_resolution,
     support_radius,
@@ -99,38 +102,31 @@ def lm_grid(lmax: int):
 
 
 # ---------------------------------------------------------------------------
-# analyze: direct double quadrature over an explicit boundary grid
+# analyze: azimuthal FFT, then the closed-form kernel modes per order
 
 
 def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
     """Full integer coefficient table of f up to degree lmax.
 
-    Direct route: the pairing is tabulated on (theta, phi, boundary)
-    nodes, raised through successive integer powers, integrated against
-    f, and the boundary dependence is resolved by an FFT. The boundary
-    grid has 2*lmax + 2 nodes, which is alias-free because the
-    b-profile of the degree-ell term is a trigonometric polynomial of
-    degree at most ell.
+    The boundary integral of Q^l against exp(-i m b) is exp(-i m phi)
+    G_m(l; theta), so c(l, m) pairs the azimuthal mode m of f with the
+    closed-form kernel modes: one FFT along phi, then per order one
+    product of the (lmax + 1 - |m|, n_theta) mode matrix with the
+    weighted column. This costs O(lmax^3) time and O(lmax * n_theta)
+    working memory beyond the FFT of f. It equals the double quadrature
+    over an explicit 2 lmax + 2 boundary grid in exact arithmetic; the
+    entries with l < |m|, which vanish there in exact arithmetic, are
+    exact zeros here.
     """
     require_resolution(f.grid, lmax)
     grid = f.grid
-    nb = 2 * lmax + 2
-    th = grid.theta
-    ph = grid.phi_nodes
-    b = 2.0 * np.pi * np.arange(nb) / nb
-    pairing = (
-        np.cos(th)[:, None, None]
-        + 1j * np.sin(th)[:, None, None] * np.cos(ph[None, :, None] - b[None, None, :])
-    )
-    weighted = f.values * (grid.theta_weights[:, None] / grid.n_phi)
-    power = np.ones_like(pairing)
-    values = np.empty((lmax + 1, 2 * lmax + 1), dtype=complex)
-    columns = np.arange(-lmax, lmax + 1) % nb
-    for l in range(lmax + 1):
-        profile = np.einsum("tp,tpb->b", weighted, power)
-        values[l] = (np.fft.fft(profile) / nb)[columns]
-        if l < lmax:
-            power *= pairing
+    # column m % n_phi: the weighted azimuthal mode (1/n_phi) sum f e^{-i m phi}
+    weighted = np.fft.fft(f.values, axis=1) * (grid.theta_weights[:, None] / grid.n_phi)
+    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    for k in range(lmax + 1):
+        ms = [-k, k] if k else [0]
+        modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
+        values[k:, [lmax + m for m in ms]] = modes @ weighted[:, [m % grid.n_phi for m in ms]]
     return CoefficientTable(values)
 
 
@@ -291,15 +287,22 @@ class TableProvider(CoefficientProvider):
 def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
-    Evaluates the provider at the reflected parameters -ell-1 for
-    ell = 0..lmax and contracts against the kernel modes. Terms with
-    |m| > ell vanish identically and are skipped. Summation order is
-    fixed (ascending ell, then ascending m), so results are
-    bit-reproducible. Kernel mode m of degree l aliases on the boundary
-    grid unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum that would
-    include an aliased term raises GridResolutionError up front. A
-    library error or an ArithmeticError raised by the provider becomes a
-    ProviderError naming the parameter; any other exception propagates.
+    For each K-type m with |m| <= lmax (ascending |m|, then ascending m)
+    the provider is evaluated at the reflected parameters -l-1 for
+    l = |m|..lmax, in ascending l, and those values, weighted by 2l + 1,
+    are contracted with the closed-form kernel modes G_m(l; theta) into
+    one radial profile; terms with |m| > l vanish identically. An
+    inverse azimuthal FFT then assembles the grid. The work is
+    O(lmax^2 n_theta) per K-type plus the provider evaluations, and
+    results are bit-reproducible for a fixed numpy build.
+
+    Provider values at non-integer parameters, such as those of an
+    ExtendProvider, come from the 512-sample boundary FFT, where mode m
+    of degree l aliases unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum
+    that would include such a term raises GridResolutionError up front.
+    A library error or an ArithmeticError raised by the provider becomes
+    a ProviderError naming the parameter; any other exception
+    propagates.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
@@ -309,32 +312,25 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
             f"lmax={lmax} with K-type |m|={mmax} aliases on the "
             f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
             f"need lmax + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
-    log_pairing = boundary_log_pairing(grid.theta)
-    phases = {}
-    out = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
     for m in ms:
         if 2 * abs(m) >= grid.n_phi:
             raise GridResolutionError(
                 f"azimuthal grid {grid.n_phi} cannot represent K-type m={m}")
-        phases[m] = np.exp(1j * m * grid.phi_nodes)
-    for l in range(lmax + 1):
-        active = [m for m in ms if abs(m) <= l]
-        if not active:
-            continue
-        kernel = kernel_mode_profiles(float(l), log_pairing)
-        accum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
-        for m in active:
-            try:
-                value = provider.eval(-l - 1.0, m)
-            except (CrownHarmonicsError, ArithmeticError) as exc:
-                raise ProviderError(
-                    f"provider failed at (ell={-l - 1}, m={m}): {exc}",
-                    ell=-l - 1.0, m=m) from exc
-            if value == 0.0:
-                continue
-            accum += value * np.outer(kernel[:, m % DEFAULT_BOUNDARY_SAMPLES], phases[m])
-        out += (2 * l + 1) * accum
-    return GridFunction(grid, out)
+    # column m % n_phi: the radial profile of the e^{i m phi} component
+    spectrum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
+    for k in sorted({abs(m) for m in ms if abs(m) <= lmax}):
+        modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
+        for m in sorted({-k, k} & set(ms)):
+            values = np.empty(lmax + 1 - k, dtype=complex)
+            for l in range(k, lmax + 1):
+                try:
+                    values[l - k] = (2 * l + 1) * complex(provider.eval(-l - 1.0, m))
+                except (CrownHarmonicsError, ArithmeticError) as exc:
+                    raise ProviderError(
+                        f"provider failed at (ell={-l - 1}, m={m}): {exc}",
+                        ell=-l - 1.0, m=m) from exc
+            spectrum[:, m % grid.n_phi] = values @ modes
+    return GridFunction(grid, np.fft.ifft(spectrum, axis=1) * grid.n_phi)
 
 
 # ---------------------------------------------------------------------------

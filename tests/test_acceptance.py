@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve named library-level checks.
+"""Acceptance gate: the thirteen named library-level checks.
 
 Each test runs one check from the verification suite, prints the
 PASS/FAIL line with the measured value and threshold, and fails when
@@ -10,6 +10,7 @@ from crown_harmonics.verify import (
     check_certification_verdicts,
     check_classical_bridge,
     check_extend_matches_analyze,
+    check_full_order_round_trip,
     check_intertwining,
     check_ladder_ratios,
     check_ladder_synthesis,
@@ -73,3 +74,7 @@ def test_criterion_11_sub_frequency_vanishing():
 
 def test_criterion_12_classical_bridge():
     _assert_check(check_classical_bridge())
+
+
+def test_criterion_13_full_order_round_trip():
+    _assert_check(check_full_order_round_trip(seed=0))

@@ -182,8 +182,8 @@ class TestVerify:
         rc = main(["verify"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "12/12 checks passed" in out
-        assert out.count("PASS") == 12
+        assert "13/13 checks passed" in out
+        assert out.count("PASS") == 13
 
 
 class TestHarness:

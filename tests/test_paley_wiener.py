@@ -48,14 +48,24 @@ class TestTypeFit:
         assert (te.r_hat, te.lower, te.upper) == (0.0, 0.0, 0.0)
 
     def test_recovers_rate_in_basis(self):
-        # log|phi| = r t + 0.5 sqrt(t) - 2 lies in the fit basis, so
+        # log|phi| = r t - 1.5 log t - 2 + 3/t lies in the fit basis, so
         # the least-squares residual vanishes and r is reproduced
         r = 0.6180339887
-        ts = np.linspace(0.25, 40.0, 160)
-        vals = np.exp(r * ts + 0.5 * np.sqrt(ts) - 2.0)
+        ts = np.linspace(0.5, 80.0, 160)
+        vals = np.exp(r * ts - 1.5 * np.log(ts) - 2.0 + 3.0 / ts)
         te = fit_type(ts, vals)
         assert abs(te.r_hat - r) < 1e-6
         assert te.upper - te.lower < 1e-6
+
+    def test_each_ktype_is_fitted_and_the_largest_upper_wins(self):
+        # the larger-type row stays below the other on the whole line, so
+        # a fit of the row-wise maximum would read the smaller rate
+        ts = np.linspace(0.5, 80.0, 160)
+        rows = np.array([np.exp(0.3 * ts + 5.0), np.exp(0.45 * ts - 8.0)])
+        te = fit_type(ts, rows)
+        assert abs(te.r_hat - 0.45) < 1e-6
+        assert te == fit_type(ts, rows[1])
+        assert te == fit_type(ts, rows[::-1])
 
     def test_polynomial_decay_reads_as_type_zero(self):
         te = type_estimate(symmetric_poly_provider())
@@ -70,9 +80,15 @@ class TestTypeFit:
     def test_sample_line_shape(self):
         ts, vals = sample_line(symmetric_poly_provider(), t_max=10.0,
                                n_samples=20)
-        assert ts.shape == (20,) and vals.shape == (20,)
+        # one row of magnitudes per K-type
+        assert ts.shape == (20,) and vals.shape == (1, 20)
         assert ts[0] > 0.0 and abs(ts[-1] - 10.0) < 1e-12
         assert np.all(vals >= 0.0)
+
+    def test_sample_line_rows_follow_sorted_ktypes(self):
+        provider = FakeProvider(lambda ell, m: m, ktypes=(2, -1))
+        _, vals = sample_line(provider, t_max=10.0, n_samples=8)
+        assert np.array_equal(vals, [[1.0] * 8, [2.0] * 8])
 
 
 class TestDecayConstants:
@@ -156,6 +172,18 @@ class TestReport:
         assert report.passed(0.9), report.verdict_for(0.9).reasons
         reason = " ".join(report.verdict_for(0.4).reasons)
         assert "type upper bound" in reason
+
+    @pytest.mark.parametrize("spec", [BumpSpec(0.3, "cospow", p=8), BumpSpec(0.6, "cospow", p=8),
+                                      BumpSpec(0.9, "cospow", p=8), BumpSpec(0.3, ktype=2),
+                                      BumpSpec(0.6, ktype=2), BumpSpec(0.9, ktype=2)],
+                             ids=lambda spec: f"{spec.profile}-m{spec.ktype}-r{spec.radius}")
+    def test_certificate_classes(self, spec):
+        # finitely smooth and K-type 2 bumps: the default calibration
+        # rejects half the true radius and accepts 1.1 times it
+        r = spec.radius
+        report = pw_report(ExtendProvider(make_bump(spec, SphereGrid(144, 8))), [r / 2, 1.1 * r])
+        assert not report.passed(r / 2)
+        assert report.passed(1.1 * r), report.verdict_for(1.1 * r).reasons
 
     def test_decay_ratios_are_taken_at_r_hat(self):
         # the constants and ratios both come from the r_hat weight; on the

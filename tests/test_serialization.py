@@ -133,8 +133,8 @@ class TestTableRoundTrip:
         assert loads_table('{"lmax": 511, "entries": []}').values.shape == (512, 1023)
 
     def test_sub_frequency_entries_accepted(self):
-        # analyze writes roundoff at l < |m|; the loader keeps it so that
-        # analyze | synthesize and the vanishing check see the same table
+        # earlier versions of analyze wrote roundoff at l < |m|; the loader
+        # keeps it, so those tables still load
         back = loads_table('{"lmax": 2, "entries": [{"l": 0, "m": -2, "re": 1e-17, "im": 0.0}]}')
         assert back.get(0, -2) == 1e-17
         assert back.ktypes() == frozenset({-2})

@@ -12,7 +12,7 @@ import pytest
 
 from crown_harmonics.errors import CrownDomainError, GridResolutionError, SchemaError
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.numerics import gauss_legendre, legendre_p
+from crown_harmonics.numerics import assoc_legendre, gauss_legendre, legendre_p
 from crown_harmonics.sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     GridFunction,
@@ -20,6 +20,7 @@ from crown_harmonics.sphere import (
     boundary_log_pairing,
     cap_quadrature,
     ell_value,
+    integer_kernel_modes,
     kernel_mode,
     kernel_mode_profiles,
     require_resolution,
@@ -159,6 +160,50 @@ class TestKernelModes:
         for i, theta in enumerate(thetas):
             assert abs(table[i, 0] - legendre_p(3, math.cos(theta))) < 1e-13
 
+
+
+class TestIntegerKernelModes:
+    # whole sphere, both poles' neighbourhoods included: integer powers
+    # are branch-free
+    THETAS = np.array([1e-3, 0.2, 0.7, 1.3, 1.6, 2.4, 3.1])
+
+    def test_matches_boundary_fft_absolutely(self):
+        log_q = boundary_log_pairing(self.THETAS)
+        fft_modes = np.array([kernel_mode_profiles(float(l), log_q) for l in range(41)])
+        worst = 0.0
+        for m in range(-40, 41):
+            modes = integer_kernel_modes(m, 40, self.THETAS)
+            expect = fft_modes[:, :, m % DEFAULT_BOUNDARY_SAMPLES]
+            worst = max(worst, np.max(np.abs(modes - expect)[abs(m):]))
+        assert worst < 1e-13
+
+    def test_matches_associated_legendre_relatively(self):
+        # i^|m| l!/(l+|m|)! P_l^|m|: relative to each row's own scale,
+        # which the absolute comparison cannot see once the row is tiny
+        u = np.cos(self.THETAS)
+        for k in range(61):
+            modes = integer_kernel_modes(-k, 60, self.THETAS)
+            for l in range(k, 61):
+                expect = (1j ** k * math.factorial(l) / math.factorial(l + k)
+                          * assoc_legendre(l, k, u))
+                scale = np.max(np.abs(expect))
+                assert np.max(np.abs(modes[l] - expect)) < 1e-12 * scale, (l, k)
+
+    def test_exact_zeros_below_the_order(self):
+        modes = integer_kernel_modes(7, 12, self.THETAS)
+        assert modes.shape == (13, self.THETAS.size)
+        assert np.all(modes[:7] == 0.0) and np.all(modes[7] != 0.0)
+        assert not np.any(integer_kernel_modes(13, 12, self.THETAS))
+
+    def test_finite_where_the_seed_underflows(self):
+        # (sin(theta)/2)^255 underflows on the first rows of the L = 255
+        # grid; those rows come out as zeros, never inf or nan
+        grid = SphereGrid(257, 512)
+        assert (0.5 * math.sin(grid.theta[0])) ** 255 == 0.0
+        for k in range(256):
+            modes = integer_kernel_modes(k, 255, grid.theta)
+            assert np.all(np.isfinite(modes)) and np.max(np.abs(modes)) <= 1.0, k
+        assert modes[255, 0] == 0.0 and modes[255, grid.n_theta // 2] != 0.0
 
 
 class TestRotate:

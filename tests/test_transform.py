@@ -20,7 +20,13 @@ from crown_harmonics.errors import (
 )
 from crown_harmonics.numerics import legendre_p
 from crown_harmonics.sphere import GridFunction, SphereGrid
-from crown_harmonics.testbed import BumpSpec, make_bump, random_bandlimited
+from crown_harmonics.testbed import (
+    BumpSpec,
+    bridge_factor_candidate,
+    make_bump,
+    random_bandlimited,
+    random_table,
+)
 from crown_harmonics.transform import (
     CoefficientTable,
     ExtendProvider,
@@ -32,7 +38,7 @@ from crown_harmonics.transform import (
     synthesize,
 )
 from crown_harmonics.serialization import dumps_table, loads_table
-from oracles import FakeProvider, table
+from oracles import FakeProvider, quadrature_analyze, table
 
 
 def grid_cos_theta(grid, scale=3.0):
@@ -102,6 +108,43 @@ class TestAnalyzeSynthesize:
         f, t = random_bandlimited(grid, lmax=6, mmax=3, seed=11)
         recovered = analyze(f, 6)
         assert np.max(np.abs(recovered.values - t.values)) < 1e-10 * np.max(np.abs(t.values))
+
+    def test_matches_double_quadrature_for_all_orders(self):
+        # full-order band-limited data and an off-pole bump, which
+        # carries every order; the reference leaves roundoff where l < |m|.
+        # Every coefficient is bounded by max |f|, the scale of both
+        # routes' roundoff
+        grid = SphereGrid(24, 40)
+        inputs = [random_bandlimited(grid, lmax=16, mmax=16, seed=5)[0],
+                  make_bump(BumpSpec(0.9, center=(0.6, 1.0)), grid)]
+        for f in inputs:
+            for lmax in (0, 1, 5, 16):
+                got = analyze(f, lmax).values
+                expect = quadrature_analyze(f, lmax).values
+                assert np.max(np.abs(got - expect)) < 1e-15 * np.max(np.abs(f.values))
+                ls, ms = lm_grid(lmax)
+                assert np.all(got[ls < np.abs(ms)] == 0.0)
+
+    def test_full_order_round_trip_is_exact_per_entry(self):
+        # unit-norm-basis data rho * a: every entry, corner |m| = l
+        # included, comes back to roundoff relative to itself
+        lmax = 40
+        rho = np.array([[bridge_factor_candidate(l, m) if abs(m) <= l else 0.0
+                         for m in range(-lmax, lmax + 1)] for l in range(lmax + 1)])
+        full = rho != 0.0
+        t = CoefficientTable(rho * random_table(lmax, lmax, seed=2).values)
+        f = synthesize(TableProvider(t), SphereGrid(lmax + 2, 2 * lmax + 2), lmax)
+        back = analyze(f, lmax).values
+        assert np.max(np.abs(back[full] - t.values[full]) / np.abs(t.values[full])) < 1e-11
+
+    def test_zonal_roundoff_is_not_amplified(self):
+        # a zonal bump's m != 0 entries are roundoff; they scale with
+        # their own kernel modes, so synthesis does not blow them up
+        lmax = 64
+        grid = SphereGrid(lmax + 2, 2 * lmax + 2)
+        t = analyze(make_bump(BumpSpec(1.2), grid), lmax)
+        again = analyze(synthesize(TableProvider(t), grid, lmax), lmax)
+        assert np.max(np.abs(again.values - t.values)) < 1e-14
 
     def test_rotation_equivariance(self):
         grid = SphereGrid(40, 20)
