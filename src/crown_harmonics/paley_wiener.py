@@ -74,30 +74,25 @@ def sample_line(provider, t_max: float = 40.0, n_samples: int = 160):
     """Sample |phi(-1/2 + it, m)| for t in (0, t_max], K-type by K-type.
 
     Returns (ts, magnitudes) with magnitudes of shape (number of
-    K-types, n_samples), one row per K-type in ascending order.
-    Overflow in the provider is reported with the largest t that was
-    still evaluated cleanly.
+    K-types, n_samples), one row per K-type in ascending order, from one
+    eval_many call. Overflow in the provider is reported with the
+    largest t that was still evaluated cleanly.
     """
     if t_max <= 0 or n_samples < 8:
         raise SchemaError("need t_max > 0 and at least 8 line samples")
-    ktypes = sorted(provider.ktypes)
-    if not ktypes:
+    if not provider.ktypes:
         raise SchemaError("provider exposes no azimuthal types")
     ts = np.linspace(t_max / n_samples, t_max, n_samples)
-    vals = np.zeros((len(ktypes), n_samples))
-    achieved = 0.0
-    for i, t in enumerate(ts):
-        ell = -0.5 + 1j * t
-        for j, m in enumerate(ktypes):
-            v = complex(provider.eval(ell, m))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise NumericalError(
-                    f"provider overflowed on the line at t={t:.6g}; "
-                    f"achieved ceiling t={achieved:.6g}"
-                )
-            vals[j, i] = abs(v)
-        achieved = t
-    return ts, vals
+    values = provider.eval_many(-0.5 + 1j * ts)
+    clean = np.all(np.isfinite(values), axis=1)
+    if not clean.all():
+        i = int(np.argmin(clean))
+        achieved = ts[i - 1] if i else 0.0
+        raise NumericalError(
+            f"provider overflowed on the line at t={ts[i]:.6g}; "
+            f"achieved ceiling t={achieved:.6g}"
+        )
+    return ts, np.abs(values).T
 
 
 def type_estimate(provider, t_max: float = 40.0, n_samples: int = 160,
@@ -171,31 +166,29 @@ def _disc_points(disc_radius: float, n_radii: int, n_angles: int) -> np.ndarray:
 def decay_profile(provider, disc_radius: float = 20.0):
     """Evaluate max_m |phi| on two nested lattices over |l + 1/2| <= R.
 
-    The refined lattice contains the base lattice, so every weighted
-    maximum computed from it dominates the base value and the doubling
-    ratio is at least 1 by construction. Returns (base_pts, base_mags,
-    dense_pts, dense_mags); evaluate once, reuse for every radius.
+    The provider is evaluated once, on the refined lattice; the base
+    lattice is every other radius and angle of it, the same points
+    _disc_points gives for the base sizes. So every weighted maximum
+    computed from the refined lattice dominates the base value and the
+    doubling ratio is at least 1 by construction. Returns (base_pts,
+    base_mags, dense_pts, dense_mags); evaluate once, reuse for every
+    radius.
     """
     ktypes = sorted(provider.ktypes)
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
-    out = []
-    for n_r, n_a in ((_DISC_BASE_RADII, _DISC_BASE_ANGLES),
-                     (2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES)):
-        pts = _disc_points(disc_radius, n_r, n_a)
-        mags = np.zeros(pts.size)
-        for i, ell in enumerate(pts):
-            best = 0.0
-            for m in ktypes:
-                v = complex(provider.eval(ell, m))
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise NumericalError(
-                        f"provider not finite at l={ell:.4g}, m={m}"
-                    )
-                best = max(best, abs(v))
-            mags[i] = best
-        out.extend([pts, mags])
-    return tuple(out)
+    n_radii, n_angles = 2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES
+    dense_pts = _disc_points(disc_radius, n_radii, n_angles)
+    values = provider.eval_many(dense_pts)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalError(f"provider not finite at l={dense_pts[i]:.4g}, m={ktypes[j]}")
+    dense_mags = np.abs(values).max(axis=1)
+    base = (slice(1, None, 2), slice(None, None, 2))
+    return (dense_pts.reshape(n_radii, n_angles)[base].ravel(),
+            dense_mags.reshape(n_radii, n_angles)[base].ravel(),
+            dense_pts, dense_mags)
 
 
 def decay_constants(provider, r: float, kmax: int = 3,
@@ -240,29 +233,37 @@ def weyl_lattice(ktypes, re_parts=DEFAULT_WEYL_RE, im_parts=DEFAULT_WEYL_IM):
 
 
 def _weyl_residual_detail(provider, lattice, singular_skip):
-    worst = 0.0
-    used = 0
+    samples = []
     for ell, m in lattice:
         ell = complex(ell)
         t = -ell - 0.5
         if singular_distance(m, t) < singular_skip:
             continue
         try:
-            b = intertwiner_scalar(m, t)
+            samples.append((ell, m, intertwiner_scalar(m, t)))
         except SingularParameterError:
             continue
-        lhs = complex(provider.eval(-ell - 1.0, m))
-        rhs = b * complex(provider.eval(ell, m))
-        used += 1
+    if not samples:
+        raise NumericalError(
+            "every symmetry sample sat within the singular skip margin"
+        )
+    # one eval_many call per side of the identity, over the distinct ells
+    ells = list(dict.fromkeys(ell for ell, _, _ in samples))
+    row = {ell: i for i, ell in enumerate(ells)}
+    column = {m: j for j, m in enumerate(sorted(provider.ktypes))}
+    reflected = provider.eval_many([-ell - 1.0 for ell in ells])
+    direct = provider.eval_many(ells)
+    worst = 0.0
+    for ell, m, b in samples:
+        if m not in column:
+            continue  # both sides are exactly 0
+        lhs = complex(reflected[row[ell], column[m]])
+        rhs = b * complex(direct[row[ell], column[m]])
         scale = max(abs(lhs), abs(rhs))
         if scale == 0.0:
             continue
         worst = max(worst, abs(lhs - rhs) / scale)
-    if used == 0:
-        raise NumericalError(
-            "every symmetry sample sat within the singular skip margin"
-        )
-    return worst, used, len(lattice) - used
+    return worst, len(samples), len(lattice) - len(samples)
 
 
 def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3) -> float:
@@ -327,7 +328,8 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     the calibrated order are finite and stable under doubling the disc
     lattice, and the reflection-symmetry residual is below tolerance.
     The expensive pieces (line scan, disc scan, symmetry lattice) are
-    computed once and shared across all candidate radii.
+    computed once, each from one eval_many call (two for the two sides
+    of the symmetry identity), and shared across all candidate radii.
     """
     calib = calibration or Calibration()
     radii = sorted(float(r) for r in candidate_radii)

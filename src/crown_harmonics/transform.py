@@ -9,8 +9,8 @@ pairing:
 At integer degree the boundary modes of Q^ell have the closed form
 sphere.integer_kernel_modes, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
-cap-supported f against boundary modes computed by an FFT of Q^ell on
-the 512-sample boundary grid, a route that shares no inner loop with
+cap-supported f against boundary modes of Q^ell by the trapezoid rule
+on the 512-sample boundary grid, a route that shares no inner loop with
 analyze; agreement of the two routes at integer ell is one of the
 library's primary cross-checks. synthesize runs the inversion series
 
@@ -38,6 +38,7 @@ from .errors import (
     GridResolutionError,
     ProviderError,
     SchemaError,
+    SingularParameterError,
 )
 from .intertwining import intertwiner_rational
 from .sphere import (
@@ -48,7 +49,6 @@ from .sphere import (
     boundary_log_pairing,
     ell_value,
     integer_kernel_modes,
-    kernel_mode_profiles,
     require_resolution,
     support_radius,
 )
@@ -136,11 +136,18 @@ def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
 
 
 class CoefficientProvider:
-    """Evaluation contract (ell, m) -> complex with a declared K-type set.
+    """Evaluation contract with a declared K-type set.
 
-    Subclasses fill in eval(); ktypes is the finite set of K-types on
-    which the provider may be nonzero. Evaluation outside the declared
-    set returns exactly 0.
+    ktypes is the finite set of K-types on which the provider may be
+    nonzero. eval_many(ells) returns an array of shape (len(ells),
+    len(ktypes)) whose column j holds the K-type sorted(ktypes)[j];
+    eval(ell, m) is one entry of it, and exactly 0 for m outside the
+    declared set. A scalar provider overrides eval only: the base
+    eval_many loops over it and reports a library error or an
+    ArithmeticError as a ProviderError naming (ell, m), with the
+    original as its __cause__; any other exception propagates. A
+    batched provider overrides eval_many and raises its own
+    ProviderError.
     """
 
     ktypes: frozenset = frozenset()
@@ -148,14 +155,52 @@ class CoefficientProvider:
     def eval(self, ell, m: int) -> complex:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def eval_many(self, ells) -> np.ndarray:
+        ms = sorted(self.ktypes)
+        out = np.empty((len(ells), len(ms)), dtype=complex)
+        for i, ell in enumerate(ells):
+            for j, m in enumerate(ms):
+                try:
+                    out[i, j] = complex(self.eval(ell, m))
+                except (CrownHarmonicsError, ArithmeticError) as exc:
+                    raise ProviderError(
+                        f"provider failed at (ell={_format_ell(ell)}, m={m}): {exc}",
+                        ell=ell, m=m) from exc
+        return out
+
+
+def _format_ell(ell) -> str:
+    ell = complex(ell)
+    return f"{ell.real:g}" if ell.imag == 0.0 else f"{ell:g}"
+
+
+def _one_point(provider: CoefficientProvider, ell, m: int) -> complex:
+    """eval(ell, m) of a batched provider: one entry of eval_many([ell])."""
+    m = int(m)
+    if m not in provider.ktypes:
+        return 0.0 + 0.0j
+    return complex(provider.eval_many([ell])[0, sorted(provider.ktypes).index(m)])
+
 
 class ExtendProvider(CoefficientProvider):
     """Provider wrapping the holomorphic extension of a grid function.
 
-    Precomputes the azimuthal Fourier rows of f, the significant-row
-    mask, and the boundary log-pairing on those rows; eval(ell, m) then
-    costs one kernel exponential sweep. Instances are immutable after
-    construction and safe to share across threads.
+    Precomputes, on the significant rows of f, the principal log of Q on
+    the half boundary c_k = 2 pi k / 512, k = 0..256, one weighted row
+    vector per K-type and a (257, K) cosine matrix; eval_many then costs
+    one kernel exponential per spectral parameter, shared by all
+    K-types. Since Q((theta, 0), c) = Q((theta, 0), 2 pi - c), mode m of
+    Q^ell on the 512-sample boundary is exactly
+
+        (1/512) [E_0 + (-1)^m E_256 + 2 sum_{k=1}^{255} E_k cos(m c_k)],
+
+    E_k = exp(ell log Q(c_k)), the 512-point FFT column without the FFT.
+    A K-type's row vector keeps only the rows where its own azimuthal
+    mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on the other
+    rows its column holds only roundoff left by other K-types, which the
+    kernel would amplify like e^{t theta} on the tempered line.
+    Instances are immutable after construction and safe to share across
+    threads.
 
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
@@ -175,23 +220,19 @@ class ExtendProvider(CoefficientProvider):
                     f"support radius {self.radius:.6g} reaches the crown boundary pi/2; "
                     "holomorphic extension requires cap support"
                 )
-            row_mag = np.abs(f.values).max(axis=1)
-            mask = row_mag > SUPPORT_REL_THRESHOLD * peak
-            self.weights = f.grid.theta_weights[mask]
+            mask = np.abs(f.values).max(axis=1) > SUPPORT_REL_THRESHOLD * peak
             # azimuthal modes: row_modes[:, m % n_phi] = (1/2pi) int f e^{-im phi}
-            self.row_modes = np.fft.fft(f.values[mask], axis=1) / f.grid.n_phi
-            self.log_pairing = boundary_log_pairing(f.grid.theta[mask])
+            row_modes = np.fft.fft(f.values[mask], axis=1) / f.grid.n_phi
         if ktypes is not None:
             self.ktypes = frozenset(int(m) for m in ktypes)
         elif self.is_zero:
             self.ktypes = frozenset()
         else:
-            modes = self.row_modes
-            peak = np.abs(modes).max()
+            peak = np.abs(row_modes).max()
             half = f.grid.n_phi // 2
             present = []
             for m in range(-half + 1, half + 1):
-                if np.abs(modes[:, m % f.grid.n_phi]).max() > 1e-12 * peak:
+                if np.abs(row_modes[:, m % f.grid.n_phi]).max() > 1e-12 * peak:
                     present.append(m)
             self.ktypes = frozenset(present)
         aliased = sorted(m for m in self.ktypes if 2 * abs(m) >= f.grid.n_phi)
@@ -199,36 +240,60 @@ class ExtendProvider(CoefficientProvider):
             raise GridResolutionError(
                 f"grid {f.grid.n_theta}x{f.grid.n_phi} cannot resolve K-type "
                 f"m={aliased[-1]}: need n_phi > 2|m|")
+        if self.is_zero:
+            return
+        ms = sorted(self.ktypes)
+        nb = DEFAULT_BOUNDARY_SAMPLES
+        k = np.arange(nb // 2 + 1)
+        self._log_q = boundary_log_pairing(f.grid.theta[mask])[:, k]
+        self._log_re = self._log_q.real.copy()
+        self._log_im = self._log_q.imag.copy()
+        # the folded trapezoid rule: c_0 and c_256 once, every other sample twice;
+        # m k is reduced mod 512 so the cosine argument stays exact
+        fold = np.where((k == 0) | (k == nb // 2), 1.0, 2.0) / nb
+        self._cosines = fold * np.cos(2.0 * np.pi * (np.outer(ms, k) % nb) / nb)
+        columns = row_modes[:, [m % f.grid.n_phi for m in ms]]
+        magnitude = np.abs(columns)
+        own = magnitude > SUPPORT_REL_THRESHOLD * magnitude.max(axis=0)
+        self._weighted = np.where(own, f.grid.theta_weights[mask][:, None] * columns, 0.0).T
 
-    def _log_amplitude(self, ell: complex) -> float:
-        return float(np.max(np.real(ell * self.log_pairing)))
+    def _values(self, power: complex) -> np.ndarray:
+        """sum over rows of w f_m G_m(power; theta) for every K-type m."""
+        kernel = np.exp(power * self._log_q)
+        return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
 
-    def _direct(self, ell: complex, m: int) -> complex:
-        kernel = kernel_mode_profiles(ell, self.log_pairing)
-        col = kernel[:, m % DEFAULT_BOUNDARY_SAMPLES]
-        fm = self.row_modes[:, m % self.grid.n_phi]
-        return complex(np.sum(self.weights * fm * col))
+    def eval_many(self, ells) -> np.ndarray:
+        ms = sorted(self.ktypes)
+        if not ms:
+            return np.zeros((len(ells), 0), dtype=complex)
+        ells = [ell_value(ell) for ell in ells]
+        out = np.zeros((len(ells), len(ms)), dtype=complex)
+        if self.is_zero:
+            return out
+        for i, ell in enumerate(ells):
+            # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q
+            a = ell.real * self._log_re - ell.imag * self._log_im
+            log_amp = a.max()
+            if (log_amp > _LOG_AMP_DIRECT_MAX
+                    and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN):
+                # direct power would cancel catastrophically; route through
+                # the reflection functional equation phi(ell) =
+                # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
+                # validated against the quadrature ratio by the test suite.
+                reflected = self._values(-ell - 1.0)
+                for j, m in enumerate(ms):
+                    try:
+                        out[i, j] = intertwiner_rational(m, ell + 0.5) * reflected[j]
+                    except SingularParameterError:
+                        # ell = -n-1 with n < |m|: the identity reads 0 * inf
+                        # there, so only the direct value exists
+                        out[i, j] = self._values(ell)[j]
+            else:
+                out[i] = self._values(ell)
+        return out
 
     def eval(self, ell, m: int) -> complex:
-        m = int(m)
-        if m not in self.ktypes:
-            return 0.0 + 0.0j
-        ell = ell_value(ell)
-        if self.is_zero:
-            return 0.0 + 0.0j
-        log_amp = self._log_amplitude(ell)
-        reflected = -ell - 1.0
-        log_amp_reflected = self._log_amplitude(reflected)
-        if (
-            log_amp > _LOG_AMP_DIRECT_MAX
-            and log_amp_reflected < log_amp - _LOG_AMP_ADVANTAGE_MIN
-        ):
-            # direct power would cancel catastrophically; route through
-            # the reflection functional equation phi(ell) =
-            # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
-            # validated against the quadrature ratio by the test suite.
-            return intertwiner_rational(m, ell + 0.5) * self._direct(reflected, m)
-        return self._direct(ell, m)
+        return _one_point(self, ell, m)
 
 
 def extend(f: GridFunction, ell, m: int) -> complex:
@@ -245,39 +310,49 @@ class TableProvider(CoefficientProvider):
     """Provider backed by an integer coefficient table.
 
     Evaluates on the integer spectrum directly and on its reflection
-    -l-1 through the functional equation with the closed-form scalar;
-    any other parameter is outside the table's reach and raises.
+    -n-1 through the functional equation phi(-n-1) = b_m(-n-1/2) phi(n)
+    with the closed-form scalar b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n),
+    computed with numpy for every n of the batch one order at a time;
+    entries with |m| > n are exact zeros. Any other parameter is outside
+    the table's reach and raises ProviderError, after the whole batch is
+    checked and before any value is computed.
     """
 
     def __init__(self, table: CoefficientTable):
         self.table = table
         self.ktypes = table.ktypes()
 
-    def eval(self, ell, m: int) -> complex:
+    def _degree(self, ell) -> int:
         ell = ell_value(ell)
-        m = int(m)
-        if m not in self.ktypes:
-            return 0.0 + 0.0j
-        if abs(ell.imag) > 1e-9:
-            raise ProviderError(
-                f"table provider is defined on integers and reflected integers, "
-                f"got ell = {ell}", ell=ell, m=m)
         x = ell.real
-        if abs(x - round(x)) > 1e-9:
+        if abs(ell.imag) > 1e-9 or abs(x - round(x)) > 1e-9:
             raise ProviderError(
                 f"table provider is defined on integers and reflected integers, "
-                f"got ell = {ell}", ell=ell, m=m)
+                f"got ell = {ell}", ell=ell)
         l = round(x)
-        if l >= 0:
-            return self.table.get(l, m)
-        # reflected integer: phi(-n-1) = b_m(-n-1/2) phi(n) with n = -l-1
-        n = -l - 1
-        if n > self.table.lmax:
-            raise ProviderError(f"table lmax={self.table.lmax} cannot reach ell={l}",
-                                ell=ell, m=m)
-        if abs(m) > n:
-            return 0.0 + 0.0j
-        return intertwiner_rational(m, ell + 0.5) * self.table.get(n, m)
+        if -l - 1 > self.table.lmax:
+            raise ProviderError(f"table lmax={self.table.lmax} cannot reach ell={l}", ell=ell)
+        return l
+
+    def eval_many(self, ells) -> np.ndarray:
+        ms = sorted(self.ktypes)
+        if not ms:
+            return np.zeros((len(ells), 0), dtype=complex)
+        ls = np.array([self._degree(ell) for ell in ells], dtype=int)
+        lmax, values = self.table.lmax, self.table.values
+        out = np.zeros((ls.size, len(ms)), dtype=complex)
+        direct = np.flatnonzero((ls >= 0) & (ls <= lmax))
+        out[direct] = values[ls[direct][:, None], np.array(ms) + lmax]
+        for j, m in enumerate(ms):
+            rows = np.flatnonzero(-ls - 1 >= abs(m))
+            n = (-ls[rows] - 1)[:, None]
+            js = np.arange(abs(m))
+            scalars = np.prod((n + 1 + js) / (js - n), axis=1)
+            out[rows, j] = scalars * values[n[:, 0], m + lmax]
+        return out
+
+    def eval(self, ell, m: int) -> complex:
+        return _one_point(self, ell, m)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +362,24 @@ class TableProvider(CoefficientProvider):
 def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
-    For each K-type m with |m| <= lmax (ascending |m|, then ascending m)
-    the provider is evaluated at the reflected parameters -l-1 for
-    l = |m|..lmax, in ascending l, and those values, weighted by 2l + 1,
-    are contracted with the closed-form kernel modes G_m(l; theta) into
-    one radial profile; terms with |m| > l vanish identically. An
-    inverse azimuthal FFT then assembles the grid. The work is
-    O(lmax^2 n_theta) per K-type plus the provider evaluations, and
-    results are bit-reproducible for a fixed numpy build.
+    The provider is evaluated in one eval_many call at the reflected
+    parameters -l-1 for l = k..lmax in ascending l, where k is the
+    smallest |m| among its K-types with |m| <= lmax; for each such
+    K-type m the values with l >= |m|, weighted by 2l + 1, are
+    contracted with the closed-form kernel modes G_m(l; theta) into one
+    radial profile (terms with |m| > l vanish identically and their
+    values are not used). An inverse azimuthal FFT then assembles the
+    grid. The work is O(lmax^2 n_theta) per K-type plus the provider
+    evaluations, and results are bit-reproducible for a fixed numpy
+    build.
 
     Provider values at non-integer parameters, such as those of an
-    ExtendProvider, come from the 512-sample boundary FFT, where mode m
+    ExtendProvider, come from the 512-sample boundary rule, where mode m
     of degree l aliases unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum
     that would include such a term raises GridResolutionError up front.
-    A library error or an ArithmeticError raised by the provider becomes
-    a ProviderError naming the parameter; any other exception
-    propagates.
+    Provider failures follow the eval_many contract: a ProviderError
+    naming the parameter for library errors and ArithmeticErrors, any
+    other exception propagates.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
@@ -318,18 +395,14 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
                 f"azimuthal grid {grid.n_phi} cannot represent K-type m={m}")
     # column m % n_phi: the radial profile of the e^{i m phi} component
     spectrum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
-    for k in sorted({abs(m) for m in ms if abs(m) <= lmax}):
-        modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
-        for m in sorted({-k, k} & set(ms)):
-            values = np.empty(lmax + 1 - k, dtype=complex)
-            for l in range(k, lmax + 1):
-                try:
-                    values[l - k] = (2 * l + 1) * complex(provider.eval(-l - 1.0, m))
-                except (CrownHarmonicsError, ArithmeticError) as exc:
-                    raise ProviderError(
-                        f"provider failed at (ell={-l - 1}, m={m}): {exc}",
-                        ell=-l - 1.0, m=m) from exc
-            spectrum[:, m % grid.n_phi] = values @ modes
+    orders = sorted({abs(m) for m in ms if abs(m) <= lmax})
+    if orders:
+        ls = np.arange(orders[0], lmax + 1)
+        values = provider.eval_many(-ls - 1.0) * (2 * ls + 1)[:, None]
+        for k in orders:
+            modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
+            for m in sorted({-k, k} & set(ms)):
+                spectrum[:, m % grid.n_phi] = values[k - orders[0]:, ms.index(m)] @ modes
     return GridFunction(grid, np.fft.ifft(spectrum, axis=1) * grid.n_phi)
 
 

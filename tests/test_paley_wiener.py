@@ -15,6 +15,7 @@ import pytest
 from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
 from crown_harmonics.paley_wiener import (
     Calibration,
+    _disc_points,
     decay_constants,
     decay_profile,
     fit_type,
@@ -24,9 +25,9 @@ from crown_harmonics.paley_wiener import (
     weyl_lattice,
     weyl_residual,
 )
-from crown_harmonics.sphere import SphereGrid
+from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
-from crown_harmonics.transform import ExtendProvider
+from crown_harmonics.transform import ExtendProvider, synthesize
 from oracles import FakeProvider
 
 
@@ -39,6 +40,18 @@ def symmetric_poly_provider():
         lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
         ktypes=(0,),
     )
+
+
+class CountingProvider(FakeProvider):
+    """FakeProvider that records the size of every eval_many call."""
+
+    def __init__(self, fn, ktypes):
+        super().__init__(fn, ktypes)
+        self.batches = []
+
+    def eval_many(self, ells):
+        self.batches.append(len(ells))
+        return super().eval_many(ells)
 
 
 class TestTypeFit:
@@ -198,6 +211,38 @@ class TestReport:
         assert report.decay_ratios == at_hat[1]
         at_tight = decay_constants(provider, 0.5, calib.decay_kmax, calib.disc_radius, profile)
         assert report.decay_ratios != at_tight[1]
+
+    def test_each_stage_is_one_batched_call(self):
+        # line, disc and the two sides of the symmetry identity: one
+        # eval_many call each, and the disc evaluates only the refined
+        # lattice, since the base lattice is every other point of it
+        provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
+                                    ktypes=(0, 1))
+        pw_report(provider, [0.5])
+        assert provider.batches == [160, 512, 16, 16]
+        provider.batches.clear()
+        synthesize(provider, SphereGrid(8, 8), 6)
+        assert provider.batches == [7]
+
+    def test_base_disc_lattice_is_read_from_the_refined_one(self):
+        base_pts, base_mags, dense_pts, dense_mags = decay_profile(symmetric_poly_provider(), 20.0)
+        assert np.array_equal(base_pts, _disc_points(20.0, 8, 16))
+        assert np.array_equal(dense_pts, _disc_points(20.0, 16, 32))
+        for ell, mag in zip(base_pts, base_mags):
+            assert mag == dense_mags[np.flatnonzero(dense_pts == ell)[0]]
+
+    def test_two_type_class_certifies_at_line_tmax_160(self):
+        # a zonal bump of radius 0.45 plus a K-type 2 bump of radius 0.75:
+        # with each K-type summed over its own support rows, roundoff left
+        # in the zonal column beyond 0.45 no longer grows like e^{t theta}
+        # and takes over the zonal fit at t = 160
+        r, grid = 0.75, SphereGrid(144, 8)
+        f = GridFunction(grid, make_bump(BumpSpec(0.6 * r), grid).values
+                         + make_bump(BumpSpec(r, ktype=2), grid).values)
+        report = pw_report(ExtendProvider(f), [r / 2, 1.1 * r],
+                           Calibration(t_max=160.0, n_samples=320))
+        assert not report.passed(r / 2)
+        assert report.passed(1.1 * r), report.verdict_for(1.1 * r).reasons
 
     def test_report_carries_inputs(self):
         report = pw_report(symmetric_poly_provider(), [0.5])

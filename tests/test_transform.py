@@ -18,8 +18,10 @@ from crown_harmonics.errors import (
     ProviderError,
     SchemaError,
 )
+from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.numerics import legendre_p
-from crown_harmonics.sphere import GridFunction, SphereGrid
+from crown_harmonics.paley_wiener import _disc_points
+from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
 from crown_harmonics.testbed import (
     BumpSpec,
     bridge_factor_candidate,
@@ -38,7 +40,7 @@ from crown_harmonics.transform import (
     synthesize,
 )
 from crown_harmonics.serialization import dumps_table, loads_table
-from oracles import FakeProvider, quadrature_analyze, table
+from oracles import FakeProvider, extend_reference, quadrature_analyze, table
 
 
 def grid_cos_theta(grid, scale=3.0):
@@ -272,6 +274,123 @@ class TestProviders:
         provider = TableProvider(table(1, {(1, 0): 1.0}))
         with pytest.raises(ProviderError):
             provider.eval(-3.0, 0)
+
+
+def certify_class(name, r, grid):
+    """The four bump classes of the certify benchmark at radius r."""
+    if name == "two-type":
+        inner = make_bump(BumpSpec(0.6 * r), grid)
+        outer = make_bump(BumpSpec(r, ktype=2), grid)
+        return GridFunction(grid, inner.values + outer.values)
+    spec = {"smooth-zonal": BumpSpec(r), "smooth-ktype1": BumpSpec(r, ktype=1),
+            "cospow-p8": BumpSpec(r, "cospow", p=8)}[name]
+    return make_bump(spec, grid)
+
+
+CERTIFY_CLASSES = ("smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8")
+
+
+class TestBatchedProviders:
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_extend_matches_full_boundary_route(self, name):
+        # the half-boundary cosine rule against the 512-point FFT route on
+        # the tempered line, the disc and the reflected integers, within
+        # 10x the roundoff floor eps e^{log amp} sum |w f_m|; on the line,
+        # where the type is fitted, with the same per-K-type rows, the
+        # values agree to roundoff relative to themselves
+        grid = SphereGrid(144, 8)
+        line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
+        ells = np.concatenate([line, _disc_points(20.0, 16, 32)[::19],
+                               -np.arange(0, 129, 16) - 1.0])
+        for r in (0.35, 0.7, 1.0):
+            f = certify_class(name, r, grid)
+            provider = ExtendProvider(f)
+            values = provider.eval_many(ells)
+            for j, m in enumerate(sorted(provider.ktypes)):
+                ref, floor = extend_reference(f, ells, m)
+                assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), (r, m)
+                ref, _ = extend_reference(f, line, m, own_rows=True)
+                assert np.all(np.abs(values[:line.size, j] - ref) <= 1e-14 * np.abs(ref)), (r, m)
+
+    def test_eval_is_one_entry_of_eval_many(self):
+        grid = SphereGrid(144, 8)
+        extend_provider = ExtendProvider(certify_class("two-type", 0.8, grid))
+        ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j]
+        table_provider = TableProvider(random_table(6, 6, seed=3))
+        for provider, points in ((extend_provider, ells), (table_provider, [4.0, -5.0, -1.0])):
+            ms = sorted(provider.ktypes)
+            batch = provider.eval_many(points)
+            assert batch.shape == (len(points), len(ms))
+            for i, ell in enumerate(points):
+                one = provider.eval_many([ell])
+                assert np.array_equal(one[0], batch[i])
+                for j, m in enumerate(ms):
+                    assert provider.eval(ell, m) == one[0, j]
+            assert provider.eval(points[0], max(ms) + 1) == 0.0
+
+    def test_table_eval_many_matches_the_closed_form_scalar(self):
+        lmax = 64
+        t = random_table(lmax, lmax, seed=5)
+        provider = TableProvider(t)
+        ns = np.arange(lmax + 1)
+        values = provider.eval_many(np.concatenate([ns, -ns - 1.0]))
+        direct, reflected = values[:lmax + 1], values[lmax + 1:]
+        assert np.array_equal(direct, t.values)
+        for n in ns:
+            for m in range(-lmax, lmax + 1):
+                got = reflected[n, m + lmax]
+                if abs(m) > n:
+                    assert got == 0.0
+                else:
+                    want = intertwiner_rational(m, -n - 0.5) * t.get(n, m)
+                    assert abs(got - want) <= 1e-14 * abs(want), (n, m)
+
+    def test_table_eval_many_checks_the_whole_batch_first(self):
+        provider = TableProvider(table(1, {(1, 0): 1.0}))
+        with pytest.raises(ProviderError, match="integers and reflected integers, got ell"):
+            provider.eval_many([1.0, 0.5])
+        with pytest.raises(ProviderError, match="table lmax=1 cannot reach ell=-3"):
+            provider.eval_many([1.0, -3.0])
+
+    def test_empty_ktype_set_gives_no_columns(self):
+        grid = SphereGrid(24, 8)
+        providers = (FakeProvider(lambda ell, m: 1.0, ktypes=()),
+                     ExtendProvider(make_bump(BumpSpec(0.5), grid), ktypes=()),
+                     ExtendProvider(GridFunction(grid, np.zeros((24, 8), dtype=complex))),
+                     TableProvider(table(2, {})))
+        for provider in providers:
+            assert provider.eval_many([1.0, -2.0, 0.5j]).shape == (3, 0)
+
+    def test_base_eval_many_names_the_failing_parameter(self):
+        def fn(ell, m):
+            if m == 1 and ell.imag > 0:
+                raise ZeroDivisionError("division by zero")
+            return ell
+        provider = FakeProvider(fn, ktypes=(1, 0))
+        assert np.array_equal(provider.eval_many([2.0, -1.0]),
+                              [[2.0, 2.0], [-1.0, -1.0]])
+        with pytest.raises(ProviderError, match=r"ell=2\+1j, m=1") as info:
+            provider.eval_many([2.0, 2.0 + 1.0j])
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert (info.value.ell, info.value.m) == (2.0 + 1.0j, 1)
+
+    def test_reflection_pole_keeps_the_direct_value(self):
+        # at ell = -19 the direct power of the wide cap spreads past
+        # e^27.6, so the reflection route is chosen, but b_19 has a pole
+        # there; the K-type 19 entry is the direct value, and the batch
+        # that synthesize asks for (from l = 0, for the zonal type) is
+        # finite
+        grid = SphereGrid(96, 40)
+        wide = make_bump(BumpSpec(1.4, ktype=19), grid)
+        f = GridFunction(grid, wide.values + make_bump(BumpSpec(0.5), grid).values)
+        provider = ExtendProvider(f)
+        assert provider.ktypes == frozenset({0, 19})
+        # the largest |Q^-19| sits at the last row, c = pi/2, where |Q| = cos(theta)
+        assert -19.0 * np.log(np.cos(support_radius(f))) > np.log(1e12)
+        ref, floor = extend_reference(f, [-19.0], 19)
+        got = provider.eval(-19.0, 19)
+        assert np.isfinite(got) and abs(got - ref[0]) <= 10.0 * floor[0]
+        assert np.all(np.isfinite(synthesize(provider, grid, 30).values))
 
 
 class TestSynthesizeProviderErrors:
