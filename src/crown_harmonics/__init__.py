@@ -46,8 +46,6 @@ from .transform import (
     TableProvider,
     analyze,
     extend,
-    ladder_components,
-    rotation_derivative,
     synthesize,
 )
 from .paley_wiener import (
@@ -67,6 +65,7 @@ from .reduction import (
     PrincipalSeriesFunction,
     intertwine_check,
     kostant_ratio,
+    ladder_components,
     reduction_synthesize,
     sigma_action,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "random_bandlimited",
     "random_table",
     "reduction_synthesize",
-    "rotation_derivative",
     "run_acceptance",
     "sample_intertwiner",
     "sample_line",

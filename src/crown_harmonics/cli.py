@@ -171,6 +171,8 @@ def _cmd_pw_report(args) -> int:
 
 
 def _cmd_intertwiner_dump(args) -> int:
+    if args.m_max < 0:
+        raise SchemaError(f"--m-max must be nonnegative, got {args.m_max}")
     ts = np.arange(-2.0, 2.0 + 1e-9, 0.25)
     blocks = []
     for m in range(args.m_max + 1):

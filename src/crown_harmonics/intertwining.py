@@ -10,18 +10,17 @@ The normalized intertwining scalar is the ratio
     b_m(t) = F_m(-t; theta) / F_m(t; theta),
 
 and the operative fact (tested, not assumed) is that the ratio does not
-depend on the probe colatitude theta. The zonal scalar b_0 is
-identically 1. A closed-form rational candidate is provided separately
+depend on the probe colatitude theta. Each probe integral is one mode
+of sphere.kernel_mode_profiles, the folded 512-sample boundary rule of
+every complex-degree kernel mode. The zonal scalar b_0 is identically 1. A closed-form rational candidate is provided separately
 and is validated against the quadrature ratio by the test suite before
 any other module is allowed to lean on it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import SingularParameterError
-from .sphere import DEFAULT_BOUNDARY_SAMPLES, boundary_log_pairing, kernel_mode_profiles
+from .sphere import boundary_log_pairing, kernel_mode_profiles
 
 #: probe colatitudes inside the crown (0, pi/2), tried in order until
 #: one does not degenerate
@@ -34,10 +33,8 @@ _DEGENERATE_REL = 1e-12
 
 def probe_integral(m: int, t, theta: float) -> complex:
     """F_m(t; theta), the boundary mode of the pairing power -t-1/2."""
-    t = complex(t)
-    lq = boundary_log_pairing(np.array([theta]))
-    profiles = kernel_mode_profiles(-t - 0.5, lq)
-    return complex(profiles[0, int(m) % DEFAULT_BOUNDARY_SAMPLES])
+    power = -complex(t) - 0.5
+    return complex(kernel_mode_profiles(power, boundary_log_pairing(theta), [int(m)])[0, 0])
 
 
 def intertwiner_scalar(m: int, t) -> complex:

@@ -36,7 +36,8 @@ class Calibration:
     the type interval's upper end, decay_ratio_max bounds the growth of
     each decay constant when the sampling lattice is doubled. The line
     and disc sampling parameters are exposed so the verdict is fully
-    reproducible from the report alone.
+    reproducible from the report alone. A non-finite or out-of-range
+    value raises SchemaError.
     """
 
     weyl_tol: float = 1e-6
@@ -48,6 +49,18 @@ class Calibration:
     tail_fraction: float = 0.5
     disc_radius: float = 20.0
     singular_skip: float = 1e-3
+
+    def __post_init__(self):
+        broken = [f"finite {k}" for k, v in self.as_dict().items() if not math.isfinite(v)]
+        broken += [rule for rule, holds in (
+            ("weyl_tol > 0", self.weyl_tol > 0), ("type_slack >= 0", self.type_slack >= 0),
+            ("decay_ratio_max > 0", self.decay_ratio_max > 0), ("t_max > 0", self.t_max > 0),
+            ("decay_kmax >= 0", self.decay_kmax >= 0), ("n_samples >= 8", self.n_samples >= 8),
+            ("0 < tail_fraction <= 1", 0 < self.tail_fraction <= 1),
+            ("disc_radius > 0", self.disc_radius > 0),
+            ("singular_skip >= 0", self.singular_skip >= 0)) if not holds]
+        if broken:
+            raise SchemaError("calibration needs " + ", ".join(broken))
 
     def replaced(self, **overrides) -> "Calibration":
         try:

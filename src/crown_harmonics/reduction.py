@@ -2,11 +2,11 @@
 
 The coefficient transform turns a rotation derivative on the sphere
 into a first-order difference operator on azimuthal components at a
-reflected parameter. This module implements that boundary action,
-verifies the resulting intertwining identity with cap-fitted
-quadrature, and exposes the ladder machinery connecting zonal data to
-higher K-types: pure-type synthesis and measurements of the ladder
-ratios.
+reflected parameter. This module implements both sides (sigma_action
+and ladder_components), verifies the resulting intertwining identity
+with cap-fitted quadrature, and exposes the ladder machinery connecting
+zonal data to higher K-types: pure-type synthesis and measurements of
+the ladder ratios.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
-from .sphere import (DEFAULT_BOUNDARY_SAMPLES, GridFunction, SphereGrid,
-                     boundary_log_pairing, cap_quadrature, kernel_mode_profiles)
-from .transform import ladder_components
+from .sphere import (GridFunction, SphereGrid, boundary_fold, boundary_log_pairing,
+                     cap_quadrature, kernel_mode_profiles)
 
 _GENERATORS = ("Z", "X", "Y")
 
@@ -92,12 +91,52 @@ def sigma_action(psi: PrincipalSeriesFunction, generator: str) -> PrincipalSerie
     return PrincipalSeriesFunction(out, psi.lam)
 
 
+def ladder_components(handle, generator: str) -> dict:
+    """Azimuthal components of a rotation derivative of a pure-type handle.
+
+    The handle carries a single K-type m0 with radial profile h, i.e.
+    f = exp(i m0 phi) h(theta). Output maps each resulting K-type m to
+    a callable theta -> radial profile of that component:
+
+        Z:  m0      -> i m0 h
+        X:  m0 +- 1 -> -h'/2 +- (m0/2) cot(theta) h
+        Y:  m0 + 1  ->  (i/2)(h' - m0 cot(theta) h)
+            m0 - 1  -> -(i/2)(h' + m0 cot(theta) h)
+
+    These are the vector fields -cos(phi) d_theta + cot(theta) sin(phi)
+    d_phi (X), -sin(phi) d_theta - cot(theta) cos(phi) d_phi (Y), and
+    d_phi (Z), split into azimuthal frequencies. The cot terms drop out
+    for zonal input, and for |m0| >= 1 the profile h carries a
+    sin(theta)^{|m0|} factor that keeps them bounded at the pole.
+    """
+    gen = str(generator).upper()
+    m0 = int(handle.ktype)
+    h = handle.profile
+    hp = handle.profile_d1
+
+    if gen == "Z":
+        return {m0: (lambda th: 1j * m0 * h(th))}
+
+    def cot_term(th):
+        if m0 == 0:
+            return np.zeros_like(np.asarray(th, dtype=float))
+        return m0 * (np.cos(th) / np.sin(th)) * h(th)
+
+    if gen == "X":
+        return {
+            m0 + 1: (lambda th: -0.5 * hp(th) + 0.5 * cot_term(th)),
+            m0 - 1: (lambda th: -0.5 * hp(th) - 0.5 * cot_term(th)),
+        }
+    if gen == "Y":
+        return {
+            m0 + 1: (lambda th: 0.5j * (hp(th) - cot_term(th))),
+            m0 - 1: (lambda th: -0.5j * (hp(th) + cot_term(th))),
+        }
+    raise SchemaError(f"unknown generator label {generator!r}; expected Z, X, or Y")
+
+
 # ---------------------------------------------------------------------------
 # intertwining residual with support-fitted quadrature
-
-
-def _cap_coefficient(weights, profile_values, kernel, m: int) -> complex:
-    return complex(np.sum(weights * profile_values * kernel[:, m % kernel.shape[1]]))
 
 
 def intertwine_check(f, generator: str, ell, m_range=None) -> float:
@@ -108,7 +147,8 @@ def intertwine_check(f, generator: str, ell, m_range=None) -> float:
     The left side transforms the rotation derivative of f at parameter
     ell; the right side applies the boundary model at nu = -ell to the
     transform of f. Both sides integrate with a quadrature rule fitted
-    to the support cap, so no accuracy is lost to the support edge.
+    to the support cap, so no accuracy is lost to the support edge; one
+    kernel_mode_profiles call gives every kernel mode either side needs.
     """
     if not getattr(f, "handle_ok", False):
         raise SchemaError("intertwine_check needs a pole-centered bump handle")
@@ -120,13 +160,13 @@ def intertwine_check(f, generator: str, ell, m_range=None) -> float:
     if radius is None:
         raise SchemaError("handle does not declare its support radius")
     theta, weights = cap_quadrature(radius, _CAP_NODES)
-    kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta))
+    components = ladder_components(f, gen)
+    ms = sorted(set(components) | {f.ktype})
+    weighted = weights[:, None] * kernel_mode_profiles(ell, boundary_log_pairing(theta), ms)
+    kernel = dict(zip(ms, weighted.T))
 
-    lhs = {
-        m: _cap_coefficient(weights, prof(theta), kernel, m)
-        for m, prof in ladder_components(f, gen).items()
-    }
-    seed = _cap_coefficient(weights, f.profile(theta), kernel, f.ktype)
+    lhs = {m: complex(np.sum(prof(theta) * kernel[m])) for m, prof in components.items()}
+    seed = complex(np.sum(f.profile(theta) * kernel[f.ktype]))
     psi = PrincipalSeriesFunction({f.ktype: seed}, lam=-ell - 0.5)
     rhs = sigma_action(psi, gen).components
 
@@ -153,54 +193,52 @@ def kostant_ratio(m: int, t, theta_samples):
     """Probe-independence measurement for the ladder scalar.
 
     For each probe angle theta, computes the ratio of the m-th kernel
-    mode at parameter t to the m-fold ladder operator applied to the
-    zonal kernel mode at the same parameter:
+    mode at parameter s = -t - 1/2 to the m-fold ladder operator applied
+    to the zonal kernel mode g at the same parameter:
 
         D_1 g = -g'          D_2 g = g'' - cot(theta) g'
 
-    The first and second parameter derivatives of the zonal mode are
-    taken analytically inside the boundary average, so the ratio is
-    exact up to quadrature roundoff. Returns (ratios, spread) where
-    spread is the maximal relative deviation from the mean; a spread at
-    roundoff level certifies the ratio depends on t alone.
+    The theta derivatives are taken inside the boundary average with
+    d_theta Q = (Q cos(theta) - 1) / sin(theta), i.e.
+
+        g'  = s <Q^s L>,   g'' = s (s-1) <Q^s L^2> - s <Q^s>,
+        L = d_theta Q / Q = (cos(theta) - 1/Q) / sin(theta),
+
+    where <.> is the zonal mode. Each average, and the mode m above, is
+    the folded rule of sphere.kernel_mode_profiles on one shared log
+    table, so the ratio is exact up to quadrature roundoff. Returns
+    (ratios, spread) where spread is the maximal relative deviation from
+    the mean; a spread at roundoff level certifies the ratio depends on
+    t alone.
     """
     m = abs(int(m))
-    thetas = [float(th) for th in np.atleast_1d(theta_samples)]
-    for th in thetas:
-        if not 0.0 < th < math.pi / 2.0:
-            raise CrownDomainError("probe angles must lie inside the crown")
+    thetas = np.atleast_1d(np.asarray(theta_samples, dtype=float))
+    if not np.all((thetas > 0.0) & (thetas < math.pi / 2.0)):
+        raise CrownDomainError("probe angles must lie inside the crown")
     if m == 0:
-        return np.ones(len(thetas), dtype=complex), 0.0
+        return np.ones(thetas.size, dtype=complex), 0.0
     if m not in (1, 2):
         raise SchemaError("ladder ratios implemented for |m| <= 2")
 
     t = complex(t)
     s = -t - 0.5
-    nb = DEFAULT_BOUNDARY_SAMPLES
-    c = 2.0 * math.pi * np.arange(nb) / nb
-    phase = np.exp(-1j * m * c)
-    ratios = []
-    for th in thetas:
-        q = math.cos(th) + 1j * math.sin(th) * np.cos(c)
-        logq = np.log(q)
-        q_th = -math.sin(th) + 1j * math.cos(th) * np.cos(c)
-        base = np.exp(s * logq)
-        num = np.mean(base * phase)
-        dphi1 = s * np.mean(np.exp((s - 1.0) * logq) * q_th)
-        if m == 1:
-            den = -dphi1
-        else:
-            dphi2 = s * (s - 1.0) * np.mean(np.exp((s - 2.0) * logq) * q_th**2) \
-                - s * np.mean(base)
-            den = dphi2 - dphi1 * math.cos(th) / math.sin(th)
-        if abs(den) < 1e-280:
-            continue
-        ratios.append(num / den)
-    if not ratios:
+    log_q = boundary_log_pairing(thetas)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    dlog = (cos[:, None] - np.exp(-log_q)) / sin[:, None]
+    base = np.exp(s * log_q)
+    zonal, mode = boundary_fold((0, m))
+    d1 = s * ((base * dlog) @ zonal)
+    if m == 1:
+        den = -d1
+    else:
+        d2 = s * (s - 1.0) * ((base * dlog**2) @ zonal) - s * (base @ zonal)
+        den = d2 - d1 * cos / sin
+    keep = np.abs(den) >= 1e-280
+    if not keep.any():
         raise NumericalError(
             f"all ladder denominators underflowed for m={m}, t={t}"
         )
-    ratios = np.asarray(ratios, dtype=complex)
+    ratios = (base[keep] @ mode) / den[keep]
     mean = ratios.mean()
     spread = float(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-300))
     return ratios, spread

@@ -11,6 +11,13 @@ whose integer powers are the transform kernels and whose complex powers
 are well defined exactly on the crown cap theta < pi/2, where
 Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
+At integer degree the boundary modes of Q^l have a closed form
+(integer_kernel_modes). At complex degree they come from one rule: the
+512-sample trapezoid rule on the boundary circle, folded onto its half
+by the symmetry Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
+kernel_mode_profiles). This module is the only one that forms boundary
+samples or takes the log of the pairing.
+
 Grids are Gauss-Legendre in cos(theta) crossed with uniform azimuths,
 with total weight normalized to 1 so that the constant function
 integrates to 1.
@@ -25,9 +32,9 @@ import numpy as np
 from .errors import CrownDomainError, GridResolutionError, SchemaError
 from .numerics import gauss_legendre
 
-#: number of boundary samples used for every kernel mode integral; a
-#: power of two keeps the FFT exact-length. Mode m of Q^l is alias-free
-#: while l + |m| < DEFAULT_BOUNDARY_SAMPLES.
+#: samples of the boundary trapezoid rule behind every complex-degree
+#: kernel mode (only the half boundary is formed). Mode m of Q^l is
+#: alias-free while l + |m| < DEFAULT_BOUNDARY_SAMPLES.
 DEFAULT_BOUNDARY_SAMPLES = 512
 
 #: a grid row counts toward the support when its peak magnitude exceeds
@@ -157,40 +164,56 @@ def cap_quadrature(radius: float, n_theta: int):
 
 
 def boundary_log_pairing(theta) -> np.ndarray:
-    """Principal log of Q((theta, 0), c) on the uniform boundary grid.
+    """Principal log of Q((theta, 0), c_k) on the half boundary.
 
-    Returns an array of shape (len(theta), DEFAULT_BOUNDARY_SAMPLES). The principal
-    branch is holomorphic in theta on the crown; rows with theta >= pi/2
-    are still well defined pointwise and may be exponentiated at
+    Returns shape (len(theta), 257) at c_k = 2 pi k / 512, k = 0..256;
+    since Q((theta, 0), c) = Q((theta, 0), 2 pi - c) these carry the
+    whole 512-sample boundary. The principal branch is holomorphic in
+    theta on the crown; rows with theta >= pi/2 may be exponentiated at
     integer powers only (integer powers are branch-free).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nb = DEFAULT_BOUNDARY_SAMPLES
-    c = 2.0 * np.pi * np.arange(nb) / nb
+    c = 2.0 * np.pi * np.arange(nb // 2 + 1) / nb
     q = np.cos(theta)[:, None] + 1j * np.sin(theta)[:, None] * np.cos(c)[None, :]
     return np.log(q)
 
 
-def kernel_mode_profiles(ell, log_pairing: np.ndarray) -> np.ndarray:
-    """All boundary Fourier modes of the pairing power Q^ell at once.
+def boundary_fold(ms) -> np.ndarray:
+    """Folded trapezoid weights of modes ms on the half boundary, (len(ms), 257).
 
-    Output column m % DEFAULT_BOUNDARY_SAMPLES holds
+    Row j applied to E_k = E(c_k), k = 0..256, of an integrand with
+    E(c) = E(2 pi - c) gives its 512-sample trapezoid mode ms[j]:
 
-        (1/2*pi) * integral of Q((theta,0), c)^ell * exp(-i m c) dc,
+        (1/512) [E_0 + (-1)^m E_256 + 2 sum_{k=1}^{255} E_k cos(m c_k)].
 
-    computed by an exact-length FFT of exp(ell * log Q) over the
-    uniform boundary grid. The integrand is entire in ell, so these
-    profiles inherit holomorphy in the spectral parameter.
+    m k is reduced mod 512 before the cosine, so its argument is exact.
+    """
+    nb = DEFAULT_BOUNDARY_SAMPLES
+    k = np.arange(nb // 2 + 1)
+    fold = np.where((k == 0) | (k == nb // 2), 1.0, 2.0) / nb
+    return fold * np.cos(2.0 * np.pi * (np.outer(ms, k) % nb) / nb)
+
+
+def kernel_mode_profiles(ell, log_pairing: np.ndarray, ms) -> np.ndarray:
+    """Boundary Fourier modes ms of the pairing power Q^ell.
+
+    Column j of the (rows, len(ms)) result holds
+
+        (1/2*pi) * integral of Q((theta,0), c)^ell * exp(-i m c) dc
+
+    at m = ms[j], by the 512-sample trapezoid rule folded onto the half
+    boundary: one exponential of ell log Q per sample, then a product
+    with the boundary_fold weights. It is exact at integer degree l, up
+    to roundoff, while l + |m| < 512, and holomorphic in ell.
     """
     ell = ell_value(ell)
-    nb = log_pairing.shape[-1]
-    return np.fft.fft(np.exp(ell * log_pairing), axis=-1) / nb
+    return np.exp(ell * log_pairing) @ boundary_fold(ms).T
 
 
 def kernel_mode(ell, m: int, theta) -> np.ndarray:
     """Single boundary mode of Q^ell along an array of colatitudes."""
-    profiles = kernel_mode_profiles(ell, boundary_log_pairing(theta))
-    return profiles[:, int(m) % DEFAULT_BOUNDARY_SAMPLES]
+    return kernel_mode_profiles(ell, boundary_log_pairing(theta), [int(m)])[:, 0]
 
 
 def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:

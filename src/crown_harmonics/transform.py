@@ -9,10 +9,11 @@ pairing:
 At integer degree the boundary modes of Q^ell have the closed form
 sphere.integer_kernel_modes, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
-cap-supported f against boundary modes of Q^ell by the trapezoid rule
-on the 512-sample boundary grid, a route that shares no inner loop with
-analyze; agreement of the two routes at integer ell is one of the
-library's primary cross-checks. synthesize runs the inversion series
+cap-supported f against boundary modes of Q^ell by the folded
+512-sample trapezoid rule of sphere.kernel_mode_profiles, a route that
+shares no inner loop with analyze; agreement of the two routes at
+integer ell is one of the library's primary cross-checks. synthesize
+runs the inversion series
 
     f(x) = sum over ell of (2*ell+1) * (1/2*pi)
            * integral of phi_hat(-ell-1, b) Q(x, b)^ell db,
@@ -46,6 +47,7 @@ from .sphere import (
     SUPPORT_REL_THRESHOLD,
     GridFunction,
     SphereGrid,
+    boundary_fold,
     boundary_log_pairing,
     ell_value,
     integer_kernel_modes,
@@ -185,20 +187,16 @@ def _one_point(provider: CoefficientProvider, ell, m: int) -> complex:
 class ExtendProvider(CoefficientProvider):
     """Provider wrapping the holomorphic extension of a grid function.
 
-    Precomputes, on the significant rows of f, the principal log of Q on
-    the half boundary c_k = 2 pi k / 512, k = 0..256, one weighted row
-    vector per K-type and a (257, K) cosine matrix; eval_many then costs
-    one kernel exponential per spectral parameter, shared by all
-    K-types. Since Q((theta, 0), c) = Q((theta, 0), 2 pi - c), mode m of
-    Q^ell on the 512-sample boundary is exactly
-
-        (1/512) [E_0 + (-1)^m E_256 + 2 sum_{k=1}^{255} E_k cos(m c_k)],
-
-    E_k = exp(ell log Q(c_k)), the 512-point FFT column without the FFT.
-    A K-type's row vector keeps only the rows where its own azimuthal
-    mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on the other
-    rows its column holds only roundoff left by other K-types, which the
-    kernel would amplify like e^{t theta} on the tempered line.
+    Precomputes, on the significant rows of f, the half-boundary log
+    table of sphere.boundary_log_pairing, one weighted row vector per
+    K-type and the sphere.boundary_fold weights of the K-types; eval_many
+    then costs one kernel exponential per spectral parameter, shared by
+    all K-types. It is the folded rule of sphere.kernel_mode_profiles
+    with the sum over rows taken first, since the K-types are far fewer
+    than the rows. A K-type's row vector keeps only the rows where its
+    own azimuthal mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on
+    the other rows its column holds only roundoff left by other K-types,
+    which the kernel would amplify like e^{t theta} on the tempered line.
     Instances are immutable after construction and safe to share across
     threads.
 
@@ -243,15 +241,10 @@ class ExtendProvider(CoefficientProvider):
         if self.is_zero:
             return
         ms = sorted(self.ktypes)
-        nb = DEFAULT_BOUNDARY_SAMPLES
-        k = np.arange(nb // 2 + 1)
-        self._log_q = boundary_log_pairing(f.grid.theta[mask])[:, k]
+        self._log_q = boundary_log_pairing(f.grid.theta[mask])
         self._log_re = self._log_q.real.copy()
         self._log_im = self._log_q.imag.copy()
-        # the folded trapezoid rule: c_0 and c_256 once, every other sample twice;
-        # m k is reduced mod 512 so the cosine argument stays exact
-        fold = np.where((k == 0) | (k == nb // 2), 1.0, 2.0) / nb
-        self._cosines = fold * np.cos(2.0 * np.pi * (np.outer(ms, k) % nb) / nb)
+        self._cosines = boundary_fold(ms)
         columns = row_modes[:, [m % f.grid.n_phi for m in ms]]
         magnitude = np.abs(columns)
         own = magnitude > SUPPORT_REL_THRESHOLD * magnitude.max(axis=0)
@@ -281,13 +274,16 @@ class ExtendProvider(CoefficientProvider):
                 # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
                 # validated against the quadrature ratio by the test suite.
                 reflected = self._values(-ell - 1.0)
+                direct = None
                 for j, m in enumerate(ms):
                     try:
                         out[i, j] = intertwiner_rational(m, ell + 0.5) * reflected[j]
                     except SingularParameterError:
                         # ell = -n-1 with n < |m|: the identity reads 0 * inf
                         # there, so only the direct value exists
-                        out[i, j] = self._values(ell)[j]
+                        if direct is None:
+                            direct = self._values(ell)
+                        out[i, j] = direct[j]
             else:
                 out[i] = self._values(ell)
         return out
@@ -404,92 +400,3 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
             for m in sorted({-k, k} & set(ms)):
                 spectrum[:, m % grid.n_phi] = values[k - orders[0]:, ms.index(m)] @ modes
     return GridFunction(grid, np.fft.ifft(spectrum, axis=1) * grid.n_phi)
-
-
-# ---------------------------------------------------------------------------
-# rotation derivatives
-
-
-def ladder_components(handle, generator: str) -> dict:
-    """Azimuthal components of a rotation derivative of a pure-type handle.
-
-    The handle carries a single K-type m0 with radial profile h, i.e.
-    f = exp(i m0 phi) h(theta). Output maps each resulting K-type m to
-    a callable theta -> radial profile of that component:
-
-        Z:  m0      -> i m0 h
-        X:  m0 +- 1 -> -h'/2 +- (m0/2) cot(theta) h
-        Y:  m0 + 1  ->  (i/2)(h' - m0 cot(theta) h)
-            m0 - 1  -> -(i/2)(h' + m0 cot(theta) h)
-
-    These are the vector fields -cos(phi) d_theta + cot(theta) sin(phi)
-    d_phi (X), -sin(phi) d_theta - cot(theta) cos(phi) d_phi (Y), and
-    d_phi (Z), split into azimuthal frequencies. The cot terms drop out
-    for zonal input, and for |m0| >= 1 the profile h carries a
-    sin(theta)^{|m0|} factor that keeps them bounded at the pole.
-    """
-    gen = str(generator).upper()
-    m0 = int(handle.ktype)
-    h = handle.profile
-    hp = handle.profile_d1
-
-    if gen == "Z":
-        return {m0: (lambda th: 1j * m0 * h(th))}
-
-    def cot_term(th):
-        if m0 == 0:
-            return np.zeros_like(np.asarray(th, dtype=float))
-        return m0 * (np.cos(th) / np.sin(th)) * h(th)
-
-    if gen == "X":
-        return {
-            m0 + 1: (lambda th: -0.5 * hp(th) + 0.5 * cot_term(th)),
-            m0 - 1: (lambda th: -0.5 * hp(th) - 0.5 * cot_term(th)),
-        }
-    if gen == "Y":
-        return {
-            m0 + 1: (lambda th: 0.5j * (hp(th) - cot_term(th))),
-            m0 - 1: (lambda th: -0.5j * (hp(th) + cot_term(th))),
-        }
-    raise SchemaError(f"unknown generator label {generator!r}; expected Z, X, or Y")
-
-
-def rotation_derivative(f, generator: str, band_limit: int | None = None) -> GridFunction:
-    """Rotation vector field applied to a test function.
-
-    Preferred input is a closed-form handle (a testbed bump) carrying
-    analytic radial derivatives; the result is sampled exactly and the
-    support radius cannot grow. A plain GridFunction is accepted only
-    with a declared band limit, in which case the derivative is taken
-    spectrally (analyze, apply the boundary model of the generator at
-    parameter -ell, synthesize back).
-    """
-    has_handle = (
-        all(hasattr(f, name) for name in ("ktype", "profile", "profile_d1"))
-        and getattr(f, "handle_ok", True)
-    )
-    if isinstance(f, GridFunction) and not has_handle:
-        if band_limit is None:
-            raise SchemaError(
-                "grid data has no closed-form partials; declare band_limit "
-                "for the spectral fallback")
-        from .reduction import PrincipalSeriesFunction, sigma_action
-
-        table = analyze(f, band_limit)
-        out = np.zeros_like(table.values)
-        for l, row in enumerate(table.values):
-            psi = PrincipalSeriesFunction(
-                components=dict(zip(range(-l, l + 1),
-                                    row[band_limit - l:band_limit + l + 1].tolist())),
-                lam=-l - 0.5)
-            for m, v in sigma_action(psi, generator).components.items():
-                if abs(m) <= band_limit:
-                    out[l, m + band_limit] += v
-        return synthesize(TableProvider(CoefficientTable(out)), f.grid, band_limit)
-
-    components = ladder_components(f, generator)
-    grid = f.grid
-    out = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
-    for m, profile in sorted(components.items()):
-        out += np.outer(profile(grid.theta), np.exp(1j * m * grid.phi_nodes))
-    return GridFunction(grid, out)

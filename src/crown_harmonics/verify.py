@@ -17,7 +17,7 @@ import numpy as np
 from .intertwining import intertwiner_scalar, probe_integral
 from .numerics import complex_abs, legendre_p
 from .paley_wiener import pw_report, type_estimate, weyl_residual
-from .reduction import intertwine_check, kostant_ratio, reduction_synthesize
+from .reduction import intertwine_check, kostant_ratio, ladder_components, reduction_synthesize
 from .sphere import SphereGrid, kernel_mode, support_radius
 from .testbed import (
     BumpSpec,
@@ -32,7 +32,6 @@ from .transform import (
     ExtendProvider,
     TableProvider,
     analyze,
-    ladder_components,
     lm_grid,
     synthesize,
 )
@@ -121,8 +120,9 @@ def check_extend_matches_analyze() -> CheckResult:
         f = make_bump(spec, grid)
         table = analyze(f, 12)
         provider = ExtendProvider(f)
-        got = np.array([[provider.eval(complex(l), m) for m in range(-3, 4)]
-                        for l in range(13)])
+        ms, values = sorted(provider.ktypes), provider.eval_many([complex(l) for l in range(13)])
+        got = np.array([values[:, ms.index(m)] if m in ms else np.zeros(13)
+                        for m in range(-3, 4)]).T
         defect = complex_abs(got - table.values[:, 12 - 3:12 + 4])
         worst = max(worst, np.max(defect / complex_abs(table.values).max()))
     return _result(

@@ -8,12 +8,7 @@ import numpy as np
 
 from crown_harmonics.errors import SingularParameterError
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.sphere import (
-    DEFAULT_BOUNDARY_SAMPLES,
-    SUPPORT_REL_THRESHOLD,
-    boundary_log_pairing,
-    kernel_mode_profiles,
-)
+from crown_harmonics.sphere import DEFAULT_BOUNDARY_SAMPLES, SUPPORT_REL_THRESHOLD
 from crown_harmonics.transform import (
     _LOG_AMP_ADVANTAGE_MIN,
     _LOG_AMP_DIRECT_MAX,
@@ -57,6 +52,23 @@ def quadrature_analyze(f, lmax: int) -> CoefficientTable:
     return CoefficientTable(values)
 
 
+def full_boundary_log_pairing(theta):
+    """Principal log of Q((theta, 0), c) on the whole 512-sample boundary circle."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    c = 2.0 * np.pi * np.arange(DEFAULT_BOUNDARY_SAMPLES) / DEFAULT_BOUNDARY_SAMPLES
+    return np.log(np.cos(theta)[:, None] + 1j * np.sin(theta)[:, None] * np.cos(c)[None, :])
+
+
+def fft_kernel_modes(ell, log_q):
+    """Every boundary mode of Q^ell by a 512-point FFT on the full circle.
+
+    Column m % 512 of the (rows, 512) result is mode m; log_q comes from
+    full_boundary_log_pairing. The reference for the folded rule of
+    sphere.kernel_mode_profiles, which must equal it up to roundoff.
+    """
+    return np.fft.fft(np.exp(complex(ell) * log_q), axis=-1) / log_q.shape[-1]
+
+
 def table(lmax: int, entries: dict) -> CoefficientTable:
     """Dense coefficient table of degree lmax from a sparse {(l, m): value} dict."""
     values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
@@ -87,7 +99,7 @@ def extend_reference(f, ells, m: int, own_rows: bool = False):
 
     Every grid row whose peak exceeds SUPPORT_REL_THRESHOLD of the
     overall peak contributes its weighted azimuthal mode times the
-    column m of kernel_mode_profiles (a 512-point FFT of Q^ell), with
+    column m of fft_kernel_modes (a 512-point FFT of Q^ell), with
     the direct-or-reflected rule of ExtendProvider (direct where the
     reflection scalar has a pole). own_rows keeps only the rows where
     the K-type's own mode exceeds SUPPORT_REL_THRESHOLD of its own peak,
@@ -103,10 +115,10 @@ def extend_reference(f, ells, m: int, own_rows: bool = False):
     if own_rows:
         magnitude = np.abs(weighted / f.grid.theta_weights[rows])
         weighted[magnitude <= SUPPORT_REL_THRESHOLD * magnitude.max()] = 0.0
-    log_q = boundary_log_pairing(f.grid.theta[rows])
+    log_q = full_boundary_log_pairing(f.grid.theta[rows])
 
     def direct(power):
-        column = kernel_mode_profiles(power, log_q)[:, m % DEFAULT_BOUNDARY_SAMPLES]
+        column = fft_kernel_modes(power, log_q)[:, m % DEFAULT_BOUNDARY_SAMPLES]
         log_amp = np.max(np.real(power * log_q))
         floor = np.finfo(float).eps * np.exp(log_amp) * np.sum(np.abs(weighted))
         return complex(np.sum(weighted * column)), floor

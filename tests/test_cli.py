@@ -158,6 +158,18 @@ class TestPwReport:
         assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+    @pytest.mark.parametrize("override", ["type_slack=inf", "decay_kmax=-1"])
+    def test_out_of_range_calibration_is_schema_error(self, tmp_path, capsys,
+                                                      bump_file, override):
+        path, _ = bump_file
+        rc = main(["pw-report", "--input", str(path), "--radii", "0.5",
+                   "--calib", override])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "schema"
+
+
 class TestIntertwinerDump:
     def test_dump_shape_and_values(self, capsys):
         from crown_harmonics.intertwining import intertwiner_rational
@@ -175,6 +187,14 @@ class TestIntertwinerDump:
               for row in obj["scalars"][1]["samples"]}
         assert -0.5 not in m1  # singular point skipped
         assert abs(m1[-1.5] - (-2.0)) < 1e-12
+
+
+    def test_negative_m_max_is_schema_error(self, capsys):
+        rc = main(["intertwiner-dump", "--m-max", "-2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "schema"
 
 
 class TestVerify:

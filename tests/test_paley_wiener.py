@@ -155,6 +155,31 @@ class TestCalibration:
         assert calib.decay_kmax == 2
         assert calib.as_dict()["weyl_tol"] == 1e-4
 
+    @pytest.mark.parametrize("key, value", [
+        ("type_slack", float("inf")),
+        ("type_slack", float("nan")),
+        ("type_slack", -0.01),
+        ("weyl_tol", 0.0),
+        ("decay_ratio_max", -2.0),
+        ("disc_radius", 0.0),
+        ("t_max", -40.0),
+        ("singular_skip", -1e-3),
+        ("decay_kmax", -1),
+        ("n_samples", 7),
+        ("tail_fraction", 0.0),
+        ("tail_fraction", 1.5),
+    ])
+    def test_rejects_out_of_range_values(self, key, value):
+        with pytest.raises(SchemaError):
+            Calibration(**{key: value})
+        with pytest.raises(SchemaError):
+            Calibration().replaced(**{key: value})
+
+    def test_accepts_the_edges_of_each_range(self):
+        calib = Calibration(type_slack=0.0, singular_skip=0.0, decay_kmax=0,
+                            n_samples=8, tail_fraction=1.0)
+        assert calib.as_dict()["n_samples"] == 8
+
 
 class TestReport:
     def test_symmetric_provider_passes_everywhere(self):

@@ -4,6 +4,9 @@ Adding or removing a public name is a deliberate change: it shows up
 here as a one-line edit next to the count.
 """
 
+import importlib
+from pathlib import Path
+
 import crown_harmonics
 
 PUBLIC_NAMES = [
@@ -21,7 +24,7 @@ PUBLIC_NAMES = [
     "kernel_mode", "kernel_mode_profiles", "kostant_ratio", "ladder_components",
     "legendre_p", "line_scan_csv", "loads_grid_function", "loads_table",
     "make_bump", "oracle_sht", "probe_integral", "pw_report",
-    "random_bandlimited", "random_table", "reduction_synthesize", "rotation_derivative", "run_acceptance",
+    "random_bandlimited", "random_table", "reduction_synthesize", "run_acceptance",
     "sample_intertwiner", "sample_line", "sigma_action", "singular_distance",
     "support_radius", "synthesize", "type_estimate", "weyl_lattice",
     "weyl_residual",
@@ -29,10 +32,27 @@ PUBLIC_NAMES = [
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 66
     assert sorted(crown_harmonics.__all__) == PUBLIC_NAMES
 
 
 def test_every_exported_name_resolves():
     for name in crown_harmonics.__all__:
         assert getattr(crown_harmonics, name) is not None, name
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # perfbench/tracer.py wraps these attributes by name, methods from
+    # their class's own __dict__; a missing one crashes a traced run.
+    # The file is only read here, never imported as a module.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    assert namespace["TARGETS"]
+    for modname, attr_path, *_ in namespace["TARGETS"]:
+        owner = importlib.import_module(f"crown_harmonics.{modname}")
+        *cls_path, attr = attr_path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        target = owner.__dict__[attr] if cls_path else getattr(owner, attr)
+        assert callable(target), attr_path

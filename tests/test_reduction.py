@@ -16,12 +16,13 @@ from crown_harmonics.reduction import (
     PrincipalSeriesFunction,
     intertwine_check,
     kostant_ratio,
+    ladder_components,
     reduction_synthesize,
     sigma_action,
 )
-from crown_harmonics.sphere import SphereGrid
+from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
-from crown_harmonics.transform import ExtendProvider, analyze, rotation_derivative
+from crown_harmonics.transform import ExtendProvider, analyze
 from crown_harmonics.verify import _ladder_scalar
 
 GENERIC_TS = [0.3 + 0.4j, -1.2 + 0.9j, 2.1 - 0.6j, 0.05 + 1.5j]
@@ -113,22 +114,20 @@ class TestIntertwineCheck:
     def test_mismatched_sides_fail(self):
         # negative control: compare X on the geometric side against Y
         # on the boundary side by hand; the residual must be visible
-        from crown_harmonics.intertwining import probe_integral  # noqa: F401
         from crown_harmonics.sphere import boundary_log_pairing, cap_quadrature
         from crown_harmonics.sphere import kernel_mode_profiles
-        from crown_harmonics.transform import ladder_components
-        from crown_harmonics.reduction import _cap_coefficient
 
         grid = SphereGrid(64, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         ell = 0.4 + 0.6j
         theta, weights = cap_quadrature(0.6, 96)
-        kernel = kernel_mode_profiles(ell, boundary_log_pairing(theta))
+        ms = (0, 1, 2)
+        kernel = weights[:, None] * kernel_mode_profiles(ell, boundary_log_pairing(theta), ms)
         lhs = {
-            m: _cap_coefficient(weights, prof(theta), kernel, m)
+            m: complex(np.sum(prof(theta) * kernel[:, ms.index(m)]))
             for m, prof in ladder_components(bump, "X").items()
         }
-        seed = _cap_coefficient(weights, bump.profile(theta), kernel, 1)
+        seed = complex(np.sum(bump.profile(theta) * kernel[:, 1]))
         rhs = sigma_action(
             PrincipalSeriesFunction({1: seed}, lam=-ell - 0.5), "Y"
         ).components
@@ -140,8 +139,6 @@ class TestIntertwineCheck:
 
     def test_requires_handle(self):
         grid = SphereGrid(16, 8)
-        from crown_harmonics.sphere import GridFunction
-
         f = GridFunction(grid, np.ones((16, 8), dtype=complex))
         with pytest.raises(SchemaError):
             intertwine_check(f, "X", 1.0)
@@ -246,7 +243,10 @@ class TestSigmaTransformedProvider:
         base = ExtendProvider(bump)
         lmax = 5
         for gen in ("Z", "X", "Y"):
-            derived = analyze(rotation_derivative(bump, gen), lmax)
+            # the rotation derivative sampled from its azimuthal components
+            values = sum(np.outer(profile(grid.theta), np.exp(1j * m * grid.phi_nodes))
+                         for m, profile in ladder_components(bump, gen).items())
+            derived = analyze(GridFunction(grid, values), lmax)
             scale = max(np.max(np.abs(derived.values)), 1e-300)
             worst = 0.0
             for l in range(lmax + 1):

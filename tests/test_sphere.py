@@ -28,7 +28,7 @@ from crown_harmonics.sphere import (
 )
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import analyze
-from oracles import sphere_integral
+from oracles import fft_kernel_modes, full_boundary_log_pairing, sphere_integral
 
 ONE_SEVENTH = 0.14285714285714285714
 TWO_OVER_101 = 0.01980198019801980198
@@ -99,20 +99,23 @@ class TestSphereGrid:
 
 class TestPairing:
     # boundary_log_pairing tabulates the principal log of
-    # Q((theta, 0), c) = cos(theta) + i sin(theta) cos(c)
+    # Q((theta, 0), c_k) = cos(theta) + i sin(theta) cos(c_k) on the half
+    # boundary c_k = 2 pi k / 512, k = 0..256
 
     def test_values_on_axis(self):
         log_q = boundary_log_pairing(np.array([1e-12]))
+        assert log_q.shape == (1, DEFAULT_BOUNDARY_SAMPLES // 2 + 1)
         assert np.max(np.abs(np.exp(log_q) - 1.0)) < 1e-9
 
     def test_magnitude_bounded_by_one(self):
         log_q = boundary_log_pairing(np.array([0.3, 1.0, 1.5]))
+        assert log_q.shape == (3, 257)
         assert np.max(log_q.real) <= 1e-15
 
     def test_iwasawa_log_inverts_exp(self):
         theta = 1.1
-        c = 2.0 * np.pi * np.arange(DEFAULT_BOUNDARY_SAMPLES) / DEFAULT_BOUNDARY_SAMPLES
-        log_q = boundary_log_pairing(np.array([theta]))[0]
+        c = 2.0 * np.pi * np.arange(257) / DEFAULT_BOUNDARY_SAMPLES
+        log_q = boundary_log_pairing(theta)[0]
         q = math.cos(theta) + 1j * math.sin(theta) * np.cos(c)
         assert np.max(np.abs(np.exp(log_q) - q)) < 1e-15
         # principal branch: on the crown the argument stays below theta
@@ -147,19 +150,56 @@ class TestKernelModes:
 
     def test_profiles_match_scalar_interface(self):
         thetas = np.array([0.2, 0.7, 1.3])
-        table = kernel_mode_profiles(2.0 + 1.0j, boundary_log_pairing(thetas))
+        ms = (0, 1, -3)
+        table = kernel_mode_profiles(2.0 + 1.0j, boundary_log_pairing(thetas), ms)
+        assert table.shape == (3, 3)
         for i, theta in enumerate(thetas):
-            for m in (0, 1, -3):
+            for j, m in enumerate(ms):
                 scalar = kernel_mode(2.0 + 1.0j, m, theta)
-                assert abs(table[i, m % DEFAULT_BOUNDARY_SAMPLES] - scalar) < 1e-14
+                assert abs(table[i, j] - scalar) < 1e-14
 
     def test_integer_power_rows_beyond_crown(self):
         # integer powers are branch-free, so profile rows past pi/2 are fine
         thetas = np.array([0.5, 1.6, 2.8])
-        table = kernel_mode_profiles(3.0, boundary_log_pairing(thetas))
+        column = kernel_mode_profiles(3.0, boundary_log_pairing(thetas), [0])[:, 0]
         for i, theta in enumerate(thetas):
-            assert abs(table[i, 0] - legendre_p(3, math.cos(theta))) < 1e-13
+            assert abs(column[i] - legendre_p(3, math.cos(theta))) < 1e-13
 
+
+class TestFoldedRuleAgainstFFT:
+    """The folded half-boundary rule against the full-circle FFT oracle.
+
+    Both are the same 512-sample trapezoid rule, so they differ by
+    roundoff only, for every order the rule resolves. A sample E_k of
+    Q^ell carries the error of log Q times |ell|, and the sum adds a few
+    ulps of the largest sample, so the floor of a row is
+    eps (1 + |ell|) max_k |E_k|.
+    """
+
+    ORDERS = np.arange(-255, 256)
+
+    def worst_over_floor(self, ell, thetas):
+        log_q = boundary_log_pairing(thetas)
+        folded = kernel_mode_profiles(ell, log_q, self.ORDERS)
+        oracle = fft_kernel_modes(ell, full_boundary_log_pairing(thetas))
+        oracle = oracle[:, self.ORDERS % DEFAULT_BOUNDARY_SAMPLES]
+        peak = np.exp(np.max(np.real(complex(ell) * log_q), axis=1))
+        floor = np.finfo(float).eps * (1.0 + abs(ell)) * peak
+        return np.max(np.abs(folded - oracle) / floor[:, None])
+
+    def test_complex_degree_on_the_crown(self):
+        thetas = np.array([0.05, 0.3, 0.7, 1.0, 1.3, 1.5])
+        line = [-0.5 + 1j * t for t in (0.5, 10.0, 40.0, 80.0, 160.0)]
+        disc = [-0.5 + r * np.exp(1j * a) for r in (5.0, 20.0)
+                for a in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)]
+        reflected = [-n - 1.0 for n in (0, 3, 17, 64, 128)]
+        for ell in line + disc + reflected:
+            assert self.worst_over_floor(ell, thetas) < 4.0, ell
+
+    def test_integer_degree_past_the_crown(self):
+        thetas = np.array([0.2, 1.6, 2.4, 3.1])
+        for l in range(41):
+            assert self.worst_over_floor(float(l), thetas) < 4.0, l
 
 
 class TestIntegerKernelModes:
@@ -168,13 +208,18 @@ class TestIntegerKernelModes:
     THETAS = np.array([1e-3, 0.2, 0.7, 1.3, 1.6, 2.4, 3.1])
 
     def test_matches_boundary_fft_absolutely(self):
+        # the closed form, the folded rule and the full-circle FFT oracle
+        # agree while l + |m| < 512
         log_q = boundary_log_pairing(self.THETAS)
-        fft_modes = np.array([kernel_mode_profiles(float(l), log_q) for l in range(41)])
+        full_log_q = full_boundary_log_pairing(self.THETAS)
+        ms = np.arange(-40, 41)
+        folded = np.array([kernel_mode_profiles(float(l), log_q, ms) for l in range(41)])
+        fft_modes = np.array([fft_kernel_modes(float(l), full_log_q) for l in range(41)])
         worst = 0.0
-        for m in range(-40, 41):
+        for j, m in enumerate(ms):
             modes = integer_kernel_modes(m, 40, self.THETAS)
-            expect = fft_modes[:, :, m % DEFAULT_BOUNDARY_SAMPLES]
-            worst = max(worst, np.max(np.abs(modes - expect)[abs(m):]))
+            for expect in (folded[:, :, j], fft_modes[:, :, m % DEFAULT_BOUNDARY_SAMPLES]):
+                worst = max(worst, np.max(np.abs(modes - expect)[abs(m):]))
         assert worst < 1e-13
 
     def test_matches_associated_legendre_relatively(self):

@@ -1,12 +1,9 @@
-"""Tests for the dual pair analyze / synthesize and the derivative paths.
+"""Tests for the dual pair analyze / synthesize and the coefficient providers.
 
-The degree-one checks are exact by hand:
-
-  - the table {(1, 0): 1} must synthesize to 3 cos(theta), since the
-    zonal kernel mode at degree 1 is cos(theta), the reflected
-    evaluation multiplies by b_0 = 1, and the degree weight is 3;
-  - applying the rotation generators to 3 cos(theta) must give
-    3 sin(theta) cos(phi) (X), 3 sin(theta) sin(phi) (Y), and 0 (Z).
+The degree-one check is exact by hand: the table {(1, 0): 1} must
+synthesize to 3 cos(theta), since the zonal kernel mode at degree 1 is
+cos(theta), the reflected evaluation multiplies by b_0 = 1, and the
+degree weight is 3.
 """
 
 import numpy as np
@@ -36,7 +33,6 @@ from crown_harmonics.transform import (
     analyze,
     extend,
     lm_grid,
-    rotation_derivative,
     synthesize,
 )
 from crown_harmonics.serialization import dumps_table, loads_table
@@ -78,30 +74,6 @@ class TestExactDegreeOne:
         f = synthesize(TableProvider(table(1, {(1, 0): 1.0})), grid, 1)
         expect = grid_cos_theta(grid).values
         assert np.max(np.abs(f.values - expect)) < 1e-13
-
-    def test_spectral_derivative_x(self):
-        grid = SphereGrid(24, 8)
-        f = grid_cos_theta(grid)
-        df = rotation_derivative(f, "X", band_limit=1)
-        expect = 3.0 * np.sin(grid.theta)[:, None] * np.cos(grid.phi_nodes)[None, :]
-        assert np.max(np.abs(df.values - expect)) < 1e-13
-
-    def test_spectral_derivative_y(self):
-        grid = SphereGrid(24, 8)
-        f = grid_cos_theta(grid)
-        df = rotation_derivative(f, "Y", band_limit=1)
-        expect = 3.0 * np.sin(grid.theta)[:, None] * np.sin(grid.phi_nodes)[None, :]
-        assert np.max(np.abs(df.values - expect)) < 1e-13
-
-    def test_spectral_derivative_z_kills_zonal(self):
-        grid = SphereGrid(24, 8)
-        df = rotation_derivative(grid_cos_theta(grid), "Z", band_limit=1)
-        assert np.max(np.abs(df.values)) < 1e-13
-
-    def test_spectral_path_requires_band_limit(self):
-        grid = SphereGrid(24, 8)
-        with pytest.raises(SchemaError):
-            rotation_derivative(grid_cos_theta(grid), "X")
 
 
 class TestAnalyzeSynthesize:
@@ -391,6 +363,23 @@ class TestBatchedProviders:
         got = provider.eval(-19.0, 19)
         assert np.isfinite(got) and abs(got - ref[0]) <= 10.0 * floor[0]
         assert np.all(np.isfinite(synthesize(provider, grid, 30).values))
+
+    def test_reflection_pole_computes_the_direct_values_once(self):
+        # two K-types with a pole of the reflection scalar at ell = -19
+        # share one direct evaluation, next to the one reflected one
+        grid = SphereGrid(96, 48)
+        f = GridFunction(grid, sum(make_bump(BumpSpec(1.4, ktype=m), grid).values
+                                   for m in (19, 20)))
+        provider = ExtendProvider(f)
+        assert provider.ktypes == frozenset({19, 20})
+        powers = []
+        values = provider._values
+        provider._values = lambda power: powers.append(power) or values(power)
+        got = provider.eval_many([-19.0])
+        assert powers == [18.0, -19.0]
+        for j, m in enumerate((19, 20)):
+            ref, floor = extend_reference(f, [-19.0], m)
+            assert abs(got[0, j] - ref[0]) <= 10.0 * floor[0]
 
 
 class TestSynthesizeProviderErrors:
