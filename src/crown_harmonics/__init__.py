@@ -34,9 +34,6 @@ from .sphere import (
 )
 from .intertwining import (
     intertwiner_rational,
-    intertwiner_scalar,
-    probe_integral,
-    sample_intertwiner,
     singular_distance,
 )
 from .transform import (
@@ -133,7 +130,6 @@ __all__ = [
     "gauss_legendre",
     "intertwine_check",
     "intertwiner_rational",
-    "intertwiner_scalar",
     "kernel_mode",
     "kernel_mode_profiles",
     "kostant_ratio",
@@ -144,13 +140,11 @@ __all__ = [
     "loads_table",
     "make_bump",
     "oracle_sht",
-    "probe_integral",
     "pw_report",
     "random_bandlimited",
     "random_table",
     "reduction_synthesize",
     "run_acceptance",
-    "sample_intertwiner",
     "sample_line",
     "sigma_action",
     "singular_distance",

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularParameterError,
 )
-from .intertwining import sample_intertwiner
+from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
 from .paley_wiener import Calibration, pw_report
 from .serialization import (
     dumps_grid_function,
@@ -176,16 +176,11 @@ def _cmd_intertwiner_dump(args) -> int:
     ts = np.arange(-2.0, 2.0 + 1e-9, 0.25)
     blocks = []
     for m in range(args.m_max + 1):
-        samples = sample_intertwiner(m, ts)
+        regular = ts[singular_distance(m, ts) >= POLE_TOL]
         rows = ",".join(
-            '{"t_re": %s, "t_im": %s, "re": %s, "im": %s}'
-            % (
-                format_float(t.real),
-                format_float(t.imag),
-                format_float(v.real),
-                format_float(v.imag),
-            )
-            for t, v in sorted(samples.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+            '{"t_re": %s, "t_im": 0, "re": %s, "im": 0}'
+            % (format_float(t), format_float(v))
+            for t, v in zip(regular.tolist(), intertwiner_rational(m, regular).tolist())
         )
         blocks.append('{"m": %d, "samples": [%s]}' % (m, rows))
     _write_text(
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_pw_report)
 
-    p = sub.add_parser("intertwiner-dump", help="table of intertwining scalars on a t-lattice")
+    p = sub.add_parser("intertwiner-dump", help="table of the closed-form scalars b_m on a real t-lattice")
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_intertwiner_dump)

@@ -1,23 +1,28 @@
 """Normalized intertwining scalars on each K-type.
 
-For K-type m and spectral parameter t define the probe integral
+Each K-type of the spectral transform obeys the reflection identity
+phi(-l-1, m) = b_m(-l-1/2) phi(l, m) with the rational scalar
+
+    b_m(t) = prod_{j=0}^{|m|-1} (1/2 - t + j) / (1/2 + t + j),
+
+which intertwiner_rational evaluates and which is the library's only
+route to b_m. The zonal scalar b_0 is identically 1.
+
+The acceptance checks measure the same scalar independently. For
+K-type m and spectral parameter t the probe integral
 
     F_m(t; theta) = (1/2*pi) * integral of Q((theta,0), c)^(-t-1/2)
-                    * exp(-i m c) dc.
+                    * exp(-i m c) dc
 
-The normalized intertwining scalar is the ratio
-
-    b_m(t) = F_m(-t; theta) / F_m(t; theta),
-
-and the operative fact (tested, not assumed) is that the ratio does not
-depend on the probe colatitude theta. Each probe integral is one mode
-of sphere.kernel_mode_profiles, the folded 512-sample boundary rule of
-every complex-degree kernel mode. The zonal scalar b_0 is identically 1. A closed-form rational candidate is provided separately
-and is validated against the quadrature ratio by the test suite before
-any other module is allowed to lean on it.
+is one mode of sphere.kernel_mode_profiles, and the ratio
+F_m(-t; theta) / F_m(t; theta) equals b_m(t) at every probe colatitude
+theta. probe_integral and intertwiner_scalar compute that ratio for
+verify only.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import SingularParameterError
 from .sphere import boundary_log_pairing, kernel_mode_profiles
@@ -29,6 +34,9 @@ _PROBE_LADDER = (0.5, 0.2, 1.0, 0.35, 0.8, 1.2)
 #: a probe counts as degenerate when the denominator is this small
 #: relative to the pair of integrals at that probe
 _DEGENERATE_REL = 1e-12
+
+#: a parameter this close to the pole set of b_m counts as a pole
+POLE_TOL = 1e-14
 
 
 def probe_integral(m: int, t, theta: float) -> complex:
@@ -58,52 +66,31 @@ def intertwiner_scalar(m: int, t) -> complex:
     )
 
 
-def intertwiner_rational(m: int, t) -> complex:
-    """Closed-form rational candidate for b_m(t).
+def intertwiner_rational(m: int, t):
+    """b_m(t) = prod_{j=0}^{|m|-1} (1/2 - t + j) / (1/2 + t + j).
 
-    b_m(t) = prod_{j=0}^{|m|-1} (1/2 - t + j) / (1/2 + t + j),
-
-    equivalent to the gamma ratio
+    Equivalent to the gamma ratio
     [Gamma(t+1/2)/Gamma(t+1/2+|m|)] * [Gamma(1/2-t+|m|)/Gamma(1/2-t)].
-    The test suite confirms this against intertwiner_scalar before the
-    transform layer uses it for reflected evaluation. Poles at
-    t = -1/2 - j for j < |m| raise SingularParameterError.
+    t is a scalar or an array, and the product is taken with numpy
+    over a trailing axis, so the result has the shape and the dtype of
+    t (real t gives a real product, exact at the reflected integers
+    t = -n-1/2). A t within POLE_TOL of a pole (see singular_distance)
+    raises SingularParameterError.
     """
-    t = complex(t)
-    value = complex(1.0)
-    for j in range(abs(int(m))):
-        den = 0.5 + t + j
-        if abs(den) < 1e-14:
-            raise SingularParameterError(
-                f"closed-form b_{m} has a pole at t = {t}"
-            )
-        value *= (0.5 - t + j) / den
-    return value
+    t = np.asarray(t)
+    if np.any(singular_distance(m, t) < POLE_TOL):
+        raise SingularParameterError(f"closed-form b_{m} has a pole at t = {t}")
+    t = t[..., None]
+    js = np.arange(abs(int(m)))
+    return np.prod((0.5 - t + js) / (0.5 + t + js), axis=-1)
 
 
-def singular_distance(m: int, t) -> float:
+def singular_distance(m: int, t):
     """Distance from t to the nearest pole of b_m (inf for the zonal type).
 
-    The pole set {-1/2 - j : j = 0..|m|-1} is the one exhibited by the
-    validated closed form; symmetry checks skip samples that come
-    within a small distance of it.
+    The pole set is {-1/2 - j : j = 0..|m|-1}; t is a scalar or an
+    array. Symmetry checks skip samples that come within a small
+    distance of it.
     """
-    m = abs(int(m))
-    if m == 0:
-        return float("inf")
-    t = complex(t)
-    return min(abs(t + 0.5 + j) for j in range(m))
-
-
-def sample_intertwiner(m: int, ts) -> dict:
-    """Evaluate b_m over an iterable of parameters as {t: b_m(t)}.
-
-    Singular parameters are skipped.
-    """
-    out = {}
-    for t in ts:
-        try:
-            out[complex(t)] = complex(intertwiner_scalar(m, t))
-        except SingularParameterError:
-            continue
-    return out
+    js = np.arange(abs(int(m)))
+    return np.min(np.abs(np.asarray(t)[..., None] + 0.5 + js), axis=-1, initial=np.inf)

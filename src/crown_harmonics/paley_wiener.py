@@ -3,22 +3,22 @@
 Given a coefficient provider, this module estimates the exponential
 type along the tempered line, measures polynomially-weighted decay
 constants on a disc of spectral parameters, checks the reflection
-symmetry against independently measured intertwining scalars, and
-combines the three into a per-radius verdict: the spectral data is
-consistent with support in a cap of that radius or it is not.
+symmetry against the closed-form intertwining scalars, and combines
+the three into a per-radius verdict: the spectral data is consistent
+with support in a cap of that radius or it is not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
-from .intertwining import intertwiner_scalar, singular_distance
-from .errors import SingularParameterError
+from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
 
 DEFAULT_WEYL_RE = (0.3, 0.8, 1.3, 1.8)
 DEFAULT_WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
@@ -37,7 +37,8 @@ class Calibration:
     each decay constant when the sampling lattice is doubled. The line
     and disc sampling parameters are exposed so the verdict is fully
     reproducible from the report alone. A non-finite or out-of-range
-    value raises SchemaError.
+    value, or a decay_kmax or n_samples that is not an int (a bool
+    counts as not), raises SchemaError.
     """
 
     weyl_tol: float = 1e-6
@@ -52,6 +53,9 @@ class Calibration:
 
     def __post_init__(self):
         broken = [f"finite {k}" for k, v in self.as_dict().items() if not math.isfinite(v)]
+        broken += [f"integer {k}" for k in ("decay_kmax", "n_samples")
+                   if isinstance(getattr(self, k), bool)
+                   or not isinstance(getattr(self, k), numbers.Integral)]
         broken += [rule for rule, holds in (
             ("weyl_tol > 0", self.weyl_tol > 0), ("type_slack >= 0", self.type_slack >= 0),
             ("decay_ratio_max > 0", self.decay_ratio_max > 0), ("t_max > 0", self.t_max > 0),
@@ -246,46 +250,45 @@ def weyl_lattice(ktypes, re_parts=DEFAULT_WEYL_RE, im_parts=DEFAULT_WEYL_IM):
 
 
 def _weyl_residual_detail(provider, lattice, singular_skip):
-    samples = []
-    for ell, m in lattice:
-        ell = complex(ell)
-        t = -ell - 0.5
-        if singular_distance(m, t) < singular_skip:
-            continue
-        try:
-            samples.append((ell, m, intertwiner_scalar(m, t)))
-        except SingularParameterError:
-            continue
-    if not samples:
+    ells = np.array([complex(ell) for ell, _ in lattice], dtype=complex)
+    ms = np.array([int(m) for _, m in lattice], dtype=int)
+    margin = max(singular_skip, POLE_TOL)
+    used = np.zeros(ells.size, dtype=bool)
+    for m in set(ms.tolist()):
+        on = ms == m
+        used[on] = singular_distance(m, -ells[on] - 0.5) >= margin
+    if not used.any():
         raise NumericalError(
             "every symmetry sample sat within the singular skip margin"
         )
-    # one eval_many call per side of the identity, over the distinct ells
-    ells = list(dict.fromkeys(ell for ell, _, _ in samples))
-    row = {ell: i for i, ell in enumerate(ells)}
-    column = {m: j for j, m in enumerate(sorted(provider.ktypes))}
-    reflected = provider.eval_many([-ell - 1.0 for ell in ells])
-    direct = provider.eval_many(ells)
+    # one eval_many call per side of the identity, over the distinct ells;
+    # a K-type outside the provider's set has both sides exactly 0
+    ells, ms = ells[used], ms[used]
+    distinct, row = np.unique(ells, return_inverse=True)
+    reflected = provider.eval_many((-distinct - 1.0).tolist())
+    direct = provider.eval_many(distinct.tolist())
     worst = 0.0
-    for ell, m, b in samples:
-        if m not in column:
-            continue  # both sides are exactly 0
-        lhs = complex(reflected[row[ell], column[m]])
-        rhs = b * complex(direct[row[ell], column[m]])
-        scale = max(abs(lhs), abs(rhs))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst, len(samples), len(lattice) - len(samples)
+    for j, m in enumerate(sorted(provider.ktypes)):
+        rows = row[ms == m]
+        lhs = reflected[rows, j]
+        rhs = intertwiner_rational(m, -distinct[rows] - 0.5) * direct[rows, j]
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        nonzero = scale > 0.0
+        if nonzero.any():
+            worst = max(worst, float(np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero])))
+    return worst, int(used.sum()), int((~used).sum())
 
 
 def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3) -> float:
     """Worst relative defect of phi(-l-1, m) = b_m(-l-1/2) phi(l, m).
 
-    The scalar b_m comes from the independent probe-ratio route, not
-    from the closed form, so agreement here is evidence rather than
-    tautology. Samples closer than singular_skip to a pole of the
-    scalar are skipped; skipping everything raises NumericalError.
+    b_m is the closed form intertwiner_rational, one vectorised product
+    per K-type over the lattice, and both sides are provider values, so
+    the residual is the theorem's symmetry condition for any provider.
+    For an ExtendProvider on the default lattice both sides come from
+    the direct route, which never uses b_m. Samples closer than
+    singular_skip to a pole of the scalar, and samples on a pole, are
+    skipped; skipping everything raises NumericalError.
     """
     if lattice is None:
         lattice = weyl_lattice(provider.ktypes)

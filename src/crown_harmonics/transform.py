@@ -39,9 +39,8 @@ from .errors import (
     GridResolutionError,
     ProviderError,
     SchemaError,
-    SingularParameterError,
 )
-from .intertwining import intertwiner_rational
+from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     SUPPORT_REL_THRESHOLD,
@@ -259,33 +258,33 @@ class ExtendProvider(CoefficientProvider):
         ms = sorted(self.ktypes)
         if not ms:
             return np.zeros((len(ells), 0), dtype=complex)
-        ells = [ell_value(ell) for ell in ells]
+        ells = np.array([ell_value(ell) for ell in ells], dtype=complex)
         out = np.zeros((len(ells), len(ms)), dtype=complex)
         if self.is_zero:
             return out
+        reflect = np.zeros(len(ells), dtype=bool)
         for i, ell in enumerate(ells):
-            # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q
+            # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q.
+            # Where the direct power would cancel catastrophically, take the
+            # values at -ell-1 and apply the reflection below
             a = ell.real * self._log_re - ell.imag * self._log_im
             log_amp = a.max()
-            if (log_amp > _LOG_AMP_DIRECT_MAX
-                    and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN):
-                # direct power would cancel catastrophically; route through
-                # the reflection functional equation phi(ell) =
-                # b_m(ell + 1/2) * phi(-ell - 1), whose closed form is
-                # validated against the quadrature ratio by the test suite.
-                reflected = self._values(-ell - 1.0)
-                direct = None
-                for j, m in enumerate(ms):
-                    try:
-                        out[i, j] = intertwiner_rational(m, ell + 0.5) * reflected[j]
-                    except SingularParameterError:
-                        # ell = -n-1 with n < |m|: the identity reads 0 * inf
-                        # there, so only the direct value exists
-                        if direct is None:
-                            direct = self._values(ell)
-                        out[i, j] = direct[j]
-            else:
-                out[i] = self._values(ell)
+            reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX
+                          and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+            out[i] = self._values(-ell - 1.0 if reflect[i] else ell)
+        rows = np.flatnonzero(reflect)
+        if not rows.size:
+            return out
+        # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), one closed-form b_m per
+        # K-type over the reflected points; at ell = -n-1 with n < |m| the
+        # identity reads 0 * inf, so only the direct value exists
+        t = ells[rows] + 0.5
+        pole = np.array([singular_distance(m, t) < POLE_TOL for m in ms]).T
+        for j, m in enumerate(ms):
+            out[rows[~pole[:, j]], j] *= intertwiner_rational(m, t[~pole[:, j]])
+        for i, at_pole in zip(rows, pole):
+            if at_pole.any():
+                out[i, at_pole] = self._values(ells[i])[at_pole]
         return out
 
     def eval(self, ell, m: int) -> complex:
@@ -306,10 +305,10 @@ class TableProvider(CoefficientProvider):
     """Provider backed by an integer coefficient table.
 
     Evaluates on the integer spectrum directly and on its reflection
-    -n-1 through the functional equation phi(-n-1) = b_m(-n-1/2) phi(n)
-    with the closed-form scalar b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n),
-    computed with numpy for every n of the batch one order at a time;
-    entries with |m| > n are exact zeros. Any other parameter is outside
+    -n-1 through the functional equation phi(-n-1) = b_m(-n-1/2) phi(n),
+    with intertwiner_rational at the real parameters -n-1/2 of the batch,
+    one call per order; there b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n).
+    Entries with |m| > n are exact zeros. Any other parameter is outside
     the table's reach and raises ProviderError, after the whole batch is
     checked and before any value is computed.
     """
@@ -341,10 +340,8 @@ class TableProvider(CoefficientProvider):
         out[direct] = values[ls[direct][:, None], np.array(ms) + lmax]
         for j, m in enumerate(ms):
             rows = np.flatnonzero(-ls - 1 >= abs(m))
-            n = (-ls[rows] - 1)[:, None]
-            js = np.arange(abs(m))
-            scalars = np.prod((n + 1 + js) / (js - n), axis=1)
-            out[rows, j] = scalars * values[n[:, 0], m + lmax]
+            n = -ls[rows] - 1
+            out[rows, j] = intertwiner_rational(m, -n - 0.5) * values[n, m + lmax]
         return out
 
     def eval(self, ell, m: int) -> complex:

@@ -188,6 +188,18 @@ class TestIntertwinerDump:
         assert -0.5 not in m1  # singular point skipped
         assert abs(m1[-1.5] - (-2.0)) < 1e-12
 
+    def test_dump_skips_poles_and_prints_the_closed_form(self, capsys):
+        from crown_harmonics.intertwining import intertwiner_rational
+
+        assert main(["intertwiner-dump", "--m-max", "3"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["scalars"]
+        m2 = {row["t_re"] for row in blocks[2]["samples"]}
+        assert -0.5 not in m2 and -1.5 not in m2
+        assert 0.5 in m2
+        for block in blocks:
+            for row in block["samples"]:
+                assert row["t_im"] == 0
+                assert complex(row["re"], row["im"]) == intertwiner_rational(block["m"], row["t_re"])
 
     def test_negative_m_max_is_schema_error(self, capsys):
         rc = main(["intertwiner-dump", "--m-max", "-2"])

@@ -1,8 +1,8 @@
 """Tests for the reflection scalars: closed form vs quadrature ratio.
 
-The closed-form product and the probe-ratio measurement are
-independent routes; their agreement on generic parameters is the main
-event here. Frozen values: b_0 is identically 1, b_1(-3/2) = -2.
+The closed-form product is the library's b_m; the probe-ratio
+measurement is an independent route kept for verify, and their
+agreement on generic parameters is the main event here. Frozen values: b_0 is identically 1, b_1(-3/2) = -2.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from crown_harmonics.intertwining import (
     intertwiner_rational,
     intertwiner_scalar,
     probe_integral,
-    sample_intertwiner,
     singular_distance,
 )
 from crown_harmonics.sphere import SphereGrid
@@ -53,6 +52,25 @@ class TestClosedForm:
         for m, t in ((1, -0.5), (2, -1.5), (3, -2.5)):
             with pytest.raises(SingularParameterError):
                 intertwiner_rational(m, t)
+        # one pole anywhere in an array raises for the whole array
+        with pytest.raises(SingularParameterError):
+            intertwiner_rational(2, np.array([0.3, -1.5]))
+
+    def test_array_matches_scalar_calls(self):
+        ts = np.array(GENERIC_TS).reshape(1, 5)
+        for m in (0, 1, 3):
+            got = intertwiner_rational(m, ts)
+            assert got.shape == (1, 5) and got.dtype == complex
+            assert np.array_equal(got[0], [intertwiner_rational(m, t) for t in GENERIC_TS])
+
+    def test_real_parameters_give_a_real_product(self):
+        # at t = -n-1/2 every factor is a ratio of integers, so the real
+        # product equals prod (n+1+j)/(j-n) bit for bit
+        n = np.arange(3, 40)
+        got = intertwiner_rational(3, -n - 0.5)
+        assert got.dtype == np.float64
+        js = np.arange(3)
+        assert np.array_equal(got, np.prod((n[:, None] + 1 + js) / (js - n[:, None]), axis=1))
 
 
 class TestQuadratureScalar:
@@ -116,9 +134,9 @@ class TestSingularBookkeeping:
         assert singular_distance(2, -2.5) >= 1.0
         assert singular_distance(3, -2.5) == 0.0
 
-    def test_sample_intertwiner_skips_singular_points(self):
-        ts = [-2.5, -1.5, -0.5, 0.5, 1.5]
-        kept = set(sample_intertwiner(2, ts))
-        assert complex(-0.5) not in kept
-        assert complex(-1.5) not in kept
-        assert complex(0.5) in kept
+    def test_singular_distance_over_an_array(self):
+        ts = np.array([-2.5, -1.3, 0.4 + 0.3j])
+        got = singular_distance(2, ts)
+        assert got.shape == (3,)
+        assert got[0] == 1.0 and abs(got[1] - 0.2) < 1e-14 and abs(got[2] - abs(0.9 + 0.3j)) < 1e-14
+        assert np.all(singular_distance(0, ts) == np.inf)

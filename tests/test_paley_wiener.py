@@ -138,6 +138,33 @@ class TestWeylResidual:
         provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         assert weyl_residual(provider) > 0.1
 
+    def test_sample_on_a_pole_is_skipped(self):
+        # ell = 0 is t = -1/2, the pole of b_1: with no skip margin the
+        # sample is dropped rather than raising, as before
+        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
+        wr = weyl_residual(provider, lattice=[(0j, 1), (0.3 + 0.4j, 1)], singular_skip=0.0)
+        assert math.isfinite(wr)
+        assert wr == weyl_residual(provider, lattice=[(0.3 + 0.4j, 1)], singular_skip=0.0)
+
+    @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("cls", ["smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8"])
+    def test_symmetry_lattice_takes_the_direct_route(self, cls, r):
+        # the residual multiplies provider values by the closed-form b_m;
+        # if ExtendProvider reflected either side, it would apply the same
+        # b_m and the check would hold by construction
+        grid = SphereGrid(144, 8)
+        if cls == "two-type":
+            f = GridFunction(grid, make_bump(BumpSpec(0.6 * r), grid).values
+                             + make_bump(BumpSpec(r, ktype=2), grid).values)
+        else:
+            spec = {"smooth-zonal": BumpSpec(r), "smooth-ktype1": BumpSpec(r, ktype=1),
+                    "cospow-p8": BumpSpec(r, "cospow", p=8)}[cls]
+            f = make_bump(spec, grid)
+        provider = ExtendProvider(f)
+        ells = list(dict.fromkeys(ell for ell, _ in weyl_lattice(provider.ktypes)))
+        for ell in ells + [-ell - 1.0 for ell in ells]:
+            assert np.array_equal(provider.eval_many([ell])[0], provider._values(ell)), ell
+
     def test_lattice_shape(self):
         lattice = weyl_lattice((0, 1))
         assert len(lattice) == 2 * 4 * 4
@@ -168,6 +195,10 @@ class TestCalibration:
         ("n_samples", 7),
         ("tail_fraction", 0.0),
         ("tail_fraction", 1.5),
+        ("decay_kmax", 1.5),
+        ("decay_kmax", True),
+        ("n_samples", 80.5),
+        ("n_samples", True),
     ])
     def test_rejects_out_of_range_values(self, key, value):
         with pytest.raises(SchemaError):

@@ -20,19 +20,18 @@ PUBLIC_NAMES = [
     "boundary_log_pairing", "bridge_factor_candidate", "bridge_factors",
     "cap_quadrature", "decay_constants", "dumps_grid_function", "dumps_report",
     "dumps_table", "extend", "format_float", "gauss_legendre",
-    "intertwine_check", "intertwiner_rational", "intertwiner_scalar",
-    "kernel_mode", "kernel_mode_profiles", "kostant_ratio", "ladder_components",
-    "legendre_p", "line_scan_csv", "loads_grid_function", "loads_table",
-    "make_bump", "oracle_sht", "probe_integral", "pw_report",
-    "random_bandlimited", "random_table", "reduction_synthesize", "run_acceptance",
-    "sample_intertwiner", "sample_line", "sigma_action", "singular_distance",
-    "support_radius", "synthesize", "type_estimate", "weyl_lattice",
-    "weyl_residual",
+    "intertwine_check", "intertwiner_rational", "kernel_mode",
+    "kernel_mode_profiles", "kostant_ratio", "ladder_components", "legendre_p",
+    "line_scan_csv", "loads_grid_function", "loads_table", "make_bump",
+    "oracle_sht", "pw_report", "random_bandlimited", "random_table",
+    "reduction_synthesize", "run_acceptance", "sample_line", "sigma_action",
+    "singular_distance", "support_radius", "synthesize", "type_estimate",
+    "weyl_lattice", "weyl_residual",
 ]
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 63
     assert sorted(crown_harmonics.__all__) == PUBLIC_NAMES
 
 
