@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
 from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
+from .transform import ray_points
 
 DEFAULT_WEYL_RE = (0.3, 0.8, 1.3, 1.8)
 DEFAULT_WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
@@ -90,17 +91,20 @@ class TypeEstimate:
 def sample_line(provider, t_max: float = 40.0, n_samples: int = 160):
     """Sample |phi(-1/2 + it, m)| for t in (0, t_max], K-type by K-type.
 
-    Returns (ts, magnitudes) with magnitudes of shape (number of
-    K-types, n_samples), one row per K-type in ascending order, from one
-    eval_many call. Overflow in the provider is reported with the
-    largest t that was still evaluated cleanly.
+    The samples are the ray -1/2 + i t_max/n_samples (j + 1), j = 0..
+    n_samples - 1, from one eval_rays call. Returns (ts, magnitudes),
+    where ts are the evaluated t and magnitudes has shape (number of
+    K-types, n_samples), one row per K-type in ascending order.
+    Overflow in the provider is reported with the largest t that was
+    still evaluated cleanly.
     """
     if t_max <= 0 or n_samples < 8:
         raise SchemaError("need t_max > 0 and at least 8 line samples")
     if not provider.ktypes:
         raise SchemaError("provider exposes no azimuthal types")
-    ts = np.linspace(t_max / n_samples, t_max, n_samples)
-    values = provider.eval_many(-0.5 + 1j * ts)
+    step = 1j * (t_max / n_samples)
+    ts = ray_points(-0.5 + step, step, n_samples)[0].imag
+    values = provider.eval_rays(-0.5 + step, step, n_samples)
     clean = np.all(np.isfinite(values), axis=1)
     if not clean.all():
         i = int(np.argmin(clean))
@@ -174,29 +178,39 @@ def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
 # decay constants on a spectral disc
 
 
-def _disc_points(disc_radius: float, n_radii: int, n_angles: int) -> np.ndarray:
-    radii = disc_radius * np.arange(1, n_radii + 1) / n_radii
+def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
+    """(origins, steps) of the disc lattice: one ray of n_radii points per angle,
+    from -1/2 + step with step (disc_radius / n_radii) e^{i angle}."""
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    return (-0.5 + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    steps = disc_radius / n_radii * np.exp(1j * angles)
+    return -0.5 + steps, steps
+
+
+def _disc_points(disc_radius: float, n_radii: int, n_angles: int) -> np.ndarray:
+    """The points of _disc_rays, radius-major: row k is radius (k + 1) R / n_radii."""
+    return ray_points(*_disc_rays(disc_radius, n_radii, n_angles), n_radii).T.ravel()
 
 
 def decay_profile(provider, disc_radius: float = 20.0):
     """Evaluate max_m |phi| on two nested lattices over |l + 1/2| <= R.
 
-    The provider is evaluated once, on the refined lattice; the base
-    lattice is every other radius and angle of it, the same points
-    _disc_points gives for the base sizes. So every weighted maximum
-    computed from the refined lattice dominates the base value and the
-    doubling ratio is at least 1 by construction. Returns (base_pts,
-    base_mags, dense_pts, dense_mags); evaluate once, reuse for every
-    radius.
+    The provider is evaluated once, on the refined lattice, in one
+    eval_rays call over its 32 rays of 16 points; the base lattice is
+    every other radius and angle of it, the points of the base sizes'
+    rays up to roundoff. So every weighted maximum computed from the
+    refined lattice dominates the base value and the doubling ratio is
+    at least 1 by construction. Returns (base_pts, base_mags,
+    dense_pts, dense_mags), radius-major with the points as evaluated;
+    evaluate once, reuse for every radius.
     """
     ktypes = sorted(provider.ktypes)
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
     n_radii, n_angles = 2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES
     dense_pts = _disc_points(disc_radius, n_radii, n_angles)
-    values = provider.eval_many(dense_pts)
+    # ray-major (angle, radius) to the radius-major layout of dense_pts
+    values = provider.eval_rays(*_disc_rays(disc_radius, n_radii, n_angles), n_radii)
+    values = values.reshape(n_angles, n_radii, -1).transpose(1, 0, 2).reshape(dense_pts.size, -1)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
@@ -344,8 +358,9 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     the calibrated order are finite and stable under doubling the disc
     lattice, and the reflection-symmetry residual is below tolerance.
     The expensive pieces (line scan, disc scan, symmetry lattice) are
-    computed once, each from one eval_many call (two for the two sides
-    of the symmetry identity), and shared across all candidate radii.
+    computed once and shared across all candidate radii: the line and
+    the disc from one eval_rays call each, the symmetry lattice from one
+    eval_many call per side of the identity.
     """
     calib = calibration or Calibration()
     radii = sorted(float(r) for r in candidate_radii)

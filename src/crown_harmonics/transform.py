@@ -28,7 +28,9 @@ one.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
     CrownDomainError,
     CrownHarmonicsError,
     GridResolutionError,
+    NumericalError,
     ProviderError,
     SchemaError,
 )
@@ -143,7 +146,9 @@ class CoefficientProvider:
     nonzero. eval_many(ells) returns an array of shape (len(ells),
     len(ktypes)) whose column j holds the K-type sorted(ktypes)[j];
     eval(ell, m) is one entry of it, and exactly 0 for m outside the
-    declared set. A scalar provider overrides eval only: the base
+    declared set. eval_rays(origins, steps, n) is eval_many over the
+    arithmetic progressions origins[i] + j steps[i], j = 0..n-1, rows in
+    ray-major order. A scalar provider overrides eval only: the base
     eval_many loops over it and reports a library error or an
     ArithmeticError as a ProviderError naming (ell, m), with the
     original as its __cause__; any other exception propagates. A
@@ -155,6 +160,15 @@ class CoefficientProvider:
 
     def eval(self, ell, m: int) -> complex:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
+        """eval_many over the points origins[i] + j steps[i], j = 0..n-1, ray-major.
+
+        The base class expands the points (see ray_points) and makes one
+        eval_many call; a provider that can step along a progression
+        overrides this and returns the same array.
+        """
+        return self.eval_many(ray_points(origins, steps, n).ravel())
 
     def eval_many(self, ells) -> np.ndarray:
         ms = sorted(self.ktypes)
@@ -168,6 +182,21 @@ class CoefficientProvider:
                         f"provider failed at (ell={_format_ell(ell)}, m={m}): {exc}",
                         ell=ell, m=m) from exc
         return out
+
+
+def ray_points(origins, steps, n: int) -> np.ndarray:
+    """The points origins[i] + j steps[i], j = 0..n-1, as a (rays, n) array.
+
+    steps broadcasts against origins; column 0 holds the origins as given.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise SchemaError(f"a ray needs an integer point count n >= 0, got {n!r}")
+    origins = np.atleast_1d(np.asarray(origins, dtype=complex))
+    steps = np.broadcast_to(np.asarray(steps, dtype=complex), origins.shape)
+    points = origins[:, None] + steps[:, None] * np.arange(n)
+    if n:
+        points[:, 0] = origins
+    return points
 
 
 def _format_ell(ell) -> str:
@@ -188,9 +217,14 @@ class ExtendProvider(CoefficientProvider):
 
     Precomputes, on the significant rows of f, the half-boundary log
     table of sphere.boundary_log_pairing, one weighted row vector per
-    K-type and the sphere.boundary_fold weights of the K-types; eval_many
-    then costs one kernel exponential per spectral parameter, shared by
-    all K-types. It is the folded rule of sphere.kernel_mode_profiles
+    K-type and the sphere.boundary_fold weights of the K-types. eval_rays
+    steps the kernel along each ray, since Q^(ell + step) = Q^ell Q^step:
+    a run of points on one route (direct, or reflected through -ell-1)
+    starts with one kernel exponential, and every further point costs one
+    in-place multiply by the step kernel Q^step, itself one exponential
+    per route and ray. The kernel is shared by all K-types. eval_many is
+    eval_rays with one point per ray, so a single point takes an exact
+    exponential. It is the folded rule of sphere.kernel_mode_profiles
     with the sum over rows taken first, since the K-types are far fewer
     than the rows. A K-type's row vector keeps only the rows where its
     own azimuthal mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on
@@ -249,35 +283,71 @@ class ExtendProvider(CoefficientProvider):
         own = magnitude > SUPPORT_REL_THRESHOLD * magnitude.max(axis=0)
         self._weighted = np.where(own, f.grid.theta_weights[mask][:, None] * columns, 0.0).T
 
-    def _values(self, power: complex) -> np.ndarray:
-        """sum over rows of w f_m G_m(power; theta) for every K-type m."""
-        kernel = np.exp(power * self._log_q)
+    def _kernel(self, power: complex) -> np.ndarray:
+        """Q^power on the half-boundary samples of the significant rows."""
+        return np.exp(power * self._log_q)
+
+    def _contract(self, kernel: np.ndarray) -> np.ndarray:
+        """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
         return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
 
+    def _values(self, power: complex) -> np.ndarray:
+        """The direct-route values at power, from an exact kernel exponential."""
+        return self._contract(self._kernel(power))
+
+    def _reflects(self, ell: complex) -> bool:
+        # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q.
+        # Where the direct power would cancel catastrophically, take the
+        # values at -ell-1 and apply the reflection afterwards
+        a = ell.real * self._log_re - ell.imag * self._log_im
+        log_amp = a.max()
+        return bool(log_amp > _LOG_AMP_DIRECT_MAX
+                    and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+
     def eval_many(self, ells) -> np.ndarray:
+        return self.eval_rays(ells, 0.0, 1)
+
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
         ms = sorted(self.ktypes)
-        if not ms:
-            return np.zeros((len(ells), 0), dtype=complex)
-        ells = np.array([ell_value(ell) for ell in ells], dtype=complex)
-        out = np.zeros((len(ells), len(ms)), dtype=complex)
-        if self.is_zero:
+        points = ray_points(origins, steps, n)
+        if not np.all(np.isfinite(points)):
+            raise SchemaError("spectral parameter must be finite")
+        out = np.zeros((points.size, len(ms)), dtype=complex)
+        if not ms or self.is_zero:
             return out
-        reflect = np.zeros(len(ells), dtype=bool)
-        for i, ell in enumerate(ells):
-            # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q.
-            # Where the direct power would cancel catastrophically, take the
-            # values at -ell-1 and apply the reflection below
-            a = ell.real * self._log_re - ell.imag * self._log_im
-            log_amp = a.max()
-            reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX
-                          and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN)
-            out[i] = self._values(-ell - 1.0 if reflect[i] else ell)
-        rows = np.flatnonzero(reflect)
+        steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
+        reflect = np.zeros(points.shape, dtype=bool)
+        for i, (ray, step) in enumerate(zip(points, steps)):
+            # per route: the kernel, the step kernel and the index of the
+            # last point. A run of the route starts with an exact Q^power;
+            # each further point multiplies in place by Q^step. The
+            # reflected points -ell-1 of a ray form a ray of step -step.
+            # An overflowed sample times an underflowed one is nan where
+            # the exact power may be finite, so a run ends at a value that
+            # is not finite, and a step kernel that is not finite is not
+            # used
+            runs = {}
+            for j, ell in enumerate(ray):
+                route = reflect[i, j] = self._reflects(ell)
+                power, delta = (-ell - 1.0, -step) if route else (ell, step)
+                kernel, step_kernel, last = runs.get(route, (None, None, None))
+                if last == j - 1 and step_kernel is None:
+                    step_kernel = self._kernel(delta)
+                    if not np.all(np.isfinite(step_kernel)):
+                        step_kernel = False
+                if last == j - 1 and step_kernel is not False:
+                    kernel *= step_kernel
+                else:
+                    kernel = self._kernel(power)
+                values = out[i * n + j] = self._contract(kernel)
+                runs[route] = (kernel, step_kernel, j if np.all(np.isfinite(values)) else None)
+        rows = np.flatnonzero(reflect.ravel())
         if not rows.size:
             return out
         # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), one closed-form b_m per
         # K-type over the reflected points; at ell = -n-1 with n < |m| the
         # identity reads 0 * inf, so only the direct value exists
+        ells = points.ravel()
         t = ells[rows] + 0.5
         pole = np.array([singular_distance(m, t) < POLE_TOL for m in ms]).T
         for j, m in enumerate(ms):
@@ -296,9 +366,15 @@ def extend(f: GridFunction, ell, m: int) -> complex:
 
     Requires the support of f to stay inside the crown cap (checked via
     support_radius). At integer ell this agrees with the analyze table;
-    off the integers it is the holomorphic interpolation of it.
+    off the integers it is the holomorphic interpolation of it. A value
+    that is not finite (the kernel overflowed) raises NumericalError.
     """
-    return ExtendProvider(f, ktypes=(m,)).eval(ell, m)
+    value = ExtendProvider(f, ktypes=(m,)).eval(ell, m)
+    if not cmath.isfinite(value):
+        raise NumericalError(
+            f"extension not finite at (ell={_format_ell(ell)}, m={int(m)}): "
+            "the kernel power overflowed")
+    return value
 
 
 class TableProvider(CoefficientProvider):
@@ -355,10 +431,10 @@ class TableProvider(CoefficientProvider):
 def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
-    The provider is evaluated in one eval_many call at the reflected
-    parameters -l-1 for l = k..lmax in ascending l, where k is the
-    smallest |m| among its K-types with |m| <= lmax; for each such
-    K-type m the values with l >= |m|, weighted by 2l + 1, are
+    The provider is evaluated in one eval_rays call, on the one ray of
+    reflected parameters -l-1 for l = k..lmax (origin -k-1, step -1),
+    where k is the smallest |m| among its K-types with |m| <= lmax; for
+    each such K-type m the values with l >= |m|, weighted by 2l + 1, are
     contracted with the closed-form kernel modes G_m(l; theta) into one
     radial profile (terms with |m| > l vanish identically and their
     values are not used). An inverse azimuthal FFT then assembles the
@@ -370,9 +446,9 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     ExtendProvider, come from the 512-sample boundary rule, where mode m
     of degree l aliases unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum
     that would include such a term raises GridResolutionError up front.
-    Provider failures follow the eval_many contract: a ProviderError
-    naming the parameter for library errors and ArithmeticErrors, any
-    other exception propagates.
+    Provider failures follow the eval_many contract, which eval_rays
+    keeps: a ProviderError naming the parameter for library errors and
+    ArithmeticErrors, any other exception propagates.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
@@ -391,7 +467,7 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     orders = sorted({abs(m) for m in ms if abs(m) <= lmax})
     if orders:
         ls = np.arange(orders[0], lmax + 1)
-        values = provider.eval_many(-ls - 1.0) * (2 * ls + 1)[:, None]
+        values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
         for k in orders:
             modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
             for m in sorted({-k, k} & set(ms)):

@@ -121,6 +121,19 @@ class TestExtend:
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
 
+    def test_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        # at ell = 10000i the kernel of the r = 0.8 bump overflows; the
+        # value is reported as a numerical failure, not serialized as NaN
+        path = tmp_path / "bump.json"
+        path.write_text(dumps_grid_function(make_bump(BumpSpec(radius=0.8), SphereGrid(48, 8))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["extend", "--input", str(path), "--ell", "0,10000", "--m", "0"])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "ell=0+10000j, m=0" in err["message"]
+
+
 class TestPwReport:
     def test_report_and_csv(self, tmp_path, capsys, bump_file):
         path, _ = bump_file

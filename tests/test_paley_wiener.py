@@ -281,11 +281,39 @@ class TestReport:
         assert provider.batches == [7]
 
     def test_base_disc_lattice_is_read_from_the_refined_one(self):
+        # the refined lattice is evaluated along rays, so its every other
+        # point is the base lattice up to the roundoff of the ray steps
         base_pts, base_mags, dense_pts, dense_mags = decay_profile(symmetric_poly_provider(), 20.0)
-        assert np.array_equal(base_pts, _disc_points(20.0, 8, 16))
         assert np.array_equal(dense_pts, _disc_points(20.0, 16, 32))
+        assert np.array_equal(base_pts, dense_pts.reshape(16, 32)[1::2, ::2].ravel())
+        shift = np.max(np.abs(base_pts - _disc_points(20.0, 8, 16)))
+        assert shift <= 8 * np.finfo(float).eps * 20.0
         for ell, mag in zip(base_pts, base_mags):
             assert mag == dense_mags[np.flatnonzero(dense_pts == ell)[0]]
+
+    def test_kernel_exponentials_one_per_ray(self, monkeypatch):
+        # every lattice of pw_report and the rebuild is made of rays, and a
+        # ray takes one exponential at its start plus one for its step
+        # (twice where it also takes the reflected route); the symmetry
+        # lattice takes one per point. Per point, these would be 833
+        provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
+        exp, shapes = np.exp, []
+        monkeypatch.setattr(np, "exp",
+                            lambda x, *a, **k: shapes.append(np.shape(x)) or exp(x, *a, **k))
+        pw_report(provider, [0.5, 1.1])
+        synthesize(provider, SphereGrid(144, 16), 128)
+        monkeypatch.undo()
+        assert shapes.count(provider._log_q.shape) <= 110
+
+    def test_line_overflow_names_the_first_bad_t(self):
+        # t_max = 1000 drives the r = 1.3 bump past the float range; the
+        # report names the first sample that is not finite and the last
+        # clean one
+        provider = ExtendProvider(make_bump(BumpSpec(radius=1.3), SphereGrid(144, 8)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError,
+                               match=r"at t=568\.75; achieved ceiling t=562\.5$"):
+                sample_line(provider, 1000.0, 160)
 
     def test_two_type_class_certifies_at_line_tmax_160(self):
         # a zonal bump of radius 0.45 plus a K-type 2 bump of radius 0.75:

@@ -12,12 +12,13 @@ import pytest
 from crown_harmonics.errors import (
     CrownDomainError,
     GridResolutionError,
+    NumericalError,
     ProviderError,
     SchemaError,
 )
 from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.numerics import legendre_p
-from crown_harmonics.paley_wiener import _disc_points
+from crown_harmonics.paley_wiener import _disc_points, _disc_rays
 from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
 from crown_harmonics.testbed import (
     BumpSpec,
@@ -33,6 +34,7 @@ from crown_harmonics.transform import (
     analyze,
     extend,
     lm_grid,
+    ray_points,
     synthesize,
 )
 from crown_harmonics.serialization import dumps_table, loads_table
@@ -366,20 +368,106 @@ class TestBatchedProviders:
 
     def test_reflection_pole_computes_the_direct_values_once(self):
         # two K-types with a pole of the reflection scalar at ell = -19
-        # share one direct evaluation, next to the one reflected one
+        # share one direct kernel exponential, next to the one reflected one
         grid = SphereGrid(96, 48)
         f = GridFunction(grid, sum(make_bump(BumpSpec(1.4, ktype=m), grid).values
                                    for m in (19, 20)))
         provider = ExtendProvider(f)
         assert provider.ktypes == frozenset({19, 20})
         powers = []
-        values = provider._values
-        provider._values = lambda power: powers.append(power) or values(power)
+        kernel = provider._kernel
+        provider._kernel = lambda power: powers.append(power) or kernel(power)
         got = provider.eval_many([-19.0])
         assert powers == [18.0, -19.0]
         for j, m in enumerate((19, 20)):
             ref, floor = extend_reference(f, [-19.0], m)
             assert abs(got[0, j] - ref[0]) <= 10.0 * floor[0]
+
+
+class TestRays:
+    """eval_rays: eval_many over arithmetic progressions of parameters."""
+
+    def test_base_rays_are_eval_many_of_the_expanded_points(self):
+        def fn(ell, m):
+            if m == 1 and ell.imag > 0.8:
+                raise ZeroDivisionError("division by zero")
+            return ell * ell + m
+        provider = FakeProvider(fn, ktypes=(1, 0))
+        origins, steps = [2.0 - 1.0j, -0.5 + 0.25j], [0.5j, -1.0 + 0.1j]
+        points = ray_points(origins, steps, 5)
+        assert points.shape == (2, 5) and np.array_equal(points[:, 0], origins)
+        assert np.array_equal(provider.eval_rays(origins, steps, 4),
+                              provider.eval_many(ray_points(origins, steps, 4).ravel()))
+        failures = []
+        for call in (lambda: provider.eval_rays(origins, steps, 5),
+                     lambda: provider.eval_many(points.ravel())):
+            with pytest.raises(ProviderError) as info:
+                call()
+            failures.append((info.value.ell, info.value.m, str(info.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][:2] == (2.0 + 1.0j, 1)
+
+    def test_single_points_take_the_exact_exponential(self):
+        # one point per ray is the per-point route: the direct value, or
+        # b_m times the value at -ell-1, each from an exact exponential,
+        # bit for bit, and one entry of the batch
+        grid = SphereGrid(144, 8)
+        for name, r in (("two-type", 0.8), ("smooth-ktype1", 1.3), ("cospow-p8", 1.0)):
+            provider = ExtendProvider(certify_class(name, r, grid))
+            ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j, -129.0, 8.5 - 14.0j]
+            batch = provider.eval_rays(ells, 0.0, 1)
+            assert np.array_equal(batch, provider.eval_many(ells))
+            for ell, got in zip(ells, batch):
+                ell = complex(ell)
+                a = np.real(ell * provider._log_q)
+                reflect = (a.max() > np.log(1e12) and
+                           (-a - provider._log_q.real).max() < a.max() - np.log(1e3))
+                power = -ell - 1.0 if reflect else ell
+                want = np.sum((provider._weighted @ np.exp(power * provider._log_q))
+                              * provider._cosines, axis=1)
+                if reflect:
+                    want = want * [intertwiner_rational(m, ell + 0.5)
+                                   for m in sorted(provider.ktypes)]
+                assert np.array_equal(got, want), (name, ell)
+
+    @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_progressions_stay_within_the_roundoff_floor(self, name, r):
+        # the line, disc and rebuild rays of pw_report and synthesize,
+        # stepped by one multiply per point, against the 512-point FFT
+        # route within 10x its roundoff floor (as TestFoldedRuleAgainstFFT);
+        # a spread of points on each stage, ray ends included
+        grid = SphereGrid(144, 8)
+        f = certify_class(name, r, grid)
+        provider = ExtendProvider(f)
+        rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 16, 11),
+                (-1.0, -1.0, 129, 8))
+        for origins, steps, n, stride in rays:
+            values = provider.eval_rays(origins, steps, n)
+            points = ray_points(origins, steps, n).ravel()
+            pick = np.unique(np.r_[np.arange(stride - 1, points.size, stride), points.size - 1])
+            for j, m in enumerate(sorted(provider.ktypes)):
+                ref, floor = extend_reference(f, points[pick], m, own_rows=True)
+                assert np.all(np.abs(values[pick, j] - ref) <= 10.0 * floor), (n, m)
+
+    def test_runs_restart_after_overflow(self):
+        # the exact power at the middle point is finite in both rays; the
+        # first starts with an overflowed kernel and a finite Q^step, the
+        # second with an underflowed kernel and an overflowed Q^step, and
+        # stepping through either would give inf or nan there
+        provider = ExtendProvider(make_bump(BumpSpec(1.3), SphereGrid(144, 8)))
+        for origin, step in ((-0.5 - 600.0j, 300.0j), (800.0, -800.0)):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                rays = provider.eval_rays([origin], [step], 3)
+                points = provider.eval_many([origin, origin + step, origin + 2 * step])
+            assert np.all(np.isfinite(rays[1]))
+            assert np.array_equal(rays, points, equal_nan=True), origin
+
+    def test_extend_raises_when_the_kernel_overflows(self):
+        f = make_bump(BumpSpec(0.8), SphereGrid(48, 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"ell=0\+10000j, m=0"):
+                extend(f, 1e4j, 0)
 
 
 class TestSynthesizeProviderErrors:
