@@ -2,14 +2,22 @@
 
 Writers are deterministic: fixed key order, entries sorted by (l, m),
 floats rendered with 17 significant digits so values round-trip
-exactly. Readers validate eagerly and raise SchemaError with the
-offending location; malformed input never propagates into numerics.
+exactly, negative zero included. They reject non-finite values, which
+JSON cannot carry, with one check per array, and render each chunk of
+values with one % template. Readers validate eagerly and raise
+SchemaError with the offending location; malformed input never
+propagates into numerics. Every number must be a JSON number (a string
+or a boolean is not one). The checks run on whole arrays, and only a
+malformed document is walked entry by entry, to name its first
+offender in document order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -19,41 +27,53 @@ from .transform import CoefficientTable
 
 
 def format_float(x) -> str:
-    """Render a float with 17 significant digits (exact round trip)."""
+    """Render a float with 17 significant digits (exact round trip).
+
+    Negative zero is written -0.0, since a bare -0 reads back as the
+    integer 0; infinities are written inf and -inf (the CSV keeps them,
+    the JSON writers reject them first) and NaN raises SchemaError.
+    """
     x = float(x)
     if math.isinf(x):
         return "-inf" if x < 0 else "inf"
     if math.isnan(x):
         raise SchemaError("cannot serialize NaN")
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"
     return f"{x:.17g}"
 
 
-def _finite(x, where: str) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected a number, got {x!r}") from None
-    if not math.isfinite(x):
-        raise SchemaError(f"{where}: value must be finite, got {x!r}")
-    return x
+#: table entries rendered by one % template; a chunk bounds the tuple of
+#: values that the template consumes
+_ENTRY_CHUNK = 1024
 
 
-def _require_keys(obj: dict, required, where: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise SchemaError(f"{where}: missing keys {missing}")
-    extra = [k for k in obj if k not in required]
-    if extra:
-        raise SchemaError(f"{where}: unexpected keys {extra}")
+def _doubles(values) -> np.ndarray:
+    """Real and imaginary parts of complex values, in document order.
+
+    Raises SchemaError for the first one that is not finite, so the bulk
+    writers never emit a token their readers reject.
+    """
+    parts = np.ascontiguousarray(values, dtype=complex).view(float).ravel()
+    bad = np.flatnonzero(~np.isfinite(parts))
+    if bad.size:
+        x = float(parts[bad[0]])
+        raise SchemaError("cannot serialize NaN" if math.isnan(x) else f"cannot serialize {x}")
+    return parts
 
 
-def _int_field(obj: dict, key: str, where: str) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{where}: {key} must be an integer, got {v!r}")
-    return v
+def _render(template: str, args: list, parts: np.ndarray, zeros) -> str:
+    """template % args, with every negative zero written as format_float does.
+
+    "%.17g" renders -0.0 as -0; zeros lists the (bare, fixed) replacements
+    of the tokens in which a negative zero can stand, applied only when
+    parts holds one.
+    """
+    text = template % tuple(args)
+    if np.any((parts == 0.0) & np.signbit(parts)):
+        for bare, fixed in zeros:
+            text = text.replace(bare, fixed)
+    return text
 
 
 def _parse(text: str, where: str):
@@ -71,16 +91,63 @@ def _parse(text: str, where: str):
         raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
 
 
+def _require_keys(obj: dict, required, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    extra = [k for k in obj if k not in required]
+    if extra:
+        raise SchemaError(f"{where}: unexpected keys {extra}")
+
+
+def _int_field(obj: dict, key: str, where: str) -> int:
+    v = obj[key]
+    if type(v) is not int:
+        raise SchemaError(f"{where}: {key} must be an integer, got {v!r}")
+    return v
+
+
+def _number(x, where: str) -> float:
+    """A JSON number as a finite double; strings, booleans and null are not numbers."""
+    if type(x) not in (int, float):
+        raise SchemaError(f"{where}: expected a number, got {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:
+        raise SchemaError(
+            f"{where}: integer of {len(str(abs(x)))} digits overflows a double") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"{where}: value must be finite, got {x!r}")
+    return x
+
+
+def _numbers(flat: list):
+    """flat as a float array, or None unless every item is a finite JSON number."""
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        out = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    return out if np.all(np.isfinite(out)) else None
+
+
 # ---------------------------------------------------------------------------
 # grid functions
 
 
 def dumps_grid_function(f: GridFunction) -> str:
-    """Serialize sampled values, theta-major, as [re, im] pairs."""
-    pairs = ",".join(
-        f"[{format_float(v.real)},{format_float(v.imag)}]"
-        for v in f.values.ravel(order="C")
-    )
+    """Serialize sampled values, theta-major, as [re, im] pairs.
+
+    Finiteness is checked once for the whole grid, and each theta row is
+    rendered by one % template.
+    """
+    parts = _doubles(f.values).reshape(f.grid.n_theta, -1)
+    template = ",".join(["[%.17g,%.17g]"] * f.grid.n_phi)
+    zeros = (("[-0,", "[-0.0,"), (",-0]", ",-0.0]"))
+    pairs = ",".join(_render(template, row.tolist(), row, zeros) for row in parts)
     return (
         '{"n_theta": %d, "n_phi": %d, "values": [%s]}'
         % (f.grid.n_theta, f.grid.n_phi, pairs)
@@ -100,15 +167,23 @@ def loads_grid_function(text: str) -> GridFunction:
             f"grid function: need exactly {n_theta * n_phi} value pairs, "
             f"got {len(values) if isinstance(values, list) else type(values).__name__}"
         )
-    flat = np.empty(n_theta * n_phi, dtype=complex)
+    parts = None
+    if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
+        parts = _numbers(list(itertools.chain.from_iterable(values)))
+    if parts is None:
+        _grid_error(values)
+    grid = SphereGrid(n_theta, n_phi)
+    return GridFunction(grid, parts.view(complex).reshape(n_theta, n_phi))
+
+
+def _grid_error(values):
+    """Raise SchemaError naming the first malformed pair or value in document order."""
     for i, pair in enumerate(values):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"grid function: values[{i}] is not a [re, im] pair")
-        flat[i] = complex(
-            _finite(pair[0], f"values[{i}][0]"), _finite(pair[1], f"values[{i}][1]")
-        )
-    grid = SphereGrid(n_theta, n_phi)
-    return GridFunction(grid, flat.reshape(n_theta, n_phi))
+        for j in (0, 1):
+            _number(pair[j], f"values[{i}][{j}]")
+    raise AssertionError("no malformed value found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +191,26 @@ def loads_grid_function(text: str) -> GridFunction:
 
 
 def dumps_table(table: CoefficientTable) -> str:
-    """Serialize a coefficient table, sorted by (l, m), zeros omitted."""
+    """Serialize a coefficient table, sorted by (l, m), zeros omitted.
+
+    Finiteness is checked once for the whole table, and each chunk of
+    _ENTRY_CHUNK entries is rendered by one % template.
+    """
     ls, cols = np.nonzero(table.values)  # row-major: ascending l, then m
-    rows = ",".join(
-        '{"l": %d, "m": %d, "re": %s, "im": %s}'
-        % (l, c - table.lmax, format_float(v.real), format_float(v.imag))
-        for l, c, v in zip(ls.tolist(), cols.tolist(), table.values[ls, cols].tolist())
-    )
-    return '{"lmax": %d, "entries": [%s]}' % (table.lmax, rows)
+    parts = _doubles(table.values[ls, cols]).reshape(-1, 2)
+    entry = '{"l": %d, "m": %d, "re": %.17g, "im": %.17g}'
+    zeros = (('"re": -0,', '"re": -0.0,'), ('"im": -0}', '"im": -0.0}'))
+    chunks = []
+    for start in range(0, ls.size, _ENTRY_CHUNK):
+        block = slice(start, start + _ENTRY_CHUNK)
+        args = itertools.chain.from_iterable(zip(
+            ls[block].tolist(), (cols[block] - table.lmax).tolist(), *parts[block].T.tolist()))
+        template = ",".join([entry] * len(parts[block]))
+        chunks.append(_render(template, list(args), parts[block], zeros))
+    return '{"lmax": %d, "entries": [%s]}' % (table.lmax, ",".join(chunks))
+
+
+_ENTRY_KEYS = ("l", "m", "re", "im")
 
 
 def loads_table(text: str) -> CoefficientTable:
@@ -139,23 +226,63 @@ def loads_table(text: str) -> CoefficientTable:
     if not isinstance(rows, list):
         raise SchemaError("coefficient table: entries must be a list")
     values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    seen = np.zeros(values.shape, dtype=bool)
+    entries = _entries(rows, lmax)
+    if entries is None:
+        _table_error(rows, lmax)
+    index, parts = entries
+    values.ravel()[index] = parts.view(complex)
+    return CoefficientTable(values)
+
+
+def _entries(rows: list, lmax: int):
+    """(flat table index, re/im pairs) of the entries, or None if any is malformed.
+
+    One pass over the structure: every entry an object with exactly the
+    keys l, m, re, im (the parser already rejects a repeated key) and
+    integer l and m; then the numbers, the range and the duplicates are
+    checked on arrays.
+    """
+    if not rows:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {4}:
+        return None
+    try:
+        ls, ms, res, ims = (list(map(operator.itemgetter(key), rows)) for key in _ENTRY_KEYS)
+    except KeyError:
+        return None
+    if set(map(type, ls)) | set(map(type, ms)) != {int}:
+        return None
+    parts = _numbers(list(itertools.chain.from_iterable(zip(res, ims))))
+    try:
+        ls, ms = np.array(ls), np.array(ms)
+    except OverflowError:
+        return None
+    # l < |m| is accepted: tables from earlier versions of analyze carry
+    # roundoff there, and synthesize never reads those entries
+    if parts is None or not np.all((ls >= 0) & (ls <= lmax) & (ms >= -lmax) & (ms <= lmax)):
+        return None
+    index = ls * (2 * lmax + 1) + ms + lmax
+    if np.bincount(index).max() > 1:
+        return None
+    return index, parts
+
+
+def _table_error(rows, lmax: int):
+    """Raise SchemaError naming the first malformed entry in document order."""
+    seen = set()
     for i, row in enumerate(rows):
         where = f"entries[{i}]"
-        _require_keys(row, ("l", "m", "re", "im"), where)
+        _require_keys(row, _ENTRY_KEYS, where)
         l = _int_field(row, "l", where)
         m = _int_field(row, "m", where)
-        # l < |m| is accepted: tables from earlier versions of analyze carry
-        # roundoff there, and synthesize never reads those entries
         if not (0 <= l <= lmax and abs(m) <= lmax):
             raise SchemaError(f"{where}: entry ({l}, {m}) outside lmax={lmax}")
-        if seen[l, m + lmax]:
+        if (l, m) in seen:
             raise SchemaError(f"{where}: duplicate entry for (l={l}, m={m})")
-        seen[l, m + lmax] = True
-        values[l, m + lmax] = complex(
-            _finite(row["re"], f"{where}.re"), _finite(row["im"], f"{where}.im")
-        )
-    return CoefficientTable(values)
+        seen.add((l, m))
+        _number(row["re"], f"{where}.re")
+        _number(row["im"], f"{where}.im")
+    raise AssertionError("no malformed entry found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

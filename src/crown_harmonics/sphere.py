@@ -12,7 +12,8 @@ are well defined exactly on the crown cap theta < pi/2, where
 Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
 At integer degree the boundary modes of Q^l have a closed form
-(integer_kernel_modes). At complex degree they come from one rule: the
+(integer_kernel_modes for one order, kernel_mode_sweep for many orders
+at once, one diagonal l - |m| per step). At complex degree they come from one rule: the
 512-sample trapezoid rule on the boundary circle, folded onto its half
 by the symmetry Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
 kernel_mode_profiles). This module is the only one that forms boundary
@@ -216,6 +217,56 @@ def kernel_mode(ell, m: int, theta) -> np.ndarray:
     return kernel_mode_profiles(ell, boundary_log_pairing(theta), [int(m)])[:, 0]
 
 
+def kernel_mode_sweep(orders, lmax: int, theta):
+    """Closed-form kernel modes of several orders at once, one diagonal per step.
+
+    orders is a nonempty list that ascends strictly within 0..lmax. Step
+    j = 0..lmax - orders[0] yields (j, g): row i of g holds
+    G_k(k + j; theta) / i^k at k = orders[i] (see integer_kernel_modes),
+    for the orders with k + j <= lmax, a prefix that shrinks as j grows.
+    g is a view into working buffers, valid until the generator advances.
+    Every order runs the three-term recurrence of integer_kernel_modes
+    with its arithmetic unchanged, so each row equals the one-order
+    result bit for bit; a transform over all orders takes lmax + 1
+    Python-level steps instead of one per mode.
+    """
+    ks = np.asarray(orders, dtype=int)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x = np.cos(theta)
+    seed = 0.5 * np.sin(theta)
+    g = np.empty((ks.size, theta.size))
+    for i, k in enumerate(ks.tolist()):
+        g[i] = seed ** k
+    g_prev = np.zeros_like(g)
+    work = np.empty_like(g)
+    # per step j and order k, with l = k + j: the factors 2l + 1 and l and
+    # the scale (l + 1) / ((l + 1 - k)(l + 1 + k)) that carry row l to l + 1
+    j = np.arange(lmax - ks[0] + 1)[:, None]
+    l = ks + j
+    odd = (2 * l + 1).astype(float)[:, :, None]
+    degree = l.astype(float)[:, :, None]
+    scale = ((l + 1) / ((j + 1) * (l + 1 + ks)))[:, :, None]
+    live = np.searchsorted(ks, lmax - j.ravel(), side="right").tolist()
+    # the three buffers rotate; they are sliced again only when the live
+    # prefix shrinks
+    size = live[0]
+    g, g_prev, work = g[:size], g_prev[:size], work[:size]
+    yield 0, g
+    for step, n, odd_l, degree_l, scale_l in zip(range(1, len(live)), live[1:], odd, degree, scale):
+        if n < size:
+            size, g, g_prev, work = n, g[:n], g_prev[:n], work[:n]
+        if n < ks.size:
+            odd_l, degree_l, scale_l = odd_l[:n], degree_l[:n], scale_l[:n]
+        # g_{l+1} = ((2l+1) x g_l - l g_{l-1}) (l+1) / ((l+1-k)(l+1+k))
+        np.multiply(odd_l, x, work)
+        work *= g
+        g_prev *= degree_l
+        work -= g_prev
+        work *= scale_l
+        g, g_prev, work = work, g, g_prev
+        yield step, g
+
+
 def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
     """Boundary mode m of Q^l for every degree l = 0..lmax, in closed form.
 
@@ -232,21 +283,17 @@ def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
 
     seeded by g_|m| = (sin(theta) / 2)^|m|; every |g_l| <= 1, so nothing
     overflows. Where the seed underflows (high order near a pole) the
-    rows are zero, below anything a degree <= lmax can resolve.
+    rows are zero, below anything a degree <= lmax can resolve. This is
+    the one-order view of kernel_mode_sweep.
     """
     k = abs(int(m))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.zeros((lmax + 1, theta.size), dtype=complex)
     if k > lmax:
         return out
-    x = np.cos(theta)
     rows = np.empty((lmax + 1 - k, theta.size))
-    rows[0] = g = (0.5 * np.sin(theta)) ** k
-    g_prev = np.zeros_like(g)
-    for l in range(k, lmax):
-        scale = (l + 1) / ((l + 1 - k) * (l + 1 + k))
-        g_prev, g = g, ((2 * l + 1) * x * g - l * g_prev) * scale
-        rows[l + 1 - k] = g
+    for j, g in kernel_mode_sweep([k], lmax, theta):
+        rows[j] = g[0]
     out[k:] = (1, 1j, -1, -1j)[k % 4] * rows
     return out
 

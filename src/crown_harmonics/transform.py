@@ -52,7 +52,7 @@ from .sphere import (
     boundary_fold,
     boundary_log_pairing,
     ell_value,
-    integer_kernel_modes,
+    kernel_mode_sweep,
     require_resolution,
     support_radius,
 )
@@ -65,6 +65,12 @@ from .sphere import (
 #: catastrophically and must be rerouted through the reflection.
 _LOG_AMP_DIRECT_MAX = math.log(1e12)
 _LOG_AMP_ADVANTAGE_MIN = math.log(1e3)
+
+#: steps of kernel_mode_sweep whose modes synthesize contracts at once
+_SWEEP_BLOCK = 8
+
+#: i^k at k % 4, exact
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +120,36 @@ def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
 
     The boundary integral of Q^l against exp(-i m b) is exp(-i m phi)
     G_m(l; theta), so c(l, m) pairs the azimuthal mode m of f with the
-    closed-form kernel modes: one FFT along phi, then per order one
-    product of the (lmax + 1 - |m|, n_theta) mode matrix with the
-    weighted column. This costs O(lmax^3) time and O(lmax * n_theta)
-    working memory beyond the FFT of f. It equals the double quadrature
-    over an explicit 2 lmax + 2 boundary grid in exact arithmetic; the
-    entries with l < |m|, which vanish there in exact arithmetic, are
-    exact zeros here.
+    closed-form kernel modes: one FFT along phi, then one sweep of
+    sphere.kernel_mode_sweep over every order k = 0..lmax, lmax + 1
+    Python-level steps in all. Step j contracts the modes G_k(k + j) of
+    the live orders with the weighted azimuthal columns of +k and -k, in
+    which the factor i^k is folded (an exact multiply). This costs
+    O(lmax^3) time and O(lmax * n_theta) working memory beyond the FFT of
+    f. It equals the double quadrature over an explicit 2 lmax + 2
+    boundary grid in exact arithmetic; the entries with l < |m|, which
+    vanish there in exact arithmetic, are exact zeros here.
     """
     require_resolution(f.grid, lmax)
     grid = f.grid
     # column m % n_phi: the weighted azimuthal mode (1/n_phi) sum f e^{-i m phi}
     weighted = np.fft.fft(f.values, axis=1) * (grid.theta_weights[:, None] / grid.n_phi)
+    ks = np.arange(lmax + 1)
+    # columns[k] = re, im of i^k times the column +k, then of -k, over theta
+    phase = _I_POWERS[ks % 4][:, None]
+    columns = np.empty((lmax + 1, 4, grid.n_theta))
+    for c, sign in ((0, 1), (2, -1)):
+        column = weighted[:, sign * ks % grid.n_phi].T * phase
+        columns[:, c], columns[:, c + 1] = column.real, column.imag
+    # diagonal[j, k] = c(k + j, k), c(k + j, -k) as re, im pairs
+    diagonal = np.zeros((lmax + 1, lmax + 1, 4))
+    for j, g in kernel_mode_sweep(ks, lmax, grid.theta):
+        np.einsum("it,ict->ic", g, columns[:len(g)], out=diagonal[j, :len(g)])
+    diagonal = diagonal.view(complex)
+    j, k = np.nonzero(ks[:, None] + ks <= lmax)
     values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    for k in range(lmax + 1):
-        ms = [-k, k] if k else [0]
-        modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
-        values[k:, [lmax + m for m in ms]] = modes @ weighted[:, [m % grid.n_phi for m in ms]]
+    values[j + k, lmax + k] = diagonal[j, k, 0]
+    values[j + k, lmax - k] = diagonal[j, k, 1]
     return CoefficientTable(values)
 
 
@@ -307,6 +326,9 @@ class ExtendProvider(CoefficientProvider):
     def eval_many(self, ells) -> np.ndarray:
         return self.eval_rays(ells, 0.0, 1)
 
+    # a kernel power may overflow; the values it leaves are not finite, and
+    # the callers' finite checks report that as a numerical failure
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_rays(self, origins, steps, n: int) -> np.ndarray:
         ms = sorted(self.ktypes)
         points = ray_points(origins, steps, n)
@@ -437,10 +459,14 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     each such K-type m the values with l >= |m|, weighted by 2l + 1, are
     contracted with the closed-form kernel modes G_m(l; theta) into one
     radial profile (terms with |m| > l vanish identically and their
-    values are not used). An inverse azimuthal FFT then assembles the
-    grid. The work is O(lmax^2 n_theta) per K-type plus the provider
-    evaluations, and results are bit-reproducible for a fixed numpy
-    build.
+    values are not used). The values are gathered by diagonal j = l - |m|
+    once, with i^|m| folded in (an exact multiply); one sweep of
+    sphere.kernel_mode_sweep over the orders then takes lmax - k + 1
+    Python-level steps, and the modes of every _SWEEP_BLOCK steps are
+    added into the profiles by one batched product. An inverse azimuthal
+    FFT assembles the grid. The work is O(lmax^2 n_theta) per K-type plus
+    the provider evaluations, and results are bit-reproducible for a
+    fixed numpy build.
 
     Provider values at non-integer parameters, such as those of an
     ExtendProvider, come from the 512-sample boundary rule, where mode m
@@ -466,10 +492,36 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     spectrum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
     orders = sorted({abs(m) for m in ms if abs(m) <= lmax})
     if orders:
+        ks = np.array(orders)
         ls = np.arange(orders[0], lmax + 1)
         values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
-        for k in orders:
-            modes = integer_kernel_modes(k, lmax, grid.theta)[k:]
-            for m in sorted({-k, k} & set(ms)):
-                spectrum[:, m % grid.n_phi] = values[k - orders[0]:, ms.index(m)] @ modes
+        # by diagonal: i^k (2l + 1) phi(-l-1) at l = k + j for the K-types +k
+        # and -k; an absent K-type and the degrees past lmax read the zero
+        # row and column appended here
+        values = np.pad(values, ((0, 1), (0, 1)))
+        index = {m: c for c, m in enumerate(ms)}
+        columns = [[index.get(k, -1), index.get(-k, -1) if k else -1] for k in orders]
+        l = ks + np.arange(ls.size)[:, None]
+        rows = np.where(l <= lmax, l - orders[0], -1)
+        gathered = values[rows[:, :, None], columns] * _I_POWERS[ks % 4][:, None]
+        gathered = gathered.transpose(1, 2, 0)
+        # diagonal[i, :, j] = re, im of the K-type +k, then -k, at k = orders[i]
+        diagonal = np.empty((ks.size, 4, ls.size))
+        diagonal[:, 0::2], diagonal[:, 1::2] = gathered.real, gathered.imag
+        profiles = np.zeros((ks.size, 4, grid.n_theta))
+        block = np.zeros((ks.size, _SWEEP_BLOCK, grid.n_theta))
+        last = ls.size - 1
+        for j, g in kernel_mode_sweep(orders, lmax, grid.theta):
+            b = j % _SWEEP_BLOCK
+            if not b:
+                n = len(g)
+            # rows past the live prefix keep finite modes of earlier steps,
+            # against zero values
+            block[:len(g), b] = g
+            if b == _SWEEP_BLOCK - 1 or j == last:
+                profiles[:n] += diagonal[:n, :, j - b:j + 1] @ block[:n, :b + 1]
+        profiles = profiles[:, 0::2] + 1j * profiles[:, 1::2]
+        live = np.array([m for m in ms if abs(m) <= lmax])
+        negative = (live < 0).astype(int)
+        spectrum[:, live % grid.n_phi] = profiles[np.searchsorted(ks, abs(live)), negative].T
     return GridFunction(grid, np.fft.ifft(spectrum, axis=1) * grid.n_phi)

@@ -52,6 +52,52 @@ def quadrature_analyze(f, lmax: int) -> CoefficientTable:
     return CoefficientTable(values)
 
 
+def recurrence_kernel_modes(k: int, lmax: int, theta) -> np.ndarray:
+    """G_k(l; theta) / i^k for l = k..lmax by the three-term recurrence, one order at a time.
+
+    The per-order loop that sphere.kernel_mode_sweep runs for all orders
+    at once, with the same arithmetic in the same order: the sweep must
+    equal it bit for bit. Returns shape (lmax + 1 - k, len(theta)).
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x = np.cos(theta)
+    rows = np.empty((lmax + 1 - k, theta.size))
+    rows[0] = g = (0.5 * np.sin(theta)) ** k
+    g_prev = np.zeros_like(g)
+    for l in range(k, lmax):
+        scale = (l + 1) / ((l + 1 - k) * (l + 1 + k))
+        g_prev, g = g, ((2 * l + 1) * x * g - l * g_prev) * scale
+        rows[l + 1 - k] = g
+    return rows
+
+
+def per_order_analyze(f, lmax: int) -> CoefficientTable:
+    """analyze as one mode-matrix product per order, on recurrence_kernel_modes."""
+    grid = f.grid
+    weighted = np.fft.fft(f.values, axis=1) * (grid.theta_weights[:, None] / grid.n_phi)
+    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    for k in range(lmax + 1):
+        ms = [-k, k] if k else [0]
+        modes = (1, 1j, -1, -1j)[k % 4] * recurrence_kernel_modes(k, lmax, grid.theta)
+        values[k:, [lmax + m for m in ms]] = modes @ weighted[:, [m % grid.n_phi for m in ms]]
+    return CoefficientTable(values)
+
+
+def per_order_synthesize(provider, grid, lmax: int) -> np.ndarray:
+    """Grid values of synthesize as one profile product per K-type, on recurrence_kernel_modes."""
+    ms = sorted(provider.ktypes)
+    spectrum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
+    orders = sorted({abs(m) for m in ms if abs(m) <= lmax})
+    if orders:
+        ls = np.arange(orders[0], lmax + 1)
+        values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
+        for k in orders:
+            modes = (1, 1j, -1, -1j)[k % 4] * recurrence_kernel_modes(k, lmax, grid.theta)
+            for m in sorted({-k, k} & set(ms)):
+                spectrum[:, m % grid.n_phi] = values[k - orders[0]:, ms.index(m)] @ modes
+    return np.fft.ifft(spectrum, axis=1) * grid.n_phi
+
+
 def full_boundary_log_pairing(theta):
     """Principal log of Q((theta, 0), c) on the whole 512-sample boundary circle."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

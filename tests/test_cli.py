@@ -1,6 +1,14 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process.
+
+The stderr contract of a numerical failure is checked in a child
+process, where numpy warnings reach stderr as they would for a user.
+"""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +189,39 @@ class TestPwReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "schema"
+
+
+class TestNumericalFailureStderr:
+    @pytest.mark.parametrize("args", [
+        ["extend", "--ell", "0,10000", "--m", "0"],
+        ["pw-report", "--radii", "0.5", "--line-tmax", "2000"],
+    ])
+    def test_kernel_overflow_prints_one_json_line(self, tmp_path, args):
+        # the kernel of the r = 0.8 bump overflows; stderr carries the
+        # error object alone, with no numpy RuntimeWarning before it
+        path = tmp_path / "bump.json"
+        path.write_text(dumps_grid_function(make_bump(BumpSpec(radius=0.8), SphereGrid(48, 8))))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crown_harmonics", args[0], "--input", str(path), *args[1:]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "numerical"
+
+
+class TestStrictInput:
+    def test_huge_integer_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"n_theta": 1, "n_phi": 2, "values": [[1.0, 0.0], [%s, 0.0]]}'
+                        % ("1" * 400))
+        rc = main(["analyze", "--input", str(path), "--lmax", "0"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema" and "values[1][0]" in err["message"]
 
 
 class TestIntertwinerDump:

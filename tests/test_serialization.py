@@ -18,6 +18,7 @@ from crown_harmonics.serialization import (
     loads_table,
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
+from crown_harmonics.transform import CoefficientTable
 from oracles import FakeProvider, table
 
 
@@ -30,6 +31,11 @@ class TestFormatFloat:
         assert float(format_float(float("inf"))) == float("inf")
         with pytest.raises(SchemaError):
             format_float(float("nan"))
+
+    def test_negative_zero_keeps_its_sign(self):
+        # a bare -0 is the JSON integer 0; -0.0 reads back as -0.0
+        assert format_float(-0.0) == "-0.0" and format_float(0.0) == "0"
+        assert math.copysign(1.0, json.loads(format_float(-0.0))) == -1.0
 
 
 class TestGridFunctionRoundTrip:
@@ -138,6 +144,133 @@ class TestTableRoundTrip:
         back = loads_table('{"lmax": 2, "entries": [{"l": 0, "m": -2, "re": 1e-17, "im": 0.0}]}')
         assert back.get(0, -2) == 1e-17
         assert back.ktypes() == frozenset({-2})
+
+
+def _reference_grid_text(f):
+    # one format_float call per double, the writer's contract
+    pairs = ",".join(f"[{format_float(v.real)},{format_float(v.imag)}]"
+                     for v in f.values.ravel())
+    return '{"n_theta": %d, "n_phi": %d, "values": [%s]}' % (f.grid.n_theta, f.grid.n_phi, pairs)
+
+
+def _reference_table_text(t):
+    ls, cols = np.nonzero(t.values)
+    rows = ",".join('{"l": %d, "m": %d, "re": %s, "im": %s}'
+                    % (l, c - t.lmax, format_float(v.real), format_float(v.imag))
+                    for l, c, v in zip(ls.tolist(), cols.tolist(), t.values[ls, cols].tolist()))
+    return '{"lmax": %d, "entries": [%s]}' % (t.lmax, rows)
+
+
+def _hard_doubles(rng, shape):
+    # normal draws over the whole exponent range, raw bit patterns,
+    # subnormals, the extremes and signed zeros
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, size=shape)
+    bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(float)
+    x = np.where(rng.random(shape) < 0.3, bits, x)
+    x[~np.isfinite(x)] = 1.0
+    flat = x.ravel()
+    flat[:9] = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, -1.797e308]
+    flat[rng.random(flat.size) < 0.05] = 0.0
+    flat[rng.random(flat.size) < 0.02] = -0.0
+    return x
+
+
+class TestBulkWriters:
+    def test_grid_writer_equals_format_float_per_value(self):
+        rng = np.random.default_rng(128)
+        grid = SphereGrid(130, 258)
+        f = GridFunction(grid, _hard_doubles(rng, (130, 516)).view(complex))
+        text = dumps_grid_function(f)
+        assert text == _reference_grid_text(f)
+        assert loads_grid_function(text).values.tobytes() == f.values.tobytes()
+
+    def test_table_writer_equals_format_float_per_value(self):
+        rng = np.random.default_rng(129)
+        values = _hard_doubles(rng, (129, 2 * 257)).view(complex)
+        values[rng.random(values.shape) < 0.2] = 0.0
+        t = CoefficientTable(values)
+        text = dumps_table(t)
+        assert text == _reference_table_text(t)
+        back = loads_table(text).values
+        written = values != 0.0
+        assert back[written].tobytes() == values[written].tobytes()
+        assert not np.any(back[~written])
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("inf"), "cannot serialize inf"),
+        (-float("inf"), "cannot serialize -inf"),
+        (float("nan"), "cannot serialize NaN"),
+    ])
+    def test_non_finite_values_are_not_written(self, bad, message):
+        values = np.ones((3, 4), dtype=complex)
+        values[1, 2] = complex(1.0, bad)
+        with pytest.raises(SchemaError, match=message):
+            dumps_grid_function(GridFunction(SphereGrid(3, 4), values))
+        with pytest.raises(SchemaError, match=message):
+            dumps_table(CoefficientTable(values[:2, :3]))
+
+    def test_negative_zero_round_trips(self):
+        f = GridFunction(SphereGrid(1, 2), np.array([[complex(-0.0, 1.0), complex(2.0, -0.0)]]))
+        text = dumps_grid_function(f)
+        assert '"values": [[-0.0,1],[2,-0.0]]' in text
+        assert loads_grid_function(text).values.tobytes() == f.values.tobytes()
+        t = table(1, {(1, -1): complex(-0.0, 1.0), (1, 1): complex(2.0, -0.0)})
+        text = dumps_table(t)
+        assert '"re": -0.0, "im": 1}' in text and '"re": 2, "im": -0.0}' in text
+        assert loads_table(text).values.tobytes() == t.values.tobytes()
+
+
+class TestStrictNumbers:
+    GRID = '{"n_theta": 1, "n_phi": 2, "values": [[1.0, 0.0], [%s, %s]]}'
+    TABLE = '{"lmax": 1, "entries": [{"l": 0, "m": 0, "re": 1.0, "im": 0.0}, ' \
+            '{"l": 1, "m": 0, "re": %s, "im": %s}]}'
+
+    @pytest.mark.parametrize("token", ['"1.5"', '" 1_0 "', "true", "false", "null", "[1.0]", "{}"])
+    def test_non_numbers_are_rejected(self, token):
+        with pytest.raises(SchemaError, match=r"values\[1\]\[0\]: expected a number, got"):
+            loads_grid_function(self.GRID % (token, "0.0"))
+        with pytest.raises(SchemaError, match=r"entries\[1\]\.im: expected a number, got"):
+            loads_table(self.TABLE % ("0.0", token))
+
+    def test_string_and_boolean_pair_is_rejected(self):
+        with pytest.raises(SchemaError, match=r"values\[1\]\[0\]: expected a number, got '1.5'"):
+            loads_grid_function(self.GRID % ('"1.5"', "true"))
+
+    def test_huge_integer_is_a_schema_error(self):
+        huge = "9" * 400
+        with pytest.raises(SchemaError, match=r"values\[1\]\[1\]: integer of 400 digits"):
+            loads_grid_function(self.GRID % ("0.0", huge))
+        with pytest.raises(SchemaError, match=r"entries\[1\]\.re: integer of 400 digits"):
+            loads_table(self.TABLE % (huge, "0.0"))
+        # integers a double holds are numbers
+        back = loads_table(self.TABLE % ("10" * 20, "-3"))
+        assert back.get(1, 0) == complex(float("10" * 20), -3.0)
+
+    def test_huge_index_is_out_of_range(self):
+        text = '{"lmax": 1, "entries": [{"l": %s, "m": 0, "re": 1.0, "im": 0.0}]}' % ("9" * 30)
+        with pytest.raises(SchemaError, match=r"entries\[0\]: entry \(9+, 0\) outside lmax=1"):
+            loads_table(text)
+        for m in (-2**63, 2**63):
+            with pytest.raises(SchemaError, match="outside lmax=1"):
+                loads_table('{"lmax": 1, "entries": [{"l": 0, "m": %d, "re": 1.0, "im": 0.0}]}' % m)
+
+    def test_first_offender_in_document_order_is_named(self):
+        text = '{"n_theta": 1, "n_phi": 3, "values": [[1.0, 0.0], [NaN, 0.0], [1.0]]}'
+        with pytest.raises(SchemaError, match=r"values\[1\]\[0\]: value must be finite"):
+            loads_grid_function(text)
+        text = '{"n_theta": 1, "n_phi": 3, "values": [[1.0, 0.0], 7, [true, 0.0]]}'
+        with pytest.raises(SchemaError, match=r"values\[1\] is not a \[re, im\] pair"):
+            loads_grid_function(text)
+        text = ('{"lmax": 1, "entries": [{"l": 0, "m": 0, "re": 1.0, "im": 0.0}, '
+                '{"l": 1, "m": 0, "re": Infinity, "im": 0.0}, '
+                '{"l": 0, "m": 0, "re": 1.0, "im": 0.0}, '
+                '{"l": 5, "m": 0, "re": 1.0, "im": 0.0}]}')
+        with pytest.raises(SchemaError, match=r"entries\[1\]\.re: value must be finite"):
+            loads_table(text)
+        text = text.replace("Infinity", "2.0")
+        with pytest.raises(SchemaError, match=r"entries\[2\]: duplicate entry for \(l=0, m=0\)"):
+            loads_table(text)
 
 
 class TestReportSerialization:

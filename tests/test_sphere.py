@@ -5,6 +5,7 @@ cap-fitted rule's exactness properties, plus a scipy.quad cross-check
 for a flat-profile cap integral.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,12 +24,18 @@ from crown_harmonics.sphere import (
     integer_kernel_modes,
     kernel_mode,
     kernel_mode_profiles,
+    kernel_mode_sweep,
     require_resolution,
     support_radius,
 )
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import analyze
-from oracles import fft_kernel_modes, full_boundary_log_pairing, sphere_integral
+from oracles import (
+    fft_kernel_modes,
+    full_boundary_log_pairing,
+    recurrence_kernel_modes,
+    sphere_integral,
+)
 
 ONE_SEVENTH = 0.14285714285714285714
 TWO_OVER_101 = 0.01980198019801980198
@@ -249,6 +256,27 @@ class TestIntegerKernelModes:
             modes = integer_kernel_modes(k, 255, grid.theta)
             assert np.all(np.isfinite(modes)) and np.max(np.abs(modes)) <= 1.0, k
         assert modes[255, 0] == 0.0 and modes[255, grid.n_theta // 2] != 0.0
+
+
+class TestKernelModeSweep:
+    @pytest.mark.parametrize("lmax", [40, 128, 255])
+    def test_equals_the_per_order_recurrence_bit_for_bit(self, lmax):
+        # every row of every step, hashed per order in degree order so
+        # that the full L = 255 order set needs no table of all modes
+        theta = SphereGrid(lmax + 2, 4).theta
+        for orders in (range(lmax + 1), [0], [1], [0, 2], [3, 60]):
+            orders = [k for k in orders if k <= lmax]
+            digests = [hashlib.sha256() for _ in orders]
+            steps = 0
+            for j, g in kernel_mode_sweep(orders, lmax, theta):
+                assert j == steps and g.shape == (sum(k + j <= lmax for k in orders), theta.size)
+                for digest, row in zip(digests, g):
+                    digest.update(row.tobytes())
+                steps += 1
+            assert steps == lmax - orders[0] + 1
+            for k, digest in zip(orders, digests):
+                expect = recurrence_kernel_modes(k, lmax, theta)
+                assert digest.digest() == hashlib.sha256(expect.tobytes()).digest(), (orders[:3], k)
 
 
 class TestRotate:

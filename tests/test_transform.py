@@ -6,6 +6,8 @@ cos(theta), the reflected evaluation multiplies by b_0 = 1, and the
 degree weight is 3.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,14 @@ from crown_harmonics.transform import (
     synthesize,
 )
 from crown_harmonics.serialization import dumps_table, loads_table
-from oracles import FakeProvider, extend_reference, quadrature_analyze, table
+from oracles import (
+    FakeProvider,
+    extend_reference,
+    per_order_analyze,
+    per_order_synthesize,
+    quadrature_analyze,
+    table,
+)
 
 
 def grid_cos_theta(grid, scale=3.0):
@@ -100,6 +109,27 @@ class TestAnalyzeSynthesize:
                 assert np.max(np.abs(got - expect)) < 1e-15 * np.max(np.abs(f.values))
                 ls, ms = lm_grid(lmax)
                 assert np.all(got[ls < np.abs(ms)] == 0.0)
+
+    @pytest.mark.parametrize("lmax", [32, 64, 128])
+    def test_matches_the_per_order_transforms(self, lmax):
+        # the diagonal sweep changes only the order of the contraction
+        # sums. Unit-norm-basis data rho * a puts every K-type at O(1) on
+        # the grid, so the grid norm sees each profile; analyze is
+        # compared column by column
+        ls, ms = lm_grid(lmax)
+        k = np.abs(ms)
+        log_rho = (np.vectorize(math.lgamma)(ls + 1.0) - 0.5 * np.vectorize(math.lgamma)(
+            ls + k + 1.0) - 0.5 * np.vectorize(math.lgamma)(np.abs(ls - k) + 1.0))
+        rho = np.where(k <= ls, np.exp(log_rho) / np.sqrt(2 * ls + 1.0), 0.0)
+        provider = TableProvider(CoefficientTable(rho * random_table(lmax, lmax, seed=lmax).values))
+        grid = SphereGrid(lmax + 2, 2 * lmax + 2)
+        got = synthesize(provider, grid, lmax).values
+        expect = per_order_synthesize(provider, grid, lmax)
+        assert np.max(np.abs(got - expect)) < 1e-14 * np.max(np.abs(expect))
+        f = GridFunction(grid, expect)
+        got, expect = analyze(f, lmax).values, per_order_analyze(f, lmax).values
+        assert np.all(np.max(np.abs(got - expect), axis=0) < 1e-14 * np.max(np.abs(expect), axis=0))
+        assert np.all(got[ls < k] == 0.0)
 
     def test_full_order_round_trip_is_exact_per_entry(self):
         # unit-norm-basis data rho * a: every entry, corner |m| = l
