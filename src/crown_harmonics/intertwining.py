@@ -5,8 +5,10 @@ phi(-l-1, m) = b_m(-l-1/2) phi(l, m) with the rational scalar
 
     b_m(t) = prod_{j=0}^{|m|-1} (1/2 - t + j) / (1/2 + t + j),
 
-which intertwiner_rational evaluates and which is the library's only
-route to b_m. The zonal scalar b_0 is identically 1.
+which intertwiner_ladder evaluates for every K-type up to a bound at
+once, by one cumulative product, and intertwiner_rational for one; the
+ladder is the library's only route to b_m. The zonal scalar b_0 is
+identically 1.
 
 The acceptance checks measure the same scalar independently. For
 K-type m and spectral parameter t the probe integral
@@ -66,23 +68,36 @@ def intertwiner_scalar(m: int, t) -> complex:
     )
 
 
+def intertwiner_ladder(kmax: int, t):
+    """b_0(t), ..., b_kmax(t) along a new trailing axis, by one cumulative product.
+
+    t is a scalar or an array, and the ladder has its dtype (real t gives
+    a real product, exact at the reflected integers t = -n-1/2). A factor
+    with denominator exactly 0 (t = -1/2 - j) is masked to 0 before the
+    division, so the columns past an exact pole read 0, with no warning.
+    """
+    t = np.asarray(t)[..., None]
+    js = np.arange(int(kmax))
+    den = 0.5 + t + js
+    ladder = np.ones(den.shape[:-1] + (js.size + 1,), dtype=den.dtype)
+    ratio = np.divide(0.5 - t + js, den, out=np.zeros_like(den), where=den != 0)
+    np.cumprod(ratio, axis=-1, out=ladder[..., 1:])
+    return ladder
+
+
 def intertwiner_rational(m: int, t):
     """b_m(t) = prod_{j=0}^{|m|-1} (1/2 - t + j) / (1/2 + t + j).
 
     Equivalent to the gamma ratio
     [Gamma(t+1/2)/Gamma(t+1/2+|m|)] * [Gamma(1/2-t+|m|)/Gamma(1/2-t)].
-    t is a scalar or an array, and the product is taken with numpy
-    over a trailing axis, so the result has the shape and the dtype of
-    t (real t gives a real product, exact at the reflected integers
-    t = -n-1/2). A t within POLE_TOL of a pole (see singular_distance)
-    raises SingularParameterError.
+    It is column |m| of intertwiner_ladder, so the result has the shape
+    and the dtype of t. A t within POLE_TOL of a pole (see
+    singular_distance) raises SingularParameterError.
     """
     t = np.asarray(t)
     if np.any(singular_distance(m, t) < POLE_TOL):
         raise SingularParameterError(f"closed-form b_{m} has a pole at t = {t}")
-    t = t[..., None]
-    js = np.arange(abs(int(m)))
-    return np.prod((0.5 - t + js) / (0.5 + t + js), axis=-1)
+    return np.take(intertwiner_ladder(abs(int(m)), t), -1, axis=-1)
 
 
 def singular_distance(m: int, t):

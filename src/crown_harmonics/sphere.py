@@ -13,7 +13,7 @@ Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
 At integer degree the boundary modes of Q^l have a closed form
 (integer_kernel_modes for one order, kernel_mode_sweep for many orders
-at once, one diagonal l - |m| per step). At complex degree they come from one rule: the
+at once, one degree l per step). At complex degree they come from one rule: the
 512-sample trapezoid rule on the boundary circle, folded onto its half
 by the symmetry Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
 kernel_mode_profiles). This module is the only one that forms boundary
@@ -218,53 +218,46 @@ def kernel_mode(ell, m: int, theta) -> np.ndarray:
 
 
 def kernel_mode_sweep(orders, lmax: int, theta):
-    """Closed-form kernel modes of several orders at once, one diagonal per step.
+    """Closed-form kernel modes of several orders at once, one degree per step.
 
     orders is a nonempty list that ascends strictly within 0..lmax. Step
-    j = 0..lmax - orders[0] yields (j, g): row i of g holds
-    G_k(k + j; theta) / i^k at k = orders[i] (see integer_kernel_modes),
-    for the orders with k + j <= lmax, a prefix that shrinks as j grows.
-    g is a view into working buffers, valid until the generator advances.
-    Every order runs the three-term recurrence of integer_kernel_modes
-    with its arithmetic unchanged, so each row equals the one-order
-    result bit for bit; a transform over all orders takes lmax + 1
-    Python-level steps instead of one per mode.
+    l = orders[0]..lmax yields (l, g): row i of g holds G_k(l; theta) / i^k
+    at k = orders[i] (see integer_kernel_modes), for the orders with
+    k <= l, a prefix that grows with l. Order k joins at l = k with the
+    seed (sin(theta) / 2)^k and a zero predecessor. g is a view into
+    working buffers, valid until the generator advances. Every order runs
+    the three-term recurrence of integer_kernel_modes with its arithmetic
+    unchanged, so each row equals the one-order result bit for bit; a
+    transform over all orders takes lmax + 1 Python-level steps instead
+    of one per mode.
     """
     ks = np.asarray(orders, dtype=int)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     x = np.cos(theta)
     seed = 0.5 * np.sin(theta)
-    g = np.empty((ks.size, theta.size))
-    for i, k in enumerate(ks.tolist()):
-        g[i] = seed ** k
-    g_prev = np.zeros_like(g)
-    work = np.empty_like(g)
-    # per step j and order k, with l = k + j: the factors 2l + 1 and l and
-    # the scale (l + 1) / ((l + 1 - k)(l + 1 + k)) that carry row l to l + 1
-    j = np.arange(lmax - ks[0] + 1)[:, None]
-    l = ks + j
-    odd = (2 * l + 1).astype(float)[:, :, None]
-    degree = l.astype(float)[:, :, None]
-    scale = ((l + 1) / ((j + 1) * (l + 1 + ks)))[:, :, None]
-    live = np.searchsorted(ks, lmax - j.ravel(), side="right").tolist()
-    # the three buffers rotate; they are sliced again only when the live
-    # prefix shrinks
-    size = live[0]
-    g, g_prev, work = g[:size], g_prev[:size], work[:size]
-    yield 0, g
-    for step, n, odd_l, degree_l, scale_l in zip(range(1, len(live)), live[1:], odd, degree, scale):
-        if n < size:
-            size, g, g_prev, work = n, g[:n], g_prev[:n], work[:n]
-        if n < ks.size:
-            odd_l, degree_l, scale_l = odd_l[:n], degree_l[:n], scale_l[:n]
-        # g_{l+1} = ((2l+1) x g_l - l g_{l-1}) (l+1) / ((l+1-k)(l+1+k))
-        np.multiply(odd_l, x, work)
-        work *= g
-        g_prev *= degree_l
-        work -= g_prev
-        work *= scale_l
-        g, g_prev, work = work, g, g_prev
-        yield step, g
+    ls = np.arange(ks[0], lmax + 1)[:, None]
+    # per step l and order k < l: the scale l / ((l - k)(l + k)) that carries
+    # row l - 1 to l; the orders that join at l or later read 0, never used
+    den = (ls - ks) * (ls + ks)
+    scale = np.divide(ls, den, out=np.zeros(den.shape), where=den > 0)[:, :, None]
+    live = np.searchsorted(ks, ls.ravel(), side="right").tolist()
+    # three zeroed buffers rotate; the rows past the live prefix are never
+    # written, and the views are sliced again only when the prefix grows
+    g, g_prev, work = (np.zeros((ks.size, theta.size))[:0] for _ in range(3))
+    for step, (l, n) in enumerate(zip(ls.ravel().tolist(), live)):
+        if step:
+            # g_l = ((2l-1) x g_{l-1} - (l-1) g_{l-2}) l / ((l-k)(l+k))
+            np.multiply((2 * l - 1) * x, g, work)
+            g_prev *= l - 1
+            work -= g_prev
+            work *= scale_live[step]
+            g, g_prev, work = work, g, g_prev
+        if n > len(g):
+            for i, k in enumerate(ks[len(g):n].tolist(), start=len(g)):
+                g.base[i] = seed ** k
+            g, g_prev, work = g.base[:n], g_prev.base[:n], work.base[:n]
+            scale_live = scale[:, :n]
+        yield l, g
 
 
 def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
@@ -287,14 +280,10 @@ def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
     the one-order view of kernel_mode_sweep.
     """
     k = abs(int(m))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros((lmax + 1, theta.size), dtype=complex)
-    if k > lmax:
-        return out
-    rows = np.empty((lmax + 1 - k, theta.size))
-    for j, g in kernel_mode_sweep([k], lmax, theta):
-        rows[j] = g[0]
-    out[k:] = (1, 1j, -1, -1j)[k % 4] * rows
+    out = np.zeros((lmax + 1, np.size(theta)), dtype=complex)
+    if k <= lmax:
+        for l, g in kernel_mode_sweep([k], lmax, theta):
+            out[l] = (1, 1j, -1, -1j)[k % 4] * g[0]
     return out
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ProviderError,
     SchemaError,
 )
-from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
+from .intertwining import POLE_TOL, intertwiner_ladder, singular_distance
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     SUPPORT_REL_THRESHOLD,
@@ -66,7 +66,7 @@ from .sphere import (
 _LOG_AMP_DIRECT_MAX = math.log(1e12)
 _LOG_AMP_ADVANTAGE_MIN = math.log(1e3)
 
-#: steps of kernel_mode_sweep whose modes synthesize contracts at once
+#: degrees of kernel_mode_sweep whose modes synthesize contracts at once
 _SWEEP_BLOCK = 8
 
 #: i^k at k % 4, exact
@@ -112,7 +112,7 @@ def lm_grid(lmax: int):
 
 
 # ---------------------------------------------------------------------------
-# analyze: azimuthal FFT, then the closed-form kernel modes per order
+# analyze: azimuthal FFT, then the closed-form kernel modes degree by degree
 
 
 def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
@@ -122,13 +122,13 @@ def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
     G_m(l; theta), so c(l, m) pairs the azimuthal mode m of f with the
     closed-form kernel modes: one FFT along phi, then one sweep of
     sphere.kernel_mode_sweep over every order k = 0..lmax, lmax + 1
-    Python-level steps in all. Step j contracts the modes G_k(k + j) of
-    the live orders with the weighted azimuthal columns of +k and -k, in
-    which the factor i^k is folded (an exact multiply). This costs
-    O(lmax^3) time and O(lmax * n_theta) working memory beyond the FFT of
-    f. It equals the double quadrature over an explicit 2 lmax + 2
-    boundary grid in exact arithmetic; the entries with l < |m|, which
-    vanish there in exact arithmetic, are exact zeros here.
+    Python-level steps in all. Step l contracts the modes G_k(l) of the
+    orders k <= l with the weighted azimuthal columns of +k and -k, in
+    which the factor i^k is folded (an exact multiply), into row l of the
+    table. This costs O(lmax^3) time and O(lmax * n_theta) working memory
+    beyond the FFT of f. It equals the double quadrature over an explicit
+    2 lmax + 2 boundary grid in exact arithmetic; the entries with
+    l < |m|, which vanish there in exact arithmetic, are exact zeros here.
     """
     require_resolution(f.grid, lmax)
     grid = f.grid
@@ -141,15 +141,15 @@ def analyze(f: GridFunction, lmax: int) -> CoefficientTable:
     for c, sign in ((0, 1), (2, -1)):
         column = weighted[:, sign * ks % grid.n_phi].T * phase
         columns[:, c], columns[:, c + 1] = column.real, column.imag
-    # diagonal[j, k] = c(k + j, k), c(k + j, -k) as re, im pairs
-    diagonal = np.zeros((lmax + 1, lmax + 1, 4))
-    for j, g in kernel_mode_sweep(ks, lmax, grid.theta):
-        np.einsum("it,ict->ic", g, columns[:len(g)], out=diagonal[j, :len(g)])
-    diagonal = diagonal.view(complex)
-    j, k = np.nonzero(ks[:, None] + ks <= lmax)
-    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    values[j + k, lmax + k] = diagonal[j, k, 0]
-    values[j + k, lmax - k] = diagonal[j, k, 1]
+    # pairs[l, k] = c(l, k), c(l, -k) as re, im pairs; the entries with l < k
+    # stay exact zeros
+    pairs = np.zeros((lmax + 1, lmax + 1, 4))
+    for l, g in kernel_mode_sweep(ks, lmax, grid.theta):
+        np.einsum("it,ict->ic", g, columns[:l + 1], out=pairs[l, :l + 1])
+    pairs = pairs.view(complex)
+    values = np.empty((lmax + 1, 2 * lmax + 1), dtype=complex)
+    values[:, lmax:] = pairs[:, :, 0]
+    values[:, lmax::-1] = pairs[:, :, 1]
     return CoefficientTable(values)
 
 
@@ -278,13 +278,11 @@ class ExtendProvider(CoefficientProvider):
         elif self.is_zero:
             self.ktypes = frozenset()
         else:
-            peak = np.abs(row_modes).max()
+            column_peaks = np.abs(row_modes).max(axis=0)
             half = f.grid.n_phi // 2
-            present = []
-            for m in range(-half + 1, half + 1):
-                if np.abs(row_modes[:, m % f.grid.n_phi]).max() > 1e-12 * peak:
-                    present.append(m)
-            self.ktypes = frozenset(present)
+            candidates = np.arange(-half + 1, half + 1)
+            present = column_peaks[candidates % f.grid.n_phi] > 1e-12 * column_peaks.max()
+            self.ktypes = frozenset(candidates[present].tolist())
         aliased = sorted(m for m in self.ktypes if 2 * abs(m) >= f.grid.n_phi)
         if aliased:
             raise GridResolutionError(
@@ -366,14 +364,14 @@ class ExtendProvider(CoefficientProvider):
         rows = np.flatnonzero(reflect.ravel())
         if not rows.size:
             return out
-        # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), one closed-form b_m per
-        # K-type over the reflected points; at ell = -n-1 with n < |m| the
-        # identity reads 0 * inf, so only the direct value exists
+        # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), every b_m from one ladder
+        # over the reflected points; at ell = -n-1 with n < |m| the identity
+        # reads 0 * inf, so the direct value replaces the product there
         ells = points.ravel()
         t = ells[rows] + 0.5
+        ks = np.abs(ms)
+        out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
         pole = np.array([singular_distance(m, t) < POLE_TOL for m in ms]).T
-        for j, m in enumerate(ms):
-            out[rows[~pole[:, j]], j] *= intertwiner_rational(m, t[~pole[:, j]])
         for i, at_pole in zip(rows, pole):
             if at_pole.any():
                 out[i, at_pole] = self._values(ells[i])[at_pole]
@@ -404,8 +402,8 @@ class TableProvider(CoefficientProvider):
 
     Evaluates on the integer spectrum directly and on its reflection
     -n-1 through the functional equation phi(-n-1) = b_m(-n-1/2) phi(n),
-    with intertwiner_rational at the real parameters -n-1/2 of the batch,
-    one call per order; there b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n).
+    with one intertwiner_ladder over the real parameters -n-1/2 of the
+    batch for all K-types; there b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n).
     Entries with |m| > n are exact zeros. Any other parameter is outside
     the table's reach and raises ProviderError, after the whole batch is
     checked and before any value is computed.
@@ -433,13 +431,15 @@ class TableProvider(CoefficientProvider):
             return np.zeros((len(ells), 0), dtype=complex)
         ls = np.array([self._degree(ell) for ell in ells], dtype=int)
         lmax, values = self.table.lmax, self.table.values
+        n = np.where(ls < 0, -ls - 1, ls)
         out = np.zeros((ls.size, len(ms)), dtype=complex)
-        direct = np.flatnonzero((ls >= 0) & (ls <= lmax))
-        out[direct] = values[ls[direct][:, None], np.array(ms) + lmax]
-        for j, m in enumerate(ms):
-            rows = np.flatnonzero(-ls - 1 >= abs(m))
-            n = -ls[rows] - 1
-            out[rows, j] = intertwiner_rational(m, -n - 0.5) * values[n, m + lmax]
+        stored = np.flatnonzero(n <= lmax)
+        out[stored] = values[n[stored][:, None], np.array(ms) + lmax]
+        # the reflected rows, every b_m(-n-1/2) from one ladder
+        rows = np.flatnonzero(ls < 0)
+        ks = np.abs(ms)
+        b = intertwiner_ladder(ks.max(), -n[rows] - 0.5)[:, ks]
+        out[rows] = np.where(ks <= n[rows, None], b * out[rows], 0.0)
         return out
 
     def eval(self, ell, m: int) -> complex:
@@ -458,15 +458,15 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     where k is the smallest |m| among its K-types with |m| <= lmax; for
     each such K-type m the values with l >= |m|, weighted by 2l + 1, are
     contracted with the closed-form kernel modes G_m(l; theta) into one
-    radial profile (terms with |m| > l vanish identically and their
-    values are not used). The values are gathered by diagonal j = l - |m|
-    once, with i^|m| folded in (an exact multiply); one sweep of
+    radial profile (terms with |m| > l vanish identically, and their
+    values are masked before they reach the sum). Row l - k of the ray
+    holds degree l, with i^|m| folded in (an exact multiply); one sweep of
     sphere.kernel_mode_sweep over the orders then takes lmax - k + 1
-    Python-level steps, and the modes of every _SWEEP_BLOCK steps are
-    added into the profiles by one batched product. An inverse azimuthal
-    FFT assembles the grid. The work is O(lmax^2 n_theta) per K-type plus
-    the provider evaluations, and results are bit-reproducible for a
-    fixed numpy build.
+    Python-level steps, one per degree, and the modes of every
+    _SWEEP_BLOCK degrees are added into the profiles by one batched
+    product. An inverse azimuthal FFT assembles the grid. The work is
+    O(lmax^2 n_theta) per K-type plus the provider evaluations, and
+    results are bit-reproducible for a fixed numpy build.
 
     Provider values at non-integer parameters, such as those of an
     ExtendProvider, come from the 512-sample boundary rule, where mode m
@@ -495,31 +495,25 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
         ks = np.array(orders)
         ls = np.arange(orders[0], lmax + 1)
         values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
-        # by diagonal: i^k (2l + 1) phi(-l-1) at l = k + j for the K-types +k
-        # and -k; an absent K-type and the degrees past lmax read the zero
-        # row and column appended here
-        values = np.pad(values, ((0, 1), (0, 1)))
+        # terms[i, :, l - ls[0]] = i^k (2l + 1) phi(-l-1) for the K-types +k and
+        # -k, k = orders[i]; an absent K-type reads the zero column appended
+        # here, and the terms with l < k vanish: masked, they never reach the sum
+        values = np.pad(values, ((0, 0), (0, 1))).T
         index = {m: c for c, m in enumerate(ms)}
-        columns = [[index.get(k, -1), index.get(-k, -1) if k else -1] for k in orders]
-        l = ks + np.arange(ls.size)[:, None]
-        rows = np.where(l <= lmax, l - orders[0], -1)
-        gathered = values[rows[:, :, None], columns] * _I_POWERS[ks % 4][:, None]
-        gathered = gathered.transpose(1, 2, 0)
-        # diagonal[i, :, j] = re, im of the K-type +k, then -k, at k = orders[i]
-        diagonal = np.empty((ks.size, 4, ls.size))
-        diagonal[:, 0::2], diagonal[:, 1::2] = gathered.real, gathered.imag
+        terms = values[[[index.get(k, -1), index.get(-k, -1) if k else -1] for k in orders]]
+        terms = np.where(ls >= ks[:, None, None], terms, 0.0) * _I_POWERS[ks % 4][:, None, None]
+        # coefficients[i] = re, im of the K-type +k, then -k, per degree
+        coefficients = np.empty((ks.size, 4, ls.size))
+        coefficients[:, 0::2], coefficients[:, 1::2] = terms.real, terms.imag
         profiles = np.zeros((ks.size, 4, grid.n_theta))
         block = np.zeros((ks.size, _SWEEP_BLOCK, grid.n_theta))
-        last = ls.size - 1
-        for j, g in kernel_mode_sweep(orders, lmax, grid.theta):
-            b = j % _SWEEP_BLOCK
-            if not b:
-                n = len(g)
-            # rows past the live prefix keep finite modes of earlier steps,
-            # against zero values
-            block[:len(g), b] = g
-            if b == _SWEEP_BLOCK - 1 or j == last:
-                profiles[:n] += diagonal[:n, :, j - b:j + 1] @ block[:n, :b + 1]
+        for l, g in kernel_mode_sweep(orders, lmax, grid.theta):
+            s, n = l - orders[0], len(g)
+            b = s % _SWEEP_BLOCK
+            # rows of orders yet to join hold zero modes, against zero terms
+            block[:n, b] = g
+            if b == _SWEEP_BLOCK - 1 or l == lmax:
+                profiles[:n] += coefficients[:n, :, s - b:s + 1] @ block[:n, :b + 1]
         profiles = profiles[:, 0::2] + 1j * profiles[:, 1::2]
         live = np.array([m for m in ms if abs(m) <= lmax])
         negative = (live < 0).astype(int)

@@ -10,6 +10,7 @@ import pytest
 
 from crown_harmonics.errors import SingularParameterError
 from crown_harmonics.intertwining import (
+    intertwiner_ladder,
     intertwiner_rational,
     intertwiner_scalar,
     probe_integral,
@@ -71,6 +72,27 @@ class TestClosedForm:
         assert got.dtype == np.float64
         js = np.arange(3)
         assert np.array_equal(got, np.prod((n[:, None] + 1 + js) / (js - n[:, None]), axis=1))
+
+    def test_ladder_columns_are_the_scalars(self):
+        ts = np.array(GENERIC_TS)
+        ladder = intertwiner_ladder(6, ts)
+        assert ladder.shape == (5, 7) and ladder.dtype == complex
+        # numpy may round a complex product differently with the length of
+        # the axis, so a shorter ladder agrees to roundoff, not bit for bit
+        for m in range(7):
+            expect = intertwiner_rational(m, ts)
+            assert np.all(np.abs(ladder[:, m] - expect) <= 1e-15 * np.abs(expect))
+
+    def test_ladder_reads_zero_past_an_exact_pole_without_a_warning(self):
+        # at t = -n-1/2 the factor j = n has denominator 0: b_k for k > n
+        # has a pole there, and the ladder masks it instead of dividing
+        n = np.arange(5)
+        with np.errstate(all="raise"):
+            ladder = intertwiner_ladder(6, -n - 0.5)
+        for row, nn in zip(ladder, n):
+            assert np.all(row[nn + 1:] == 0.0)
+            assert np.array_equal(row[1:nn + 1], [intertwiner_rational(k, -nn - 0.5)
+                                                  for k in range(1, nn + 1)])
 
 
 class TestQuadratureScalar:

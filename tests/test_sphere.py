@@ -267,13 +267,14 @@ class TestKernelModeSweep:
         for orders in (range(lmax + 1), [0], [1], [0, 2], [3, 60]):
             orders = [k for k in orders if k <= lmax]
             digests = [hashlib.sha256() for _ in orders]
-            steps = 0
-            for j, g in kernel_mode_sweep(orders, lmax, theta):
-                assert j == steps and g.shape == (sum(k + j <= lmax for k in orders), theta.size)
+            degrees = []
+            for l, g in kernel_mode_sweep(orders, lmax, theta):
+                # step l yields exactly the orders k <= l, in ascending order
+                assert g.shape == (sum(k <= l for k in orders), theta.size)
                 for digest, row in zip(digests, g):
                     digest.update(row.tobytes())
-                steps += 1
-            assert steps == lmax - orders[0] + 1
+                degrees.append(l)
+            assert degrees == list(range(orders[0], lmax + 1))
             for k, digest in zip(orders, digests):
                 expect = recurrence_kernel_modes(k, lmax, theta)
                 assert digest.digest() == hashlib.sha256(expect.tobytes()).digest(), (orders[:3], k)

@@ -112,7 +112,7 @@ class TestAnalyzeSynthesize:
 
     @pytest.mark.parametrize("lmax", [32, 64, 128])
     def test_matches_the_per_order_transforms(self, lmax):
-        # the diagonal sweep changes only the order of the contraction
+        # the degree sweep changes only the order of the contraction
         # sums. Unit-norm-basis data rho * a puts every K-type at O(1) on
         # the grid, so the grid norm sees each profile; analyze is
         # compared column by column
@@ -130,6 +130,21 @@ class TestAnalyzeSynthesize:
         got, expect = analyze(f, lmax).values, per_order_analyze(f, lmax).values
         assert np.all(np.max(np.abs(got - expect), axis=0) < 1e-14 * np.max(np.abs(expect), axis=0))
         assert np.all(got[ls < k] == 0.0)
+
+    def test_synthesize_reads_no_value_below_the_order(self):
+        # terms with l < |m| vanish; a provider that is nan there must not
+        # reach the grid, and the sum matches the per-K-type reference
+        def fn(ell, m):
+            l = round(-ell.real) - 1
+            return math.nan if l < abs(m) else (1.0 + 0.25j * m) / (1.0 + l) ** 2
+
+        lmax = 24
+        provider = FakeProvider(fn, ktypes=(0, 3, -5))
+        grid = SphereGrid(lmax + 2, 2 * lmax + 2)
+        got = synthesize(provider, grid, lmax).values
+        expect = per_order_synthesize(provider, grid, lmax)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expect)) < 1e-14 * np.max(np.abs(expect))
 
     def test_full_order_round_trip_is_exact_per_entry(self):
         # unit-norm-basis data rho * a: every entry, corner |m| = l
