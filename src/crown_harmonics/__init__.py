@@ -20,7 +20,6 @@ from .numerics import (
     QuadratureRule1D,
     assoc_legendre,
     gauss_legendre,
-    legendre_p,
 )
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
@@ -134,7 +133,6 @@ __all__ = [
     "kernel_mode_profiles",
     "kostant_ratio",
     "ladder_components",
-    "legendre_p",
     "line_scan_csv",
     "loads_grid_function",
     "loads_table",

@@ -1,8 +1,8 @@
 """Quadrature rules and special functions used across the library.
 
 Everything here is dependency-free plumbing: Gauss-Legendre rules found
-by Newton iteration, and Legendre and associated Legendre functions by
-three-term recurrences.
+by Newton iteration, and associated Legendre functions (P_l = P_l^0
+among them) by three-term recurrences.
 
 All functions are pure; the quadrature cache is populated once per
 order and then only read, so concurrent callers are safe.
@@ -87,25 +87,6 @@ def _check_unit_interval(x) -> np.ndarray:
     if np.any(np.abs(arr) > 1.0 + 1e-14):
         raise CrownDomainError("argument outside [-1, 1]")
     return np.clip(arr, -1.0, 1.0)
-
-
-def legendre_p(l: int, x):
-    """Legendre polynomial P_l(x) on [-1, 1] by the three-term recurrence.
-
-    Accepts scalars or arrays; |P_l(x)| <= 1 on the domain.
-    """
-    if l < 0:
-        raise SchemaError("degree must be nonnegative")
-    arr = _check_unit_interval(x)
-    p0 = np.ones_like(arr)
-    if l == 0:
-        out = p0
-    else:
-        p1 = arr.copy()
-        for j in range(2, l + 1):
-            p0, p1 = p1, ((2 * j - 1) * arr * p1 - (j - 1) * p0) / j
-        out = p1
-    return float(out) if np.isscalar(x) else out
 
 
 def assoc_legendre(l: int, m: int, x):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
-from .intertwining import POLE_TOL, intertwiner_rational, singular_distance
+from .intertwining import POLE_TOL, intertwiner_ladder, singular_distance
 from .transform import ray_points
 
 DEFAULT_WEYL_RE = (0.3, 0.8, 1.3, 1.8)
@@ -281,24 +281,27 @@ def _weyl_residual_detail(provider, lattice, singular_skip):
     distinct, row = np.unique(ells, return_inverse=True)
     reflected = provider.eval_many((-distinct - 1.0).tolist())
     direct = provider.eval_many(distinct.tolist())
-    worst = 0.0
-    for j, m in enumerate(sorted(provider.ktypes)):
-        rows = row[ms == m]
-        lhs = reflected[rows, j]
-        rhs = intertwiner_rational(m, -distinct[rows] - 0.5) * direct[rows, j]
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        nonzero = scale > 0.0
-        if nonzero.any():
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero])))
+    # b_m(-l-1/2) of every used row: one ladder, column |m| per row
+    ks = np.abs(ms)
+    b = intertwiner_ladder(ks.max(), -ells - 0.5)[np.arange(ells.size), ks]
+    column = {m: j for j, m in enumerate(sorted(provider.ktypes))}
+    mine = np.array([m in column for m in ms.tolist()], dtype=bool)
+    rows, cols = row[mine], [column[m] for m in ms[mine].tolist()]
+    lhs = reflected[rows, cols]
+    rhs = b[mine] * direct[rows, cols]
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    nonzero = scale > 0.0
+    worst = float(np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero], initial=0.0))
     return worst, int(used.sum()), int((~used).sum())
 
 
 def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3) -> float:
     """Worst relative defect of phi(-l-1, m) = b_m(-l-1/2) phi(l, m).
 
-    b_m is the closed form intertwiner_rational, one vectorised product
-    per K-type over the lattice, and both sides are provider values, so
-    the residual is the theorem's symmetry condition for any provider.
+    b_m is the closed form of intertwining, one intertwiner_ladder call
+    over the lattice read at column |m| per sample, and both sides are
+    provider values, so the residual is the theorem's symmetry condition
+    for any provider.
     For an ExtendProvider on the default lattice both sides come from
     the direct route, which never uses b_m. Samples closer than
     singular_skip to a pole of the scalar, and samples on a pole, are

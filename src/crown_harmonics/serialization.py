@@ -217,8 +217,8 @@ def loads_table(text: str) -> CoefficientTable:
     obj = _parse(text, "coefficient table")
     _require_keys(obj, ("lmax", "entries"), "coefficient table")
     lmax = _int_field(obj, "lmax", "coefficient table")
-    # the dense table is allocated from lmax alone, and no degree at or past
-    # the boundary sample count can be synthesized without aliasing
+    # the dense (lmax + 1, 2 lmax + 1) table is allocated from lmax alone;
+    # the bound keeps untrusted input from choosing its size (8 MiB at most)
     if not 0 <= lmax < DEFAULT_BOUNDARY_SAMPLES:
         raise SchemaError(
             f"coefficient table: lmax={lmax} outside [0, {DEFAULT_BOUNDARY_SAMPLES})")

@@ -12,10 +12,10 @@ are well defined exactly on the crown cap theta < pi/2, where
 Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
 At integer degree the boundary modes of Q^l have a closed form
-(integer_kernel_modes for one order, kernel_mode_sweep for many orders
-at once, one degree l per step). At complex degree they come from one rule: the
-512-sample trapezoid rule on the boundary circle, folded onto its half
-by the symmetry Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
+(kernel_mode_sweep, for many orders at once, one degree l per step). At
+complex degree they come from one rule: the 512-sample trapezoid rule
+on the boundary circle, folded onto its half by the symmetry
+Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
 kernel_mode_profiles). This module is the only one that forms boundary
 samples or takes the log of the pairing.
 
@@ -220,16 +220,29 @@ def kernel_mode(ell, m: int, theta) -> np.ndarray:
 def kernel_mode_sweep(orders, lmax: int, theta):
     """Closed-form kernel modes of several orders at once, one degree per step.
 
+    The boundary mode m of Q^l is
+
+        G_m(l; theta) = i^|m| l! / (l + |m|)! * P_l^|m|(cos theta),
+
+    Laplace's integral for the associated Legendre function (DLMF 14.12),
+    so it equals kernel_mode(l, m, theta) with no boundary grid and no
+    aliasing limit; it vanishes for l < |m|.
+
     orders is a nonempty list that ascends strictly within 0..lmax. Step
     l = orders[0]..lmax yields (l, g): row i of g holds G_k(l; theta) / i^k
-    at k = orders[i] (see integer_kernel_modes), for the orders with
-    k <= l, a prefix that grows with l. Order k joins at l = k with the
-    seed (sin(theta) / 2)^k and a zero predecessor. g is a view into
-    working buffers, valid until the generator advances. Every order runs
-    the three-term recurrence of integer_kernel_modes with its arithmetic
-    unchanged, so each row equals the one-order result bit for bit; a
-    transform over all orders takes lmax + 1 Python-level steps instead
-    of one per mode.
+    at k = orders[i], for the orders with k <= l, a prefix that grows
+    with l. Order k joins at l = k with the seed (sin(theta) / 2)^k and a
+    zero predecessor, and runs the three-term recurrence
+
+        g_{l+1} = ((2l+1) cos(theta) g_l - l g_{l-1}) (l+1) / ((l+1-k)(l+1+k));
+
+    every |g_l| <= 1, so nothing overflows. Where the seed underflows
+    (high order near a pole) the rows are zero, below anything a degree
+    <= lmax can resolve. g is a view into working buffers, valid until
+    the generator advances. Each order's arithmetic is the one-order
+    recurrence unchanged, so a row does not depend on which other orders
+    share the sweep; a transform over all orders takes lmax + 1
+    Python-level steps instead of one per mode.
     """
     ks = np.asarray(orders, dtype=int)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -258,33 +271,6 @@ def kernel_mode_sweep(orders, lmax: int, theta):
             g, g_prev, work = g.base[:n], g_prev.base[:n], work.base[:n]
             scale_live = scale[:, :n]
         yield l, g
-
-
-def integer_kernel_modes(m: int, lmax: int, theta) -> np.ndarray:
-    """Boundary mode m of Q^l for every degree l = 0..lmax, in closed form.
-
-    Row l of the (lmax + 1, len(theta)) result holds
-
-        G_m(l; theta) = i^|m| l! / (l + |m|)! * P_l^|m|(cos theta),
-
-    Laplace's integral for the associated Legendre function (DLMF 14.12),
-    so it equals kernel_mode(l, m, theta) with no boundary grid and no
-    aliasing limit. Rows l < |m| are exact zeros. The rows come from the
-    three-term recurrence
-
-        g_{l+1} = ((2l+1) cos(theta) g_l - l g_{l-1}) (l+1) / ((l+1-|m|)(l+1+|m|))
-
-    seeded by g_|m| = (sin(theta) / 2)^|m|; every |g_l| <= 1, so nothing
-    overflows. Where the seed underflows (high order near a pole) the
-    rows are zero, below anything a degree <= lmax can resolve. This is
-    the one-order view of kernel_mode_sweep.
-    """
-    k = abs(int(m))
-    out = np.zeros((lmax + 1, np.size(theta)), dtype=complex)
-    if k <= lmax:
-        for l, g in kernel_mode_sweep([k], lmax, theta):
-            out[l] = (1, 1j, -1, -1j)[k % 4] * g[0]
-    return out
 
 
 def require_resolution(grid: SphereGrid, lmax: int):

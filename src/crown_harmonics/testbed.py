@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalError, SchemaError
 from .numerics import assoc_legendre, complex_abs
 from .sphere import GridFunction, SphereGrid, require_resolution
-from .transform import CoefficientTable, TableProvider, lm_grid, synthesize
+from .transform import CoefficientTable, TableProvider, analyze, lm_grid, synthesize
 
 PROFILE_SMOOTH = "smooth"
 PROFILE_COSPOW = "cospow"
@@ -270,8 +270,6 @@ def bridge_factors(lmax: int, m: int, grid: SphereGrid | None = None,
     two measurements must agree to 1e-9 relative, otherwise the bridge
     is reported as failed.
     """
-    from .transform import analyze
-
     if abs(m) > lmax:
         raise SchemaError("|m| exceeds lmax")
     if grid is None:

@@ -7,7 +7,7 @@ pairing:
                 * integral over the sphere of f(x) Q(x, b)^ell dx db.
 
 At integer degree the boundary modes of Q^ell have the closed form
-sphere.integer_kernel_modes, and analyze pairs them with the azimuthal
+of sphere.kernel_mode_sweep, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
 cap-supported f against boundary modes of Q^ell by the folded
 512-sample trapezoid rule of sphere.kernel_mode_profiles, a route that
@@ -18,8 +18,9 @@ runs the inversion series
     f(x) = sum over ell of (2*ell+1) * (1/2*pi)
            * integral of phi_hat(-ell-1, b) Q(x, b)^ell db,
 
-pulling provider values at the reflected parameter -ell-1 and
-contracting them with the closed-form modes.
+reading provider values on the integer spectrum, where the reflected
+coefficient is phi(-l-1, m) = b_m(-l-1/2) phi(l, m), and contracting
+them with the closed-form modes.
 
 Coefficient providers (table-backed and extension-backed) live here
 too, since synthesize consumes them and extend produces the canonical
@@ -43,7 +44,7 @@ from .errors import (
     ProviderError,
     SchemaError,
 )
-from .intertwining import POLE_TOL, intertwiner_ladder, singular_distance
+from .intertwining import POLE_TOL, intertwiner_ladder
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     SUPPORT_REL_THRESHOLD,
@@ -51,7 +52,6 @@ from .sphere import (
     SphereGrid,
     boundary_fold,
     boundary_log_pairing,
-    ell_value,
     kernel_mode_sweep,
     require_resolution,
     support_radius,
@@ -254,9 +254,16 @@ class ExtendProvider(CoefficientProvider):
 
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
-    modes carry more than rel 1e-12 of the overall peak. A detected or
+    modes carry more than rel 1e-12 of the overall peak. The candidates
+    are every order of the grid, -((n_phi-1)//2)..n_phi//2. A detected or
     declared K-type with 2|m| >= n_phi is aliased on the grid and raises
     GridResolutionError here, before any evaluation.
+
+    Mode m of Q^l aliases on the boundary rule once l + |m| reaches
+    DEFAULT_BOUNDARY_SAMPLES. A batch holding a nonnegative integer l
+    with l + min(|m|, l) >= DEFAULT_BOUNDARY_SAMPLES for one of the
+    K-types raises GridResolutionError before any kernel exponential
+    (the terms with |m| > l vanish in synthesize, which masks them).
     """
 
     def __init__(self, f: GridFunction, ktypes=None):
@@ -279,8 +286,7 @@ class ExtendProvider(CoefficientProvider):
             self.ktypes = frozenset()
         else:
             column_peaks = np.abs(row_modes).max(axis=0)
-            half = f.grid.n_phi // 2
-            candidates = np.arange(-half + 1, half + 1)
+            candidates = np.arange(-((f.grid.n_phi - 1) // 2), f.grid.n_phi // 2 + 1)
             present = column_peaks[candidates % f.grid.n_phi] > 1e-12 * column_peaks.max()
             self.ktypes = frozenset(candidates[present].tolist())
         aliased = sorted(m for m in self.ktypes if 2 * abs(m) >= f.grid.n_phi)
@@ -335,6 +341,17 @@ class ExtendProvider(CoefficientProvider):
         out = np.zeros((points.size, len(ms)), dtype=complex)
         if not ms or self.is_zero:
             return out
+        ks = np.abs(ms)
+        integers = points[(points.imag == 0.0) & (points.real >= 0.0)
+                          & (points.real == np.round(points.real))].real
+        if integers.size:
+            l = int(integers.max())
+            k = min(int(ks.max()), l)
+            if l + k >= DEFAULT_BOUNDARY_SAMPLES:
+                raise GridResolutionError(
+                    f"degree l={l} with K-type |m|={k} aliases on the "
+                    f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
+                    f"need l + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
         reflect = np.zeros(points.shape, dtype=bool)
         for i, (ray, step) in enumerate(zip(points, steps)):
@@ -369,9 +386,11 @@ class ExtendProvider(CoefficientProvider):
         # reads 0 * inf, so the direct value replaces the product there
         ells = points.ravel()
         t = ells[rows] + 0.5
-        ks = np.abs(ms)
         out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
-        pole = np.array([singular_distance(m, t) < POLE_TOL for m in ms]).T
+        # distance to the poles -1/2 - j, j < |m|, of every b_m: one running
+        # minimum over j, behind an inf column for the zonal type
+        distance = np.minimum.accumulate(np.abs(t[:, None] + 0.5 + np.arange(ks.max())), axis=1)
+        pole = np.pad(distance, ((0, 0), (1, 0)), constant_values=np.inf)[:, ks] < POLE_TOL
         for i, at_pole in zip(rows, pole):
             if at_pole.any():
                 out[i, at_pole] = self._values(ells[i])[at_pole]
@@ -398,48 +417,38 @@ def extend(f: GridFunction, ell, m: int) -> complex:
 
 
 class TableProvider(CoefficientProvider):
-    """Provider backed by an integer coefficient table.
+    """Provider backed by an integer coefficient table: a gather.
 
-    Evaluates on the integer spectrum directly and on its reflection
-    -n-1 through the functional equation phi(-n-1) = b_m(-n-1/2) phi(n),
-    with one intertwiner_ladder over the real parameters -n-1/2 of the
-    batch for all K-types; there b_m(-n-1/2) = prod_{j<|m|} (n+1+j)/(j-n).
-    Entries with |m| > n are exact zeros. Any other parameter is outside
-    the table's reach and raises ProviderError, after the whole batch is
-    checked and before any value is computed.
+    eval_many reads the table at nonnegative integers l, and 0 past its
+    lmax, as CoefficientTable.get does. A negative or non-integer
+    parameter is outside the table's reach and raises ProviderError,
+    after the whole batch is checked and before any value is read. The
+    reflection to -l-1 is synthesize's: the table holds no functional
+    equation.
     """
 
     def __init__(self, table: CoefficientTable):
         self.table = table
         self.ktypes = table.ktypes()
 
-    def _degree(self, ell) -> int:
-        ell = ell_value(ell)
-        x = ell.real
-        if abs(ell.imag) > 1e-9 or abs(x - round(x)) > 1e-9:
-            raise ProviderError(
-                f"table provider is defined on integers and reflected integers, "
-                f"got ell = {ell}", ell=ell)
-        l = round(x)
-        if -l - 1 > self.table.lmax:
-            raise ProviderError(f"table lmax={self.table.lmax} cannot reach ell={l}", ell=ell)
-        return l
-
+    # a parameter that is not finite compares False and is rejected
+    @np.errstate(invalid="ignore")
     def eval_many(self, ells) -> np.ndarray:
         ms = sorted(self.ktypes)
+        ells = np.asarray(ells, dtype=complex).ravel()
         if not ms:
-            return np.zeros((len(ells), 0), dtype=complex)
-        ls = np.array([self._degree(ell) for ell in ells], dtype=int)
-        lmax, values = self.table.lmax, self.table.values
-        n = np.where(ls < 0, -ls - 1, ls)
-        out = np.zeros((ls.size, len(ms)), dtype=complex)
-        stored = np.flatnonzero(n <= lmax)
-        out[stored] = values[n[stored][:, None], np.array(ms) + lmax]
-        # the reflected rows, every b_m(-n-1/2) from one ladder
-        rows = np.flatnonzero(ls < 0)
-        ks = np.abs(ms)
-        b = intertwiner_ladder(ks.max(), -n[rows] - 0.5)[:, ks]
-        out[rows] = np.where(ks <= n[rows, None], b * out[rows], 0.0)
+            return np.zeros((ells.size, 0), dtype=complex)
+        ls = np.round(ells.real)
+        bad = ~((np.abs(ells.imag) <= 1e-9) & (np.abs(ells.real - ls) <= 1e-9) & (ls >= 0.0))
+        if bad.any():
+            ell = complex(ells[bad][0])
+            raise ProviderError(
+                f"table provider is defined on the nonnegative integers, got ell = {ell}",
+                ell=ell)
+        lmax = self.table.lmax
+        out = np.zeros((ells.size, len(ms)), dtype=complex)
+        stored = np.flatnonzero(ls <= lmax)
+        out[stored] = self.table.values[ls[stored].astype(int)[:, None], np.array(ms) + lmax]
         return out
 
     def eval(self, ell, m: int) -> complex:
@@ -453,37 +462,32 @@ class TableProvider(CoefficientProvider):
 def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
-    The provider is evaluated in one eval_rays call, on the one ray of
-    reflected parameters -l-1 for l = k..lmax (origin -k-1, step -1),
-    where k is the smallest |m| among its K-types with |m| <= lmax; for
-    each such K-type m the values with l >= |m|, weighted by 2l + 1, are
-    contracted with the closed-form kernel modes G_m(l; theta) into one
-    radial profile (terms with |m| > l vanish identically, and their
-    values are masked before they reach the sum). Row l - k of the ray
-    holds degree l, with i^|m| folded in (an exact multiply); one sweep of
-    sphere.kernel_mode_sweep over the orders then takes lmax - k + 1
-    Python-level steps, one per degree, and the modes of every
-    _SWEEP_BLOCK degrees are added into the profiles by one batched
-    product. An inverse azimuthal FFT assembles the grid. The work is
-    O(lmax^2 n_theta) per K-type plus the provider evaluations, and
-    results are bit-reproducible for a fixed numpy build.
+    The provider is evaluated in one eval_rays call, on the integer ray
+    l = k..lmax (origin k, step 1), where k is the smallest |m| among its
+    K-types with |m| <= lmax. The series needs phi(-l-1, m), which is
+    b_m(-l-1/2) phi(l, m); every b_m comes from one intertwiner_ladder
+    call at the real t = -l-1/2. For each K-type m the terms with
+    l >= |m|, weighted by b_m and 2l + 1, are contracted with the
+    closed-form kernel modes G_m(l; theta) into one radial profile (terms
+    with |m| > l vanish identically, and their values are masked before
+    they reach the sum). Row l - k of the ray holds degree l, with i^|m|
+    folded in (an exact multiply); one sweep of sphere.kernel_mode_sweep
+    over the orders then takes lmax - k + 1 Python-level steps, one per
+    degree, and the modes of every _SWEEP_BLOCK degrees are added into
+    the profiles by one batched product. An inverse azimuthal FFT
+    assembles the grid. The work is O(lmax^2 n_theta) per K-type plus the
+    provider evaluations, and results are bit-reproducible for a fixed
+    numpy build.
 
-    Provider values at non-integer parameters, such as those of an
-    ExtendProvider, come from the 512-sample boundary rule, where mode m
-    of degree l aliases unless l + |m| < DEFAULT_BOUNDARY_SAMPLES; a sum
-    that would include such a term raises GridResolutionError up front.
     Provider failures follow the eval_many contract, which eval_rays
     keeps: a ProviderError naming the parameter for library errors and
-    ArithmeticErrors, any other exception propagates.
+    ArithmeticErrors, any other exception propagates. A provider's own
+    limits stay its own: an ExtendProvider raises GridResolutionError
+    where its boundary rule would alias, a TableProvider reads 0 past
+    its lmax.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
-    mmax = min(max((abs(m) for m in ms), default=0), lmax)
-    if lmax + mmax >= DEFAULT_BOUNDARY_SAMPLES:
-        raise GridResolutionError(
-            f"lmax={lmax} with K-type |m|={mmax} aliases on the "
-            f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
-            f"need lmax + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
     for m in ms:
         if 2 * abs(m) >= grid.n_phi:
             raise GridResolutionError(
@@ -494,13 +498,16 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     if orders:
         ks = np.array(orders)
         ls = np.arange(orders[0], lmax + 1)
-        values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
-        # terms[i, :, l - ls[0]] = i^k (2l + 1) phi(-l-1) for the K-types +k and
-        # -k, k = orders[i]; an absent K-type reads the zero column appended
-        # here, and the terms with l < k vanish: masked, they never reach the sum
+        values = provider.eval_rays(float(ls[0]), 1.0, ls.size)
+        # terms[i, :, l - ls[0]] = phi(l) for the K-types +k and -k, k =
+        # orders[i]; an absent K-type reads the zero column appended here
         values = np.pad(values, ((0, 0), (0, 1))).T
         index = {m: c for c, m in enumerate(ms)}
         terms = values[[[index.get(k, -1), index.get(-k, -1) if k else -1] for k in orders]]
+        # times b_k(-l-1/2) and 2l + 1, then i^k; the terms with l < k
+        # vanish: masked, they never reach the sum
+        terms *= intertwiner_ladder(ks[-1], -ls - 0.5).T[ks][:, None]
+        terms *= 2 * ls + 1
         terms = np.where(ls >= ks[:, None, None], terms, 0.0) * _I_POWERS[ks % 4][:, None, None]
         # coefficients[i] = re, im of the K-type +k, then -k, per degree
         coefficients = np.empty((ks.size, 4, ls.size))

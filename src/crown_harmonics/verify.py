@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intertwining import intertwiner_rational, intertwiner_scalar, probe_integral
-from .numerics import complex_abs, legendre_p
+from .numerics import assoc_legendre, complex_abs
 from .paley_wiener import pw_report, type_estimate, weyl_residual
 from .reduction import intertwine_check, kostant_ratio, ladder_components, reduction_synthesize
 from .sphere import SphereGrid, kernel_mode, support_radius
@@ -65,7 +65,7 @@ def check_zonal_kernel() -> CheckResult:
         u = math.cos(theta)
         for l in range(51):
             got = complex(kernel_mode(float(l), 0, theta)[0])
-            worst = max(worst, abs(got - legendre_p(l, u)))
+            worst = max(worst, abs(got - assoc_legendre(l, 0, u)))
     return _result(
         "zonal-kernel-identity", worst, 1e-10,
         "mode-0 kernel vs Legendre recurrence, l <= 50, three angles",

@@ -84,17 +84,22 @@ def per_order_analyze(f, lmax: int) -> CoefficientTable:
 
 
 def per_order_synthesize(provider, grid, lmax: int) -> np.ndarray:
-    """Grid values of synthesize as one profile product per K-type, on recurrence_kernel_modes."""
+    """Grid values of synthesize as one profile product per K-type, on recurrence_kernel_modes.
+
+    The reflected coefficient phi(-l-1, m) = b_m(-l-1/2) phi(l, m) takes
+    b_m from one intertwiner_rational call per K-type, over l >= |m|.
+    """
     ms = sorted(provider.ktypes)
     spectrum = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
     orders = sorted({abs(m) for m in ms if abs(m) <= lmax})
     if orders:
         ls = np.arange(orders[0], lmax + 1)
-        values = provider.eval_rays(-ls[0] - 1.0, -1.0, ls.size) * (2 * ls + 1)[:, None]
+        values = provider.eval_rays(float(ls[0]), 1.0, ls.size) * (2 * ls + 1)[:, None]
         for k in orders:
             modes = (1, 1j, -1, -1j)[k % 4] * recurrence_kernel_modes(k, lmax, grid.theta)
             for m in sorted({-k, k} & set(ms)):
-                spectrum[:, m % grid.n_phi] = values[k - orders[0]:, ms.index(m)] @ modes
+                b = intertwiner_rational(m, -ls[k - orders[0]:] - 0.5)
+                spectrum[:, m % grid.n_phi] = (b * values[k - orders[0]:, ms.index(m)]) @ modes
     return np.fft.ifft(spectrum, axis=1) * grid.n_phi
 
 

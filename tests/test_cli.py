@@ -86,6 +86,19 @@ class TestSynthesize:
         expect = synthesize(TableProvider(table), SphereGrid(24, 12), 4)
         assert np.max(np.abs(got.values - expect.values)) == 0.0
 
+    def test_lmax_past_the_table_reads_zeros(self, tmp_path):
+        # degrees past the table's lmax are zero, so the sum stops at its lmax
+        table = random_table(4, 2, seed=3)
+        tpath = tmp_path / "table.json"
+        tpath.write_text(dumps_table(table))
+        out = tmp_path / "f.json"
+        rc = main(["synthesize", "--input", str(tpath), "--grid", "24x16",
+                   "--lmax", "7", "--output", str(out)])
+        assert rc == 0
+        got = loads_grid_function(out.read_text())
+        expect = synthesize(TableProvider(table), SphereGrid(24, 16), 4)
+        assert np.max(np.abs(got.values - expect.values)) < 1e-14 * np.max(np.abs(expect.values))
+
     def test_duplicate_key_is_schema_error(self, tmp_path, capsys):
         tpath = tmp_path / "table.json"
         tpath.write_text('{"lmax": 1, "lmax": 2, "entries": []}')

@@ -12,7 +12,7 @@ import pytest
 
 from crown_harmonics import numerics
 from crown_harmonics.errors import CrownDomainError, NumericalError
-from crown_harmonics.numerics import assoc_legendre, complex_abs, gauss_legendre, legendre_p
+from crown_harmonics.numerics import assoc_legendre, complex_abs, gauss_legendre
 
 # frozen oracles (sympy, 2026-08)
 P40_AT_03 = 0.12511584585570795544
@@ -76,16 +76,16 @@ class TestComplexAbs:
 class TestLegendre:
     def test_low_degrees_exact(self):
         x = np.linspace(-1, 1, 7)
-        assert np.max(np.abs(legendre_p(0, x) - 1.0)) == 0.0
-        assert np.max(np.abs(legendre_p(1, x) - x)) == 0.0
-        assert np.max(np.abs(legendre_p(2, x) - (1.5 * x**2 - 0.5))) < 1e-15
+        assert np.max(np.abs(assoc_legendre(0, 0, x) - 1.0)) == 0.0
+        assert np.max(np.abs(assoc_legendre(1, 0, x) - x)) == 0.0
+        assert np.max(np.abs(assoc_legendre(2, 0, x) - (1.5 * x**2 - 0.5))) < 1e-15
 
     def test_frozen_high_degree_value(self):
-        assert abs(legendre_p(40, 0.3) - P40_AT_03) < 1e-15
+        assert abs(assoc_legendre(40, 0, 0.3) - P40_AT_03) < 1e-15
 
     def test_domain_check(self):
         with pytest.raises(CrownDomainError):
-            legendre_p(3, 1.5)
+            assoc_legendre(3, 0, 1.5)
 
 
 class TestAssocLegendre:
@@ -96,7 +96,8 @@ class TestAssocLegendre:
     def test_m_zero_reduces_to_legendre(self):
         x = np.linspace(-0.95, 0.95, 9)
         for l in (0, 1, 5, 11):
-            assert np.max(np.abs(assoc_legendre(l, 0, x) - legendre_p(l, x))) < 1e-13
+            legendre = np.polynomial.legendre.Legendre.basis(l)(x)
+            assert np.max(np.abs(assoc_legendre(l, 0, x) - legendre)) < 1e-13
 
     def test_diagonal_seed(self):
         # P_m^m = (2m-1)!! (1-x^2)^{m/2}, positive in this convention

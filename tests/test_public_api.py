@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "cap_quadrature", "decay_constants", "dumps_grid_function", "dumps_report",
     "dumps_table", "extend", "format_float", "gauss_legendre",
     "intertwine_check", "intertwiner_rational", "kernel_mode",
-    "kernel_mode_profiles", "kostant_ratio", "ladder_components", "legendre_p",
+    "kernel_mode_profiles", "kostant_ratio", "ladder_components",
     "line_scan_csv", "loads_grid_function", "loads_table", "make_bump",
     "oracle_sht", "pw_report", "random_bandlimited", "random_table",
     "reduction_synthesize", "run_acceptance", "sample_line", "sigma_action",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 62
     assert sorted(crown_harmonics.__all__) == PUBLIC_NAMES
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from crown_harmonics.errors import CrownDomainError, GridResolutionError, SchemaError
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.numerics import assoc_legendre, gauss_legendre, legendre_p
+from crown_harmonics.numerics import assoc_legendre, gauss_legendre
 from crown_harmonics.sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     GridFunction,
@@ -21,7 +21,6 @@ from crown_harmonics.sphere import (
     boundary_log_pairing,
     cap_quadrature,
     ell_value,
-    integer_kernel_modes,
     kernel_mode,
     kernel_mode_profiles,
     kernel_mode_sweep,
@@ -72,13 +71,13 @@ class TestSphereGrid:
         # mean of P_3(cos)^2 over the sphere is 1/(2*3+1)
         grid = SphereGrid(12, 6)
         f = GridFunction.from_callable(
-            grid, lambda th, ph: legendre_p(3, np.cos(th)) ** 2 + 0j
+            grid, lambda th, ph: assoc_legendre(3, 0, np.cos(th)) ** 2 + 0j
         )
         assert abs(sphere_integral(f) - ONE_SEVENTH) < 5e-15
 
     def test_raw_rule_integrates_p50_square_frozen(self):
         rule = gauss_legendre(64)
-        got = float(rule.weights @ legendre_p(50, rule.nodes) ** 2)
+        got = float(rule.weights @ assoc_legendre(50, 0, rule.nodes) ** 2)
         assert abs(got - TWO_OVER_101) < 1e-14
 
     def test_integrate_smooth_bump_against_scipy_quad(self):
@@ -134,7 +133,7 @@ class TestKernelModes:
         for l in (0, 1, 4, 17):
             for theta in (0.25, 0.9, 1.3):
                 got = kernel_mode(float(l), 0, theta)
-                assert abs(got - legendre_p(l, math.cos(theta))) < 1e-13
+                assert abs(got - assoc_legendre(l, 0, math.cos(theta))) < 1e-13
 
     def test_mode_symmetry_in_m(self):
         ell = 1.7 - 0.4j
@@ -170,7 +169,7 @@ class TestKernelModes:
         thetas = np.array([0.5, 1.6, 2.8])
         column = kernel_mode_profiles(3.0, boundary_log_pairing(thetas), [0])[:, 0]
         for i, theta in enumerate(thetas):
-            assert abs(column[i] - legendre_p(3, math.cos(theta))) < 1e-13
+            assert abs(column[i] - assoc_legendre(3, 0, math.cos(theta))) < 1e-13
 
 
 class TestFoldedRuleAgainstFFT:
@@ -211,7 +210,8 @@ class TestFoldedRuleAgainstFFT:
 
 class TestIntegerKernelModes:
     # whole sphere, both poles' neighbourhoods included: integer powers
-    # are branch-free
+    # are branch-free. The closed form is read from kernel_mode_sweep,
+    # whose row k of step l is G_k(l) / i^k
     THETAS = np.array([1e-3, 0.2, 0.7, 1.3, 1.6, 2.4, 3.1])
 
     def test_matches_boundary_fft_absolutely(self):
@@ -220,42 +220,45 @@ class TestIntegerKernelModes:
         log_q = boundary_log_pairing(self.THETAS)
         full_log_q = full_boundary_log_pairing(self.THETAS)
         ms = np.arange(-40, 41)
-        folded = np.array([kernel_mode_profiles(float(l), log_q, ms) for l in range(41)])
-        fft_modes = np.array([fft_kernel_modes(float(l), full_log_q) for l in range(41)])
         worst = 0.0
-        for j, m in enumerate(ms):
-            modes = integer_kernel_modes(m, 40, self.THETAS)
-            for expect in (folded[:, :, j], fft_modes[:, :, m % DEFAULT_BOUNDARY_SAMPLES]):
-                worst = max(worst, np.max(np.abs(modes - expect)[abs(m):]))
+        for l, g in kernel_mode_sweep(range(41), 40, self.THETAS):
+            folded = kernel_mode_profiles(float(l), log_q, ms)
+            fft_modes = fft_kernel_modes(float(l), full_log_q)
+            for j, m in enumerate(ms):
+                if abs(m) <= l:
+                    mode = (1, 1j, -1, -1j)[abs(m) % 4] * g[abs(m)]
+                    for expect in (folded[:, j], fft_modes[:, m % DEFAULT_BOUNDARY_SAMPLES]):
+                        worst = max(worst, np.max(np.abs(mode - expect)))
         assert worst < 1e-13
 
     def test_matches_associated_legendre_relatively(self):
         # i^|m| l!/(l+|m|)! P_l^|m|: relative to each row's own scale,
         # which the absolute comparison cannot see once the row is tiny
         u = np.cos(self.THETAS)
-        for k in range(61):
-            modes = integer_kernel_modes(-k, 60, self.THETAS)
-            for l in range(k, 61):
+        for l, g in kernel_mode_sweep(range(61), 60, self.THETAS):
+            for k in range(l + 1):
+                mode = (1, 1j, -1, -1j)[k % 4] * g[k]
                 expect = (1j ** k * math.factorial(l) / math.factorial(l + k)
                           * assoc_legendre(l, k, u))
                 scale = np.max(np.abs(expect))
-                assert np.max(np.abs(modes[l] - expect)) < 1e-12 * scale, (l, k)
+                assert np.max(np.abs(mode - expect)) < 1e-12 * scale, (l, k)
 
     def test_exact_zeros_below_the_order(self):
-        modes = integer_kernel_modes(7, 12, self.THETAS)
-        assert modes.shape == (13, self.THETAS.size)
-        assert np.all(modes[:7] == 0.0) and np.all(modes[7] != 0.0)
-        assert not np.any(integer_kernel_modes(13, 12, self.THETAS))
+        # order 7 joins the sweep at l = 7 with a nonzero seed row; no step
+        # below it yields the order, and an order past lmax yields no step
+        steps = [(l, g.copy()) for l, g in kernel_mode_sweep([0, 7], 12, self.THETAS)]
+        assert [g.shape for _, g in steps] == [(1 + (l >= 7), self.THETAS.size) for l in range(13)]
+        assert np.all(steps[7][1][1] != 0.0)
+        assert not list(kernel_mode_sweep([13], 12, self.THETAS))
 
     def test_finite_where_the_seed_underflows(self):
         # (sin(theta)/2)^255 underflows on the first rows of the L = 255
         # grid; those rows come out as zeros, never inf or nan
         grid = SphereGrid(257, 512)
         assert (0.5 * math.sin(grid.theta[0])) ** 255 == 0.0
-        for k in range(256):
-            modes = integer_kernel_modes(k, 255, grid.theta)
-            assert np.all(np.isfinite(modes)) and np.max(np.abs(modes)) <= 1.0, k
-        assert modes[255, 0] == 0.0 and modes[255, grid.n_theta // 2] != 0.0
+        for l, g in kernel_mode_sweep(range(256), 255, grid.theta):
+            assert np.all(np.isfinite(g)) and np.max(np.abs(g)) <= 1.0, l
+        assert g[255, 0] == 0.0 and g[255, grid.n_theta // 2] != 0.0
 
 
 class TestKernelModeSweep:

@@ -2,8 +2,7 @@
 
 The degree-one check is exact by hand: the table {(1, 0): 1} must
 synthesize to 3 cos(theta), since the zonal kernel mode at degree 1 is
-cos(theta), the reflected evaluation multiplies by b_0 = 1, and the
-degree weight is 3.
+cos(theta), the reflection scalar b_0 is 1, and the degree weight is 3.
 """
 
 import math
@@ -19,7 +18,7 @@ from crown_harmonics.errors import (
     SchemaError,
 )
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.numerics import legendre_p
+from crown_harmonics.numerics import assoc_legendre
 from crown_harmonics.paley_wiener import _disc_points, _disc_rays
 from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
 from crown_harmonics.testbed import (
@@ -86,6 +85,14 @@ class TestExactDegreeOne:
         expect = grid_cos_theta(grid).values
         assert np.max(np.abs(f.values - expect)) < 1e-13
 
+    def test_synthesize_ktype_one_degree_one(self):
+        # the term phi(-2, 1) = b_1(-3/2) phi(1, 1) = -2 phi(1, 1), times
+        # the degree weight 3 and the kernel mode G_1(1) = (i/2) sin(theta)
+        grid = SphereGrid(24, 8)
+        f = synthesize(TableProvider(table(1, {(1, 1): 1.0})), grid, 1)
+        expect = -3j * np.sin(grid.theta)[:, None] * np.exp(1j * grid.phi_nodes)
+        assert np.max(np.abs(f.values - expect)) < 1e-13
+
 
 class TestAnalyzeSynthesize:
     def test_round_trip_random_band_limited(self):
@@ -135,7 +142,7 @@ class TestAnalyzeSynthesize:
         # terms with l < |m| vanish; a provider that is nan there must not
         # reach the grid, and the sum matches the per-K-type reference
         def fn(ell, m):
-            l = round(-ell.real) - 1
+            l = round(ell.real)
             return math.nan if l < abs(m) else (1.0 + 0.25j * m) / (1.0 + l) ** 2
 
         lmax = 24
@@ -198,15 +205,21 @@ class TestAnalyzeSynthesize:
 
     def test_synthesize_rejects_boundary_aliasing(self):
         # mode m of Q^l aliases on the 512-sample boundary grid once
-        # l + |m| >= 512; the guard fires before any provider evaluation
+        # l + |m| >= 512. A table never touches that grid, so it
+        # synthesizes past it; an ExtendProvider raises before any kernel
+        # exponential
         grid = SphereGrid(4, 8)
-        with pytest.raises(GridResolutionError):
-            synthesize(TableProvider(table(512, {(0, 0): 1.0})), grid, 512)
-        with pytest.raises(GridResolutionError):
-            synthesize(TableProvider(table(509, {(509, 3): 1.0})), grid, 509)
+        for t, lmax in ((table(512, {(0, 0): 1.0}), 512), (table(509, {(509, 3): 1.0}), 509),
+                        (table(508, {(508, 3): 1.0}), 508)):
+            assert np.all(np.isfinite(synthesize(TableProvider(t), grid, lmax).values))
+        t = random_table(300, 300, seed=1)
+        assert np.all(np.isfinite(synthesize(TableProvider(t), SphereGrid(302, 602), 300).values))
+        provider = ExtendProvider(make_bump(BumpSpec(0.5, ktype=3), SphereGrid(48, 8)))
         # l + |m| = 511 is the largest alias-free pair
-        t = table(508, {(508, 3): 1.0})
-        assert np.all(np.isfinite(synthesize(TableProvider(t), grid, 508).values))
+        assert np.all(np.isfinite(synthesize(provider, grid, 508).values))
+        provider._kernel = None  # a kernel exponential would fail here
+        with pytest.raises(GridResolutionError, match=r"l=509 with K-type \|m\|=3"):
+            synthesize(provider, grid, 509)
 
 
 class TestZonalTransform:
@@ -218,7 +231,7 @@ class TestZonalTransform:
         bump = make_bump(BumpSpec(radius=0.9), grid)
         row_mean = bump.values.mean(axis=1)
         u = np.cos(grid.theta)
-        coeffs = np.array([np.sum(grid.theta_weights * row_mean * legendre_p(l, u))
+        coeffs = np.array([np.sum(grid.theta_weights * row_mean * assoc_legendre(l, 0, u))
                            for l in range(11)])
         zonal = analyze(bump, 10).values[:, 10]
         worst = np.max(np.abs(coeffs - zonal))
@@ -238,6 +251,14 @@ class TestExtend:
         f = GridFunction(grid, np.ones((24, 8), dtype=complex))
         with pytest.raises(CrownDomainError):
             extend(f, 2.0, 0)
+
+    def test_aliased_integer_degree_raises(self):
+        # mode m of Q^l aliases on the 512-sample boundary rule once
+        # l + min(|m|, l) >= 512: the value would be wrong, so it raises
+        f = make_bump(BumpSpec(0.6, ktype=1), SphereGrid(48, 8))
+        assert np.isfinite(extend(f, 510.0, 1))
+        with pytest.raises(GridResolutionError, match=r"l=511 with K-type \|m\|=1"):
+            extend(f, 511.0, 1)
 
     def test_zero_function_extends_to_zero(self):
         grid = SphereGrid(24, 8)
@@ -276,23 +297,37 @@ class TestProviders:
             extend(GridFunction(grid, np.zeros((144, 16), dtype=complex)), 1.0, 9)
         assert ExtendProvider(zonal, ktypes=(0, 7)).ktypes == frozenset({0, 7})
 
-    def test_table_provider_reflection(self):
-        provider = TableProvider(table(2, {(1, 1): 0.25j, (1, -1): 2.0}))
-        # phi(-2) = b_1(-3/2) phi(1) = -2 phi(1)
-        assert abs(provider.eval(-2.0, 1) - (-0.5j)) < 1e-15
-        assert abs(provider.eval(-2.0, -1) - (-4.0)) < 1e-15
+    @pytest.mark.parametrize("n_phi", [7, 15])
+    def test_extend_provider_detects_every_order_of_an_odd_grid(self, n_phi):
+        # an odd grid carries the orders -(n_phi-1)/2..(n_phi-1)/2, the
+        # most negative one included; random cap data holds all of them
+        grid = SphereGrid(40, n_phi)
+        values = np.zeros((40, n_phi), dtype=complex)
+        values[:12] = np.random.default_rng(n_phi).standard_normal((12, n_phi))
+        half = (n_phi - 1) // 2
+        assert ExtendProvider(GridFunction(grid, values)).ktypes == frozenset(range(-half, half + 1))
+
+    def test_table_provider_gathers_at_nonnegative_integers(self):
+        provider = TableProvider(table(2, {(1, 1): 0.25j, (1, -1): 2.0, (2, 1): -1.5}))
+        assert provider.eval(1.0, 1) == 0.25j and provider.eval(1.0, -1) == 2.0
+        assert provider.eval(2.0, 1) == -1.5 and provider.eval(0.0, 1) == 0.0
+        # within 1e-9 of an integer is that integer
+        assert provider.eval(2.0 + 1e-12 - 1e-12j, 1) == -1.5
 
     def test_table_provider_rejects_non_integers(self):
         provider = TableProvider(table(1, {(1, 0): 1.0}))
-        with pytest.raises(ProviderError):
-            provider.eval(0.5, 0)
-        with pytest.raises(ProviderError):
-            provider.eval(1.0 + 0.3j, 0)
+        for ell in (0.5, 1.0 + 0.3j, math.nan, math.inf):
+            with pytest.raises(ProviderError):
+                provider.eval(ell, 0)
 
     def test_table_provider_out_of_range(self):
+        # past the table's lmax it reads 0, as CoefficientTable.get does;
+        # a negative degree is outside its reach
         provider = TableProvider(table(1, {(1, 0): 1.0}))
-        with pytest.raises(ProviderError):
-            provider.eval(-3.0, 0)
+        assert provider.eval(2.0, 0) == 0.0 and provider.eval(600.0, 0) == 0.0
+        for ell in (-1.0, -3.0):
+            with pytest.raises(ProviderError, match="nonnegative integers"):
+                provider.eval(ell, 0)
 
 
 def certify_class(name, r, grid):
@@ -336,7 +371,7 @@ class TestBatchedProviders:
         extend_provider = ExtendProvider(certify_class("two-type", 0.8, grid))
         ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j]
         table_provider = TableProvider(random_table(6, 6, seed=3))
-        for provider, points in ((extend_provider, ells), (table_provider, [4.0, -5.0, -1.0])):
+        for provider, points in ((extend_provider, ells), (table_provider, [4.0, 9.0, 0.0])):
             ms = sorted(provider.ktypes)
             batch = provider.eval_many(points)
             assert batch.shape == (len(points), len(ms))
@@ -347,29 +382,23 @@ class TestBatchedProviders:
                     assert provider.eval(ell, m) == one[0, j]
             assert provider.eval(points[0], max(ms) + 1) == 0.0
 
-    def test_table_eval_many_matches_the_closed_form_scalar(self):
+    def test_table_eval_many_is_the_table(self):
+        # the integer ray of synthesize reads the table's rows as stored,
+        # and zero rows past its lmax
         lmax = 64
         t = random_table(lmax, lmax, seed=5)
-        provider = TableProvider(t)
-        ns = np.arange(lmax + 1)
-        values = provider.eval_many(np.concatenate([ns, -ns - 1.0]))
-        direct, reflected = values[:lmax + 1], values[lmax + 1:]
-        assert np.array_equal(direct, t.values)
-        for n in ns:
-            for m in range(-lmax, lmax + 1):
-                got = reflected[n, m + lmax]
-                if abs(m) > n:
-                    assert got == 0.0
-                else:
-                    want = intertwiner_rational(m, -n - 0.5) * t.get(n, m)
-                    assert abs(got - want) <= 1e-14 * abs(want), (n, m)
+        values = TableProvider(t).eval_rays(0.0, 1.0, lmax + 8)
+        assert np.array_equal(values[:lmax + 1], t.values)
+        assert not np.any(values[lmax + 1:])
 
     def test_table_eval_many_checks_the_whole_batch_first(self):
         provider = TableProvider(table(1, {(1, 0): 1.0}))
-        with pytest.raises(ProviderError, match="integers and reflected integers, got ell"):
-            provider.eval_many([1.0, 0.5])
-        with pytest.raises(ProviderError, match="table lmax=1 cannot reach ell=-3"):
-            provider.eval_many([1.0, -3.0])
+        with pytest.raises(ProviderError, match="nonnegative integers, got ell") as info:
+            provider.eval_many([1.0, 0.5, -3.0])
+        assert info.value.ell == 0.5
+        with pytest.raises(ProviderError, match="nonnegative integers, got ell") as info:
+            provider.eval_many([1.0, 2.0, -3.0])
+        assert info.value.ell == -3.0
 
     def test_empty_ktype_set_gives_no_columns(self):
         grid = SphereGrid(24, 8)
@@ -396,9 +425,8 @@ class TestBatchedProviders:
     def test_reflection_pole_keeps_the_direct_value(self):
         # at ell = -19 the direct power of the wide cap spreads past
         # e^27.6, so the reflection route is chosen, but b_19 has a pole
-        # there; the K-type 19 entry is the direct value, and the batch
-        # that synthesize asks for (from l = 0, for the zonal type) is
-        # finite
+        # there; the K-type 19 entry is the direct value, and synthesize
+        # is finite
         grid = SphereGrid(96, 40)
         wide = make_bump(BumpSpec(1.4, ktype=19), grid)
         f = GridFunction(grid, wide.values + make_bump(BumpSpec(0.5), grid).values)
@@ -478,7 +506,8 @@ class TestRays:
     @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_progressions_stay_within_the_roundoff_floor(self, name, r):
-        # the line, disc and rebuild rays of pw_report and synthesize,
+        # the line, disc and rebuild rays of pw_report and synthesize, and
+        # the reflected integers, where the reflected route steps too,
         # stepped by one multiply per point, against the 512-point FFT
         # route within 10x its roundoff floor (as TestFoldedRuleAgainstFFT);
         # a spread of points on each stage, ray ends included
@@ -486,7 +515,7 @@ class TestRays:
         f = certify_class(name, r, grid)
         provider = ExtendProvider(f)
         rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 16, 11),
-                (-1.0, -1.0, 129, 8))
+                (0.0, 1.0, 129, 8), (-1.0, -1.0, 129, 8))
         for origins, steps, n, stride in rays:
             values = provider.eval_rays(origins, steps, n)
             points = ray_points(origins, steps, n).ravel()
@@ -499,9 +528,10 @@ class TestRays:
         # the exact power at the middle point is finite in both rays; the
         # first starts with an overflowed kernel and a finite Q^step, the
         # second with an underflowed kernel and an overflowed Q^step, and
-        # stepping through either would give inf or nan there
+        # stepping through either would give inf or nan there. The second
+        # starts off the integers, where degree 800 would alias
         provider = ExtendProvider(make_bump(BumpSpec(1.3), SphereGrid(144, 8)))
-        for origin, step in ((-0.5 - 600.0j, 300.0j), (800.0, -800.0)):
+        for origin, step in ((-0.5 - 600.0j, 300.0j), (800.5, -800.0)):
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 rays = provider.eval_rays([origin], [step], 3)
                 points = provider.eval_many([origin, origin + step, origin + 2 * step])
@@ -515,6 +545,34 @@ class TestRays:
                 extend(f, 1e4j, 0)
 
 
+class TestRebuild:
+    """synthesize of an ExtendProvider, the rebuild of the certify benchmark."""
+
+    @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_matches_the_closed_form_reference(self, name, r):
+        # against synthesize of the analyze table of the same bump on a
+        # grid that resolves L = 128, restricted to the provider's K-types
+        out = SphereGrid(144, 16)
+        provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
+        got = synthesize(provider, out, 128).values
+        t = analyze(certify_class(name, r, SphereGrid(144, 258)), 128)
+        _, ms = lm_grid(128)
+        own = CoefficientTable(np.where(np.isin(ms, sorted(provider.ktypes)), t.values, 0.0))
+        ref = synthesize(TableProvider(own), out, 128).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_kernel_powers_are_nonnegative(self):
+        # the rebuild reads the integer ray, where |Q^l| <= 1: every kernel
+        # power, the step included, is a nonnegative real
+        provider = ExtendProvider(certify_class("two-type", 1.3, SphereGrid(144, 8)))
+        powers = []
+        kernel = provider._kernel
+        provider._kernel = lambda power: powers.append(complex(power)) or kernel(power)
+        synthesize(provider, SphereGrid(144, 16), 128)
+        assert powers and all(p.imag == 0.0 and p.real >= 0.0 for p in powers)
+
+
 class TestSynthesizeProviderErrors:
     @staticmethod
     def raising(exc):
@@ -525,7 +583,7 @@ class TestSynthesizeProviderErrors:
     def test_library_and_arithmetic_errors_become_provider_errors(self):
         grid = SphereGrid(8, 8)
         for exc in (ZeroDivisionError("division by zero"), SchemaError("bad table")):
-            with pytest.raises(ProviderError, match="ell=-1, m=0") as info:
+            with pytest.raises(ProviderError, match="ell=0, m=0") as info:
                 synthesize(self.raising(exc), grid, 2)
             assert info.value.__cause__ is exc
 
