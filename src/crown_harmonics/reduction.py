@@ -139,50 +139,57 @@ def ladder_components(handle, generator: str) -> dict:
 # intertwining residual with support-fitted quadrature
 
 
-def intertwine_check(f, generator: str, ell, m_range=None) -> float:
-    """Relative residual of the derivative-transform exchange identity.
+def intertwine_check(f, generators, ells) -> float:
+    """Worst relative residual of the derivative-transform exchange identity.
 
     f must be a pure-type handle (a pole-centered bump): f carries one
-    azimuthal frequency with closed-form radial profile and derivative.
-    The left side transforms the rotation derivative of f at parameter
-    ell; the right side applies the boundary model at nu = -ell to the
-    transform of f. Both sides integrate with a quadrature rule fitted
-    to the support cap, so no accuracy is lost to the support edge; one
-    kernel_mode_profiles call gives every kernel mode either side needs.
+    azimuthal frequency m0 with closed-form radial profile and
+    derivative. For each generator label in generators (a string such
+    as "ZXY" iterates as labels) and each parameter ell in ells (a
+    scalar counts as one), the left side transforms the rotation
+    derivative of f at ell and the right side applies the boundary model
+    at nu = -ell to the transform of f; the residual of the pair is the
+    largest difference over the K-types either side reaches, relative to
+    the largest value on both sides, and the worst pair is returned.
+
+    Both sides integrate with a quadrature rule fitted to the support
+    cap, so no accuracy is lost to the support edge. The cap's rule and
+    log table are built once per call, and each parameter takes one
+    kernel_mode_profiles call over the orders m0 - 1, m0, m0 + 1, which
+    every generator shares.
     """
     if not getattr(f, "handle_ok", False):
         raise SchemaError("intertwine_check needs a pole-centered bump handle")
-    gen = str(generator).upper()
-    if gen not in _GENERATORS:
-        raise SchemaError(f"unknown generator label {generator!r}")
-    ell = complex(ell)
+    gens = [str(g).upper() for g in generators]
+    for gen in gens:
+        if gen not in _GENERATORS:
+            raise SchemaError(f"unknown generator label {gen!r}")
     radius = f.spec.radius if hasattr(f, "spec") else getattr(f, "radius", None)
     if radius is None:
         raise SchemaError("handle does not declare its support radius")
     theta, weights = cap_quadrature(radius, _CAP_NODES)
-    components = ladder_components(f, gen)
-    ms = sorted(set(components) | {f.ktype})
-    weighted = weights[:, None] * kernel_mode_profiles(ell, boundary_log_pairing(theta), ms)
-    kernel = dict(zip(ms, weighted.T))
+    log_q = boundary_log_pairing(theta)
+    m0 = f.ktype
+    ms = (m0 - 1, m0, m0 + 1)
+    seed_profile = f.profile(theta)
+    profiles = {gen: {m: prof(theta) for m, prof in ladder_components(f, gen).items()}
+                for gen in gens}
 
-    lhs = {m: complex(np.sum(prof(theta) * kernel[m])) for m, prof in components.items()}
-    seed = complex(np.sum(f.profile(theta) * kernel[f.ktype]))
-    psi = PrincipalSeriesFunction({f.ktype: seed}, lam=-ell - 0.5)
-    rhs = sigma_action(psi, gen).components
-
-    keys = set(lhs) | set(rhs)
-    if m_range is not None:
-        keys &= {int(m) for m in m_range}
-    if not keys:
-        return 0.0
-    scale = max(
-        [abs(v) for v in lhs.values()] + [abs(v) for v in rhs.values()] + [0.0]
-    )
-    if scale == 0.0:
-        return 0.0
-    return max(
-        abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in keys
-    ) / scale
+    worst = 0.0
+    for ell in np.atleast_1d(np.asarray(ells, dtype=complex)).tolist():
+        weighted = weights[:, None] * kernel_mode_profiles(ell, log_q, ms)
+        kernel = dict(zip(ms, weighted.T))
+        seed = complex(np.sum(seed_profile * kernel[m0]))
+        psi = PrincipalSeriesFunction({m0: seed}, lam=-ell - 0.5)
+        for gen, components in profiles.items():
+            lhs = {m: complex(np.sum(prof * kernel[m])) for m, prof in components.items()}
+            rhs = sigma_action(psi, gen).components
+            scale = max(abs(v) for v in [*lhs.values(), *rhs.values()])
+            if scale > 0.0:
+                worst = max(worst, max(
+                    abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in set(lhs) | set(rhs)
+                ) / scale)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -248,16 +248,8 @@ def bridge_factor_candidate(l: int, m: int) -> complex:
     empirically by bridge_factors, never assumed by library code.
     """
     k = abs(m)
-    log_ratio = 0.0
-    for j in range(1, l + 1):
-        log_ratio += math.log(j)
-    log_norm = 0.0
-    for j in range(1, l + k + 1):
-        log_norm += math.log(j)
-    for j in range(1, l - k + 1):
-        log_norm += math.log(j)
-    mag = math.exp(log_ratio - 0.5 * log_norm) / math.sqrt(2 * l + 1)
-    return (1j) ** k * mag
+    log_mag = math.lgamma(l + 1) - 0.5 * (math.lgamma(l + k + 1) + math.lgamma(l - k + 1))
+    return (1j) ** k * (math.exp(log_mag) / math.sqrt(2 * l + 1))
 
 
 def bridge_factors(lmax: int, m: int, grid: SphereGrid | None = None,

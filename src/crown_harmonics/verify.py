@@ -271,8 +271,7 @@ def check_intertwining() -> CheckResult:
             expected = {f.ktype} if gen == "Z" else {f.ktype - 1, f.ktype + 1}
             if set(ladder_components(f, gen)) != expected:
                 selection_ok = False
-            for ell in _INTERTWINE_POINTS:
-                worst = max(worst, intertwine_check(f, gen, ell))
+        worst = max(worst, intertwine_check(f, "ZXY", _INTERTWINE_POINTS))
     measured = worst if selection_ok else max(worst, 1.0)
     return _result(
         "intertwining-identity", measured, 1e-6,

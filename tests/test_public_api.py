@@ -4,6 +4,7 @@ Adding or removing a public name is a deliberate change: it shows up
 here as a one-line edit next to the count.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -55,3 +56,21 @@ def test_every_benchmark_tracer_target_resolves():
             owner = getattr(owner, part)
         target = owner.__dict__[attr] if cls_path else getattr(owner, attr)
         assert callable(target), attr_path
+
+
+def test_library_imports_numpy_only():
+    # the package depends on numpy alone; scipy, sympy and mpmath are
+    # test extras and may appear in no module of the library
+    package = Path(crown_harmonics.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 10
+    extras = {"scipy", "sympy", "mpmath"}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not roots & extras, f"{path.name}:{node.lineno} imports {roots & extras}"

@@ -20,7 +20,7 @@ from crown_harmonics.reduction import (
     reduction_synthesize,
     sigma_action,
 )
-from crown_harmonics.sphere import GridFunction, SphereGrid
+from crown_harmonics.sphere import GridFunction, SphereGrid, boundary_log_pairing
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import ExtendProvider, analyze
 from crown_harmonics.verify import _ladder_scalar
@@ -110,6 +110,33 @@ class TestIntertwineCheck:
         for gen in ("Z", "X", "Y"):
             for ell in (0.4 + 0.6j, 2.2 - 0.8j):
                 assert intertwine_check(bump, gen, ell) < 1e-10
+
+    def test_one_cap_call_is_worst_single_pair(self, monkeypatch):
+        # one call over every generator and parameter builds the cap's
+        # log table once and returns the worst of the single-pair residuals
+        import crown_harmonics.reduction as reduction
+
+        grid = SphereGrid(64, 16)
+        bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
+        ells = (0.4 + 0.6j, 2.2 - 0.8j)
+        singles = [intertwine_check(bump, gen, ell) for gen in "ZXY" for ell in ells]
+        builds = []
+
+        def spy(theta):
+            builds.append(len(theta))
+            return boundary_log_pairing(theta)
+
+        monkeypatch.setattr(reduction, "boundary_log_pairing", spy)
+        worst = intertwine_check(bump, "ZXY", ells)
+        assert len(builds) == 1
+        assert abs(worst - max(singles)) <= 1e-15
+        assert 0.0 < worst < 1e-10
+
+    def test_rejects_unknown_generator_label(self):
+        grid = SphereGrid(64, 16)
+        bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
+        with pytest.raises(SchemaError):
+            intertwine_check(bump, "XW", 1.0)
 
     def test_mismatched_sides_fail(self):
         # negative control: compare X on the geometric side against Y

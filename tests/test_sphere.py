@@ -127,6 +127,43 @@ class TestPairing:
         # principal branch: on the crown the argument stays below theta
         assert np.max(np.abs(log_q.imag)) <= theta + 1e-15
 
+    def test_real_arithmetic_log_matches_np_log_accuracy(self):
+        # the log is built from real parts (hypot, arctan2); against a
+        # 40-digit log of the same samples it must be as accurate as the
+        # complex np.log, to one ulp of 1, on a fixed theta x c set: near
+        # the pole, generic, within 1e-9 of pi/2, and past pi/2
+        mpmath = pytest.importorskip("mpmath")
+        thetas = np.array([1e-12, 1e-6, 0.3, 1.1, math.pi / 2 - 1e-9,
+                           math.pi / 2 + 1e-9, 2.0, 2.9])
+        ks = np.array([0, 1, 37, 100, 127, 128, 129, 200, 255, 256])
+        cos_c = np.cos(2.0 * np.pi * ks / DEFAULT_BOUNDARY_SAMPLES)
+        log_q = boundary_log_pairing(thetas)[:, ks]
+        np_log = np.log(np.cos(thetas)[:, None] + 1j * np.sin(thetas)[:, None] * cos_c)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for i, theta in enumerate(thetas):
+                x, y = mpmath.cos(theta), mpmath.sin(theta)
+                exact = [mpmath.log(mpmath.mpc(x, y * cc)) for cc in cos_c]
+                ours = max(float(abs(v - e)) for v, e in zip(log_q[i], exact))
+                ref = max(float(abs(v - e)) for v, e in zip(np_log[i], exact))
+                assert ours <= ref + eps, (theta, ours, ref)
+        # at k = 128 cos(c) is about 6e-17, not 0: the arg keeps np.log's
+        # sign on every row, near +pi past pi/2
+        col = list(ks).index(128)
+        assert 0.0 < cos_c[col] < 1e-16
+        assert np.array_equal(np.sign(log_q[:, col].imag), np.sign(np_log[:, col].imag))
+        assert np.all(log_q[thetas > math.pi / 2, col].imag > 3.0)
+
+    def test_signed_zeros_give_np_log_arg(self):
+        # at theta = +-0 the imaginary part sin(theta) cos(c) is -0 where
+        # cos(c) < 0; the complex Q of np.log carries +0 there
+        c = 2.0 * np.pi * np.arange(257) / DEFAULT_BOUNDARY_SAMPLES
+        thetas = np.array([0.0, -0.0, math.pi])
+        log_q = boundary_log_pairing(thetas)
+        np_log = np.log(np.cos(thetas)[:, None] + 1j * np.sin(thetas)[:, None] * np.cos(c))
+        assert np.array_equal(np.signbit(log_q.imag), np.signbit(np_log.imag))
+        assert np.array_equal(log_q.imag, np_log.imag)
+
 
 class TestKernelModes:
     def test_zonal_mode_is_legendre(self):

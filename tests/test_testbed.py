@@ -177,6 +177,22 @@ class TestBridge:
         # rho_{1,1} = i / sqrt(3 * 2) = i / sqrt(6)
         assert abs(bridge_factor_candidate(1, 1) - 1j / math.sqrt(6.0)) < 1e-15
 
+    def test_candidate_matches_extended_precision(self):
+        # rho = i^|m| l! / sqrt((2l+1)(l+|m|)!(l-|m|)!) from lgamma holds
+        # every entry 0 <= |m| <= l <= 128 to 1e-12 relative of 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for l in range(129):
+                for k in range(l + 1):
+                    exact = mpmath.factorial(l) / mpmath.sqrt(
+                        (2 * l + 1) * mpmath.factorial(l + k) * mpmath.factorial(l - k))
+                    exact *= mpmath.mpc(0, 1) ** k
+                    for m in (k, -k):
+                        err = abs(bridge_factor_candidate(l, m) - exact) / abs(exact)
+                        worst = max(worst, float(err))
+        assert worst < 1e-12
+
     def test_measured_factors_match_candidate(self):
         grid = SphereGrid(24, 40)
         for m in (0, 1, 2):
