@@ -186,9 +186,8 @@ def intertwine_check(f, generators, ells) -> float:
             rhs = sigma_action(psi, gen).components
             scale = max(abs(v) for v in [*lhs.values(), *rhs.values()])
             if scale > 0.0:
-                worst = max(worst, max(
-                    abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in set(lhs) | set(rhs)
-                ) / scale)
+                gap = max(abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in set(lhs) | set(rhs))
+                worst = max(worst, gap / scale)
     return worst
 
 
