@@ -41,9 +41,6 @@ from .sphere import SphereGrid
 from .transform import ExtendProvider, TableProvider, analyze, extend, synthesize
 from .verify import run_acceptance
 
-_CALIB_INT_KEYS = {"decay_kmax", "n_samples"}
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -96,7 +93,7 @@ def _parse_radii(text: str):
     return radii
 
 
-def _parse_calibration(pairs, line_tmax) -> Calibration:
+def _parse_calibration(pairs) -> Calibration:
     calib = Calibration()
     overrides = {}
     for pair in pairs or ():
@@ -105,12 +102,10 @@ def _parse_calibration(pairs, line_tmax) -> Calibration:
         key, raw = pair.split("=", 1)
         key = key.strip()
         try:
-            value = int(raw) if key in _CALIB_INT_KEYS else float(raw)
+            value = int(raw) if isinstance(getattr(calib, key, None), int) else float(raw)
         except ValueError:
             raise SchemaError(f"cannot parse calibration value {pair!r}") from None
         overrides[key] = value
-    if line_tmax is not None:
-        overrides["t_max"] = float(line_tmax)
     return calib.replaced(**overrides) if overrides else calib
 
 
@@ -157,7 +152,7 @@ def _cmd_pw_report(args) -> int:
     f = loads_grid_function(_read_text(args.input))
     provider = ExtendProvider(f)
     radii = _parse_radii(args.radii)
-    calib = _parse_calibration(args.calib, args.line_tmax)
+    calib = _parse_calibration(args.calib)
     report = pw_report(provider, radii, calib)
     _write_text(args.output, dumps_report(report))
     if args.csv is not None:
@@ -238,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="grid function JSON file")
     p.add_argument("--radii", required=True,
                    help="comma-separated candidate radii")
-    p.add_argument("--line-tmax", type=float, default=None,
-                   help="extent of the tempered-line scan")
     p.add_argument("--calib", action="append", metavar="KEY=VALUE",
                    help="calibration override (repeatable)")
     p.add_argument("--csv", default=None,

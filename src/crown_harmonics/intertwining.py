@@ -100,12 +100,17 @@ def intertwiner_rational(m: int, t):
     return np.take(intertwiner_ladder(abs(int(m)), t), -1, axis=-1)
 
 
-def singular_distance(m: int, t):
+def singular_distance(m, t):
     """Distance from t to the nearest pole of b_m (inf for the zonal type).
 
-    The pole set is {-1/2 - j : j = 0..|m|-1}; t is a scalar or an
-    array. Symmetry checks skip samples that come within a small
-    distance of it.
+    The pole set is {-1/2 - j : j = 0..|m|-1}. An order or an array of
+    orders m broadcasts against a scalar or an array t: one running
+    minimum of |t + 1/2 + j| over j, behind an inf column for m = 0,
+    serves every order. Symmetry checks skip samples that come within a
+    small distance of it.
     """
-    js = np.arange(abs(int(m)))
-    return np.min(np.abs(np.asarray(t)[..., None] + 0.5 + js), axis=-1, initial=np.inf)
+    t, ks = np.broadcast_arrays(np.asarray(t), np.abs(np.asarray(m, dtype=int)))
+    js = np.arange(ks.max(initial=0))
+    running = np.minimum.accumulate(np.abs(t[..., None] + 0.5 + js), axis=-1)
+    distance = np.concatenate([np.full(t.shape + (1,), np.inf), running], axis=-1)
+    return np.take_along_axis(distance, ks[..., None], axis=-1)[..., 0]

@@ -222,19 +222,17 @@ def decay_profile(provider, disc_radius: float = 20.0):
             dense_pts, dense_mags)
 
 
-def decay_constants(provider, r: float, kmax: int = 3,
-                    disc_radius: float = 20.0, profile=None):
+def decay_constants(profile, r: float, kmax: int = 3):
     """Weighted sup constants C_k = max |phi| (1+|l|)^k e^{-r |Im l|}.
 
-    Returns (constants, ratios) keyed by k = 0..kmax, where ratios[k]
-    compares the refined-lattice constant against the base lattice; a
-    ratio under the calibrated bound means the maximum is resolved
-    rather than still climbing with the sample count.
+    profile is the output of decay_profile, so one disc scan serves
+    every radius. Returns (constants, ratios) keyed by k = 0..kmax,
+    where ratios[k] compares the refined-lattice constant against the
+    base lattice; a ratio under the calibrated bound means the maximum
+    is resolved rather than still climbing with the sample count.
     """
     if r < 0.0:
         raise CrownDomainError("decay weight radius must be nonnegative")
-    if profile is None:
-        profile = decay_profile(provider, disc_radius)
     base_pts, base_mags, dense_pts, dense_mags = profile
     constants, ratios = {}, {}
     for k in range(kmax + 1):
@@ -266,11 +264,7 @@ def weyl_lattice(ktypes, re_parts=DEFAULT_WEYL_RE, im_parts=DEFAULT_WEYL_IM):
 def _weyl_residual_detail(provider, lattice, singular_skip):
     ells = np.array([complex(ell) for ell, _ in lattice], dtype=complex)
     ms = np.array([int(m) for _, m in lattice], dtype=int)
-    margin = max(singular_skip, POLE_TOL)
-    used = np.zeros(ells.size, dtype=bool)
-    for m in set(ms.tolist()):
-        on = ms == m
-        used[on] = singular_distance(m, -ells[on] - 0.5) >= margin
+    used = singular_distance(ms, -ells - 0.5) >= max(singular_skip, POLE_TOL)
     if not used.any():
         raise NumericalError(
             "every symmetry sample sat within the singular skip margin"
@@ -381,8 +375,7 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     profile = decay_profile(provider, calib.disc_radius)
     lattice = weyl_lattice(provider.ktypes)
     wr, used, skipped = _weyl_residual_detail(provider, lattice, calib.singular_skip)
-    hat_constants, hat_ratios = decay_constants(provider, te.r_hat, calib.decay_kmax,
-                                                calib.disc_radius, profile)
+    hat_constants, hat_ratios = decay_constants(profile, te.r_hat, calib.decay_kmax)
 
     verdicts = []
     for r in radii:
@@ -392,8 +385,7 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
                 f"type upper bound {te.upper:.6g} exceeds radius {r:.6g} "
                 f"(slack {calib.type_slack:g})"
             )
-        consts, ratios = decay_constants(provider, r, calib.decay_kmax,
-                                         calib.disc_radius, profile)
+        consts, ratios = decay_constants(profile, r, calib.decay_kmax)
         bad = [k for k in consts
                if not math.isfinite(consts[k]) or ratios[k] > calib.decay_ratio_max]
         if bad:

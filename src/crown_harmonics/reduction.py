@@ -51,9 +51,6 @@ class PrincipalSeriesFunction:
     def nu(self) -> complex:
         return self.lam + 0.5
 
-    def amplitude(self, m: int) -> complex:
-        return self.components.get(int(m), 0.0 + 0.0j)
-
 
 def sigma_action(psi: PrincipalSeriesFunction, generator: str) -> PrincipalSeriesFunction:
     """Boundary model of a rotation generator on azimuthal components.

@@ -335,9 +335,7 @@ def dumps_report(report) -> str:
     calib_rows = []
     for key in sorted(calib):
         value = calib[key]
-        if isinstance(value, bool):
-            calib_rows.append(f'"{key}": {"true" if value else "false"}')
-        elif isinstance(value, int):
+        if isinstance(value, int):
             calib_rows.append(f'"{key}": {value}')
         else:
             calib_rows.append(f'"{key}": {format_float(value)}')

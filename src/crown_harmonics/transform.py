@@ -44,7 +44,7 @@ from .errors import (
     ProviderError,
     SchemaError,
 )
-from .intertwining import POLE_TOL, intertwiner_ladder
+from .intertwining import POLE_TOL, intertwiner_ladder, singular_distance
 from .sphere import (
     DEFAULT_BOUNDARY_SAMPLES,
     SUPPORT_REL_THRESHOLD,
@@ -92,13 +92,6 @@ class CoefficientTable:
                 f"table values need shape (lmax + 1, 2 lmax + 1), got {values.shape}")
         self.values = values
         self.lmax = values.shape[0] - 1
-
-    def get(self, l: int, m: int) -> complex:
-        """Coefficient (l, m), and 0 outside the stored range."""
-        l, m = int(l), int(m)
-        if 0 <= l <= self.lmax and abs(m) <= self.lmax:
-            return complex(self.values[l, m + self.lmax])
-        return 0.0 + 0.0j
 
     def ktypes(self) -> frozenset:
         columns = np.flatnonzero(np.any(self.values != 0.0, axis=0))
@@ -262,8 +255,9 @@ class ExtendProvider(CoefficientProvider):
     Mode m of Q^l aliases on the boundary rule once l + |m| reaches
     DEFAULT_BOUNDARY_SAMPLES. A batch holding a nonnegative integer l
     with l + min(|m|, l) >= DEFAULT_BOUNDARY_SAMPLES for one of the
-    K-types raises GridResolutionError before any kernel exponential
-    (the terms with |m| > l vanish in synthesize, which masks them).
+    K-types raises GridResolutionError before any kernel exponential.
+    At a nonnegative integer l < |m| the value is exactly 0, as in
+    analyze.
     """
 
     def __init__(self, f: GridFunction, ktypes=None):
@@ -342,10 +336,10 @@ class ExtendProvider(CoefficientProvider):
         if not ms or self.is_zero:
             return out
         ks = np.abs(ms)
-        integers = points[(points.imag == 0.0) & (points.real >= 0.0)
-                          & (points.real == np.round(points.real))].real
-        if integers.size:
-            l = int(integers.max())
+        ells = points.ravel()
+        integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
+        if integer.any():
+            l = int(ells.real[integer].max())
             k = min(int(ks.max()), l)
             if l + k >= DEFAULT_BOUNDARY_SAMPLES:
                 raise GridResolutionError(
@@ -378,19 +372,18 @@ class ExtendProvider(CoefficientProvider):
                     kernel = self._kernel(power)
                 values = out[i * n + j] = self._contract(kernel)
                 runs[route] = (kernel, step_kernel, j if np.all(np.isfinite(values)) else None)
+        # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
+        # the rule leaves roundoff there, or the alias of mode m - 512
+        out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
         rows = np.flatnonzero(reflect.ravel())
         if not rows.size:
             return out
         # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), every b_m from one ladder
         # over the reflected points; at ell = -n-1 with n < |m| the identity
         # reads 0 * inf, so the direct value replaces the product there
-        ells = points.ravel()
         t = ells[rows] + 0.5
         out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
-        # distance to the poles -1/2 - j, j < |m|, of every b_m: one running
-        # minimum over j, behind an inf column for the zonal type
-        distance = np.minimum.accumulate(np.abs(t[:, None] + 0.5 + np.arange(ks.max())), axis=1)
-        pole = np.pad(distance, ((0, 0), (1, 0)), constant_values=np.inf)[:, ks] < POLE_TOL
+        pole = singular_distance(ks, t[:, None]) < POLE_TOL
         for i, at_pole in zip(rows, pole):
             if at_pole.any():
                 out[i, at_pole] = self._values(ells[i])[at_pole]
@@ -420,11 +413,10 @@ class TableProvider(CoefficientProvider):
     """Provider backed by an integer coefficient table: a gather.
 
     eval_many reads the table at nonnegative integers l, and 0 past its
-    lmax, as CoefficientTable.get does. A negative or non-integer
-    parameter is outside the table's reach and raises ProviderError,
-    after the whole batch is checked and before any value is read. The
-    reflection to -l-1 is synthesize's: the table holds no functional
-    equation.
+    lmax. A negative or non-integer parameter is outside the table's
+    reach and raises ProviderError, after the whole batch is checked and
+    before any value is read. The reflection to -l-1 is synthesize's:
+    the table holds no functional equation.
     """
 
     def __init__(self, table: CoefficientTable):

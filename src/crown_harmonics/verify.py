@@ -320,31 +320,16 @@ def check_vanishing_rule(seed: int = 7) -> CheckResult:
     )
 
 
-def _bridge_ratios(f, lmax):
-    """Kernel over classical coefficients where the classical one is resolved.
-
-    Returns (ratios, resolved); ratios is NaN off the resolved entries.
-    Ratios and products here use Python complex arithmetic, which rounds
-    differently from NumPy's complex divide and multiply.
-    """
-    kern = analyze(f, lmax).values
-    clas = oracle_sht(f, lmax).values
-    ls, ms = lm_grid(lmax)
-    resolved = (ls >= np.abs(ms)) & (complex_abs(clas) > 1e-6 * complex_abs(clas).max())
-    ratios = np.full(kern.shape, np.nan, dtype=complex)
-    ratios[resolved] = [a / b for a, b in zip(kern[resolved].tolist(), clas[resolved].tolist())]
-    return ratios, resolved
-
-
 def check_classical_bridge() -> CheckResult:
-    """Kernel coefficients match classical projections through the bridge."""
+    """Kernel coefficients match classical projections through a bridge
+    that matches its closed form."""
     lmax = 16
     grid = SphereGrid(24, 40)
 
     # measure the bridge from two fixed functions, then test it on five
     # fresh ones it has never seen
-    bridges, known = _bridge_ratios(random_bandlimited(grid, lmax, lmax, 101)[0], lmax)
-    again, known_again = _bridge_ratios(random_bandlimited(grid, lmax, lmax, 202)[0], lmax)
+    bridges, known = bridge_factors(random_bandlimited(grid, lmax, lmax, 101)[0], lmax)
+    again, known_again = bridge_factors(random_bandlimited(grid, lmax, lmax, 202)[0], lmax)
     both = known & known_again
     bridge_defect = np.max(complex_abs(again[both] - bridges[both]) / complex_abs(bridges[both]),
                            initial=0.0)
@@ -358,13 +343,15 @@ def check_classical_bridge() -> CheckResult:
         defect = complex_abs(kern[known] - np.array(predicted)) / complex_abs(kern).max()
         worst = max(worst, np.max(defect, initial=0.0))
 
-    rho00 = bridge_factors(2, 0)[0]
-    anchor_defect = abs(rho00 - 1.0)
-    measured = max(worst, bridge_defect, anchor_defect)
+    # the measured bridge against its closed form, on every resolved entry
+    closed = np.array([bridge_factor_candidate(l, m - lmax) for l, m in zip(*np.nonzero(known))])
+    closed_defect = np.max(complex_abs(bridges[known] - closed) / complex_abs(closed), initial=0.0)
+    measured = max(worst, bridge_defect, closed_defect)
     return _result(
         "classical-bridge", measured, 1e-9,
         f"bridge from 2 functions applied to 5 fresh ones "
-        f"(f-independence {bridge_defect:.1e}, anchor defect {anchor_defect:.1e})",
+        f"(f-independence {bridge_defect:.1e}, closed-form defect {closed_defect:.1e} "
+        f"on {int(known.sum())} entries)",
     )
 
 

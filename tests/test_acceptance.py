@@ -6,6 +6,7 @@ the measurement is out of tolerance. The same checks back the CLI
 command `crown-harmonics verify`.
 """
 
+from crown_harmonics import verify
 from crown_harmonics.verify import (
     check_certification_verdicts,
     check_classical_bridge,
@@ -78,3 +79,17 @@ def test_criterion_12_classical_bridge():
 
 def test_criterion_13_full_order_round_trip():
     _assert_check(check_full_order_round_trip(seed=0))
+
+
+def test_classical_bridge_holds_the_closed_form(monkeypatch):
+    # a closed form off by 1e-8 relative at one entry fails the check
+    exact = verify.bridge_factor_candidate
+
+    def perturbed(l, m):
+        rho = exact(l, m)
+        return rho * (1.0 + 1e-8) if (l, m) == (9, -4) else rho
+
+    monkeypatch.setattr(verify, "bridge_factor_candidate", perturbed)
+    result = check_classical_bridge()
+    assert not result.passed, result.line()
+    assert result.measured > 9e-9

@@ -44,11 +44,7 @@ class TestAnalyze:
         got = loads_table(out.read_text())
         expect = analyze(bump, 6)
         assert got.lmax == 6
-        worst = max(
-            abs(got.get(l, m) - expect.get(l, m))
-            for l in range(7) for m in range(-6, 7)
-        )
-        assert worst == 0.0
+        assert np.array_equal(got.values, expect.values)
 
     def test_stdout_default(self, capsys, bump_file):
         path, _ = bump_file
@@ -162,7 +158,7 @@ class TestPwReport:
         csv = tmp_path / "line.csv"
         rc = main(["pw-report", "--input", str(path), "--radii", "0.4,0.9",
                    "--output", str(out), "--csv", str(csv),
-                   "--calib", "n_samples=80", "--line-tmax", "30"])
+                   "--calib", "n_samples=80", "--calib", "t_max=30"])
         assert rc == 0
         obj = json.loads(out.read_text())
         assert obj["calibration"]["n_samples"] == 80
@@ -207,7 +203,7 @@ class TestPwReport:
 class TestNumericalFailureStderr:
     @pytest.mark.parametrize("args", [
         ["extend", "--ell", "0,10000", "--m", "0"],
-        ["pw-report", "--radii", "0.5", "--line-tmax", "2000"],
+        ["pw-report", "--radii", "0.5", "--calib", "t_max=2000"],
     ])
     def test_kernel_overflow_prints_one_json_line(self, tmp_path, args):
         # the kernel of the r = 0.8 bump overflows; stderr carries the

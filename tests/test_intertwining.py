@@ -162,3 +162,16 @@ class TestSingularBookkeeping:
         assert got.shape == (3,)
         assert got[0] == 1.0 and abs(got[1] - 0.2) < 1e-14 and abs(got[2] - abs(0.9 + 0.3j)) < 1e-14
         assert np.all(singular_distance(0, ts) == np.inf)
+
+    def test_singular_distance_broadcasts_orders(self):
+        # an array of orders broadcasts against t: entry by entry, or as an
+        # outer table, each entry the distance for its own order
+        ts = np.array([-2.5, -1.3, -0.5, 0.4 + 0.3j, -4.5])
+        ms = np.array([3, -2, 0, 1, -6])
+        got = singular_distance(ms, ts)
+        assert np.array_equal(got, [singular_distance(m, t) for m, t in zip(ms, ts)])
+        table = singular_distance(ms, ts[:, None])
+        assert table.shape == (5, 5)
+        for j, m in enumerate(ms):
+            assert np.array_equal(table[:, j], singular_distance(int(m), ts))
+        assert table[2, 2] == np.inf and table[2, 3] == 0.0 and table[4, 4] == 0.0

@@ -108,21 +108,20 @@ class TestDecayConstants:
     def test_ratios_at_least_one(self):
         provider = symmetric_poly_provider()
         profile = decay_profile(provider, disc_radius=10.0)
-        consts, ratios = decay_constants(provider, 0.5, kmax=3,
-                                         disc_radius=10.0, profile=profile)
+        consts, ratios = decay_constants(profile, 0.5, kmax=3)
         for k in range(4):
             assert math.isfinite(consts[k]) and consts[k] > 0.0
             assert ratios[k] >= 1.0
 
     def test_zero_provider_ratios_default_to_one(self):
         provider = FakeProvider(lambda ell, m: 0.0, ktypes=(0,))
-        consts, ratios = decay_constants(provider, 0.5, kmax=2)
+        consts, ratios = decay_constants(decay_profile(provider), 0.5, kmax=2)
         assert all(consts[k] == 0.0 for k in range(3))
         assert all(ratios[k] == 1.0 for k in range(3))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(CrownDomainError):
-            decay_constants(symmetric_poly_provider(), -0.1)
+            decay_constants(decay_profile(symmetric_poly_provider()), -0.1)
 
 
 class TestWeylResidual:
@@ -261,11 +260,10 @@ class TestReport:
         report = pw_report(provider, [0.5, 1.1])
         calib = report.calibration
         profile = decay_profile(provider, calib.disc_radius)
-        at_hat = decay_constants(provider, report.type_estimate.r_hat, calib.decay_kmax,
-                                 calib.disc_radius, profile)
+        at_hat = decay_constants(profile, report.type_estimate.r_hat, calib.decay_kmax)
         assert report.decay_constants == at_hat[0]
         assert report.decay_ratios == at_hat[1]
-        at_tight = decay_constants(provider, 0.5, calib.decay_kmax, calib.disc_radius, profile)
+        at_tight = decay_constants(profile, 0.5, calib.decay_kmax)
         assert report.decay_ratios != at_tight[1]
 
     def test_each_stage_is_one_batched_call(self):

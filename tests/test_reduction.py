@@ -93,8 +93,7 @@ class TestPrincipalSeriesFunction:
     def test_nu_property(self):
         psi = PrincipalSeriesFunction({0: 1.0}, lam=-1.5)
         assert psi.nu == -1.0
-        assert psi.amplitude(0) == 1.0
-        assert psi.amplitude(5) == 0.0
+        assert psi.components == {0: 1.0}
 
     def test_rejects_non_finite(self):
         with pytest.raises(SchemaError):
@@ -283,5 +282,5 @@ class TestSigmaTransformedProvider:
                 assert set(acted) == ({1} if gen == "Z" else {0, 2})
                 for m, got in acted.items():
                     if abs(m) <= l:
-                        worst = max(worst, abs(got - derived.get(l, m)))
+                        worst = max(worst, abs(got - derived.values[l, m + derived.lmax]))
             assert worst / scale < 1e-9

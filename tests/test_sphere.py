@@ -347,8 +347,8 @@ class TestRotate:
         rng = np.random.default_rng(5)
         f = GridFunction(grid, rng.standard_normal((10, 14)) + 0j)
         g = GridFunction(grid, np.roll(f.values, 6, axis=1))
-        before = analyze(f, 0).get(0, 0)
-        assert abs(analyze(g, 0).get(0, 0) - before) < 1e-15
+        before = analyze(f, 0).values[0, 0]
+        assert abs(analyze(g, 0).values[0, 0] - before) < 1e-15
         assert abs(before - sphere_integral(f)) < 1e-15
 
 

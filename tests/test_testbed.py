@@ -130,7 +130,7 @@ class TestRandomTables:
         ls, ms = np.nonzero(a.values)
         assert ls.size == sum(2 * min(l, 3) + 1 for l in range(7))
         assert np.all(np.abs(ms - 6) <= np.minimum(ls, 3))
-        assert a.get(1, 3) == 0.0
+        assert a.values[1, 3 + a.lmax] == 0.0
 
     def test_draw_order_is_l_then_m_then_re_im(self):
         # the dense draw keeps the stream of one scalar draw per part
@@ -140,7 +140,7 @@ class TestRandomTables:
             for m in range(-min(2, l), min(2, l) + 1):
                 expect[(l, m)] = complex(rng.standard_normal(), rng.standard_normal())
         got = random_table(4, 2, seed=5)
-        assert all(got.get(l, m) == v for (l, m), v in expect.items())
+        assert all(got.values[l, m + got.lmax] == v for (l, m), v in expect.items())
         assert np.count_nonzero(got.values) == len(expect)
 
     def test_mmax_bound(self):
@@ -194,12 +194,17 @@ class TestBridge:
         assert worst < 1e-12
 
     def test_measured_factors_match_candidate(self):
-        grid = SphereGrid(24, 40)
-        for m in (0, 1, 2):
-            measured = bridge_factors(4, m, grid=grid)
-            for k, rho in enumerate(measured):
-                expect = bridge_factor_candidate(abs(m) + k, m)
-                assert abs(rho - expect) < 1e-9 * abs(expect)
+        # the full-table measurement resolves every entry with l >= |m| and
+        # matches the closed form on each, orders -4..4
+        f, _ = random_bandlimited(SphereGrid(24, 40), lmax=8, mmax=4, seed=3)
+        ratios, resolved = bridge_factors(f, 8)
+        ls, ms = np.nonzero(resolved)
+        ms = ms - 8
+        assert resolved.sum() == sum(2 * min(l, 4) + 1 for l in range(9))
+        assert np.all(np.isnan(ratios[~resolved]))
+        for l, m, rho in zip(ls, ms, ratios[resolved]):
+            expect = bridge_factor_candidate(l, m)
+            assert abs(rho - expect) < 1e-9 * abs(expect), (l, m)
 
     def test_random_bandlimited_consistency(self):
         grid = SphereGrid(32, 20)

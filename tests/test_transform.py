@@ -65,10 +65,8 @@ class TestCoefficientTable:
         t = table(3, {(2, 1): 2j, (0, 0): 1.0, (3, -2): -0.5})
         assert t.values.shape == (4, 7)
         assert t.values[2, 1 + 3] == 2j
-        assert t.get(2, 1) == 2j
-        assert t.get(1, 0) == 0.0
-        # outside the stored range: 0, which TableProvider relies on
-        assert t.get(4, 0) == 0.0 and t.get(2, 4) == 0.0 and t.get(-1, 0) == 0.0
+        assert t.values[2, 1 + t.lmax] == 2j
+        assert t.values[1, t.lmax] == 0.0
         assert t.ktypes() == frozenset({1, 0, -2})
 
     def test_ktypes_are_nonzero_columns(self):
@@ -243,7 +241,7 @@ class TestExtend:
         grid = SphereGrid(96, 16)
         bump = make_bump(BumpSpec(radius=0.7, ktype=1), grid)
         t = analyze(bump, 6)
-        worst = max(abs(extend(bump, float(l), 1) - t.get(l, 1)) for l in range(1, 7))
+        worst = max(abs(extend(bump, float(l), 1) - t.values[l, 1 + t.lmax]) for l in range(1, 7))
         assert worst < 1e-12 * np.max(np.abs(t.values))
 
     def test_full_sphere_support_rejected(self):
@@ -259,6 +257,26 @@ class TestExtend:
         assert np.isfinite(extend(f, 510.0, 1))
         with pytest.raises(GridResolutionError, match=r"l=511 with K-type \|m\|=1"):
             extend(f, 511.0, 1)
+
+    def test_exact_zero_below_the_order(self):
+        # at a nonnegative integer l < |m| the value is 0, as in analyze;
+        # the boundary rule leaves roundoff of about 1e-19 there
+        f = make_bump(BumpSpec(0.7, ktype=3), SphereGrid(96, 16))
+        values = ExtendProvider(f).eval_rays(0.0, 1.0, 4)[:, 0]
+        assert np.all(values[:3] == 0.0)
+        assert abs(values[3]) > 1e-6
+        assert all(extend(f, float(l), 3) == 0.0 for l in range(3))
+
+    def test_exact_zero_where_the_rule_would_alias(self):
+        # at (l, m) = (200, 400) the rule returns the alias of mode -112 of
+        # Q^200; l + min(|m|, l) = 400 stays inside the guard, and the
+        # exact value is 0
+        grid = SphereGrid(24, 802)
+        g = make_bump(BumpSpec(0.8), grid).values[:, :1]
+        f = GridFunction(grid, g * np.exp(400j * grid.phi_nodes))
+        provider = ExtendProvider(f, ktypes=(400,))
+        assert np.all(provider.eval_many([199.0, 200.0]) == 0.0)
+        assert extend(f, 200.0, 400) == 0.0
 
     def test_zero_function_extends_to_zero(self):
         grid = SphereGrid(24, 8)
@@ -321,8 +339,7 @@ class TestProviders:
                 provider.eval(ell, 0)
 
     def test_table_provider_out_of_range(self):
-        # past the table's lmax it reads 0, as CoefficientTable.get does;
-        # a negative degree is outside its reach
+        # past the table's lmax it reads 0; a negative degree is outside its reach
         provider = TableProvider(table(1, {(1, 0): 1.0}))
         assert provider.eval(2.0, 0) == 0.0 and provider.eval(600.0, 0) == 0.0
         for ell in (-1.0, -3.0):
