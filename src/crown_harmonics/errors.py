@@ -36,12 +36,11 @@ class SingularParameterError(CrownHarmonicsError):
 
 
 class ProviderError(CrownHarmonicsError):
-    """A coefficient provider failed; carries the offending (ell, m)."""
+    """A coefficient provider failed; carries the offending ell."""
 
-    def __init__(self, message, ell=None, m=None):
+    def __init__(self, message, ell=None):
         super().__init__(message)
         self.ell = ell
-        self.m = m
 
 
 class NumericalError(CrownHarmonicsError):

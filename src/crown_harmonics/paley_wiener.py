@@ -186,11 +186,6 @@ def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
     return -0.5 + steps, steps
 
 
-def _disc_points(disc_radius: float, n_radii: int, n_angles: int) -> np.ndarray:
-    """The points of _disc_rays, radius-major: row k is radius (k + 1) R / n_radii."""
-    return ray_points(*_disc_rays(disc_radius, n_radii, n_angles), n_radii).T.ravel()
-
-
 def decay_profile(provider, disc_radius: float = 20.0):
     """Evaluate max_m |phi| on two nested lattices over |l + 1/2| <= R.
 
@@ -207,9 +202,11 @@ def decay_profile(provider, disc_radius: float = 20.0):
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
     n_radii, n_angles = 2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES
-    dense_pts = _disc_points(disc_radius, n_radii, n_angles)
+    origins, steps = _disc_rays(disc_radius, n_radii, n_angles)
+    # radius-major: row k of the lattice is radius (k + 1) R / n_radii
+    dense_pts = ray_points(origins, steps, n_radii).T.ravel()
     # ray-major (angle, radius) to the radius-major layout of dense_pts
-    values = provider.eval_rays(*_disc_rays(disc_radius, n_radii, n_angles), n_radii)
+    values = provider.eval_rays(origins, steps, n_radii)
     values = values.reshape(n_angles, n_radii, -1).transpose(1, 0, 2).reshape(dense_pts.size, -1)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:

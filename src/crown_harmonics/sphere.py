@@ -110,15 +110,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid: SphereGrid, fn) -> "GridFunction":
-        """Sample fn(theta, phi) on the grid (fn must broadcast arrays)."""
-        th = grid.theta[:, None]
-        ph = grid.phi_nodes[None, :]
-        values = np.broadcast_to(np.asarray(fn(th, ph), dtype=complex),
-                                 (grid.n_theta, grid.n_phi)).copy()
-        return cls(grid, values)
-
 
 def support_radius(f: GridFunction) -> float:
     """Colatitude of the last grid row carrying significant mass.

@@ -52,70 +52,58 @@ class BumpSpec:
             raise SchemaError("K-type bumps must be centered at the pole")
 
 
+def _on_cap(radius, fn):
+    """theta -> fn(theta) where |theta| < radius, exact zeros elsewhere.
+
+    fn sees only the samples inside the cap.
+    """
+
+    def on_cap(theta):
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros_like(theta)
+        inside = np.abs(theta) < radius
+        out[inside] = fn(theta[inside])
+        return out
+
+    return on_cap
+
+
 def _smooth_g(radius):
     r2 = radius * radius
 
-    def g(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        t2 = theta[inside] ** 2
-        out[inside] = np.exp(-t2 / (r2 - t2))
-        return out
+    def g(t):
+        t2 = t ** 2
+        return np.exp(-t2 / (r2 - t2))
 
-    def g1(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        t = theta[inside]
+    def g1(t):
         d = r2 - t * t
-        out[inside] = np.exp(-t * t / d) * (-2.0 * t * r2 / d**2)
-        return out
+        return np.exp(-t * t / d) * (-2.0 * t * r2 / d**2)
 
-    def g2(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        t = theta[inside]
+    def g2(t):
         t2 = t * t
         d = r2 - t2
         w1 = -2.0 * t * r2 / d**2
         w2 = -2.0 * r2 * (r2 + 3.0 * t2) / d**3
-        out[inside] = np.exp(-t2 / d) * (w1 * w1 + w2)
-        return out
+        return np.exp(-t2 / d) * (w1 * w1 + w2)
 
-    return g, g1, g2
+    return _on_cap(radius, g), _on_cap(radius, g1), _on_cap(radius, g2)
 
 
 def _cospow_g(radius, p):
     a = math.pi / (2.0 * radius)
 
-    def g(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        out[inside] = np.cos(a * theta[inside]) ** p
-        return out
+    def g(t):
+        return np.cos(a * t) ** p
 
-    def g1(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        c = np.cos(a * theta[inside])
-        s = np.sin(a * theta[inside])
-        out[inside] = -p * a * c ** (p - 1) * s
-        return out
+    def g1(t):
+        c, s = np.cos(a * t), np.sin(a * t)
+        return -p * a * c ** (p - 1) * s
 
-    def g2(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        inside = np.abs(theta) < radius
-        c = np.cos(a * theta[inside])
-        s = np.sin(a * theta[inside])
-        out[inside] = p * a * a * ((p - 1) * c ** (p - 2) * s * s - c**p)
-        return out
+    def g2(t):
+        c, s = np.cos(a * t), np.sin(a * t)
+        return p * a * a * ((p - 1) * c ** (p - 2) * s * s - c**p)
 
-    return g, g1, g2
+    return _on_cap(radius, g), _on_cap(radius, g1), _on_cap(radius, g2)
 
 
 class Bump(GridFunction):

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import (
     CrownDomainError,
-    CrownHarmonicsError,
     GridResolutionError,
     NumericalError,
     ProviderError,
@@ -155,45 +154,28 @@ class CoefficientProvider:
     """Evaluation contract with a declared K-type set.
 
     ktypes is the finite set of K-types on which the provider may be
-    nonzero. eval_many(ells) returns an array of shape (len(ells),
-    len(ktypes)) whose column j holds the K-type sorted(ktypes)[j];
-    eval(ell, m) is one entry of it, and exactly 0 for m outside the
-    declared set. eval_rays(origins, steps, n) is eval_many over the
-    arithmetic progressions origins[i] + j steps[i], j = 0..n-1, rows in
-    ray-major order. A scalar provider overrides eval only: the base
-    eval_many loops over it and reports a library error or an
-    ArithmeticError as a ProviderError naming (ell, m), with the
-    original as its __cause__; any other exception propagates. A
-    batched provider overrides eval_many and raises its own
-    ProviderError.
+    nonzero. A provider implements one method, eval_rays(origins, steps,
+    n): its values at the points origins[i] + j steps[i], j = 0..n-1
+    (see ray_points), as an array of shape (rays * n, len(ktypes)) with
+    rows in ray-major order and column j holding the K-type
+    sorted(ktypes)[j]. eval_many(ells) is eval_rays with one point per
+    ray, and eval(ell, m) is one entry of it, exactly 0 for m outside
+    the declared set. A provider raises its own errors.
     """
 
     ktypes: frozenset = frozenset()
 
-    def eval(self, ell, m: int) -> complex:  # pragma: no cover - interface
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
-        """eval_many over the points origins[i] + j steps[i], j = 0..n-1, ray-major.
-
-        The base class expands the points (see ray_points) and makes one
-        eval_many call; a provider that can step along a progression
-        overrides this and returns the same array.
-        """
-        return self.eval_many(ray_points(origins, steps, n).ravel())
-
     def eval_many(self, ells) -> np.ndarray:
-        ms = sorted(self.ktypes)
-        out = np.empty((len(ells), len(ms)), dtype=complex)
-        for i, ell in enumerate(ells):
-            for j, m in enumerate(ms):
-                try:
-                    out[i, j] = complex(self.eval(ell, m))
-                except (CrownHarmonicsError, ArithmeticError) as exc:
-                    raise ProviderError(
-                        f"provider failed at (ell={_format_ell(ell)}, m={m}): {exc}",
-                        ell=ell, m=m) from exc
-        return out
+        return self.eval_rays(ells, 0.0, 1)
+
+    def eval(self, ell, m: int) -> complex:
+        m = int(m)
+        if m not in self.ktypes:
+            return 0.0 + 0.0j
+        return complex(self.eval_many([ell])[0, sorted(self.ktypes).index(m)])
 
 
 def ray_points(origins, steps, n: int) -> np.ndarray:
@@ -216,14 +198,6 @@ def _format_ell(ell) -> str:
     return f"{ell.real:g}" if ell.imag == 0.0 else f"{ell:g}"
 
 
-def _one_point(provider: CoefficientProvider, ell, m: int) -> complex:
-    """eval(ell, m) of a batched provider: one entry of eval_many([ell])."""
-    m = int(m)
-    if m not in provider.ktypes:
-        return 0.0 + 0.0j
-    return complex(provider.eval_many([ell])[0, sorted(provider.ktypes).index(m)])
-
-
 class ExtendProvider(CoefficientProvider):
     """Provider wrapping the holomorphic extension of a grid function.
 
@@ -234,8 +208,8 @@ class ExtendProvider(CoefficientProvider):
     a run of points on one route (direct, or reflected through -ell-1)
     starts with one kernel exponential, and every further point costs one
     in-place multiply by the step kernel Q^step, itself one exponential
-    per route and ray. The kernel is shared by all K-types. eval_many is
-    eval_rays with one point per ray, so a single point takes an exact
+    per route and ray. The kernel is shared by all K-types. eval_many
+    takes one point per ray, so a single point takes an exact
     exponential. It is the folded rule of sphere.kernel_mode_profiles
     with the sum over rows taken first, since the K-types are far fewer
     than the rows. A K-type's row vector keeps only the rows where its
@@ -308,10 +282,6 @@ class ExtendProvider(CoefficientProvider):
         """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
         return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
 
-    def _values(self, power: complex) -> np.ndarray:
-        """The direct-route values at power, from an exact kernel exponential."""
-        return self._contract(self._kernel(power))
-
     def _reflects(self, ell: complex) -> bool:
         # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q.
         # Where the direct power would cancel catastrophically, take the
@@ -320,9 +290,6 @@ class ExtendProvider(CoefficientProvider):
         log_amp = a.max()
         return bool(log_amp > _LOG_AMP_DIRECT_MAX
                     and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN)
-
-    def eval_many(self, ells) -> np.ndarray:
-        return self.eval_rays(ells, 0.0, 1)
 
     # a kernel power may overflow; the values it leaves are not finite, and
     # the callers' finite checks report that as a numerical failure
@@ -386,11 +353,11 @@ class ExtendProvider(CoefficientProvider):
         pole = singular_distance(ks, t[:, None]) < POLE_TOL
         for i, at_pole in zip(rows, pole):
             if at_pole.any():
-                out[i, at_pole] = self._values(ells[i])[at_pole]
+                out[i, at_pole] = self._contract(self._kernel(ells[i]))[at_pole]
         return out
 
-    def eval(self, ell, m: int) -> complex:
-        return _one_point(self, ell, m)
+    # perfbench/tracer.py wraps eval from this class's own __dict__
+    eval = CoefficientProvider.eval
 
 
 def extend(f: GridFunction, ell, m: int) -> complex:
@@ -412,9 +379,9 @@ def extend(f: GridFunction, ell, m: int) -> complex:
 class TableProvider(CoefficientProvider):
     """Provider backed by an integer coefficient table: a gather.
 
-    eval_many reads the table at nonnegative integers l, and 0 past its
+    eval_rays reads the table at nonnegative integers l, and 0 past its
     lmax. A negative or non-integer parameter is outside the table's
-    reach and raises ProviderError, after the whole batch is checked and
+    reach and raises ProviderError, after every point is checked and
     before any value is read. The reflection to -l-1 is synthesize's:
     the table holds no functional equation.
     """
@@ -425,9 +392,9 @@ class TableProvider(CoefficientProvider):
 
     # a parameter that is not finite compares False and is rejected
     @np.errstate(invalid="ignore")
-    def eval_many(self, ells) -> np.ndarray:
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
         ms = sorted(self.ktypes)
-        ells = np.asarray(ells, dtype=complex).ravel()
+        ells = ray_points(origins, steps, n).ravel()
         if not ms:
             return np.zeros((ells.size, 0), dtype=complex)
         ls = np.round(ells.real)
@@ -443,8 +410,8 @@ class TableProvider(CoefficientProvider):
         out[stored] = self.table.values[ls[stored].astype(int)[:, None], np.array(ms) + lmax]
         return out
 
-    def eval(self, ell, m: int) -> complex:
-        return _one_point(self, ell, m)
+    # perfbench/tracer.py wraps eval from this class's own __dict__
+    eval = CoefficientProvider.eval
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +438,10 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     provider evaluations, and results are bit-reproducible for a fixed
     numpy build.
 
-    Provider failures follow the eval_many contract, which eval_rays
-    keeps: a ProviderError naming the parameter for library errors and
-    ArithmeticErrors, any other exception propagates. A provider's own
-    limits stay its own: an ExtendProvider raises GridResolutionError
-    where its boundary rule would alias, a TableProvider reads 0 past
-    its lmax.
+    A provider raises its own errors, and they propagate. A provider's
+    own limits stay its own: an ExtendProvider raises
+    GridResolutionError where its boundary rule would alias, a
+    TableProvider reads 0 past its lmax.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)

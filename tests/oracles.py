@@ -14,6 +14,7 @@ from crown_harmonics.transform import (
     _LOG_AMP_DIRECT_MAX,
     CoefficientProvider,
     CoefficientTable,
+    ray_points,
 )
 
 
@@ -131,18 +132,19 @@ def table(lmax: int, entries: dict) -> CoefficientTable:
 class FakeProvider(CoefficientProvider):
     """Coefficient provider from a function (ell, m) -> complex.
 
-    Follows the provider contract: evaluation outside the declared
-    K-types returns exactly 0, and eval_many is the base-class loop.
+    eval_rays calls the function at every point of the rays and every
+    declared K-type; eval_many and eval are the base class's.
     """
 
     def __init__(self, fn, ktypes):
         self._fn = fn
         self.ktypes = frozenset(int(m) for m in ktypes)
 
-    def eval(self, ell, m: int) -> complex:
-        if int(m) not in self.ktypes:
-            return 0.0 + 0.0j
-        return complex(self._fn(complex(ell), int(m)))
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
+        ms = sorted(self.ktypes)
+        ells = ray_points(origins, steps, n).ravel()
+        values = [[complex(self._fn(complex(ell), m)) for m in ms] for ell in ells]
+        return np.array(values, dtype=complex).reshape(ells.size, len(ms))
 
 
 def extend_reference(f, ells, m: int, own_rows: bool = False):

@@ -15,7 +15,7 @@ import pytest
 from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
 from crown_harmonics.paley_wiener import (
     Calibration,
-    _disc_points,
+    _disc_rays,
     decay_constants,
     decay_profile,
     fit_type,
@@ -27,7 +27,7 @@ from crown_harmonics.paley_wiener import (
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
-from crown_harmonics.transform import ExtendProvider, synthesize
+from crown_harmonics.transform import ExtendProvider, ray_points, synthesize
 from oracles import FakeProvider
 
 
@@ -43,15 +43,16 @@ def symmetric_poly_provider():
 
 
 class CountingProvider(FakeProvider):
-    """FakeProvider that records the size of every eval_many call."""
+    """FakeProvider that records the point count of every eval_rays call."""
 
     def __init__(self, fn, ktypes):
         super().__init__(fn, ktypes)
         self.batches = []
 
-    def eval_many(self, ells):
-        self.batches.append(len(ells))
-        return super().eval_many(ells)
+    def eval_rays(self, origins, steps, n):
+        values = super().eval_rays(origins, steps, n)
+        self.batches.append(len(values))
+        return values
 
 
 class TestTypeFit:
@@ -162,7 +163,8 @@ class TestWeylResidual:
         provider = ExtendProvider(f)
         ells = list(dict.fromkeys(ell for ell, _ in weyl_lattice(provider.ktypes)))
         for ell in ells + [-ell - 1.0 for ell in ells]:
-            assert np.array_equal(provider.eval_many([ell])[0], provider._values(ell)), ell
+            direct = provider._contract(provider._kernel(ell))
+            assert np.array_equal(provider.eval_many([ell])[0], direct), ell
 
     def test_lattice_shape(self):
         lattice = weyl_lattice((0, 1))
@@ -268,7 +270,7 @@ class TestReport:
 
     def test_each_stage_is_one_batched_call(self):
         # line, disc and the two sides of the symmetry identity: one
-        # eval_many call each, and the disc evaluates only the refined
+        # eval_rays call each, and the disc evaluates only the refined
         # lattice, since the base lattice is every other point of it
         provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
                                     ktypes=(0, 1))
@@ -282,9 +284,9 @@ class TestReport:
         # the refined lattice is evaluated along rays, so its every other
         # point is the base lattice up to the roundoff of the ray steps
         base_pts, base_mags, dense_pts, dense_mags = decay_profile(symmetric_poly_provider(), 20.0)
-        assert np.array_equal(dense_pts, _disc_points(20.0, 16, 32))
+        assert np.array_equal(dense_pts, ray_points(*_disc_rays(20.0, 16, 32), 16).T.ravel())
         assert np.array_equal(base_pts, dense_pts.reshape(16, 32)[1::2, ::2].ravel())
-        shift = np.max(np.abs(base_pts - _disc_points(20.0, 8, 16)))
+        shift = np.max(np.abs(base_pts - ray_points(*_disc_rays(20.0, 8, 16), 8).T.ravel()))
         assert shift <= 8 * np.finfo(float).eps * 20.0
         for ell, mag in zip(base_pts, base_mags):
             assert mag == dense_mags[np.flatnonzero(dense_pts == ell)[0]]

@@ -60,19 +60,19 @@ class TestSphereGrid:
 
     def test_integrate_constants_and_moments(self):
         grid = SphereGrid(16, 8)
-        one = GridFunction.from_callable(grid, lambda th, ph: np.ones_like(th))
+        th = grid.theta[:, None]
+        one = GridFunction(grid, np.ones((16, 8)))
         assert abs(sphere_integral(one) - 1.0) < 5e-15
-        cos1 = GridFunction.from_callable(grid, lambda th, ph: np.cos(th))
+        cos1 = GridFunction(grid, np.broadcast_to(np.cos(th), (16, 8)))
         assert abs(sphere_integral(cos1)) < 5e-15
-        cos2 = GridFunction.from_callable(grid, lambda th, ph: np.cos(th) ** 2)
+        cos2 = GridFunction(grid, np.broadcast_to(np.cos(th) ** 2, (16, 8)))
         assert abs(sphere_integral(cos2) - 1.0 / 3.0) < 5e-15
 
     def test_integrate_legendre_square_frozen(self):
         # mean of P_3(cos)^2 over the sphere is 1/(2*3+1)
         grid = SphereGrid(12, 6)
-        f = GridFunction.from_callable(
-            grid, lambda th, ph: assoc_legendre(3, 0, np.cos(th)) ** 2 + 0j
-        )
+        p3 = assoc_legendre(3, 0, np.cos(grid.theta[:, None]))
+        f = GridFunction(grid, np.broadcast_to(p3 ** 2, (12, 6)))
         assert abs(sphere_integral(f) - ONE_SEVENTH) < 5e-15
 
     def test_raw_rule_integrates_p50_square_frozen(self):
@@ -329,14 +329,11 @@ class TestRotate:
 
     def test_exact_phase_shift(self):
         grid = SphereGrid(8, 12)
-        f = GridFunction.from_callable(
-            grid, lambda th, ph: np.exp(1j * ph) * np.sin(th)
-        )
+        th, ph = grid.theta[:, None], grid.phi_nodes[None, :]
+        f = GridFunction(grid, np.exp(1j * ph) * np.sin(th))
         shifted = np.roll(f.values, 3, axis=1)
         c = 2 * math.pi * 3 / 12
-        rotated = GridFunction.from_callable(
-            grid, lambda th, ph: np.exp(1j * (ph - c)) * np.sin(th)
-        )
+        rotated = GridFunction(grid, np.exp(1j * (ph - c)) * np.sin(th))
         assert np.max(np.abs(shifted - rotated.values)) < 1e-14
         expected = f.values * np.exp(-1j * c)
         assert np.max(np.abs(shifted - expected)) < 1e-14
@@ -395,8 +392,3 @@ class TestGridFunction:
         grid = SphereGrid(6, 4)
         with pytest.raises(SchemaError):
             GridFunction(grid, np.zeros((4, 6)))
-
-    def test_from_callable_samples_nodes(self):
-        grid = SphereGrid(5, 4)
-        f = GridFunction.from_callable(grid, lambda th, ph: th + 1j * ph)
-        assert abs(f.values[2, 3] - (grid.theta[2] + 1j * grid.phi_nodes[3])) < 1e-15

@@ -19,7 +19,7 @@ from crown_harmonics.errors import (
 )
 from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.numerics import assoc_legendre
-from crown_harmonics.paley_wiener import _disc_points, _disc_rays
+from crown_harmonics.paley_wiener import _disc_rays
 from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
 from crown_harmonics.testbed import (
     BumpSpec,
@@ -29,6 +29,7 @@ from crown_harmonics.testbed import (
     random_table,
 )
 from crown_harmonics.transform import (
+    CoefficientProvider,
     CoefficientTable,
     ExtendProvider,
     TableProvider,
@@ -371,7 +372,7 @@ class TestBatchedProviders:
         # values agree to roundoff relative to themselves
         grid = SphereGrid(144, 8)
         line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
-        ells = np.concatenate([line, _disc_points(20.0, 16, 32)[::19],
+        ells = np.concatenate([line, ray_points(*_disc_rays(20.0, 16, 32), 16).T.ravel()[::19],
                                -np.arange(0, 129, 16) - 1.0])
         for r in (0.35, 0.7, 1.0):
             f = certify_class(name, r, grid)
@@ -426,18 +427,22 @@ class TestBatchedProviders:
         for provider in providers:
             assert provider.eval_many([1.0, -2.0, 0.5j]).shape == (3, 0)
 
-    def test_base_eval_many_names_the_failing_parameter(self):
-        def fn(ell, m):
-            if m == 1 and ell.imag > 0:
-                raise ZeroDivisionError("division by zero")
-            return ell
-        provider = FakeProvider(fn, ktypes=(1, 0))
-        assert np.array_equal(provider.eval_many([2.0, -1.0]),
-                              [[2.0, 2.0], [-1.0, -1.0]])
-        with pytest.raises(ProviderError, match=r"ell=2\+1j, m=1") as info:
-            provider.eval_many([2.0, 2.0 + 1.0j])
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
-        assert (info.value.ell, info.value.m) == (2.0 + 1.0j, 1)
+    def test_eval_rays_alone_makes_a_provider(self):
+        # a provider implements eval_rays only: eval_many is one point per
+        # ray, and eval one entry of it, exactly 0 outside the K-types
+        class Linear(CoefficientProvider):
+            ktypes = frozenset({2, -1})
+
+            def eval_rays(self, origins, steps, n):
+                return ray_points(origins, steps, n).reshape(-1, 1) * [-1.0, 2.0]
+
+        provider = Linear()
+        assert "eval_many" not in vars(Linear) and "eval" not in vars(Linear)
+        assert np.array_equal(provider.eval_many([1.0, 2.0j]), [[-1.0, 2.0], [-2.0j, 4.0j]])
+        assert provider.eval(2.0j, 2) == 4.0j and provider.eval(2.0j, -1) == -2.0j
+        for m in (0, 1, 3):
+            got = provider.eval(2.0j, m)
+            assert type(got) is complex and got == 0.0
 
     def test_reflection_pole_keeps_the_direct_value(self):
         # at ell = -19 the direct power of the wide cap spreads past
@@ -475,27 +480,13 @@ class TestBatchedProviders:
 
 
 class TestRays:
-    """eval_rays: eval_many over arithmetic progressions of parameters."""
+    """eval_rays: provider values over arithmetic progressions of parameters."""
 
     def test_base_rays_are_eval_many_of_the_expanded_points(self):
-        def fn(ell, m):
-            if m == 1 and ell.imag > 0.8:
-                raise ZeroDivisionError("division by zero")
-            return ell * ell + m
-        provider = FakeProvider(fn, ktypes=(1, 0))
+        # ray_points expands the rays row by row, with the origins as given
         origins, steps = [2.0 - 1.0j, -0.5 + 0.25j], [0.5j, -1.0 + 0.1j]
         points = ray_points(origins, steps, 5)
         assert points.shape == (2, 5) and np.array_equal(points[:, 0], origins)
-        assert np.array_equal(provider.eval_rays(origins, steps, 4),
-                              provider.eval_many(ray_points(origins, steps, 4).ravel()))
-        failures = []
-        for call in (lambda: provider.eval_rays(origins, steps, 5),
-                     lambda: provider.eval_many(points.ravel())):
-            with pytest.raises(ProviderError) as info:
-                call()
-            failures.append((info.value.ell, info.value.m, str(info.value)))
-        assert failures[0] == failures[1]
-        assert failures[0][:2] == (2.0 + 1.0j, 1)
 
     def test_single_points_take_the_exact_exponential(self):
         # one point per ray is the per-point route: the direct value, or
@@ -596,13 +587,6 @@ class TestSynthesizeProviderErrors:
         def fn(ell, m):
             raise exc
         return FakeProvider(fn, ktypes=(0,))
-
-    def test_library_and_arithmetic_errors_become_provider_errors(self):
-        grid = SphereGrid(8, 8)
-        for exc in (ZeroDivisionError("division by zero"), SchemaError("bad table")):
-            with pytest.raises(ProviderError, match="ell=0, m=0") as info:
-                synthesize(self.raising(exc), grid, 2)
-            assert info.value.__cause__ is exc
 
     def test_other_exceptions_propagate(self):
         with pytest.raises(TypeError, match="not a coefficient"):
