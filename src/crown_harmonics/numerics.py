@@ -2,7 +2,8 @@
 
 Everything here is dependency-free plumbing: Gauss-Legendre rules found
 by Newton iteration, and associated Legendre functions (P_l = P_l^0
-among them) by three-term recurrences.
+among them) by one three-term recurrence per order, which yields the
+whole column of degrees l = 0..lmax at once.
 
 All functions are pure; the quadrature cache is populated once per
 order and then only read, so concurrent callers are safe.
@@ -10,7 +11,6 @@ order and then only read, so concurrent callers are safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,38 +89,25 @@ def _check_unit_interval(x) -> np.ndarray:
     return np.clip(arr, -1.0, 1.0)
 
 
-def assoc_legendre(l: int, m: int, x):
-    """Associated Legendre P_l^m(x) without the Condon-Shortley phase.
+def assoc_legendre(lmax: int, m: int, x) -> np.ndarray:
+    """Associated Legendre column P_l^m(x), l = 0..lmax, no Condon-Shortley phase.
 
-    Convention anchor: P_1^1(x) = sqrt(1 - x^2), so all values with
-    m >= 0 are nonnegative at x = 0. Negative orders are defined by
-    P_l^{-m} = (l-m)!/(l+m)! * P_l^m, which keeps the same phase
-    convention. Upward recurrence in l from the diagonal seed
-    P_m^m = (2m-1)!! (1-x^2)^{m/2}.
+    Returns one column of degrees of the order 0 <= m <= lmax, shaped
+    (lmax + 1, *x.shape); rows l < m are exact zeros. Convention anchor:
+    P_1^1(x) = sqrt(1 - x^2), so the diagonal P_m^m is nonnegative.
+    One upward recurrence in l from the diagonal seed
+    P_m^m = (2m-1)!! (1-x^2)^{m/2}, with P_{m-1}^m = 0.
     """
-    if abs(m) > l:
-        raise SchemaError(f"order |m|={abs(m)} exceeds degree l={l}")
-    if m < 0:
-        scale = math.factorial(l - abs(m)) / math.factorial(l + abs(m))
-        value = assoc_legendre(l, abs(m), x)
-        return scale * value
+    if not 0 <= m <= lmax:
+        raise SchemaError(f"order m={m} outside 0..lmax={lmax}")
     arr = _check_unit_interval(x)
-    # diagonal seed: P_m^m = (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.ones_like(arr)
-    if m > 0:
-        s = np.sqrt((1.0 - arr) * (1.0 + arr))
-        fact = 1.0
-        for _ in range(m):
-            pmm = pmm * fact * s
-            fact += 2.0
-    if l == m:
-        out = pmm
-    else:
-        pm1 = arr * (2 * m + 1) * pmm
-        if l == m + 1:
-            out = pm1
-        else:
-            for j in range(m + 2, l + 1):
-                pmm, pm1 = pm1, ((2 * j - 1) * arr * pm1 - (j + m - 1) * pmm) / (j - m)
-            out = pm1
-    return float(out) if np.isscalar(x) else out
+    out = np.zeros((lmax + 1,) + arr.shape)
+    below, here = np.zeros_like(arr), np.ones_like(arr)
+    s = np.sqrt((1.0 - arr) * (1.0 + arr))
+    for j in range(m):
+        here = here * (2.0 * j + 1.0) * s
+    out[m] = here
+    for j in range(m + 1, lmax + 1):
+        below, here = here, ((2 * j - 1) * arr * here - (j + m - 1) * below) / (j - m)
+        out[j] = here
+    return out

@@ -248,13 +248,13 @@ def decay_constants(profile, r: float, kmax: int = 3):
 # reflection symmetry
 
 
-def weyl_lattice(ktypes, re_parts=DEFAULT_WEYL_RE, im_parts=DEFAULT_WEYL_IM):
+def weyl_lattice(ktypes):
     """Default (l, m) sample lattice for the symmetry residual."""
     return [
         (complex(re, im), m)
         for m in sorted(ktypes)
-        for re in re_parts
-        for im in im_parts
+        for re in DEFAULT_WEYL_RE
+        for im in DEFAULT_WEYL_IM
     ]
 
 

@@ -274,7 +274,7 @@ class LadderFunction(GridFunction):
         return self._profile_d1_fn(np.asarray(theta, dtype=float))
 
 
-def reduction_synthesize(m: int, bump, grid: SphereGrid | None = None) -> LadderFunction:
+def reduction_synthesize(m: int, bump) -> LadderFunction:
     """Pure K-type m function supported in the cap of a zonal seed bump.
 
     Applies the explicit ladder profiles to the seed's radial shape g:
@@ -293,7 +293,7 @@ def reduction_synthesize(m: int, bump, grid: SphereGrid | None = None) -> Ladder
         raise SchemaError("ladder profiles are available through |m| <= 2")
     if getattr(bump, "ktype", None) != 0 or not getattr(bump, "handle_ok", False):
         raise SchemaError("seed must be a zonal pole-centered bump")
-    grid = grid if grid is not None else bump.grid
+    grid = bump.grid
     g, g1, g2 = bump.g, bump.g1, bump.g2
 
     if m == 0:

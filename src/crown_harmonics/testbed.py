@@ -3,7 +3,9 @@
 This module generates cap-supported bumps with closed-form radial
 derivatives, random band-limited functions from seeded coefficient
 tables, and a classical projection transform (oracle_sht) that shares
-no inner loops with the kernel route in transform.analyze. The bridge
+no inner loops with the kernel route in transform.analyze: one
+associated Legendre column per order, every degree from a single
+recurrence, projected by explicit phase sums. The bridge
 between the two coefficient conventions is measured from test functions
 (bridge_factors) and held to its closed form (bridge_factor_candidate)
 by verify's classical-bridge check; library code never assumes it.
@@ -209,20 +211,23 @@ def oracle_sht(f: GridFunction, lmax: int) -> CoefficientTable:
     """Classical coefficients by brute-force projection onto harmonics.
 
     Deliberately naive and structurally disjoint from transform.analyze:
-    associated Legendre recurrences per (l, m) and explicit phase sums,
-    no pairing powers, no FFT. Serves as the independent oracle route.
+    one associated Legendre recurrence per order |m|, explicit phase
+    sums, no pairing powers, no FFT. Serves as the independent oracle
+    route.
     """
     require_resolution(f.grid, lmax)
     grid = f.grid
     u = np.cos(grid.theta)
     w = grid.theta_weights / grid.n_phi
+    columns = [assoc_legendre(lmax, k, u) for k in range(lmax + 1)]
     values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
     for m in range(-lmax, lmax + 1):
+        k = abs(m)
         phase = np.exp(-1j * m * grid.phi_nodes)
         azimuthal = f.values @ phase  # sum_j f(theta_i, phi_j) e^{-im phi_j}
-        for l in range(abs(m), lmax + 1):
-            radial = _unit_harmonic_norm(l, m) * assoc_legendre(l, abs(m), u)
-            values[l, m + lmax] = np.sum(w * radial * azimuthal)
+        norms = np.array([_unit_harmonic_norm(l, m) for l in range(k, lmax + 1)])
+        radial = norms[:, None] * columns[k][k:]
+        values[k:, m + lmax] = np.sum(w * radial * azimuthal, axis=1)
     return CoefficientTable(values)
 
 

@@ -316,29 +316,26 @@ class ExtendProvider(CoefficientProvider):
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
         reflect = np.zeros(points.shape, dtype=bool)
         for i, (ray, step) in enumerate(zip(points, steps)):
-            # per route: the kernel, the step kernel and the index of the
-            # last point. A run of the route starts with an exact Q^power;
-            # each further point multiplies in place by Q^step. The
-            # reflected points -ell-1 of a ray form a ray of step -step.
-            # An overflowed sample times an underflowed one is nan where
-            # the exact power may be finite, so a run ends at a value that
-            # is not finite, and a step kernel that is not finite is not
-            # used
-            runs = {}
+            # a run of points on one route starts with an exact Q^power;
+            # each further point multiplies the kernel in place by Q^step,
+            # one per route and ray. The reflected points -ell-1 of a ray
+            # form a ray of step -step. An overflowed sample times an
+            # underflowed one is nan where the exact power may be finite,
+            # so a run ends at a value that is not finite (prev is None),
+            # and a step kernel that is not finite is not used (None)
+            prev, kernel, step_kernels = None, None, {}
             for j, ell in enumerate(ray):
                 route = reflect[i, j] = self._reflects(ell)
                 power, delta = (-ell - 1.0, -step) if route else (ell, step)
-                kernel, step_kernel, last = runs.get(route, (None, None, None))
-                if last == j - 1 and step_kernel is None:
+                if route == prev and route not in step_kernels:
                     step_kernel = self._kernel(delta)
-                    if not np.all(np.isfinite(step_kernel)):
-                        step_kernel = False
-                if last == j - 1 and step_kernel is not False:
-                    kernel *= step_kernel
+                    step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
+                if route == prev and step_kernels[route] is not None:
+                    kernel *= step_kernels[route]
                 else:
                     kernel = self._kernel(power)
                 values = out[i * n + j] = self._contract(kernel)
-                runs[route] = (kernel, step_kernel, j if np.all(np.isfinite(values)) else None)
+                prev = route if np.all(np.isfinite(values)) else None
         # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
         # the rule leaves roundoff there, or the alias of mode m - 512
         out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0

@@ -62,10 +62,10 @@ def check_zonal_kernel() -> CheckResult:
     """Zonal kernel modes reproduce the classical degree-l polynomials."""
     worst = 0.0
     for theta in (0.2, 0.7, 1.2):
-        u = math.cos(theta)
+        column = assoc_legendre(50, 0, math.cos(theta)).tolist()
         for l in range(51):
             got = complex(kernel_mode(float(l), 0, theta)[0])
-            worst = max(worst, abs(got - assoc_legendre(l, 0, u)))
+            worst = max(worst, abs(got - column[l]))
     return _result(
         "zonal-kernel-identity", worst, 1e-10,
         "mode-0 kernel vs Legendre recurrence, l <= 50, three angles",
@@ -187,7 +187,8 @@ def check_scalar_probe_independence() -> CheckResult:
             mean = sum(vals) / len(vals)
             spread = max(spread, max(abs(v - mean) for v in vals) / abs(mean))
             defect = max(defect, abs(mean - intertwiner_rational(m, t)) / abs(mean))
-    measured = max(spread, defect, worst_b0)
+    # b_0 = 1 exactly, so its defect is held to a tenth of the threshold
+    measured = max(spread, defect, 10.0 * worst_b0)
     return _result(
         "scalar-probe-independence", measured, 1e-9,
         f"m <= 3 on 25 complex t: probe spread {spread:.1e}, closed-form defect "
@@ -306,10 +307,10 @@ def check_ladder_synthesis() -> CheckResult:
     )
 
 
-def check_vanishing_rule(seed: int = 7) -> CheckResult:
+def check_vanishing_rule() -> CheckResult:
     """Coefficients below the azimuthal frequency vanish."""
     grid = SphereGrid(40, 72)
-    f, table = random_bandlimited(grid, 12, 4, seed)
+    f, table = random_bandlimited(grid, 12, 4, 7)
     back = analyze(f, 12)
     magnitude = complex_abs(back.values)
     ls, ms = lm_grid(12)

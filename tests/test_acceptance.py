@@ -93,3 +93,17 @@ def test_classical_bridge_holds_the_closed_form(monkeypatch):
     result = check_classical_bridge()
     assert not result.passed, result.line()
     assert result.measured > 9e-9
+
+
+def test_scalar_probe_independence_holds_b0_to_its_tolerance(monkeypatch):
+    # b_0 off by 5e-10 passes the check's 1e-9 threshold but not the
+    # 1e-10 that its detail prints for the b0 defect
+    exact = verify.intertwiner_scalar
+
+    def perturbed(m, t):
+        return 1.0 + 5e-10 if m == 0 else exact(m, t)
+
+    monkeypatch.setattr(verify, "intertwiner_scalar", perturbed)
+    result = check_scalar_probe_independence()
+    assert not result.passed, result.line()
+    assert "b0 defect 5.0e-10 vs 1e-10" in result.detail

@@ -5,13 +5,11 @@ rationals) before the implementations were written; scipy
 cross-checks run alongside where available.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from crown_harmonics import numerics
-from crown_harmonics.errors import CrownDomainError, NumericalError
+from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
 from crown_harmonics.numerics import assoc_legendre, complex_abs, gauss_legendre
 
 # frozen oracles (sympy, 2026-08)
@@ -76,12 +74,14 @@ class TestComplexAbs:
 class TestLegendre:
     def test_low_degrees_exact(self):
         x = np.linspace(-1, 1, 7)
-        assert np.max(np.abs(assoc_legendre(0, 0, x) - 1.0)) == 0.0
-        assert np.max(np.abs(assoc_legendre(1, 0, x) - x)) == 0.0
-        assert np.max(np.abs(assoc_legendre(2, 0, x) - (1.5 * x**2 - 0.5))) < 1e-15
+        column = assoc_legendre(2, 0, x)
+        assert column.shape == (3, 7)
+        assert np.max(np.abs(column[0] - 1.0)) == 0.0
+        assert np.max(np.abs(column[1] - x)) == 0.0
+        assert np.max(np.abs(column[2] - (1.5 * x**2 - 0.5))) < 1e-15
 
     def test_frozen_high_degree_value(self):
-        assert abs(assoc_legendre(40, 0, 0.3) - P40_AT_03) < 1e-15
+        assert abs(assoc_legendre(40, 0, 0.3)[40] - P40_AT_03) < 1e-15
 
     def test_domain_check(self):
         with pytest.raises(CrownDomainError):
@@ -91,34 +91,42 @@ class TestLegendre:
 class TestAssocLegendre:
     def test_frozen_value_no_condon_shortley(self):
         # sympy Rodrigues: (1-x^2)^{3/2} d^3/dx^3 P_6 at x = 0.4
-        assert abs(assoc_legendre(6, 3, 0.4) - P63_AT_04) < 1e-12 * abs(P63_AT_04)
+        assert abs(assoc_legendre(6, 3, 0.4)[6] - P63_AT_04) < 1e-12 * abs(P63_AT_04)
 
     def test_m_zero_reduces_to_legendre(self):
         x = np.linspace(-0.95, 0.95, 9)
+        column = assoc_legendre(11, 0, x)
         for l in (0, 1, 5, 11):
             legendre = np.polynomial.legendre.Legendre.basis(l)(x)
-            assert np.max(np.abs(assoc_legendre(l, 0, x) - legendre)) < 1e-13
+            assert np.max(np.abs(column[l] - legendre)) < 1e-13
 
     def test_diagonal_seed(self):
         # P_m^m = (2m-1)!! (1-x^2)^{m/2}, positive in this convention
         x = 0.3
         for m, dfact in ((1, 1.0), (2, 3.0), (3, 15.0)):
             expect = dfact * (1 - x * x) ** (m / 2.0)
-            assert abs(assoc_legendre(m, m, x) - expect) < 1e-13
+            assert abs(assoc_legendre(m, m, x)[m] - expect) < 1e-13
 
-    def test_negative_order_scaling(self):
-        x = np.array([0.1, 0.45, 0.8])
-        for l, m in ((3, 1), (5, 2), (6, 4)):
-            scale = math.factorial(l - m) / math.factorial(l + m)
-            got = assoc_legendre(l, -m, x)
-            assert np.max(np.abs(got - scale * assoc_legendre(l, m, x))) < 1e-13
+    def test_rows_below_the_order_are_exact_zeros(self):
+        x = np.array([-1.0, -0.3, 0.0, 0.6, 1.0])
+        for m in range(9):
+            column = assoc_legendre(8, m, x)
+            assert column.shape == (9, 5)
+            assert np.all(column[:m] == 0.0)
+
+    def test_order_outside_the_column_raises(self):
+        for lmax, m in ((4, 5), (4, -1), (0, 1), (3, -3)):
+            with pytest.raises(SchemaError):
+                assoc_legendre(lmax, m, 0.2)
 
     def test_against_scipy(self):
         scipy_special = pytest.importorskip("scipy.special")
-        x = 0.37
-        for l in range(7):
-            for m in range(l + 1):
-                ours = assoc_legendre(l, m, x)
-                # scipy lpmv carries the Condon-Shortley phase
+        lmax = 12
+        x = np.array([-1.0 + 1e-9, -0.4, 0.0, 0.37, 1.0])
+        for m in range(lmax + 1):
+            column = assoc_legendre(lmax, m, x)
+            for l in range(lmax + 1):
+                # scipy lpmv carries the Condon-Shortley phase and is 0 for l < m
                 theirs = (-1.0) ** m * scipy_special.lpmv(m, l, x)
-                assert abs(ours - theirs) < 1e-12 * max(1.0, abs(theirs))
+                assert np.all(np.abs(column[l] - theirs)
+                              < 1e-12 * np.maximum(1.0, np.abs(theirs))), (l, m)

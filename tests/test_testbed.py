@@ -6,11 +6,14 @@ pinned on explicit low-degree harmonics, and the analytic bridge factor
 is validated against the factors measured from random functions.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crown_harmonics import testbed
 from crown_harmonics.errors import SchemaError
 from crown_harmonics.numerics import assoc_legendre
 from crown_harmonics.sphere import GridFunction, SphereGrid
@@ -33,7 +36,7 @@ def spherical_harmonic(grid, l, m):
     """
     k = abs(m)
     norm = math.sqrt((2 * l + 1) * math.factorial(l - k) / math.factorial(l + k))
-    radial = norm * assoc_legendre(l, k, np.cos(grid.theta))
+    radial = norm * assoc_legendre(l, k, np.cos(grid.theta))[l]
     return GridFunction(grid, np.outer(radial, np.exp(1j * m * grid.phi_nodes)))
 
 
@@ -168,6 +171,30 @@ class TestClassicalOracle:
             values = oracle_sht(spherical_harmonic(grid, l0, m0), 5).values.copy()
             values[l0, m0 + 5] -= 1.0
             assert np.max(np.abs(values)) < 1e-12
+
+    def test_one_legendre_column_per_order(self, monkeypatch):
+        calls = []
+
+        def spy(lmax, m, x):
+            calls.append((lmax, m))
+            return assoc_legendre(lmax, m, x)
+
+        monkeypatch.setattr(testbed, "assoc_legendre", spy)
+        f, _ = random_bandlimited(SphereGrid(24, 40), 16, 16, seed=4)
+        oracle_sht(f, 16)
+        assert sorted(calls) == [(16, m) for m in range(17)]
+
+    def test_oracle_names_no_kernel_route(self):
+        # the classical-bridge check compares two disjoint routes: the
+        # oracle's own code names nothing of the kernel transform
+        tree = ast.parse(Path(testbed.__file__).read_text(encoding="utf-8"))
+        oracle = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "oracle_sht")
+        names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+        forbidden = {"analyze", "kernel_mode_sweep", "kernel_mode_profiles",
+                     "boundary_log_pairing", "fft"}
+        assert names and not names & forbidden
 
 
 class TestBridge:
