@@ -267,10 +267,8 @@ def main(argv=None) -> int:
     except (CrownDomainError, GridResolutionError) as exc:
         _emit_error("domain", exc)
         return 3
-    except (SingularParameterError, NumericalError, ProviderError) as exc:
-        _emit_error("numerical", exc)
-        return 4
-    except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+    except (SingularParameterError, NumericalError, ProviderError,
+            OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         _emit_error("numerical", exc)
         return 4
     except CrownHarmonicsError as exc:

@@ -161,10 +161,7 @@ def intertwine_check(f, generators, ells) -> float:
     for gen in gens:
         if gen not in _GENERATORS:
             raise SchemaError(f"unknown generator label {gen!r}")
-    radius = f.spec.radius if hasattr(f, "spec") else getattr(f, "radius", None)
-    if radius is None:
-        raise SchemaError("handle does not declare its support radius")
-    theta, weights = cap_quadrature(radius, _CAP_NODES)
+    theta, weights = cap_quadrature(f.radius, _CAP_NODES)
     log_q = boundary_log_pairing(theta)
     m0 = f.ktype
     ms = (m0 - 1, m0, m0 + 1)
@@ -312,4 +309,4 @@ def reduction_synthesize(m: int, bump) -> LadderFunction:
 
     values = np.outer(prof_fn(grid.theta), np.exp(1j * m * grid.phi_nodes))
     return LadderFunction(grid, values, m, prof_fn, prof_d1_fn,
-                          radius=bump.spec.radius)
+                          radius=bump.radius)

@@ -31,17 +31,16 @@ PROFILE_COSPOW = "cospow"
 class BumpSpec:
     """Recipe for a cap-supported bump.
 
+    Every cap is centered at the pole, so a bump is a pure K-type.
     radius is the geodesic support radius (must stay inside the crown),
     profile selects the radial shape, p is the cosine-power exponent,
-    ktype the azimuthal type (0 for a zonal bump), center the cap
-    center as (theta, phi) with the pole as default.
+    ktype the azimuthal type (0 for a zonal bump).
     """
 
     radius: float
     profile: str = PROFILE_SMOOTH
     p: int = 8
     ktype: int = 0
-    center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.pi / 2.0:
@@ -50,8 +49,6 @@ class BumpSpec:
             raise SchemaError(f"unknown profile {self.profile!r}")
         if self.profile == PROFILE_COSPOW and self.p < 8:
             raise SchemaError("cosine-power profile needs exponent p >= 8")
-        if self.ktype != 0 and tuple(self.center) != (0.0, 0.0):
-            raise SchemaError("K-type bumps must be centered at the pole")
 
 
 def _on_cap(radius, fn):
@@ -115,48 +112,31 @@ class Bump(GridFunction):
     exposes the handle protocol used by rotation derivatives and the
     intertwining checks: .ktype, .profile(theta) for the full radial
     factor h with f = exp(i*ktype*phi) h(theta), and .profile_d1 for
-    its derivative. The bare cap shape g and its first two derivatives
-    are available as .g/.g1/.g2.
+    its derivative, and .radius, its support radius. The bare cap shape
+    g and its first two derivatives are available as .g/.g1/.g2.
     """
+
+    handle_ok = True
 
     def __init__(self, spec: BumpSpec, grid: SphereGrid):
         self.spec = spec
+        self.radius = spec.radius
         self.ktype = int(spec.ktype)
-        self.handle_ok = tuple(spec.center) == (0.0, 0.0)
         if spec.profile == PROFILE_SMOOTH:
             self.g, self.g1, self.g2 = _smooth_g(spec.radius)
         else:
             self.g, self.g1, self.g2 = _cospow_g(spec.radius, spec.p)
-        theta_c, phi_c = spec.center
-        if (theta_c, phi_c) == (0.0, 0.0):
-            h = self.profile(grid.theta)
-            values = np.outer(h, np.exp(1j * self.ktype * grid.phi_nodes))
-        else:
-            # off-pole cap: zonal profile of the geodesic distance
-            cos_d = (
-                math.cos(theta_c) * np.cos(grid.theta)[:, None]
-                + math.sin(theta_c)
-                * np.sin(grid.theta)[:, None]
-                * np.cos(grid.phi_nodes[None, :] - phi_c)
-            )
-            values = self.g(np.arccos(np.clip(cos_d, -1.0, 1.0))).astype(complex)
+        values = np.outer(self.profile(grid.theta), np.exp(1j * self.ktype * grid.phi_nodes))
         super().__init__(grid, values)
-
-    def _require_pole_centered(self):
-        if tuple(self.spec.center) != (0.0, 0.0):
-            raise SchemaError("closed-form partials are available for "
-                              "pole-centered bumps only")
 
     def profile(self, theta):
         """Radial factor h(theta) = sin(theta)^{|ktype|} g(theta)."""
-        self._require_pole_centered()
         theta = np.asarray(theta, dtype=float)
         k = abs(self.ktype)
         return np.sin(theta) ** k * self.g(theta) if k else self.g(theta) + 0.0j
 
     def profile_d1(self, theta):
         """Derivative of the radial factor."""
-        self._require_pole_centered()
         theta = np.asarray(theta, dtype=float)
         k = abs(self.ktype)
         if k == 0:

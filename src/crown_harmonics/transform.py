@@ -32,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,14 +209,23 @@ class ExtendProvider(CoefficientProvider):
     in-place multiply by the step kernel Q^step, itself one exponential
     per route and ray. The kernel is shared by all K-types. eval_many
     takes one point per ray, so a single point takes an exact
-    exponential. It is the folded rule of sphere.kernel_mode_profiles
-    with the sum over rows taken first, since the K-types are far fewer
-    than the rows. A K-type's row vector keeps only the rows where its
-    own azimuthal mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on
-    the other rows its column holds only roundoff left by other K-types,
-    which the kernel would amplify like e^{t theta} on the tempered line.
-    Instances are immutable after construction and safe to share across
-    threads.
+    exponential.
+
+    The routes of an eval_rays call are decided at once, from the last
+    significant row. The log table lies in the log image of the segment
+    |z| <= 1, Re z >= cos(theta_last), where Re(ell log Q) and
+    Re((-ell-1) log Q) are harmonic: each peaks on the boundary, on the
+    arc (where it is linear in arg z) at the arc's ends. The chord and
+    both ends are the last row's samples, so both maxima are one product
+    of the points with that row.
+
+    It is the folded rule of sphere.kernel_mode_profiles with the sum
+    over rows taken first, since the K-types are far fewer than the rows.
+    A K-type's row vector keeps only the rows where its own azimuthal
+    mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on the other rows
+    its column holds only roundoff left by other K-types, which the
+    kernel would amplify like e^{t theta} on the tempered line. Instances
+    are immutable after construction and safe to share across threads.
 
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
@@ -266,8 +274,6 @@ class ExtendProvider(CoefficientProvider):
             return
         ms = sorted(self.ktypes)
         self._log_q = boundary_log_pairing(f.grid.theta[mask])
-        self._log_re = self._log_q.real.copy()
-        self._log_im = self._log_q.imag.copy()
         self._cosines = boundary_fold(ms)
         columns = row_modes[:, [m % f.grid.n_phi for m in ms]]
         magnitude = np.abs(columns)
@@ -281,15 +287,6 @@ class ExtendProvider(CoefficientProvider):
     def _contract(self, kernel: np.ndarray) -> np.ndarray:
         """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
         return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
-
-    def _reflects(self, ell: complex) -> bool:
-        # Re(ell log Q); the reflected parameter -ell-1 has -a - Re log Q.
-        # Where the direct power would cancel catastrophically, take the
-        # values at -ell-1 and apply the reflection afterwards
-        a = ell.real * self._log_re - ell.imag * self._log_im
-        log_amp = a.max()
-        return bool(log_amp > _LOG_AMP_DIRECT_MAX
-                    and (-a - self._log_re).max() < log_amp - _LOG_AMP_ADVANTAGE_MIN)
 
     # a kernel power may overflow; the values it leaves are not finite, and
     # the callers' finite checks report that as a numerical failure
@@ -313,8 +310,15 @@ class ExtendProvider(CoefficientProvider):
                     f"degree l={l} with K-type |m|={k} aliases on the "
                     f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
                     f"need l + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
+        # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on the
+        # last row; where the direct power would cancel, -ell-1 is reflected
+        edge = self._log_q[-1]
+        a = np.multiply.outer(ells.real, edge.real)
+        a -= np.multiply.outer(ells.imag, edge.imag)
+        log_amp = a.max(axis=1)
+        reflect = ((log_amp > _LOG_AMP_DIRECT_MAX) & (
+            -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)).reshape(points.shape)
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-        reflect = np.zeros(points.shape, dtype=bool)
         for i, (ray, step) in enumerate(zip(points, steps)):
             # a run of points on one route starts with an exact Q^power;
             # each further point multiplies the kernel in place by Q^step,
@@ -324,8 +328,7 @@ class ExtendProvider(CoefficientProvider):
             # so a run ends at a value that is not finite (prev is None),
             # and a step kernel that is not finite is not used (None)
             prev, kernel, step_kernels = None, None, {}
-            for j, ell in enumerate(ray):
-                route = reflect[i, j] = self._reflects(ell)
+            for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
                 power, delta = (-ell - 1.0, -step) if route else (ell, step)
                 if route == prev and route not in step_kernels:
                     step_kernel = self._kernel(delta)

@@ -164,6 +164,27 @@ class TestPairing:
         assert np.array_equal(np.signbit(log_q.imag), np.signbit(np_log.imag))
         assert np.array_equal(log_q.imag, np_log.imag)
 
+    @pytest.mark.parametrize("radius", [0.3, 0.7, 1.0, 1.3, 1.55])
+    def test_last_row_holds_both_route_maxima(self, radius):
+        # the table lies in the log image of the segment |z| <= 1,
+        # Re z >= cos(theta_last): Re(ell log Q) and the reflected
+        # -Re(ell log Q) - Re log Q peak on the samples of its last row, so
+        # ExtendProvider decides its routes from that row alone. Both
+        # whole-table maxima equal the last row's bit for bit
+        rng = np.random.default_rng(20)
+        ells = rng.uniform(-400.0, 400.0, 200) + 1j * rng.uniform(-200.0, 200.0, 200)
+        ells = np.concatenate([ells, ells.real, 1j * ells.imag])
+        for n_theta in (64, 96, 144):
+            theta = SphereGrid(n_theta, 8).theta
+            direct = reflected = np.full(ells.size, -np.inf)
+            for row in boundary_log_pairing(theta[theta <= radius]):
+                a = ells.real[:, None] * row.real - ells.imag[:, None] * row.imag
+                direct = np.maximum(direct, a.max(axis=1))
+                reflected = np.maximum(reflected, (-a - row.real).max(axis=1))
+            # a and row now hold the last row
+            assert np.array_equal(direct, a.max(axis=1))
+            assert np.array_equal(reflected, (-a - row.real).max(axis=1))
+
 
 class TestKernelModes:
     def test_zonal_mode_is_legendre(self):

@@ -61,11 +61,6 @@ class TestBumpSpecValidation:
         with pytest.raises(SchemaError):
             BumpSpec(radius=0.5, profile="triangle")
 
-    def test_off_center_needs_zonal_type(self):
-        with pytest.raises(SchemaError):
-            BumpSpec(radius=0.4, ktype=1, center=(0.8, 0.3))
-        BumpSpec(radius=0.4, ktype=0, center=(0.8, 0.3))
-
 
 class TestBumpDerivatives:
     @pytest.mark.parametrize("spec", [
@@ -111,18 +106,6 @@ class TestBumpSampling:
         th = np.array([1e-4, 2e-4])
         vals = bump.profile(th)
         assert abs(vals[1] / vals[0] - 2.0) < 1e-3
-
-    def test_off_center_support(self):
-        grid = SphereGrid(256, 16)
-        center = (0.9, 1.3)
-        bump = make_bump(BumpSpec(radius=0.3, center=center), grid)
-        assert not bump.handle_ok
-        # mass must vanish outside the geodesic ball, i.e. beyond
-        # colatitude center + radius
-        outside = grid.theta > center[0] + 0.3 + 1e-9
-        assert np.max(np.abs(bump.values[outside])) == 0.0
-        near = (grid.theta > center[0] - 0.05) & (grid.theta < center[0] + 0.05)
-        assert np.max(np.abs(bump.values[near])) > 0.0
 
 
 class TestRandomTables:

@@ -101,13 +101,14 @@ class TestAnalyzeSynthesize:
         assert np.max(np.abs(recovered.values - t.values)) < 1e-10 * np.max(np.abs(t.values))
 
     def test_matches_double_quadrature_for_all_orders(self):
-        # full-order band-limited data and an off-pole bump, which
-        # carries every order; the reference leaves roundoff where l < |m|.
-        # Every coefficient is bounded by max |f|, the scale of both
-        # routes' roundoff
+        # full-order band-limited data and exp(sin(theta) cos(phi - 1)),
+        # smooth and carrying every order; the reference leaves roundoff
+        # where l < |m|. Every coefficient is bounded by max |f|, the scale
+        # of both routes' roundoff
         grid = SphereGrid(24, 40)
+        smooth = np.exp(np.outer(np.sin(grid.theta), np.cos(grid.phi_nodes - 1.0)))
         inputs = [random_bandlimited(grid, lmax=16, mmax=16, seed=5)[0],
-                  make_bump(BumpSpec(0.9, center=(0.6, 1.0)), grid)]
+                  GridFunction(grid, smooth)]
         for f in inputs:
             for lmax in (0, 1, 5, 16):
                 got = analyze(f, lmax).values
@@ -303,12 +304,14 @@ class TestProviders:
         assert provider.eval(-97.0, 0) == provider.eval(96.0, 0)
 
     def test_extend_provider_rejects_nyquist_ktype(self):
-        # an off-pole bump on an even azimuthal grid carries the Nyquist
-        # mode m = n_phi / 2: construction refuses it and names the grid
+        # a cap profile times cos(8 phi) on an even azimuthal grid carries
+        # the Nyquist mode m = n_phi / 2: construction refuses it and names
+        # the grid
         grid = SphereGrid(144, 16)
-        with pytest.raises(GridResolutionError, match="grid 144x16 .* m=8"):
-            ExtendProvider(make_bump(BumpSpec(0.3, center=(0.35, 0.0)), grid))
         zonal = make_bump(BumpSpec(0.3), grid)
+        nyquist = GridFunction(grid, zonal.values * np.cos(8.0 * grid.phi_nodes))
+        with pytest.raises(GridResolutionError, match="grid 144x16 .* m=8"):
+            ExtendProvider(nyquist)
         with pytest.raises(GridResolutionError, match="m=-8"):
             ExtendProvider(zonal, ktypes=(0, -8))
         with pytest.raises(GridResolutionError):
