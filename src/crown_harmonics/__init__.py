@@ -1,10 +1,11 @@
 """Kernel Fourier analysis on the sphere with holomorphic extension.
 
 The library computes coefficient transforms against complex powers of
-the boundary pairing, extends them holomorphically in the degree,
-certifies cap support from spectral decay and reflection symmetry, and
-realizes the boundary models of the rotation generators. See README.md
-for the mathematical conventions and the JSON interchange schemas.
+the boundary pairing, extends them holomorphically in the degree, and
+certifies cap support from spectral decay and reflection symmetry. Its
+evidence (the testbed, reduction and verify modules) is imported by
+module path and exports nothing here. See README.md for the
+mathematical conventions and the JSON interchange schemas.
 """
 
 from .errors import (
@@ -26,8 +27,6 @@ from .sphere import (
     GridFunction,
     SphereGrid,
     boundary_log_pairing,
-    cap_quadrature,
-    kernel_mode,
     kernel_mode_profiles,
     support_radius,
 )
@@ -56,25 +55,6 @@ from .paley_wiener import (
     weyl_lattice,
     weyl_residual,
 )
-from .reduction import (
-    LadderFunction,
-    PrincipalSeriesFunction,
-    intertwine_check,
-    kostant_ratio,
-    ladder_components,
-    reduction_synthesize,
-    sigma_action,
-)
-from .testbed import (
-    Bump,
-    BumpSpec,
-    bridge_factor_candidate,
-    bridge_factors,
-    make_bump,
-    oracle_sht,
-    random_bandlimited,
-    random_table,
-)
 from .serialization import (
     dumps_grid_function,
     dumps_report,
@@ -84,16 +64,11 @@ from .serialization import (
     loads_grid_function,
     loads_table,
 )
-from .verify import ALL_CHECKS, CheckResult, run_acceptance
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALL_CHECKS",
-    "Bump",
-    "BumpSpec",
     "Calibration",
-    "CheckResult",
     "CoefficientProvider",
     "CoefficientTable",
     "CrownDomainError",
@@ -102,10 +77,8 @@ __all__ = [
     "ExtendProvider",
     "GridFunction",
     "GridResolutionError",
-    "LadderFunction",
     "NumericalError",
     "PWReport",
-    "PrincipalSeriesFunction",
     "ProviderError",
     "QuadratureRule1D",
     "RadiusVerdict",
@@ -117,9 +90,6 @@ __all__ = [
     "analyze",
     "assoc_legendre",
     "boundary_log_pairing",
-    "bridge_factor_candidate",
-    "bridge_factors",
-    "cap_quadrature",
     "decay_constants",
     "dumps_grid_function",
     "dumps_report",
@@ -127,24 +97,13 @@ __all__ = [
     "extend",
     "format_float",
     "gauss_legendre",
-    "intertwine_check",
     "intertwiner_rational",
-    "kernel_mode",
     "kernel_mode_profiles",
-    "kostant_ratio",
-    "ladder_components",
     "line_scan_csv",
     "loads_grid_function",
     "loads_table",
-    "make_bump",
-    "oracle_sht",
     "pw_report",
-    "random_bandlimited",
-    "random_table",
-    "reduction_synthesize",
-    "run_acceptance",
     "sample_line",
-    "sigma_action",
     "singular_distance",
     "support_radius",
     "synthesize",

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
+from .numerics import gauss_legendre
 from .sphere import (GridFunction, SphereGrid, boundary_fold, boundary_log_pairing,
-                     cap_quadrature, kernel_mode_profiles)
+                     kernel_mode_profiles)
 
 _GENERATORS = ("Z", "X", "Y")
 
@@ -136,6 +137,27 @@ def ladder_components(handle, generator: str) -> dict:
 # intertwining residual with support-fitted quadrature
 
 
+def cap_quadrature(radius: float, n_theta: int):
+    """Gauss-Legendre rule in cos(theta) fitted to the cap theta <= radius.
+
+    Returns (theta, weights) with theta ascending and weights already
+    carrying the normalized-measure factor, i.e. sum(w * h(theta))
+    approximates the full normalized sphere integral of a zonal h
+    supported inside the cap. Fitting the rule to the support instead
+    of masking a whole-sphere grid is what keeps cap integrands of
+    smooth bumps accurate to near machine precision at modest n.
+    """
+    if not 0.0 < radius <= math.pi:
+        raise CrownDomainError("cap radius must lie in (0, pi]")
+    rule = gauss_legendre(n_theta)
+    a = math.cos(radius)
+    u = 0.5 * (1.0 - a) * rule.nodes + 0.5 * (1.0 + a)
+    w = rule.weights * (1.0 - a) / 4.0
+    theta = np.arccos(u)[::-1].copy()
+    weights = w[::-1].copy()
+    return theta, weights
+
+
 def intertwine_check(f, generators, ells) -> float:
     """Worst relative residual of the derivative-transform exchange identity.
 
@@ -204,8 +226,8 @@ def kostant_ratio(m: int, t, theta_samples):
         g'  = s <Q^s L>,   g'' = s (s-1) <Q^s L^2> - s <Q^s>,
         L = d_theta Q / Q = (cos(theta) - 1/Q) / sin(theta),
 
-    where <.> is the zonal mode. Each average, and the mode m above, is
-    the folded rule of sphere.kernel_mode_profiles on one shared log
+    where <.> is the zonal mode. Each average, and the mode m above, takes
+    the sphere.boundary_fold weights over samples of one shared log
     table, so the ratio is exact up to quadrature roundoff. Returns
     (ratios, spread) where spread is the maximal relative deviation from
     the mean; a spread at roundoff level certifies the ratio depends on

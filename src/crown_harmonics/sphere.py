@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import CrownDomainError, GridResolutionError, SchemaError
+from .errors import GridResolutionError, SchemaError
 from .numerics import gauss_legendre
 
 #: samples of the boundary trapezoid rule behind every complex-degree
@@ -133,27 +133,6 @@ def support_radius(f: GridFunction) -> float:
     return float(f.grid.theta[last])
 
 
-def cap_quadrature(radius: float, n_theta: int):
-    """Gauss-Legendre rule in cos(theta) fitted to the cap theta <= radius.
-
-    Returns (theta, weights) with theta ascending and weights already
-    carrying the normalized-measure factor, i.e. sum(w * h(theta))
-    approximates the full normalized sphere integral of a zonal h
-    supported inside the cap. Fitting the rule to the support instead
-    of masking a whole-sphere grid is what keeps cap integrands of
-    smooth bumps accurate to near machine precision at modest n.
-    """
-    if not 0.0 < radius <= math.pi:
-        raise CrownDomainError("cap radius must lie in (0, pi]")
-    rule = gauss_legendre(n_theta)
-    a = math.cos(radius)
-    u = 0.5 * (1.0 - a) * rule.nodes + 0.5 * (1.0 + a)
-    w = rule.weights * (1.0 - a) / 4.0
-    theta = np.arccos(u)[::-1].copy()
-    weights = w[::-1].copy()
-    return theta, weights
-
-
 # ---------------------------------------------------------------------------
 # kernel mode profiles
 
@@ -224,11 +203,6 @@ def kernel_mode_profiles(ell, log_pairing: np.ndarray, ms) -> np.ndarray:
     return power @ boundary_fold(ms).T
 
 
-def kernel_mode(ell, m: int, theta) -> np.ndarray:
-    """Single boundary mode of Q^ell along an array of colatitudes."""
-    return kernel_mode_profiles(ell, boundary_log_pairing(theta), [int(m)])[:, 0]
-
-
 def kernel_mode_sweep(orders, lmax: int, theta):
     """Closed-form kernel modes of several orders at once, one degree per step.
 
@@ -237,8 +211,8 @@ def kernel_mode_sweep(orders, lmax: int, theta):
         G_m(l; theta) = i^|m| l! / (l + |m|)! * P_l^|m|(cos theta),
 
     Laplace's integral for the associated Legendre function (DLMF 14.12),
-    so it equals kernel_mode(l, m, theta) with no boundary grid and no
-    aliasing limit; it vanishes for l < |m|.
+    so it equals mode m of kernel_mode_profiles at ell = l with no
+    boundary grid and no aliasing limit; it vanishes for l < |m|.
 
     orders is a nonempty list that ascends strictly within 0..lmax. Step
     l = orders[0]..lmax yields (l, g): row i of g holds G_k(l; theta) / i^k

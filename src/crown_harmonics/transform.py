@@ -10,7 +10,7 @@ At integer degree the boundary modes of Q^ell have the closed form
 of sphere.kernel_mode_sweep, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
 cap-supported f against boundary modes of Q^ell by the folded
-512-sample trapezoid rule of sphere.kernel_mode_profiles, a route that
+512-sample trapezoid rule of sphere.boundary_fold, a route that
 shares no inner loop with analyze; agreement of the two routes at
 integer ell is one of the library's primary cross-checks. synthesize
 runs the inversion series
@@ -211,21 +211,23 @@ class ExtendProvider(CoefficientProvider):
     takes one point per ray, so a single point takes an exact
     exponential.
 
-    The routes of an eval_rays call are decided at once, from the last
-    significant row. The log table lies in the log image of the segment
-    |z| <= 1, Re z >= cos(theta_last), where Re(ell log Q) and
-    Re((-ell-1) log Q) are harmonic: each peaks on the boundary, on the
-    arc (where it is linear in arg z) at the arc's ends. The chord and
-    both ends are the last row's samples, so both maxima are one product
-    of the points with that row.
+    Routes are decided per ray, from the last significant row, so the
+    route arrays grow with the longest ray, not with the batch. The log
+    table lies in the log image of the segment |z| <= 1,
+    Re z >= cos(theta_last), where Re(ell log Q) and Re((-ell-1) log Q)
+    are harmonic: each peaks on the boundary, on the arc (where it is
+    linear in arg z) at the arc's ends. The chord and both ends are the
+    last row's samples, so both maxima of a ray are one product of its
+    points with that row.
 
-    It is the folded rule of sphere.kernel_mode_profiles with the sum
-    over rows taken first, since the K-types are far fewer than the rows.
-    A K-type's row vector keeps only the rows where its own azimuthal
-    mode exceeds SUPPORT_REL_THRESHOLD of its own peak: on the other rows
-    its column holds only roundoff left by other K-types, which the
-    kernel would amplify like e^{t theta} on the tempered line. Instances
-    are immutable after construction and safe to share across threads.
+    It applies the boundary_fold weights to its own kernel samples: the
+    rule of sphere.kernel_mode_profiles, summed over rows first since the
+    K-types are far fewer than the rows. A K-type's row vector keeps only
+    the rows where its own azimuthal mode exceeds SUPPORT_REL_THRESHOLD
+    of its own peak: on the other rows its column holds only roundoff
+    left by other K-types, which the kernel would amplify like
+    e^{t theta} on the tempered line. Instances are immutable after
+    construction and safe to share across threads.
 
     The K-type set is detected from the azimuthal Fourier rows of f
     unless declared explicitly: a K-type counts as present when its row
@@ -243,14 +245,13 @@ class ExtendProvider(CoefficientProvider):
     """
 
     def __init__(self, f: GridFunction, ktypes=None):
-        self.grid = f.grid
-        self.radius = support_radius(f)
+        radius = support_radius(f)
         peak = np.abs(f.values).max()
         self.is_zero = peak == 0.0
         if not self.is_zero:
-            if self.radius >= math.pi / 2.0:
+            if radius >= math.pi / 2.0:
                 raise CrownDomainError(
-                    f"support radius {self.radius:.6g} reaches the crown boundary pi/2; "
+                    f"support radius {radius:.6g} reaches the crown boundary pi/2; "
                     "holomorphic extension requires cap support"
                 )
             mask = np.abs(f.values).max(axis=1) > SUPPORT_REL_THRESHOLD * peak
@@ -310,16 +311,19 @@ class ExtendProvider(CoefficientProvider):
                     f"degree l={l} with K-type |m|={k} aliases on the "
                     f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
                     f"need l + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
-        # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on the
-        # last row; where the direct power would cancel, -ell-1 is reflected
         edge = self._log_q[-1]
-        a = np.multiply.outer(ells.real, edge.real)
-        a -= np.multiply.outer(ells.imag, edge.imag)
-        log_amp = a.max(axis=1)
-        reflect = ((log_amp > _LOG_AMP_DIRECT_MAX) & (
-            -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)).reshape(points.shape)
+        reflect = np.zeros(points.shape, dtype=bool)
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
         for i, (ray, step) in enumerate(zip(points, steps)):
+            # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
+            # the last row; where the direct power would cancel, -ell-1 is
+            # reflected
+            a = np.multiply.outer(ray.real, edge.real)
+            a -= np.multiply.outer(ray.imag, edge.imag)
+            log_amp = a.max(axis=1)
+            a += edge.real
+            reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
+                -a.min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
             # a run of points on one route starts with an exact Q^power;
             # each further point multiplies the kernel in place by Q^step,
             # one per route and ray. The reflected points -ell-1 of a ray

@@ -18,7 +18,7 @@ from .intertwining import intertwiner_rational, intertwiner_scalar, probe_integr
 from .numerics import assoc_legendre, complex_abs
 from .paley_wiener import pw_report, type_estimate, weyl_residual
 from .reduction import intertwine_check, kostant_ratio, ladder_components, reduction_synthesize
-from .sphere import SphereGrid, kernel_mode, support_radius
+from .sphere import SphereGrid, boundary_log_pairing, kernel_mode_profiles, support_radius
 from .testbed import (
     BumpSpec,
     bridge_factor_candidate,
@@ -63,8 +63,9 @@ def check_zonal_kernel() -> CheckResult:
     worst = 0.0
     for theta in (0.2, 0.7, 1.2):
         column = assoc_legendre(50, 0, math.cos(theta)).tolist()
+        log_q = boundary_log_pairing(theta)
         for l in range(51):
-            got = complex(kernel_mode(float(l), 0, theta)[0])
+            got = complex(kernel_mode_profiles(float(l), log_q, [0])[0, 0])
             worst = max(worst, abs(got - column[l]))
     return _result(
         "zonal-kernel-identity", worst, 1e-10,

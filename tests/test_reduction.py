@@ -3,8 +3,11 @@
 The generator coefficients are pinned three independent ways: frozen
 hand-computed small cases, the bracket relation [X, Y] acting as -Z on
 random inputs, and the exchange identity against the geometric rotation
-derivative through the transform (intertwine_check).
+derivative through the transform (intertwine_check), whose cap-fitted
+rule has its own exactness tests.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,13 +17,19 @@ from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.reduction import (
     LadderFunction,
     PrincipalSeriesFunction,
+    cap_quadrature,
     intertwine_check,
     kostant_ratio,
     ladder_components,
     reduction_synthesize,
     sigma_action,
 )
-from crown_harmonics.sphere import GridFunction, SphereGrid, boundary_log_pairing
+from crown_harmonics.sphere import (
+    GridFunction,
+    SphereGrid,
+    boundary_log_pairing,
+    kernel_mode_profiles,
+)
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import ExtendProvider, analyze
 from crown_harmonics.verify import _ladder_scalar
@@ -102,6 +111,29 @@ class TestPrincipalSeriesFunction:
             PrincipalSeriesFunction({1: complex(1.0, float("inf"))}, lam=0.0)
 
 
+class TestCapQuadrature:
+    def test_weight_normalization(self):
+        for r in (0.3, 0.9, 1.4):
+            theta, w = cap_quadrature(r, 32)
+            assert np.all((theta > 0) & (theta < r))
+            assert abs(w.sum() - (1.0 - math.cos(r)) / 2.0) < 1e-15
+
+    def test_polynomial_exactness(self):
+        # integral over the cap of cos(theta), normalized measure:
+        # int_0^r cos sin / 2 dtheta = sin(r)^2 / 4
+        r = 0.8
+        theta, w = cap_quadrature(r, 16)
+        got = float(w @ np.cos(theta))
+        assert abs(got - math.sin(r) ** 2 / 4.0) < 1e-15
+
+    def test_domain_validation(self):
+        with pytest.raises(CrownDomainError):
+            cap_quadrature(0.0, 8)
+        with pytest.raises(CrownDomainError):
+            cap_quadrature(math.pi + 0.1, 8)
+        cap_quadrature(math.pi, 8)  # full sphere is a legal cap
+
+
 class TestIntertwineCheck:
     def test_exchange_identity_holds(self):
         grid = SphereGrid(64, 16)
@@ -140,9 +172,6 @@ class TestIntertwineCheck:
     def test_mismatched_sides_fail(self):
         # negative control: compare X on the geometric side against Y
         # on the boundary side by hand; the residual must be visible
-        from crown_harmonics.sphere import boundary_log_pairing, cap_quadrature
-        from crown_harmonics.sphere import kernel_mode_profiles
-
         grid = SphereGrid(64, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         ell = 0.4 + 0.6j

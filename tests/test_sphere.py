@@ -1,8 +1,7 @@
 """Grid, pairing, kernel-mode, and quadrature tests.
 
-Includes the pointwise reflection identity for kernel modes and the
-cap-fitted rule's exactness properties, plus a scipy.quad cross-check
-for a flat-profile cap integral.
+Includes the pointwise reflection identity for kernel modes, plus a
+scipy.quad cross-check for a flat-profile cap integral.
 """
 
 import hashlib
@@ -11,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from crown_harmonics.errors import CrownDomainError, GridResolutionError, SchemaError
+from crown_harmonics.errors import GridResolutionError, SchemaError
 from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.numerics import assoc_legendre, gauss_legendre
 from crown_harmonics.sphere import (
@@ -19,9 +18,7 @@ from crown_harmonics.sphere import (
     GridFunction,
     SphereGrid,
     boundary_log_pairing,
-    cap_quadrature,
     ell_value,
-    kernel_mode,
     kernel_mode_profiles,
     kernel_mode_sweep,
     require_resolution,
@@ -40,6 +37,11 @@ ONE_SEVENTH = 0.14285714285714285714
 TWO_OVER_101 = 0.01980198019801980198
 
 
+def single_mode(ell, m, theta):
+    """Mode m of Q^ell along an array of colatitudes, one order at a time."""
+    return kernel_mode_profiles(ell, boundary_log_pairing(theta), [m])[:, 0]
+
+
 class TestRootDatum:
     def test_spectral_param_requires_finite(self):
         assert ell_value(2) == 2.0 + 0.0j
@@ -47,7 +49,7 @@ class TestRootDatum:
             with pytest.raises(SchemaError):
                 ell_value(ell)
             with pytest.raises(SchemaError):
-                kernel_mode(ell, 0, 0.3)
+                single_mode(ell, 0, 0.3)
 
 
 class TestSphereGrid:
@@ -191,15 +193,15 @@ class TestKernelModes:
         for theta in (0.25, 0.9, 1.3):
             column = assoc_legendre(17, 0, math.cos(theta))
             for l in (0, 1, 4, 17):
-                got = kernel_mode(float(l), 0, theta)
+                got = single_mode(float(l), 0, theta)
                 assert abs(got - column[l]) < 1e-13
 
     def test_mode_symmetry_in_m(self):
         ell = 1.7 - 0.4j
         for theta in (0.4, 1.1):
             for m in (1, 2, 5):
-                a = kernel_mode(ell, m, theta)
-                b = kernel_mode(ell, -m, theta)
+                a = single_mode(ell, m, theta)
+                b = single_mode(ell, -m, theta)
                 assert abs(a - b) < 1e-14 * max(1.0, abs(a))
 
     def test_pointwise_reflection_identity(self):
@@ -209,8 +211,8 @@ class TestKernelModes:
         for m in (0, 1, 2, 3):
             b = intertwiner_rational(m, t)
             for theta in (0.3, 0.8, 1.2):
-                lhs = kernel_mode(-ell - 1.0, m, theta)
-                rhs = b * kernel_mode(ell, m, theta)
+                lhs = single_mode(-ell - 1.0, m, theta)
+                rhs = b * single_mode(ell, m, theta)
                 assert abs(lhs - rhs) < 2e-13 * max(1.0, abs(rhs))
 
     def test_profiles_match_scalar_interface(self):
@@ -220,7 +222,7 @@ class TestKernelModes:
         assert table.shape == (3, 3)
         for i, theta in enumerate(thetas):
             for j, m in enumerate(ms):
-                scalar = kernel_mode(2.0 + 1.0j, m, theta)
+                scalar = single_mode(2.0 + 1.0j, m, theta)
                 assert abs(table[i, j] - scalar) < 1e-14
 
     def test_integer_power_rows_beyond_crown(self):
@@ -385,29 +387,6 @@ class TestSupportRadius:
         bump = make_bump(BumpSpec(0.5, "smooth"), grid)
         r = support_radius(bump)
         assert 0.4 < r <= 0.5
-
-
-class TestCapQuadrature:
-    def test_weight_normalization(self):
-        for r in (0.3, 0.9, 1.4):
-            theta, w = cap_quadrature(r, 32)
-            assert np.all((theta > 0) & (theta < r))
-            assert abs(w.sum() - (1.0 - math.cos(r)) / 2.0) < 1e-15
-
-    def test_polynomial_exactness(self):
-        # integral over the cap of cos(theta), normalized measure:
-        # int_0^r cos sin / 2 dtheta = sin(r)^2 / 4
-        r = 0.8
-        theta, w = cap_quadrature(r, 16)
-        got = float(w @ np.cos(theta))
-        assert abs(got - math.sin(r) ** 2 / 4.0) < 1e-15
-
-    def test_domain_validation(self):
-        with pytest.raises(CrownDomainError):
-            cap_quadrature(0.0, 8)
-        with pytest.raises(CrownDomainError):
-            cap_quadrature(math.pi + 0.1, 8)
-        cap_quadrature(math.pi, 8)  # full sphere is a legal cap
 
 
 class TestGridFunction:

@@ -6,6 +6,7 @@ cos(theta), the reflection scalar b_0 is 1, and the degree weight is 3.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -547,6 +548,19 @@ class TestRays:
                 points = provider.eval_many([origin, origin + step, origin + 2 * step])
             assert np.all(np.isfinite(rays[1]))
             assert np.array_equal(rays, points, equal_nan=True), origin
+
+    def test_route_memory_is_bounded_by_the_ray(self):
+        # routes are decided one ray at a time, so the disc's 32 rays of 16
+        # points hold route arrays of 16 x 257 samples, not 512 x 257
+        provider = ExtendProvider(make_bump(BumpSpec(1.0), SphereGrid(144, 8)))
+        origins, steps = _disc_rays(20.0, 16, 32)
+        tracemalloc.start()
+        try:
+            provider.eval_rays(origins, steps, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_extend_raises_when_the_kernel_overflows(self):
         f = make_bump(BumpSpec(0.8), SphereGrid(48, 8))
