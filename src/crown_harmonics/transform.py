@@ -67,6 +67,9 @@ _LOG_AMP_ADVANTAGE_MIN = math.log(1e3)
 #: degrees of kernel_mode_sweep whose modes synthesize contracts at once
 _SWEEP_BLOCK = 8
 
+#: points of a ray whose extension values eval_rays folds at once
+_RAY_BLOCK = 16
+
 #: i^k at k % 4, exact
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -205,11 +208,18 @@ class ExtendProvider(CoefficientProvider):
     K-type and the sphere.boundary_fold weights of the K-types. eval_rays
     steps the kernel along each ray, since Q^(ell + step) = Q^ell Q^step:
     a run of points on one route (direct, or reflected through -ell-1)
-    starts with one kernel exponential, and every further point costs one
-    in-place multiply by the step kernel Q^step, itself one exponential
-    per route and ray. The kernel is shared by all K-types. eval_many
-    takes one point per ray, so a single point takes an exact
-    exponential.
+    starts with one kernel exponential, and the step kernel Q^step is one
+    exponential per route and ray. Every further point costs one in-place
+    multiply by Q^step and one (K x rows)(rows x 257) row product into a
+    block buffer; every block of _RAY_BLOCK points costs one multiply by
+    the folded cosines, one pairwise sum over the 257 samples, one
+    finiteness test and one write. The row product stays per point: one
+    product over a whole block takes the last sample of each point
+    through a different BLAS edge kernel and changes its last bit, and
+    one long dot product of the kernel with weights and cosines folded
+    together gives up the short row sum and the pairwise cosine sum. The
+    kernel is shared by all K-types. eval_many takes one point per ray,
+    so a single point takes an exact exponential.
 
     Routes are decided per ray, from the last significant row, so the
     route arrays grow with the longest ray, not with the batch. The log
@@ -314,6 +324,7 @@ class ExtendProvider(CoefficientProvider):
         edge = self._log_q[-1]
         reflect = np.zeros(points.shape, dtype=bool)
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
+        prod = np.empty((_RAY_BLOCK, len(ms), edge.size), dtype=complex)
         for i, (ray, step) in enumerate(zip(points, steps)):
             # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
             # the last row; where the direct power would cancel, -ell-1 is
@@ -324,25 +335,41 @@ class ExtendProvider(CoefficientProvider):
             a += edge.real
             reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
                 -a.min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+            routes = reflect[i].tolist()
             # a run of points on one route starts with an exact Q^power;
             # each further point multiplies the kernel in place by Q^step,
             # one per route and ray. The reflected points -ell-1 of a ray
-            # form a ray of step -step. An overflowed sample times an
+            # form a ray of step -step. Each point's row product fills one
+            # slot of the block buffer; a block is folded with the cosines,
+            # summed and tested at once. An overflowed sample times an
             # underflowed one is nan where the exact power may be finite,
-            # so a run ends at a value that is not finite (prev is None),
-            # and a step kernel that is not finite is not used (None)
-            prev, kernel, step_kernels = None, None, {}
-            for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
-                power, delta = (-ell - 1.0, -step) if route else (ell, step)
-                if route == prev and route not in step_kernels:
-                    step_kernel = self._kernel(delta)
-                    step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
-                if route == prev and step_kernels[route] is not None:
-                    kernel *= step_kernels[route]
-                else:
-                    kernel = self._kernel(power)
-                values = out[i * n + j] = self._contract(kernel)
-                prev = route if np.all(np.isfinite(values)) else None
+            # so a run ends at a value that is not finite: a block is
+            # stepped as if its runs held, kept up to its first such value,
+            # and the ray resumes after it with prev None, one point at a
+            # time while the values stay not finite. A step kernel that is
+            # not finite is not used (None)
+            prev, kernel, step_kernels, j = None, None, {}, 0
+            while j < n:
+                w = min(n - j, _RAY_BLOCK if j == 0 or prev is not None else 1)
+                block = prod[:w]
+                for b, (ell, route) in enumerate(zip(ray[j:j + w], routes[j:j + w])):
+                    power, delta = (-ell - 1.0, -step) if route else (ell, step)
+                    if route == prev and route not in step_kernels:
+                        step_kernel = self._kernel(delta)
+                        step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
+                    if route == prev and step_kernels[route] is not None:
+                        kernel *= step_kernels[route]
+                    else:
+                        kernel = self._kernel(power)
+                    np.matmul(self._weighted, kernel, out=block[b])
+                    prev = route
+                np.multiply(block, self._cosines, out=block)
+                values = np.add.reduce(block, axis=2)
+                finite = np.isfinite(values).all(axis=1)
+                if not finite.all():
+                    w, prev = int(finite.argmin()) + 1, None
+                out[i * n + j:i * n + j + w] = values[:w]
+                j += w
         # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
         # the rule leaves roundoff there, or the alias of mode m - 512
         out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0

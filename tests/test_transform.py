@@ -18,7 +18,7 @@ from crown_harmonics.errors import (
     ProviderError,
     SchemaError,
 )
-from crown_harmonics.intertwining import intertwiner_rational
+from crown_harmonics.intertwining import intertwiner_ladder, intertwiner_rational
 from crown_harmonics.numerics import assoc_legendre
 from crown_harmonics.paley_wiener import _disc_rays
 from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
@@ -30,6 +30,8 @@ from crown_harmonics.testbed import (
     random_table,
 )
 from crown_harmonics.transform import (
+    _LOG_AMP_ADVANTAGE_MIN,
+    _LOG_AMP_DIRECT_MAX,
     CoefficientProvider,
     CoefficientTable,
     ExtendProvider,
@@ -482,6 +484,59 @@ class TestBatchedProviders:
             assert abs(got[0, j] - ref[0]) <= 10.0 * floor[0]
 
 
+def per_point_rays(provider, origins, steps, n):
+    """eval_rays one point at a time: the reference for its blocks.
+
+    Routes, zeros below the order and reflections as in eval_rays, away
+    from the poles of b_m; each run starts with an exact _kernel, every
+    further point of the run multiplies the kernel in place by the step
+    kernel, every point is one _contract, and a value that is not finite
+    ends its run.
+    """
+    ms = sorted(provider.ktypes)
+    ks = np.abs(ms)
+    points = ray_points(origins, steps, n)
+    ells = points.ravel()
+    edge = provider._log_q[-1]
+    out = np.zeros((ells.size, len(ms)), dtype=complex)
+    reflect = np.zeros(points.shape, dtype=bool)
+    steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
+    for i, (ray, step) in enumerate(zip(points, steps)):
+        a = np.multiply.outer(ray.real, edge.real) - np.multiply.outer(ray.imag, edge.imag)
+        log_amp = a.max(axis=1)
+        reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
+            -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+        prev, kernel, step_kernels = None, None, {}
+        for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
+            power, delta = (-ell - 1.0, -step) if route else (ell, step)
+            if route == prev and route not in step_kernels:
+                step_kernel = provider._kernel(delta)
+                step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
+            if route == prev and step_kernels[route] is not None:
+                kernel *= step_kernels[route]
+            else:
+                kernel = provider._kernel(power)
+            values = out[i * n + j] = provider._contract(kernel)
+            prev = route if np.all(np.isfinite(values)) else None
+    integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
+    out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
+    rows = np.flatnonzero(reflect.ravel())
+    if rows.size:
+        out[rows] *= intertwiner_ladder(ks.max(), ells[rows] + 0.5)[:, ks]
+    return out
+
+
+def count_kernels(provider, evaluate):
+    """evaluate(provider) and the number of _kernel calls it made."""
+    calls = []
+    kernel = provider._kernel
+    provider._kernel = lambda power: calls.append(power) or kernel(power)
+    try:
+        return evaluate(provider), len(calls)
+    finally:
+        del provider._kernel
+
+
 class TestRays:
     """eval_rays: provider values over arithmetic progressions of parameters."""
 
@@ -534,6 +589,36 @@ class TestRays:
             for j, m in enumerate(sorted(provider.ktypes)):
                 ref, floor = extend_reference(f, points[pick], m, own_rows=True)
                 assert np.all(np.abs(values[pick, j] - ref) <= 10.0 * floor), (n, m)
+
+    @pytest.mark.parametrize("r", [0.35, 1.0, 1.45])
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_blocks_are_the_per_point_loop(self, name, r):
+        # points are folded in blocks, so the ray lengths straddle one and
+        # two blocks; the rays are the line, four disc rays, the reflected
+        # integers and rays that cross between the routes
+        provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
+        disc_origins, disc_steps = _disc_rays(20.0, 16, 32)
+        rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[::8], disc_steps[::8]), (-1.0, -1.0),
+                ([-40.0 + 3.0j, 30.0 - 5.0j], [1.0 + 0.1j, -1.0 + 0.05j]))
+        for n in (1, 15, 16, 17, 33, 160):
+            for origins, steps in rays:
+                got, calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, n))
+                want, want_calls = count_kernels(
+                    provider, lambda p: per_point_rays(p, origins, steps, n))
+                assert np.array_equal(got, want, equal_nan=True), (n, origins)
+                assert calls == want_calls, (n, origins)
+
+    def test_blocks_restart_after_a_value_that_is_not_finite(self):
+        # up the tempered line in steps of 30 the kernel overflows first at
+        # j = 19, inside the second block; the values after it restart
+        provider = ExtendProvider(make_bump(BumpSpec(1.3), SphereGrid(144, 8)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, calls = count_kernels(provider, lambda p: p.eval_rays(-0.5, 30j, 40))
+            want, want_calls = count_kernels(provider, lambda p: per_point_rays(p, -0.5, 30j, 40))
+        finite = np.isfinite(want).all(axis=1)
+        assert finite[:19].all() and not finite[19]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert calls == want_calls
 
     def test_runs_restart_after_overflow(self):
         # the exact power at the middle point is finite in both rays; the
