@@ -52,7 +52,6 @@ from .paley_wiener import (
     pw_report,
     sample_line,
     type_estimate,
-    weyl_lattice,
     weyl_residual,
 )
 from .serialization import (
@@ -108,6 +107,5 @@ __all__ = [
     "support_radius",
     "synthesize",
     "type_estimate",
-    "weyl_lattice",
     "weyl_residual",
 ]

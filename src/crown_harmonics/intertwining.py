@@ -106,8 +106,7 @@ def singular_distance(m, t):
     The pole set is {-1/2 - j : j = 0..|m|-1}. An order or an array of
     orders m broadcasts against a scalar or an array t: one running
     minimum of |t + 1/2 + j| over j, behind an inf column for m = 0,
-    serves every order. Symmetry checks skip samples that come within a
-    small distance of it.
+    serves every order. A t within POLE_TOL of it is a pole.
     """
     t, ks = np.broadcast_arrays(np.asarray(t), np.abs(np.asarray(m, dtype=int)))
     js = np.arange(ks.max(initial=0))

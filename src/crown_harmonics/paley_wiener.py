@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrownDomainError, NumericalError, SchemaError
-from .intertwining import POLE_TOL, intertwiner_ladder, singular_distance
+from .intertwining import intertwiner_ladder
 from .transform import ray_points
 
-DEFAULT_WEYL_RE = (0.3, 0.8, 1.3, 1.8)
-DEFAULT_WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
+_WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
+_WEYL_POINTS = 4
 
 _DISC_BASE_RADII = 8
 _DISC_BASE_ANGLES = 16
@@ -50,7 +50,6 @@ class Calibration:
     n_samples: int = 160
     tail_fraction: float = 0.5
     disc_radius: float = 20.0
-    singular_skip: float = 1e-3
 
     def __post_init__(self):
         broken = [f"finite {k}" for k, v in self.as_dict().items() if not math.isfinite(v)]
@@ -62,8 +61,7 @@ class Calibration:
             ("decay_ratio_max > 0", self.decay_ratio_max > 0), ("t_max > 0", self.t_max > 0),
             ("decay_kmax >= 0", self.decay_kmax >= 0), ("n_samples >= 8", self.n_samples >= 8),
             ("0 < tail_fraction <= 1", 0 < self.tail_fraction <= 1),
-            ("disc_radius > 0", self.disc_radius > 0),
-            ("singular_skip >= 0", self.singular_skip >= 0)) if not holds]
+            ("disc_radius > 0", self.disc_radius > 0)) if not holds]
         if broken:
             raise SchemaError("calibration needs " + ", ".join(broken))
 
@@ -248,60 +246,36 @@ def decay_constants(profile, r: float, kmax: int = 3):
 # reflection symmetry
 
 
-def weyl_lattice(ktypes):
-    """Default (l, m) sample lattice for the symmetry residual."""
-    return [
-        (complex(re, im), m)
-        for m in sorted(ktypes)
-        for re in DEFAULT_WEYL_RE
-        for im in DEFAULT_WEYL_IM
-    ]
+def _weyl_rays():
+    """(origins, steps) of the symmetry lattice: four rays of four points
+    along Re l, from 0.3 + iy with step 1/2, then their reflections -l-1,
+    from -0.3 - iy - 1 with step -1/2."""
+    origins = 0.3 + 1j * np.array(_WEYL_IM)
+    return (np.concatenate([origins, -origins - 1.0]),
+            np.repeat([0.5, -0.5], origins.size))
 
 
-def _weyl_residual_detail(provider, lattice, singular_skip):
-    ells = np.array([complex(ell) for ell, _ in lattice], dtype=complex)
-    ms = np.array([int(m) for _, m in lattice], dtype=int)
-    used = singular_distance(ms, -ells - 0.5) >= max(singular_skip, POLE_TOL)
-    if not used.any():
-        raise NumericalError(
-            "every symmetry sample sat within the singular skip margin"
-        )
-    # one eval_many call per side of the identity, over the distinct ells;
-    # a K-type outside the provider's set has both sides exactly 0
-    ells, ms = ells[used], ms[used]
-    distinct, row = np.unique(ells, return_inverse=True)
-    reflected = provider.eval_many((-distinct - 1.0).tolist())
-    direct = provider.eval_many(distinct.tolist())
-    # b_m(-l-1/2) of every used row: one ladder, column |m| per row
-    ks = np.abs(ms)
-    b = intertwiner_ladder(ks.max(), -ells - 0.5)[np.arange(ells.size), ks]
-    column = {m: j for j, m in enumerate(sorted(provider.ktypes))}
-    mine = np.array([m in column for m in ms.tolist()], dtype=bool)
-    rows, cols = row[mine], [column[m] for m in ms[mine].tolist()]
-    lhs = reflected[rows, cols]
-    rhs = b[mine] * direct[rows, cols]
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    nonzero = scale > 0.0
-    worst = float(np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero], initial=0.0))
-    return worst, int(used.sum()), int((~used).sum())
-
-
-def weyl_residual(provider, lattice=None, singular_skip: float = 1e-3) -> float:
+def weyl_residual(provider) -> float:
     """Worst relative defect of phi(-l-1, m) = b_m(-l-1/2) phi(l, m).
 
-    b_m is the closed form of intertwining, one intertwiner_ladder call
-    over the lattice read at column |m| per sample, and both sides are
-    provider values, so the residual is the theorem's symmetry condition
-    for any provider.
-    For an ExtendProvider on the default lattice both sides come from
-    the direct route, which never uses b_m. Samples closer than
-    singular_skip to a pole of the scalar, and samples on a pole, are
-    skipped; skipping everything raises NumericalError.
+    Both sides are read in one eval_rays call over the eight rays of
+    _weyl_rays, and b_m is the closed form of intertwining, one
+    intertwiner_ladder call read at column |m| per K-type, so the
+    residual is the theorem's symmetry condition for any provider.
+    Every point has |Im l| >= 0.3, so it lies at least 0.3 from each
+    zero and pole of b_m. For an ExtendProvider both sides come from
+    the direct route, which never uses b_m.
     """
-    if lattice is None:
-        lattice = weyl_lattice(provider.ktypes)
-    worst, _, _ = _weyl_residual_detail(provider, lattice, singular_skip)
-    return worst
+    if not provider.ktypes:
+        raise SchemaError("provider exposes no azimuthal types")
+    origins, steps = _weyl_rays()
+    direct, reflected = np.split(provider.eval_rays(origins, steps, _WEYL_POINTS), 2)
+    ells = ray_points(origins, steps, _WEYL_POINTS)[:len(_WEYL_IM)].ravel()
+    ks = np.abs(sorted(provider.ktypes))
+    rhs = intertwiner_ladder(ks.max(), -ells - 0.5)[:, ks] * direct
+    scale = np.maximum(np.abs(reflected), np.abs(rhs))
+    nonzero = scale > 0.0
+    return float(np.max(np.abs(reflected - rhs)[nonzero] / scale[nonzero], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +326,8 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     the calibrated order are finite and stable under doubling the disc
     lattice, and the reflection-symmetry residual is below tolerance.
     The expensive pieces (line scan, disc scan, symmetry lattice) are
-    computed once and shared across all candidate radii: the line and
-    the disc from one eval_rays call each, the symmetry lattice from one
-    eval_many call per side of the identity.
+    computed once and shared across all candidate radii, each from one
+    eval_rays call.
     """
     calib = calibration or Calibration()
     radii = sorted(float(r) for r in candidate_radii)
@@ -370,8 +343,7 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     te = fit_type(ts, line_vals, calib.tail_fraction)
     line_vals = line_vals.max(axis=0)
     profile = decay_profile(provider, calib.disc_radius)
-    lattice = weyl_lattice(provider.ktypes)
-    wr, used, skipped = _weyl_residual_detail(provider, lattice, calib.singular_skip)
+    wr = weyl_residual(provider)
     hat_constants, hat_ratios = decay_constants(profile, te.r_hat, calib.decay_kmax)
 
     verdicts = []
@@ -402,7 +374,8 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     samples_used = (
         f"line Re l = -1/2: {calib.n_samples} samples to t_max={calib.t_max:g}; "
         f"disc |l+1/2| <= {calib.disc_radius:g}: {n_base} base + {4 * n_base} "
-        f"refined points; symmetry lattice: {used} used, {skipped} skipped"
+        f"refined points; symmetry lattice: {len(_WEYL_IM)} rays of {_WEYL_POINTS} "
+        f"points per side"
     )
     return PWReport(
         ktypes=tuple(sorted(provider.ktypes)),

@@ -467,7 +467,7 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     the profiles by one batched product. An inverse azimuthal FFT
     assembles the grid. The work is O(lmax^2 n_theta) per K-type plus the
     provider evaluations, and results are bit-reproducible for a fixed
-    numpy build.
+    numpy build and BLAS thread count.
 
     A provider raises its own errors, and they propagate. A provider's
     own limits stay its own: an ExtendProvider raises

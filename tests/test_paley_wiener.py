@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
+from crown_harmonics.intertwining import singular_distance
 from crown_harmonics.paley_wiener import (
     Calibration,
     _disc_rays,
+    _weyl_rays,
     decay_constants,
     decay_profile,
     fit_type,
     pw_report,
     sample_line,
     type_estimate,
-    weyl_lattice,
     weyl_residual,
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
@@ -129,29 +130,35 @@ class TestWeylResidual:
     def test_symmetric_provider_near_zero(self):
         assert weyl_residual(symmetric_poly_provider()) < 1e-12
 
-    def test_all_singular_lattice_raises(self):
-        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
-        with pytest.raises(NumericalError):
-            weyl_residual(provider, lattice=[(0.0j, 1)])
+    def test_no_ktypes_raises_schema_error(self):
+        provider = FakeProvider(lambda ell, m: 1.0, ktypes=())
+        with pytest.raises(SchemaError, match="provider exposes no azimuthal types"):
+            weyl_residual(provider)
 
     def test_constant_on_type_one_breaks_symmetry(self):
         provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         assert weyl_residual(provider) > 0.1
 
-    def test_sample_on_a_pole_is_skipped(self):
-        # ell = 0 is t = -1/2, the pole of b_1: with no skip margin the
-        # sample is dropped rather than raising, as before
-        provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
-        wr = weyl_residual(provider, lattice=[(0j, 1), (0.3 + 0.4j, 1)], singular_skip=0.0)
-        assert math.isfinite(wr)
-        assert wr == weyl_residual(provider, lattice=[(0.3 + 0.4j, 1)], singular_skip=0.0)
+    def test_lattice_is_four_rays_per_side(self):
+        # the reflected rays are -l-1 of the direct ones up to the roundoff
+        # of their origins and steps, and every point lies at least 0.3
+        # from each pole (-1/2 - j) and zero (1/2 + j) of b_m at t = -l-1/2
+        points = ray_points(*_weyl_rays(), 4)
+        direct, reflected = points[:4].ravel(), points[4:].ravel()
+        assert direct.size == reflected.size == 16
+        assert np.all(np.abs(reflected + direct + 1.0) <= 4 * np.finfo(float).eps * np.abs(reflected))
+        t = -direct - 0.5
+        ms = np.arange(65)[:, None]
+        assert singular_distance(ms, t).min() >= 0.3
+        assert singular_distance(ms, -t).min() >= 0.3
 
     @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
     @pytest.mark.parametrize("cls", ["smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8"])
     def test_symmetry_lattice_takes_the_direct_route(self, cls, r):
         # the residual multiplies provider values by the closed-form b_m;
         # if ExtendProvider reflected either side, it would apply the same
-        # b_m and the check would hold by construction
+        # b_m and the check would hold by construction. Both sides must be
+        # the direct-only recurrence along each ray, bit for bit
         grid = SphereGrid(144, 8)
         if cls == "two-type":
             f = GridFunction(grid, make_bump(BumpSpec(0.6 * r), grid).values
@@ -161,15 +168,15 @@ class TestWeylResidual:
                     "cospow-p8": BumpSpec(r, "cospow", p=8)}[cls]
             f = make_bump(spec, grid)
         provider = ExtendProvider(f)
-        ells = list(dict.fromkeys(ell for ell, _ in weyl_lattice(provider.ktypes)))
-        for ell in ells + [-ell - 1.0 for ell in ells]:
-            direct = provider._contract(provider._kernel(ell))
-            assert np.array_equal(provider.eval_many([ell])[0], direct), ell
-
-    def test_lattice_shape(self):
-        lattice = weyl_lattice((0, 1))
-        assert len(lattice) == 2 * 4 * 4
-        assert all(isinstance(m, int) for _, m in lattice)
+        origins, steps = _weyl_rays()
+        reference = []
+        for origin, step in zip(origins, steps):
+            kernel = provider._kernel(origin)
+            for j in range(4):
+                if j:
+                    kernel *= provider._kernel(step)
+                reference.append(provider._contract(kernel))
+        assert np.array_equal(provider.eval_rays(origins, steps, 4), reference)
 
 
 class TestCalibration:
@@ -191,7 +198,6 @@ class TestCalibration:
         ("decay_ratio_max", -2.0),
         ("disc_radius", 0.0),
         ("t_max", -40.0),
-        ("singular_skip", -1e-3),
         ("decay_kmax", -1),
         ("n_samples", 7),
         ("tail_fraction", 0.0),
@@ -208,8 +214,7 @@ class TestCalibration:
             Calibration().replaced(**{key: value})
 
     def test_accepts_the_edges_of_each_range(self):
-        calib = Calibration(type_slack=0.0, singular_skip=0.0, decay_kmax=0,
-                            n_samples=8, tail_fraction=1.0)
+        calib = Calibration(type_slack=0.0, decay_kmax=0, n_samples=8, tail_fraction=1.0)
         assert calib.as_dict()["n_samples"] == 8
 
 
@@ -269,13 +274,13 @@ class TestReport:
         assert report.decay_ratios != at_tight[1]
 
     def test_each_stage_is_one_batched_call(self):
-        # line, disc and the two sides of the symmetry identity: one
-        # eval_rays call each, and the disc evaluates only the refined
+        # line, disc and symmetry lattice (both sides of the identity):
+        # one eval_rays call each, and the disc evaluates only the refined
         # lattice, since the base lattice is every other point of it
         provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
                                     ktypes=(0, 1))
         pw_report(provider, [0.5])
-        assert provider.batches == [160, 512, 16, 16]
+        assert provider.batches == [160, 512, 32]
         provider.batches.clear()
         synthesize(provider, SphereGrid(8, 8), 6)
         assert provider.batches == [7]
@@ -294,8 +299,8 @@ class TestReport:
     def test_kernel_exponentials_one_per_ray(self, monkeypatch):
         # every lattice of pw_report and the rebuild is made of rays, and a
         # ray takes one exponential at its start plus one for its step
-        # (twice where it also takes the reflected route); the symmetry
-        # lattice takes one per point. Per point, these would be 833
+        # (twice where it also takes the reflected route). Per point, these
+        # would be 833
         provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
         exp, shapes = np.exp, []
         monkeypatch.setattr(np, "exp",
@@ -303,7 +308,7 @@ class TestReport:
         pw_report(provider, [0.5, 1.1])
         synthesize(provider, SphereGrid(144, 16), 128)
         monkeypatch.undo()
-        assert shapes.count(provider._log_q.shape) <= 110
+        assert shapes.count(provider._log_q.shape) <= 84
 
     def test_line_overflow_names_the_first_bad_t(self):
         # t_max = 1000 drives the r = 1.3 bump past the float range; the

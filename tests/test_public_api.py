@@ -21,13 +21,12 @@ PUBLIC_NAMES = [
     "extend", "format_float", "gauss_legendre", "intertwiner_rational",
     "kernel_mode_profiles", "line_scan_csv", "loads_grid_function",
     "loads_table", "pw_report", "sample_line", "singular_distance",
-    "support_radius", "synthesize", "type_estimate", "weyl_lattice",
-    "weyl_residual",
+    "support_radius", "synthesize", "type_estimate", "weyl_residual",
 ]
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(crown_harmonics.__all__) == PUBLIC_NAMES
 
 
