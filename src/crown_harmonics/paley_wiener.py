@@ -176,25 +176,37 @@ def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
 # decay constants on a spectral disc
 
 
+def _require_finite(values, points, ktypes):
+    """Raise NumericalError naming the first point and K-type whose value is not finite."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalError(f"provider not finite at l={points[i]:.4g}, m={ktypes[j]}")
+
+
 def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
-    """(origins, steps) of the disc lattice: one ray of n_radii points per angle,
-    from -1/2 + step with step (disc_radius / n_radii) e^{i angle}."""
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    steps = disc_radius / n_radii * np.exp(1j * angles)
-    return -0.5 + steps, steps
+    """(origins, steps) of the disc lattice: n_angles rays from the centre
+    -1/2, read at n_radii + 1 points, with steps (disc_radius / n_radii)
+    e^{i angle}. The steps come in exact pairs +step, -step, each pair
+    adjacent: the angles 2 pi k / n_angles, k < n_angles / 2, each
+    followed by its opposite."""
+    angles = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
+    half = disc_radius / n_radii * np.exp(1j * angles)
+    return np.full(n_angles, -0.5 + 0.0j), np.stack([half, -half], axis=1).ravel()
 
 
 def decay_profile(provider, disc_radius: float = 20.0):
     """Evaluate max_m |phi| on two nested lattices over |l + 1/2| <= R.
 
     The provider is evaluated once, on the refined lattice, in one
-    eval_rays call over its 32 rays of 16 points; the base lattice is
-    every other radius and angle of it, the points of the base sizes'
-    rays up to roundoff. So every weighted maximum computed from the
-    refined lattice dominates the base value and the doubling ratio is
-    at least 1 by construction. Returns (base_pts, base_mags,
-    dense_pts, dense_mags), radius-major with the points as evaluated;
-    evaluate once, reuse for every radius.
+    eval_rays call over its 32 rays from the centre -1/2 (see
+    _disc_rays), read at 17 points each; the centre is dropped. The base
+    lattice is every other radius and every other angle of it, and is
+    the base sizes' rays up to roundoff. So every weighted maximum
+    computed from the refined lattice dominates the base value and the
+    doubling ratio is at least 1 by construction. Returns (base_pts,
+    base_mags, dense_pts, dense_mags), radius-major with the points as
+    evaluated; evaluate once, reuse for every radius.
     """
     ktypes = sorted(provider.ktypes)
     if not ktypes:
@@ -202,16 +214,14 @@ def decay_profile(provider, disc_radius: float = 20.0):
     n_radii, n_angles = 2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES
     origins, steps = _disc_rays(disc_radius, n_radii, n_angles)
     # radius-major: row k of the lattice is radius (k + 1) R / n_radii
-    dense_pts = ray_points(origins, steps, n_radii).T.ravel()
+    dense_pts = ray_points(origins, steps, n_radii + 1)[:, 1:].T.ravel()
     # ray-major (angle, radius) to the radius-major layout of dense_pts
-    values = provider.eval_rays(origins, steps, n_radii)
-    values = values.reshape(n_angles, n_radii, -1).transpose(1, 0, 2).reshape(dense_pts.size, -1)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise NumericalError(f"provider not finite at l={dense_pts[i]:.4g}, m={ktypes[j]}")
+    values = provider.eval_rays(origins, steps, n_radii + 1).reshape(n_angles, n_radii + 1, -1)
+    values = values[:, 1:].transpose(1, 0, 2).reshape(dense_pts.size, -1)
+    _require_finite(values, dense_pts, ktypes)
     dense_mags = np.abs(values).max(axis=1)
-    base = (slice(1, None, 2), slice(None, None, 2))
+    # rays 4k and 4k + 1 hold the angles of the base lattice
+    base = (slice(1, None, 2), np.arange(n_angles) % 4 < 2)
     return (dense_pts.reshape(n_radii, n_angles)[base].ravel(),
             dense_mags.reshape(n_radii, n_angles)[base].ravel(),
             dense_pts, dense_mags)
@@ -264,15 +274,19 @@ def weyl_residual(provider) -> float:
     residual is the theorem's symmetry condition for any provider.
     Every point has |Im l| >= 0.3, so it lies at least 0.3 from each
     zero and pole of b_m. For an ExtendProvider both sides come from
-    the direct route, which never uses b_m.
+    the direct route, which never uses b_m. A provider value that is
+    not finite raises NumericalError naming the first such point.
     """
-    if not provider.ktypes:
+    ktypes = sorted(provider.ktypes)
+    if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
     origins, steps = _weyl_rays()
-    direct, reflected = np.split(provider.eval_rays(origins, steps, _WEYL_POINTS), 2)
-    ells = ray_points(origins, steps, _WEYL_POINTS)[:len(_WEYL_IM)].ravel()
-    ks = np.abs(sorted(provider.ktypes))
-    rhs = intertwiner_ladder(ks.max(), -ells - 0.5)[:, ks] * direct
+    points = ray_points(origins, steps, _WEYL_POINTS).ravel()
+    values = provider.eval_rays(origins, steps, _WEYL_POINTS)
+    _require_finite(values, points, ktypes)
+    direct, reflected = np.split(values, 2)
+    ks = np.abs(ktypes)
+    rhs = intertwiner_ladder(ks.max(), -points[:points.size // 2] - 0.5)[:, ks] * direct
     scale = np.maximum(np.abs(reflected), np.abs(rhs))
     nonzero = scale > 0.0
     return float(np.max(np.abs(reflected - rhs)[nonzero] / scale[nonzero], initial=0.0))

@@ -208,8 +208,13 @@ class ExtendProvider(CoefficientProvider):
     K-type and the sphere.boundary_fold weights of the K-types. eval_rays
     steps the kernel along each ray, since Q^(ell + step) = Q^ell Q^step:
     a run of points on one route (direct, or reflected through -ell-1)
-    starts with one kernel exponential, and the step kernel Q^step is one
-    exponential per route and ray. Every further point costs one in-place
+    starts from Q^power, and each further point multiplies it by Q^step.
+    Within one call each kernel power takes one exponential, and two
+    kernels are held across rays, the last run start and the last step
+    kernel: a run that starts at the held power copies it, a step equal
+    to the held one reuses it, and a step that is its exact negation
+    takes its reciprocal, Q^-step = 1/Q^step, which also serves the
+    reflected run of a ray. Every further point costs one in-place
     multiply by Q^step and one (K x rows)(rows x 257) row product into a
     block buffer; every block of _RAY_BLOCK points costs one multiply by
     the folded cosines, one pairwise sum over the 257 samples, one
@@ -293,14 +298,17 @@ class ExtendProvider(CoefficientProvider):
 
     def _kernel(self, power: complex) -> np.ndarray:
         """Q^power on the half-boundary samples of the significant rows."""
-        return np.exp(power * self._log_q)
+        kernel = power * self._log_q
+        np.exp(kernel, out=kernel)
+        return kernel
 
     def _contract(self, kernel: np.ndarray) -> np.ndarray:
         """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
         return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
 
-    # a kernel power may overflow; the values it leaves are not finite, and
-    # the callers' finite checks report that as a numerical failure
+    # a kernel power, or the reciprocal of an underflowed step kernel, may
+    # overflow; the values it leaves are not finite, and the callers'
+    # finite checks report that as a numerical failure
     @np.errstate(over="ignore", invalid="ignore")
     def eval_rays(self, origins, steps, n: int) -> np.ndarray:
         ms = sorted(self.ktypes)
@@ -325,6 +333,11 @@ class ExtendProvider(CoefficientProvider):
         reflect = np.zeros(points.shape, dtype=bool)
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
         prod = np.empty((_RAY_BLOCK, len(ms), edge.size), dtype=complex)
+        # kernel is the working buffer a run steps; across rays the call
+        # holds the last run-start kernel and the last step kernel, each
+        # with its power
+        kernel = np.empty_like(self._log_q)
+        start_power = start = step_power = step_kernel = None
         for i, (ray, step) in enumerate(zip(points, steps)):
             # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
             # the last row; where the direct power would cancel, -ell-1 is
@@ -336,31 +349,41 @@ class ExtendProvider(CoefficientProvider):
             reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
                 -a.min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
             routes = reflect[i].tolist()
-            # a run of points on one route starts with an exact Q^power;
-            # each further point multiplies the kernel in place by Q^step,
-            # one per route and ray. The reflected points -ell-1 of a ray
-            # form a ray of step -step. Each point's row product fills one
-            # slot of the block buffer; a block is folded with the cosines,
+            # a run of points on one route starts from Q^power: the held
+            # start if the power is the same, else an exact exponential.
+            # Each further point multiplies the kernel in place by Q^step:
+            # the held step kernel if the step is the same, its reciprocal
+            # if the step is its negation (Q^-step = 1/Q^step), else an
+            # exact exponential. The reflected points -ell-1 of a ray form
+            # a ray of step -step. Each point's row product fills one slot
+            # of the block buffer; a block is folded with the cosines,
             # summed and tested at once. An overflowed sample times an
             # underflowed one is nan where the exact power may be finite,
             # so a run ends at a value that is not finite: a block is
             # stepped as if its runs held, kept up to its first such value,
-            # and the ray resumes after it with prev None, one point at a
-            # time while the values stay not finite. A step kernel that is
-            # not finite is not used (None)
-            prev, kernel, step_kernels, j = None, None, {}, 0
+            # and the ray resumes after it with prev None and no held
+            # kernel, one point at a time while the values stay not finite.
+            # A step kernel that is not finite is not used (None)
+            prev, j = None, 0
             while j < n:
                 w = min(n - j, _RAY_BLOCK if j == 0 or prev is not None else 1)
                 block = prod[:w]
                 for b, (ell, route) in enumerate(zip(ray[j:j + w], routes[j:j + w])):
                     power, delta = (-ell - 1.0, -step) if route else (ell, step)
-                    if route == prev and route not in step_kernels:
-                        step_kernel = self._kernel(delta)
-                        step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
-                    if route == prev and step_kernels[route] is not None:
-                        kernel *= step_kernels[route]
+                    if route == prev and delta != step_power:
+                        if step_kernel is not None and delta == -step_power:
+                            np.reciprocal(step_kernel, out=step_kernel)
+                        else:
+                            step_kernel = self._kernel(delta)
+                        step_power = delta
+                        if not np.isfinite(step_kernel).all():
+                            step_kernel = None
+                    if route == prev and step_kernel is not None:
+                        kernel *= step_kernel
                     else:
-                        kernel = self._kernel(power)
+                        if power != start_power:
+                            start_power, start = power, self._kernel(power)
+                        np.copyto(kernel, start)
                     np.matmul(self._weighted, kernel, out=block[b])
                     prev = route
                 np.multiply(block, self._cosines, out=block)
@@ -368,6 +391,7 @@ class ExtendProvider(CoefficientProvider):
                 finite = np.isfinite(values).all(axis=1)
                 if not finite.all():
                     w, prev = int(finite.argmin()) + 1, None
+                    start_power = step_power = step_kernel = None
                 out[i * n + j:i * n + j + w] = values[:w]
                 j += w
         # at a nonnegative integer l < |m| the exact value is 0, as in analyze;

@@ -139,6 +139,16 @@ class TestWeylResidual:
         provider = FakeProvider(lambda ell, m: 1.0, ktypes=(1,))
         assert weyl_residual(provider) > 0.1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_values_that_are_not_finite_raise(self, bad):
+        # a reflected side that is not finite would otherwise read a
+        # residual of 0 (nan) or nan (inf), which a tolerance test passes;
+        # the error names the first reflected point, -0.3 - iy - 1 at
+        # y = -0.9
+        provider = FakeProvider(lambda ell, m: bad if ell.real < -1.0 else 1.0, ktypes=(1,))
+        with pytest.raises(NumericalError, match=r"not finite at l=-1\.3\+0\.9j, m=1$"):
+            weyl_residual(provider)
+
     def test_lattice_is_four_rays_per_side(self):
         # the reflected rays are -l-1 of the direct ones up to the roundoff
         # of their origins and steps, and every point lies at least 0.3
@@ -158,7 +168,10 @@ class TestWeylResidual:
         # the residual multiplies provider values by the closed-form b_m;
         # if ExtendProvider reflected either side, it would apply the same
         # b_m and the check would hold by construction. Both sides must be
-        # the direct-only recurrence along each ray, bit for bit
+        # the direct-only recurrence along each ray, bit for bit: the
+        # eight origins differ, so each takes its own exponential, and the
+        # step 1/2 takes one, which the reflected side's step -1/2 takes
+        # the reciprocal of
         grid = SphereGrid(144, 8)
         if cls == "two-type":
             f = GridFunction(grid, make_bump(BumpSpec(0.6 * r), grid).values
@@ -169,14 +182,21 @@ class TestWeylResidual:
             f = make_bump(spec, grid)
         provider = ExtendProvider(f)
         origins, steps = _weyl_rays()
-        reference = []
+        powers, kernel_of = [], provider._kernel
+        provider._kernel = lambda power: powers.append(power) or kernel_of(power)
+        got, calls = provider.eval_rays(origins, steps, 4), len(powers)
+        reference, held = [], (None, None)
         for origin, step in zip(origins, steps):
             kernel = provider._kernel(origin)
+            if held[0] != step:
+                held = (step, np.reciprocal(held[1]) if held[0] == -step
+                        else provider._kernel(step))
             for j in range(4):
                 if j:
-                    kernel *= provider._kernel(step)
+                    kernel *= held[1]
                 reference.append(provider._contract(kernel))
-        assert np.array_equal(provider.eval_rays(origins, steps, 4), reference)
+        assert np.array_equal(got, reference)
+        assert calls == len(powers) - calls == 9
 
 
 class TestCalibration:
@@ -276,31 +296,37 @@ class TestReport:
     def test_each_stage_is_one_batched_call(self):
         # line, disc and symmetry lattice (both sides of the identity):
         # one eval_rays call each, and the disc evaluates only the refined
-        # lattice, since the base lattice is every other point of it
+        # lattice, since the base lattice is every other point of it; its
+        # 32 rays start at the centre, 17 points each
         provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
                                     ktypes=(0, 1))
         pw_report(provider, [0.5])
-        assert provider.batches == [160, 512, 32]
+        assert provider.batches == [160, 544, 32]
         provider.batches.clear()
         synthesize(provider, SphereGrid(8, 8), 6)
         assert provider.batches == [7]
 
     def test_base_disc_lattice_is_read_from_the_refined_one(self):
-        # the refined lattice is evaluated along rays, so its every other
-        # point is the base lattice up to the roundoff of the ray steps
+        # the refined lattice is evaluated along rays from the centre, which
+        # is dropped, so its every other radius and angle is the base
+        # lattice up to the roundoff of the ray steps; the angles of the
+        # base lattice are the rays 4k and 4k + 1, a pair of opposite steps
         base_pts, base_mags, dense_pts, dense_mags = decay_profile(symmetric_poly_provider(), 20.0)
-        assert np.array_equal(dense_pts, ray_points(*_disc_rays(20.0, 16, 32), 16).T.ravel())
-        assert np.array_equal(base_pts, dense_pts.reshape(16, 32)[1::2, ::2].ravel())
-        shift = np.max(np.abs(base_pts - ray_points(*_disc_rays(20.0, 8, 16), 8).T.ravel()))
+        assert np.array_equal(dense_pts, ray_points(*_disc_rays(20.0, 16, 32), 17)[:, 1:].T.ravel())
+        base_angles = np.arange(32) % 4 < 2
+        assert np.array_equal(base_pts, dense_pts.reshape(16, 32)[1::2, base_angles].ravel())
+        shift = np.max(np.abs(base_pts - ray_points(*_disc_rays(20.0, 8, 16), 9)[:, 1:].T.ravel()))
         assert shift <= 8 * np.finfo(float).eps * 20.0
         for ell, mag in zip(base_pts, base_mags):
             assert mag == dense_mags[np.flatnonzero(dense_pts == ell)[0]]
 
     def test_kernel_exponentials_one_per_ray(self, monkeypatch):
-        # every lattice of pw_report and the rebuild is made of rays, and a
-        # ray takes one exponential at its start plus one for its step
-        # (twice where it also takes the reflected route). Per point, these
-        # would be 833
+        # every lattice of pw_report and the rebuild is made of rays, and
+        # within one eval_rays call a kernel power takes one exponential:
+        # the disc's 32 rays share the start -1/2 and come in 16 pairs of
+        # opposite steps (1 + 16), the symmetry lattice has 8 starts and
+        # the steps +-1/2 (8 + 1), the line and the rebuild 2 each. Per
+        # point, these would be 865
         provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
         exp, shapes = np.exp, []
         monkeypatch.setattr(np, "exp",
@@ -308,7 +334,7 @@ class TestReport:
         pw_report(provider, [0.5, 1.1])
         synthesize(provider, SphereGrid(144, 16), 128)
         monkeypatch.undo()
-        assert shapes.count(provider._log_q.shape) <= 84
+        assert shapes.count(provider._log_q.shape) <= 30
 
     def test_line_overflow_names_the_first_bad_t(self):
         # t_max = 1000 drives the r = 1.3 bump past the float range; the

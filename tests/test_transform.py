@@ -377,7 +377,7 @@ class TestBatchedProviders:
         # values agree to roundoff relative to themselves
         grid = SphereGrid(144, 8)
         line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
-        ells = np.concatenate([line, ray_points(*_disc_rays(20.0, 16, 32), 16).T.ravel()[::19],
+        ells = np.concatenate([line, ray_points(*_disc_rays(20.0, 16, 32), 17).T.ravel()[::19],
                                -np.arange(0, 129, 16) - 1.0])
         for r in (0.35, 0.7, 1.0):
             f = certify_class(name, r, grid)
@@ -488,10 +488,13 @@ def per_point_rays(provider, origins, steps, n):
     """eval_rays one point at a time: the reference for its blocks.
 
     Routes, zeros below the order and reflections as in eval_rays, away
-    from the poles of b_m; each run starts with an exact _kernel, every
-    further point of the run multiplies the kernel in place by the step
-    kernel, every point is one _contract, and a value that is not finite
-    ends its run.
+    from the poles of b_m; each run starts from the held start kernel if
+    its power is the held one, else from an exact _kernel; every further
+    point of the run multiplies the kernel in place by the step kernel:
+    the held one if the step is the same, its reciprocal if the step is
+    its negation, else an exact _kernel, and a step kernel that is not
+    finite is not used. Every point is one _contract, and a value that
+    is not finite ends its run and drops both held kernels.
     """
     ms = sorted(provider.ktypes)
     ks = np.abs(ms)
@@ -501,23 +504,29 @@ def per_point_rays(provider, origins, steps, n):
     out = np.zeros((ells.size, len(ms)), dtype=complex)
     reflect = np.zeros(points.shape, dtype=bool)
     steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-    for i, (ray, step) in enumerate(zip(points, steps)):
+    start = step = (None, None)
+    for i, (ray, ray_step) in enumerate(zip(points, steps)):
         a = np.multiply.outer(ray.real, edge.real) - np.multiply.outer(ray.imag, edge.imag)
         log_amp = a.max(axis=1)
         reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
             -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
-        prev, kernel, step_kernels = None, None, {}
+        prev = None
         for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
-            power, delta = (-ell - 1.0, -step) if route else (ell, step)
-            if route == prev and route not in step_kernels:
-                step_kernel = provider._kernel(delta)
-                step_kernels[route] = step_kernel if np.all(np.isfinite(step_kernel)) else None
-            if route == prev and step_kernels[route] is not None:
-                kernel *= step_kernels[route]
+            power, delta = (-ell - 1.0, -ray_step) if route else (ell, ray_step)
+            if route == prev and step[0] != delta:
+                held = step[1] is not None and np.all(np.isfinite(step[1]))
+                step = (delta, np.reciprocal(step[1]) if held and step[0] == -delta
+                        else provider._kernel(delta))
+            if route == prev and np.all(np.isfinite(step[1])):
+                kernel = kernel * step[1]
             else:
-                kernel = provider._kernel(power)
+                if start[0] != power:
+                    start = (power, provider._kernel(power))
+                kernel = start[1].copy()
             values = out[i * n + j] = provider._contract(kernel)
-            prev = route if np.all(np.isfinite(values)) else None
+            prev = route
+            if not np.all(np.isfinite(values)):
+                prev, start, step = None, (None, None), (None, None)
     integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
     out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
     rows = np.flatnonzero(reflect.ravel())
@@ -580,7 +589,7 @@ class TestRays:
         grid = SphereGrid(144, 8)
         f = certify_class(name, r, grid)
         provider = ExtendProvider(f)
-        rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 16, 11),
+        rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 17, 11),
                 (0.0, 1.0, 129, 8), (-1.0, -1.0, 129, 8))
         for origins, steps, n, stride in rays:
             values = provider.eval_rays(origins, steps, n)
@@ -594,11 +603,14 @@ class TestRays:
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_blocks_are_the_per_point_loop(self, name, r):
         # points are folded in blocks, so the ray lengths straddle one and
-        # two blocks; the rays are the line, four disc rays, the reflected
-        # integers and rays that cross between the routes
+        # two blocks; the rays are the line, two pairs of opposite disc rays
+        # (along Re l, which the wide caps reflect, and along Im l), the
+        # reflected integers and rays that cross between the routes
         provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
         disc_origins, disc_steps = _disc_rays(20.0, 16, 32)
-        rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[::8], disc_steps[::8]), (-1.0, -1.0),
+        pairs = np.r_[0:2, 16:18]
+        assert np.array_equal(disc_steps[pairs[1::2]], -disc_steps[pairs[::2]])
+        rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[pairs], disc_steps[pairs]), (-1.0, -1.0),
                 ([-40.0 + 3.0j, 30.0 - 5.0j], [1.0 + 0.1j, -1.0 + 0.05j]))
         for n in (1, 15, 16, 17, 33, 160):
             for origins, steps in rays:
@@ -607,6 +619,24 @@ class TestRays:
                     provider, lambda p: per_point_rays(p, origins, steps, n))
                 assert np.array_equal(got, want, equal_nan=True), (n, origins)
                 assert calls == want_calls, (n, origins)
+
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_shared_origin_and_opposite_steps_share_exponentials(self, name):
+        # rays from one origin in pairs of opposite steps take one
+        # exponential for the origin and one per pair: the second ray of a
+        # pair steps by the reciprocal of the first's step kernel. Every
+        # value stays within 10x the roundoff floor of the FFT route
+        f = certify_class(name, 1.0, SphereGrid(144, 8))
+        provider = ExtendProvider(f)
+        half = np.array([1.25, 0.3 + 0.9j, -0.7 + 1.1j])
+        steps = np.stack([half, -half], axis=1).ravel()
+        origins = np.full(steps.size, -0.5 + 2.0j)
+        values, calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, 17))
+        assert calls == 1 + half.size
+        points = ray_points(origins, steps, 17).ravel()
+        for j, m in enumerate(sorted(provider.ktypes)):
+            ref, floor = extend_reference(f, points, m, own_rows=True)
+            assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), m
 
     def test_blocks_restart_after_a_value_that_is_not_finite(self):
         # up the tempered line in steps of 30 the kernel overflows first at
