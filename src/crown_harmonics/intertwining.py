@@ -19,7 +19,9 @@ K-type m and spectral parameter t the probe integral
 is one mode of sphere.kernel_mode_profiles, and the ratio
 F_m(-t; theta) / F_m(t; theta) equals b_m(t) at every probe colatitude
 theta. probe_integral and intertwiner_scalar compute that ratio for
-verify only.
+verify only; probe_integral takes an array of parameters, so a check
+that needs F_m at many t on one colatitude builds one log table and
+takes one exponential over all of them.
 """
 
 from __future__ import annotations
@@ -41,10 +43,15 @@ _DEGENERATE_REL = 1e-12
 POLE_TOL = 1e-14
 
 
-def probe_integral(m: int, t, theta: float) -> complex:
-    """F_m(t; theta), the boundary mode of the pairing power -t-1/2."""
-    power = -complex(t) - 0.5
-    return complex(kernel_mode_profiles(power, boundary_log_pairing(theta), [int(m)])[0, 0])
+def probe_integral(m: int, t, theta: float):
+    """F_m(t; theta), the boundary mode of the pairing power -t-1/2.
+
+    t is a scalar, which gives a complex, or an array, which gives an
+    array of its shape from one kernel_mode_profiles call.
+    """
+    power = -np.asarray(t, dtype=complex) - 0.5
+    modes = kernel_mode_profiles(power, boundary_log_pairing(theta), [int(m)])[..., 0, 0]
+    return complex(modes) if modes.ndim == 0 else modes
 
 
 def intertwiner_scalar(m: int, t) -> complex:

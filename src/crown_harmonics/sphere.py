@@ -18,9 +18,9 @@ on the boundary circle, folded onto its half by the symmetry
 Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
 kernel_mode_profiles). This module is the only one that forms boundary
 samples or takes the log of the pairing, which it builds in real
-arithmetic from the real and imaginary parts of Q; a caller that needs
-many parameters or orders on one set of colatitudes builds that log
-table once and passes it to kernel_mode_profiles for each parameter.
+arithmetic from the real and imaginary parts of Q; kernel_mode_profiles
+takes an array of parameters and any list of orders on one log table,
+with one exponential over the whole array.
 
 Grids are Gauss-Legendre in cos(theta) crossed with uniform azimuths,
 with total weight normalized to 1 so that the constant function
@@ -44,14 +44,6 @@ DEFAULT_BOUNDARY_SAMPLES = 512
 #: a grid row counts toward the support when its peak magnitude exceeds
 #: this fraction of the overall peak
 SUPPORT_REL_THRESHOLD = 1e-12
-
-
-def ell_value(ell) -> complex:
-    """Convert a spectral parameter to complex, rejecting non-finite values."""
-    ell = complex(ell)
-    if not (math.isfinite(ell.real) and math.isfinite(ell.imag)):
-        raise SchemaError("spectral parameter must be finite")
-    return ell
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +178,24 @@ def boundary_fold(ms) -> np.ndarray:
 
 
 def kernel_mode_profiles(ell, log_pairing: np.ndarray, ms) -> np.ndarray:
-    """Boundary Fourier modes ms of the pairing power Q^ell.
+    """Boundary Fourier modes ms of the pairing powers Q^ell.
 
-    Column j of the (rows, len(ms)) result holds
+    ell is a scalar or an array of shape S, and the result has shape
+    S + (rows, len(ms)); column j of a (rows, len(ms)) slice holds
 
         (1/2*pi) * integral of Q((theta,0), c)^ell * exp(-i m c) dc
 
     at m = ms[j], by the 512-sample trapezoid rule folded onto the half
-    boundary: one exponential of ell log Q per sample, then a product
-    with the boundary_fold weights. It is exact at integer degree l, up
-    to roundoff, while l + |m| < 512, and holomorphic in ell.
+    boundary: one exponential of ell log Q over every parameter and
+    sample, then one product with the boundary_fold weights. It is exact
+    at integer degree l, up to roundoff, while l + |m| < 512, and
+    holomorphic in ell. A parameter that is not finite anywhere in ell
+    raises SchemaError before any exponential.
     """
-    ell = ell_value(ell)
-    power = ell * log_pairing
+    ell = np.asarray(ell, dtype=complex)
+    if not np.all(np.isfinite(ell)):
+        raise SchemaError("spectral parameter must be finite")
+    power = ell[..., None, None] * log_pairing
     np.exp(power, out=power)
     return power @ boundary_fold(ms).T
 

@@ -215,15 +215,28 @@ def oracle_sht(f: GridFunction, lmax: int) -> CoefficientTable:
 # bridge between the kernel and classical conventions
 
 
-def bridge_factor_candidate(l: int, m: int) -> complex:
+def bridge_factor_candidate(l, m):
     """Analytic candidate for the kernel/classical coefficient ratio.
 
     rho_{l,m} = i^{|m|} l! / sqrt((2l+1) (l+|m|)! (l-|m|)!). The
     measured bridge_factors are held to it, never assumed by library code.
+
+    Integers l and m give a complex. Integer arrays broadcast (every
+    entry with |m| <= l) and give an array that equals the scalar form
+    entry by entry, bit for bit: the log-factorials come from one table
+    of math.lgamma values, and each magnitude from math.exp, since np.exp
+    may round the last bit differently.
     """
-    k = abs(m)
-    log_mag = math.lgamma(l + 1) - 0.5 * (math.lgamma(l + k + 1) + math.lgamma(l - k + 1))
-    return (1j) ** k * (math.exp(log_mag) / math.sqrt(2 * l + 1))
+    if np.ndim(l) == 0 and np.ndim(m) == 0:
+        k = abs(m)
+        log_mag = math.lgamma(l + 1) - 0.5 * (math.lgamma(l + k + 1) + math.lgamma(l - k + 1))
+        return (1j) ** k * (math.exp(log_mag) / math.sqrt(2 * l + 1))
+    l, k = np.broadcast_arrays(np.asarray(l, dtype=int), np.abs(np.asarray(m, dtype=int)))
+    log_fact = np.array([math.lgamma(n + 1) for n in range(int(np.max(l + k, initial=0)) + 1)])
+    log_mag = log_fact[l] - 0.5 * (log_fact[l + k] + log_fact[l - k])
+    mag = np.fromiter(map(math.exp, log_mag.flat), float, count=log_mag.size).reshape(l.shape)
+    phase = np.array([(1j) ** j for j in range(int(np.max(k, initial=0)) + 1)])
+    return phase[k] * (mag / np.sqrt(2 * l + 1))
 
 
 def bridge_factors(f: GridFunction, lmax: int):

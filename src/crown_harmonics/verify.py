@@ -59,14 +59,16 @@ def _result(name, measured, threshold, detail) -> CheckResult:
 
 
 def check_zonal_kernel() -> CheckResult:
-    """Zonal kernel modes reproduce the classical degree-l polynomials."""
+    """Zonal kernel modes reproduce the classical degree-l polynomials.
+
+    One kernel_mode_profiles call per angle takes the degrees 0..50 as
+    an array.
+    """
     worst = 0.0
     for theta in (0.2, 0.7, 1.2):
-        column = assoc_legendre(50, 0, math.cos(theta)).tolist()
-        log_q = boundary_log_pairing(theta)
-        for l in range(51):
-            got = complex(kernel_mode_profiles(float(l), log_q, [0])[0, 0])
-            worst = max(worst, abs(got - column[l]))
+        column = assoc_legendre(50, 0, math.cos(theta))
+        got = kernel_mode_profiles(np.arange(51.0), boundary_log_pairing(theta), [0])
+        worst = max(worst, float(np.max(np.abs(got[:, 0, 0] - column))))
     return _result(
         "zonal-kernel-identity", worst, 1e-10,
         "mode-0 kernel vs Legendre recurrence, l <= 50, three angles",
@@ -86,12 +88,18 @@ def check_round_trip(seed: int = 0) -> CheckResult:
 
 
 def check_full_order_round_trip(seed: int = 0) -> CheckResult:
-    """synthesize then analyze restores every entry of a full-order table."""
+    """synthesize then analyze restores every entry of a full-order table.
+
+    The data are rho * a, with rho from one array call of
+    bridge_factor_candidate over the entries |m| <= l.
+    """
     lmax = 64
     # unit-norm-basis data: rho * a with a complex normal, zero for l < |m|
-    rho = np.array([[bridge_factor_candidate(l, m) if abs(m) <= l else 0.0
-                     for m in range(-lmax, lmax + 1)] for l in range(lmax + 1)])
-    full = rho != 0.0
+    ls, ms = lm_grid(lmax)
+    full = np.abs(ms) <= ls
+    l, m = np.nonzero(full)
+    rho = np.zeros(full.shape, dtype=complex)
+    rho[full] = bridge_factor_candidate(l, m - lmax)
     rng = np.random.default_rng(seed)
     table = CoefficientTable(rho * (rng.standard_normal(full.shape)
                                     + 1j * rng.standard_normal(full.shape)))
@@ -114,14 +122,18 @@ _EXTEND_BUMPS = (
 
 
 def check_extend_matches_analyze() -> CheckResult:
-    """The separated holomorphic route agrees with direct quadrature."""
+    """The separated holomorphic route agrees with direct quadrature.
+
+    Each provider is read on the integer ray l = 0..12, the stepped
+    eval_rays route that synthesize takes.
+    """
     grid = SphereGrid(96, 40)
     worst = 0.0
     for spec in _EXTEND_BUMPS:
         f = make_bump(spec, grid)
         table = analyze(f, 12)
         provider = ExtendProvider(f)
-        ms, values = sorted(provider.ktypes), provider.eval_many([complex(l) for l in range(13)])
+        ms, values = sorted(provider.ktypes), provider.eval_rays(0.0, 1.0, 13)
         got = np.array([values[:, ms.index(m)] if m in ms else np.zeros(13)
                         for m in range(-3, 4)]).T
         defect = complex_abs(got - table.values[:, 12 - 3:12 + 4])
@@ -173,21 +185,24 @@ _SCALAR_T_GRID = [
 
 
 def check_scalar_probe_independence() -> CheckResult:
-    """The probe ratio does not depend on the probe angle and equals b_m."""
+    """The probe ratio does not depend on the probe angle and equals b_m.
+
+    For each K-type m >= 1 and probe angle, one probe_integral call over
+    the stacked parameters [-t, t] gives both sides of every ratio.
+    """
     probes = (0.2, 0.5, 1.0)
+    ts = np.array(_SCALAR_T_GRID)
+    stacked = np.concatenate([-ts, ts])
+    worst_b0 = max(abs(intertwiner_scalar(0, t) - 1.0) for t in _SCALAR_T_GRID)
     spread = 0.0
     defect = 0.0
-    worst_b0 = 0.0
-    for t in _SCALAR_T_GRID:
-        worst_b0 = max(worst_b0, abs(intertwiner_scalar(0, t) - 1.0))
-        for m in (1, 2, 3):
-            vals = [
-                probe_integral(m, -t, th) / probe_integral(m, t, th)
-                for th in probes
-            ]
-            mean = sum(vals) / len(vals)
-            spread = max(spread, max(abs(v - mean) for v in vals) / abs(mean))
-            defect = max(defect, abs(mean - intertwiner_rational(m, t)) / abs(mean))
+    for m in (1, 2, 3):
+        # ratios[probe, t] = F_m(-t) / F_m(t)
+        ratios = np.array([np.divide(*np.split(probe_integral(m, stacked, th), 2))
+                           for th in probes])
+        mean = ratios.mean(axis=0)
+        spread = max(spread, np.max(np.abs(ratios - mean) / np.abs(mean)))
+        defect = max(defect, np.max(np.abs(mean - intertwiner_rational(m, ts)) / np.abs(mean)))
     # b_0 = 1 exactly, so its defect is held to a tenth of the threshold
     measured = max(spread, defect, 10.0 * worst_b0)
     return _result(

@@ -6,6 +6,8 @@ the measurement is out of tolerance. The same checks back the CLI
 command `crown-harmonics verify`.
 """
 
+import numpy as np
+
 from crown_harmonics import verify
 from crown_harmonics.verify import (
     check_certification_verdicts,
@@ -107,3 +109,45 @@ def test_scalar_probe_independence_holds_b0_to_its_tolerance(monkeypatch):
     result = check_scalar_probe_independence()
     assert not result.passed, result.line()
     assert "b0 defect 5.0e-10 vs 1e-10" in result.detail
+
+
+def test_scalar_probe_independence_holds_b_m_to_its_tolerance(monkeypatch):
+    # the closed form b_2 off by 1e-8 relative at one t fails the check
+    exact = verify.intertwiner_rational
+
+    def perturbed(m, t):
+        b = exact(m, t)
+        if m == 2:
+            b = b.copy()
+            b[7] *= 1.0 + 1e-8
+        return b
+
+    monkeypatch.setattr(verify, "intertwiner_rational", perturbed)
+    result = check_scalar_probe_independence()
+    assert not result.passed, result.line()
+    assert result.measured > 9e-9
+
+
+def test_oracle_integrals_are_batched(monkeypatch):
+    # one probe_integral call per (m, probe angle) over the stacked
+    # parameters [-t, t], and one kernel_mode_profiles call per angle
+    # over the degrees 0..50
+    calls = []
+
+    def spy(name, batched_arg):
+        exact = getattr(verify, name)
+
+        def counted(*args):
+            calls.append((name, np.shape(args[batched_arg])))
+            return exact(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    spy("probe_integral", 1)
+    spy("kernel_mode_profiles", 0)
+    monkeypatch.setattr(verify, "intertwiner_scalar", lambda m, t: 1.0)
+    _assert_check(check_scalar_probe_independence())
+    assert calls == [("probe_integral", (50,))] * 9
+    calls.clear()
+    _assert_check(check_zonal_kernel())
+    assert calls == [("kernel_mode_profiles", (51,))] * 3

@@ -16,7 +16,7 @@ from crown_harmonics.intertwining import (
     probe_integral,
     singular_distance,
 )
-from crown_harmonics.sphere import SphereGrid
+from crown_harmonics.sphere import SphereGrid, boundary_log_pairing
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import ExtendProvider
 
@@ -111,6 +111,22 @@ class TestQuadratureScalar:
                 for th in (0.2, 0.5, 1.0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-12 * abs(vals[0])
         assert abs(intertwiner_scalar(2, t) - vals[1]) < 1e-12 * abs(vals[1])
+
+    def test_probe_integral_over_an_array(self):
+        # an array t gives an array of its shape, each entry the scalar
+        # call within the roundoff floor of the probe's largest sample
+        ts = np.array(GENERIC_TS + [-t for t in GENERIC_TS]).reshape(2, 5)
+        for m, theta in ((0, 0.5), (2, 0.2), (3, 1.0)):
+            got = probe_integral(m, ts, theta)
+            assert got.shape == (2, 5) and got.dtype == complex
+            for index in np.ndindex(ts.shape):
+                t = complex(ts[index])
+                expect = probe_integral(m, t, theta)
+                assert isinstance(expect, complex)
+                power = -t - 0.5
+                peak = np.exp(np.max(np.real(power * boundary_log_pairing(theta))))
+                floor = np.finfo(float).eps * (1.0 + abs(power)) * peak
+                assert abs(got[index] - expect) <= floor
 
     def test_probe_integral_reflection_consistency(self):
         # the defining ratio: F_m(-t) / F_m(t) with F built from the

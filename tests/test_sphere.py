@@ -18,7 +18,6 @@ from crown_harmonics.sphere import (
     GridFunction,
     SphereGrid,
     boundary_log_pairing,
-    ell_value,
     kernel_mode_profiles,
     kernel_mode_sweep,
     require_resolution,
@@ -44,12 +43,15 @@ def single_mode(ell, m, theta):
 
 class TestRootDatum:
     def test_spectral_param_requires_finite(self):
-        assert ell_value(2) == 2.0 + 0.0j
+        # one bad entry among finite ones rejects the whole array, before
+        # any exponential
+        log_q = boundary_log_pairing(0.3)
+        assert kernel_mode_profiles(2, log_q, [0]).shape == (1, 1)
         for ell in (float("nan"), complex(1.0, float("inf"))):
             with pytest.raises(SchemaError):
-                ell_value(ell)
-            with pytest.raises(SchemaError):
                 single_mode(ell, 0, 0.3)
+            with np.errstate(all="raise"), pytest.raises(SchemaError):
+                kernel_mode_profiles(np.array([[0.5, 2.0 + 1.0j], [ell, 3.0]]), log_q, [0, 1])
 
 
 class TestSphereGrid:
@@ -224,6 +226,28 @@ class TestKernelModes:
             for j, m in enumerate(ms):
                 scalar = single_mode(2.0 + 1.0j, m, theta)
                 assert abs(table[i, j] - scalar) < 1e-14
+
+    def test_array_of_parameters_stacks_the_scalar_calls(self):
+        # an array ell of shape S gives S + (rows, len(ms)); every slice is
+        # the scalar call, bit for bit at integer zonal degrees and within
+        # the roundoff floor eps (1 + |ell|) max|Q^ell| elsewhere
+        thetas = np.array([0.2, 0.7, 1.3])
+        log_q = boundary_log_pairing(thetas)
+        degrees = np.arange(51.0).reshape(3, 17)
+        zonal = kernel_mode_profiles(degrees, log_q, [0])
+        assert zonal.shape == (3, 17, 3, 1)
+        for index in np.ndindex(degrees.shape):
+            assert np.array_equal(zonal[index], kernel_mode_profiles(degrees[index], log_q, [0]))
+        ells = np.array([[2.0 + 1.0j, -0.5 + 30.0j], [7.3 - 2.0j, -4.6 + 0.2j]])
+        ms = (0, 1, -3, 5)
+        table = kernel_mode_profiles(ells, log_q, ms)
+        assert table.shape == (2, 2, 3, 4)
+        for index in np.ndindex(ells.shape):
+            ell = complex(ells[index])
+            peak = np.exp(np.max(np.real(ell * log_q), axis=1))
+            floor = np.finfo(float).eps * (1.0 + abs(ell)) * peak
+            defect = np.abs(table[index] - kernel_mode_profiles(ell, log_q, ms))
+            assert np.all(defect <= floor[:, None])
 
     def test_integer_power_rows_beyond_crown(self):
         # integer powers are branch-free, so profile rows past pi/2 are fine

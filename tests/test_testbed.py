@@ -203,6 +203,19 @@ class TestBridge:
                         worst = max(worst, float(err))
         assert worst < 1e-12
 
+    def test_candidate_over_arrays_is_the_scalar_form_bit_for_bit(self):
+        # every 0 <= |m| <= l <= 128 in one call, and a broadcast (l, m)
+        # pair of shapes, each entry the scalar form's bits
+        ls, ms = np.nonzero(np.abs(np.arange(-128, 129)) <= np.arange(129)[:, None])
+        ms = ms - 128
+        got = bridge_factor_candidate(ls, ms)
+        expect = np.array([bridge_factor_candidate(l, m) for l, m in zip(ls.tolist(), ms.tolist())])
+        assert got.shape == ls.shape and got.dtype == complex
+        assert got.tobytes() == expect.tobytes()
+        table = bridge_factor_candidate(np.arange(4, 9)[:, None], np.arange(-4, 5))
+        assert table.shape == (5, 9)
+        assert table[2, 1].tobytes() == np.complex128(bridge_factor_candidate(6, -3)).tobytes()
+
     def test_measured_factors_match_candidate(self):
         # the full-table measurement resolves every entry with l >= |m| and
         # matches the closed form on each, orders -4..4
