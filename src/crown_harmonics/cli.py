@@ -149,10 +149,10 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_pw_report(args) -> int:
+    calib = _parse_calibration(args.calib)
     f = loads_grid_function(_read_text(args.input))
     provider = ExtendProvider(f)
     radii = _parse_radii(args.radii)
-    calib = _parse_calibration(args.calib)
     report = pw_report(provider, radii, calib)
     _write_text(args.output, dumps_report(report))
     if args.csv is not None:

@@ -70,16 +70,6 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=nodes, weights=weights, order=n)
 
 
-def complex_abs(z) -> np.ndarray:
-    """Elementwise |z|, rounded exactly as Python's abs(complex).
-
-    Both go through libm hypot on the real and imaginary parts; np.abs on
-    a complex array takes a vectorized route whose last bit can differ.
-    """
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
-
-
 def _check_unit_interval(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-14):

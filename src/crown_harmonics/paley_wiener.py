@@ -38,8 +38,9 @@ class Calibration:
     each decay constant when the sampling lattice is doubled. The line
     and disc sampling parameters are exposed so the verdict is fully
     reproducible from the report alone. A non-finite or out-of-range
-    value, or a decay_kmax or n_samples that is not an int (a bool
-    counts as not), raises SchemaError.
+    value, a decay_kmax or n_samples that is not an int (a bool counts
+    as not), or an n_samples and tail_fraction that leave fit_type fewer
+    than 8 tail samples raises SchemaError.
     """
 
     weyl_tol: float = 1e-6
@@ -62,6 +63,9 @@ class Calibration:
             ("decay_kmax >= 0", self.decay_kmax >= 0), ("n_samples >= 8", self.n_samples >= 8),
             ("0 < tail_fraction <= 1", 0 < self.tail_fraction <= 1),
             ("disc_radius > 0", self.disc_radius > 0)) if not holds]
+        if not broken and self.n_samples - _tail_start(self.n_samples, self.tail_fraction) < 8:
+            broken.append("n_samples - round(n_samples * (1 - tail_fraction)) >= 8, "
+                          "the tail samples of the type fit")
         if broken:
             raise SchemaError("calibration needs " + ", ".join(broken))
 
@@ -126,6 +130,11 @@ def type_estimate(provider, t_max: float = 40.0, n_samples: int = 160,
     return fit_type(ts, vals, tail_fraction)
 
 
+def _tail_start(n_samples: int, tail_fraction: float) -> int:
+    """Index of the first line sample in the tail that fit_type fits."""
+    return int(round(n_samples * (1.0 - tail_fraction)))
+
+
 def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
     """Type fit on an existing line scan.
 
@@ -147,7 +156,7 @@ def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
     t_max = float(ts[-1])
     if np.max(vals) == 0.0:
         return TypeEstimate(0.0, 0.0, 0.0, t_max, n_samples)
-    start = int(round(n_samples * (1.0 - tail_fraction)))
+    start = _tail_start(n_samples, tail_fraction)
     tt = ts[start:]
     vv = vals[start:]
     keep = vv > 0.0

@@ -5,10 +5,14 @@ derivatives, random band-limited functions from seeded coefficient
 tables, and a classical projection transform (oracle_sht) that shares
 no inner loops with the kernel route in transform.analyze: one
 associated Legendre column per order, every degree from a single
-recurrence, projected by explicit phase sums. The bridge
-between the two coefficient conventions is measured from test functions
-(bridge_factors) and held to its closed form (bridge_factor_candidate)
-by verify's classical-bridge check; library code never assumes it.
+recurrence, projected by explicit phase sums. oracle_sht takes one
+function or a sequence of functions on one grid, and builds the
+Legendre columns and harmonic norms once for the whole sequence. The
+bridge between the two coefficient conventions is measured entry by
+entry from the two tables of a test function (bridge_factors) and held
+to its closed form (bridge_factor_candidate) by verify's
+classical-bridge check; library code never assumes it. The dense-table
+helpers lm_grid and complex_abs serve this module and verify.
 """
 
 from __future__ import annotations
@@ -19,12 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .numerics import assoc_legendre, complex_abs
+from .numerics import assoc_legendre
 from .sphere import GridFunction, SphereGrid, require_resolution
-from .transform import CoefficientTable, TableProvider, analyze, lm_grid, synthesize
+from .transform import CoefficientTable, TableProvider, synthesize
 
 PROFILE_SMOOTH = "smooth"
 PROFILE_COSPOW = "cospow"
+
+
+def lm_grid(lmax: int):
+    """Broadcastable degree and order arrays (l[:, None], m[None, :]) of the
+    dense (lmax + 1, 2 lmax + 1) table layout."""
+    return np.arange(lmax + 1)[:, None], np.arange(-lmax, lmax + 1)[None, :]
+
+
+def complex_abs(z) -> np.ndarray:
+    """Elementwise |z|, rounded exactly as Python's abs(complex).
+
+    Both go through libm hypot on the real and imaginary parts; np.abs on
+    a complex array takes a vectorized route whose last bit can differ.
+    """
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -187,28 +207,42 @@ def _unit_harmonic_norm(l: int, m: int) -> float:
     return math.sqrt((2 * l + 1) / ratio)
 
 
-def oracle_sht(f: GridFunction, lmax: int) -> CoefficientTable:
+def oracle_sht(f, lmax: int):
     """Classical coefficients by brute-force projection onto harmonics.
 
     Deliberately naive and structurally disjoint from transform.analyze:
     one associated Legendre recurrence per order |m|, explicit phase
     sums, no pairing powers, no FFT. Serves as the independent oracle
     route.
+
+    f is one GridFunction, giving one CoefficientTable, or a sequence of
+    GridFunctions on one grid, giving a list of tables in the same order.
+    The Legendre column and the norm vector of each order |m| are built
+    once for the whole sequence, and every table equals the one a call
+    on its function alone gives, bit for bit. Functions on different
+    grids raise SchemaError.
     """
-    require_resolution(f.grid, lmax)
-    grid = f.grid
+    single = isinstance(f, GridFunction)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise SchemaError("oracle_sht needs at least one grid function")
+    grid = fs[0].grid
+    if any(g.grid != grid for g in fs):
+        raise SchemaError("oracle_sht needs every function on one grid")
+    require_resolution(grid, lmax)
+    stack = np.stack([g.values for g in fs])
     u = np.cos(grid.theta)
     w = grid.theta_weights / grid.n_phi
-    columns = [assoc_legendre(lmax, k, u) for k in range(lmax + 1)]
-    values = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    for m in range(-lmax, lmax + 1):
-        k = abs(m)
-        phase = np.exp(-1j * m * grid.phi_nodes)
-        azimuthal = f.values @ phase  # sum_j f(theta_i, phi_j) e^{-im phi_j}
-        norms = np.array([_unit_harmonic_norm(l, m) for l in range(k, lmax + 1)])
-        radial = norms[:, None] * columns[k][k:]
-        values[k:, m + lmax] = np.sum(w * radial * azimuthal, axis=1)
-    return CoefficientTable(values)
+    values = np.zeros((len(fs), lmax + 1, 2 * lmax + 1), dtype=complex)
+    for k in range(lmax + 1):
+        norms = np.array([_unit_harmonic_norm(l, k) for l in range(k, lmax + 1)])
+        weighted = w * (norms[:, None] * assoc_legendre(lmax, k, u)[k:])
+        for m in ((k, -k) if k else (0,)):
+            phase = np.exp(-1j * m * grid.phi_nodes)
+            azimuthal = stack @ phase  # sum_j f(theta_i, phi_j) e^{-im phi_j}
+            values[:, k:, m + lmax] = np.sum(weighted * azimuthal[:, None, :], axis=2)
+    tables = [CoefficientTable(v) for v in values]
+    return tables[0] if single else tables
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +273,23 @@ def bridge_factor_candidate(l, m):
     return phase[k] * (mag / np.sqrt(2 * l + 1))
 
 
-def bridge_factors(f: GridFunction, lmax: int):
-    """Measured conversion factors rho with analyze = rho * oracle_sht.
+def bridge_factors(kernel, classical):
+    """Measured conversion factors rho with kernel = rho * classical.
 
-    Returns (ratios, resolved) in the dense table layout: resolved marks
-    the entries l >= |m| whose classical coefficient exceeds 1e-6 of its
-    peak, and ratios is NaN elsewhere. Python complex division rounds
-    once; NumPy's multiplies by a reciprocal.
+    kernel and classical are the dense (lmax + 1, 2 lmax + 1) value
+    arrays of one function's analyze and oracle_sht tables. Returns
+    (ratios, resolved) in that layout: resolved marks the entries
+    l >= |m| whose classical coefficient exceeds 1e-6 of its peak, and
+    ratios is NaN elsewhere. Python complex division rounds once;
+    NumPy's multiplies by a reciprocal.
     """
-    kern = analyze(f, lmax).values
-    clas = oracle_sht(f, lmax).values
-    ls, ms = lm_grid(lmax)
-    resolved = (ls >= np.abs(ms)) & (complex_abs(clas) > 1e-6 * complex_abs(clas).max())
-    ratios = np.full(kern.shape, np.nan, dtype=complex)
-    ratios[resolved] = [a / b for a, b in zip(kern[resolved].tolist(), clas[resolved].tolist())]
+    kernel, classical = np.asarray(kernel, dtype=complex), np.asarray(classical, dtype=complex)
+    if kernel.shape != classical.shape:
+        raise SchemaError(f"table shapes differ: {kernel.shape} and {classical.shape}")
+    ls, ms = lm_grid(CoefficientTable(classical).lmax)
+    magnitude = complex_abs(classical)
+    resolved = (ls >= np.abs(ms)) & (magnitude > 1e-6 * magnitude.max())
+    ratios = np.full(kernel.shape, np.nan, dtype=complex)
+    ratios[resolved] = [a / b for a, b in zip(kernel[resolved].tolist(),
+                                              classical[resolved].tolist())]
     return ratios, resolved

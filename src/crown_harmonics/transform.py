@@ -99,12 +99,6 @@ class CoefficientTable:
         return frozenset((columns - self.lmax).tolist())
 
 
-def lm_grid(lmax: int):
-    """Broadcastable degree and order arrays (l[:, None], m[None, :]) of the
-    dense (lmax + 1, 2 lmax + 1) table layout."""
-    return np.arange(lmax + 1)[:, None], np.arange(-lmax, lmax + 1)[None, :]
-
-
 # ---------------------------------------------------------------------------
 # analyze: azimuthal FFT, then the closed-form kernel modes degree by degree
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intertwining import intertwiner_rational, intertwiner_scalar, probe_integral
-from .numerics import assoc_legendre, complex_abs
+from .numerics import assoc_legendre
 from .paley_wiener import pw_report, type_estimate, weyl_residual
 from .reduction import intertwine_check, kostant_ratio, ladder_components, reduction_synthesize
 from .sphere import SphereGrid, boundary_log_pairing, kernel_mode_profiles, support_radius
@@ -23,18 +23,13 @@ from .testbed import (
     BumpSpec,
     bridge_factor_candidate,
     bridge_factors,
+    complex_abs,
+    lm_grid,
     make_bump,
     oracle_sht,
     random_bandlimited,
 )
-from .transform import (
-    CoefficientTable,
-    ExtendProvider,
-    TableProvider,
-    analyze,
-    lm_grid,
-    synthesize,
-)
+from .transform import CoefficientTable, ExtendProvider, TableProvider, analyze, synthesize
 
 
 @dataclass(frozen=True)
@@ -339,29 +334,34 @@ def check_vanishing_rule() -> CheckResult:
 
 def check_classical_bridge() -> CheckResult:
     """Kernel coefficients match classical projections through a bridge
-    that matches its closed form."""
+    that matches its closed form.
+
+    One oracle_sht call projects all seven functions, and the closed
+    form comes from one array call of bridge_factor_candidate.
+    """
     lmax = 16
     grid = SphereGrid(24, 40)
 
     # measure the bridge from two fixed functions, then test it on five
     # fresh ones it has never seen
-    bridges, known = bridge_factors(random_bandlimited(grid, lmax, lmax, 101)[0], lmax)
-    again, known_again = bridge_factors(random_bandlimited(grid, lmax, lmax, 202)[0], lmax)
+    fs = [random_bandlimited(grid, lmax, lmax, seed)[0] for seed in (101, 202, 11, 12, 13, 14, 15)]
+    kerns = [analyze(f, lmax).values for f in fs]
+    clas = [table.values for table in oracle_sht(fs, lmax)]
+    bridges, known = bridge_factors(kerns[0], clas[0])
+    again, known_again = bridge_factors(kerns[1], clas[1])
     both = known & known_again
     bridge_defect = np.max(complex_abs(again[both] - bridges[both]) / complex_abs(bridges[both]),
                            initial=0.0)
 
     worst = 0.0
-    for seed in (11, 12, 13, 14, 15):
-        f, _ = random_bandlimited(grid, lmax, lmax, seed)
-        kern = analyze(f, lmax).values
-        clas = oracle_sht(f, lmax).values
-        predicted = [r * c for r, c in zip(bridges[known].tolist(), clas[known].tolist())]
+    for kern, c in zip(kerns[2:], clas[2:]):
+        predicted = [r * x for r, x in zip(bridges[known].tolist(), c[known].tolist())]
         defect = complex_abs(kern[known] - np.array(predicted)) / complex_abs(kern).max()
         worst = max(worst, np.max(defect, initial=0.0))
 
     # the measured bridge against its closed form, on every resolved entry
-    closed = np.array([bridge_factor_candidate(l, m - lmax) for l, m in zip(*np.nonzero(known))])
+    l, m = np.nonzero(known)
+    closed = bridge_factor_candidate(l, m - lmax)
     closed_defect = np.max(complex_abs(bridges[known] - closed) / complex_abs(closed), initial=0.0)
     measured = max(worst, bridge_defect, closed_defect)
     return _result(

@@ -88,13 +88,51 @@ def test_classical_bridge_holds_the_closed_form(monkeypatch):
     exact = verify.bridge_factor_candidate
 
     def perturbed(l, m):
-        rho = exact(l, m)
-        return rho * (1.0 + 1e-8) if (l, m) == (9, -4) else rho
+        rho = exact(l, m).copy()
+        rho[(l == 9) & (m == -4)] *= 1.0 + 1e-8
+        return rho
 
     monkeypatch.setattr(verify, "bridge_factor_candidate", perturbed)
     result = check_classical_bridge()
     assert not result.passed, result.line()
     assert result.measured > 9e-9
+
+
+def test_classical_bridge_compares_every_fresh_function(monkeypatch):
+    # the fifth fresh function's classical table off by 1e-8 relative at
+    # its peak entry fails the check, though all seven share one call
+    exact = verify.oracle_sht
+
+    def perturbed(fs, lmax):
+        tables = exact(fs, lmax)
+        kern = verify.analyze(fs[6], lmax).values
+        peak = np.unravel_index(np.argmax(np.abs(kern)), kern.shape)
+        tables[6].values[peak] *= 1.0 + 1e-8
+        return tables
+
+    monkeypatch.setattr(verify, "oracle_sht", perturbed)
+    result = check_classical_bridge()
+    assert not result.passed, result.line()
+    assert result.measured > 9e-9
+
+
+def test_classical_bridge_projects_once(monkeypatch):
+    # one oracle_sht call over the seven functions, one analyze each
+    calls = []
+
+    def spy(name):
+        exact = getattr(verify, name)
+
+        def counted(f, lmax):
+            calls.append((name, len(f) if isinstance(f, list) else 1))
+            return exact(f, lmax)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    spy("oracle_sht")
+    spy("analyze")
+    _assert_check(check_classical_bridge())
+    assert sorted(calls) == [("analyze", 1)] * 7 + [("oracle_sht", 7)]
 
 
 def test_scalar_probe_independence_holds_b0_to_its_tolerance(monkeypatch):

@@ -199,6 +199,18 @@ class TestPwReport:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "schema"
 
+    def test_unfittable_calibration_exits_before_evaluation(self, capsys, bump_file,
+                                                            monkeypatch):
+        # 12 line samples at the default tail_fraction leave the type fit
+        # 6 tail samples: a schema error before any provider is built
+        built = []
+        monkeypatch.setattr("crown_harmonics.cli.ExtendProvider", built.append)
+        path, _ = bump_file
+        rc = main(["pw-report", "--input", str(path), "--radii", "0.5",
+                   "--calib", "n_samples=12"])
+        assert rc == 2 and built == []
+        assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
 
 class TestNumericalFailureStderr:
     @pytest.mark.parametrize("args", [

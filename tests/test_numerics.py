@@ -10,7 +10,8 @@ import pytest
 
 from crown_harmonics import numerics
 from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
-from crown_harmonics.numerics import assoc_legendre, complex_abs, gauss_legendre
+from crown_harmonics.numerics import assoc_legendre, gauss_legendre
+from crown_harmonics.testbed import complex_abs
 
 # frozen oracles (sympy, 2026-08)
 P40_AT_03 = 0.12511584585570795544

@@ -237,6 +237,20 @@ class TestCalibration:
         calib = Calibration(type_slack=0.0, decay_kmax=0, n_samples=8, tail_fraction=1.0)
         assert calib.as_dict()["n_samples"] == 8
 
+    @pytest.mark.parametrize("tail_fraction", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n_samples", range(8, 17))
+    def test_accepts_exactly_the_pairs_the_type_fit_can_run(self, n_samples, tail_fraction):
+        # fit_type needs 8 tail samples; a pair that leaves fewer would
+        # raise NumericalError in every pw_report, so it is a schema error
+        ts = np.linspace(0.5, 40.0, n_samples)
+        try:
+            fit_type(ts, np.exp(0.7 * ts), tail_fraction)
+        except NumericalError:
+            with pytest.raises(SchemaError, match="tail samples"):
+                Calibration(n_samples=n_samples, tail_fraction=tail_fraction)
+        else:
+            Calibration(n_samples=n_samples, tail_fraction=tail_fraction)
+
 
 class TestReport:
     def test_symmetric_provider_passes_everywhere(self):

@@ -17,6 +17,7 @@ from crown_harmonics import testbed
 from crown_harmonics.errors import SchemaError
 from crown_harmonics.numerics import assoc_legendre
 from crown_harmonics.sphere import GridFunction, SphereGrid
+from crown_harmonics.transform import analyze
 from crown_harmonics.testbed import (
     BumpSpec,
     bridge_factor_candidate,
@@ -166,6 +167,27 @@ class TestClassicalOracle:
         f, _ = random_bandlimited(SphereGrid(24, 40), 16, 16, seed=4)
         oracle_sht(f, 16)
         assert sorted(calls) == [(16, m) for m in range(17)]
+        # a list of functions shares the columns of one call
+        calls.clear()
+        oracle_sht([f, f, f], 16)
+        assert sorted(calls) == [(16, m) for m in range(17)]
+
+    def test_list_of_functions_equals_the_single_calls_bit_for_bit(self):
+        grid = SphereGrid(24, 40)
+        fs = [random_bandlimited(grid, 16, 16, seed)[0] for seed in (101, 202, 11)]
+        tables = oracle_sht(fs, 16)
+        assert isinstance(tables, list) and len(tables) == 3
+        for f, table in zip(fs, tables):
+            assert table.values.tobytes() == oracle_sht(f, 16).values.tobytes()
+        assert oracle_sht(fs[:1], 16)[0].values.tobytes() == tables[0].values.tobytes()
+
+    def test_functions_on_two_grids_are_a_schema_error(self):
+        f, _ = random_bandlimited(SphereGrid(24, 40), 8, 8, seed=1)
+        g, _ = random_bandlimited(SphereGrid(24, 36), 8, 8, seed=1)
+        with pytest.raises(SchemaError):
+            oracle_sht([f, g], 8)
+        with pytest.raises(SchemaError):
+            oracle_sht([], 8)
 
     def test_oracle_names_no_kernel_route(self):
         # the classical-bridge check compares two disjoint routes: the
@@ -220,7 +242,7 @@ class TestBridge:
         # the full-table measurement resolves every entry with l >= |m| and
         # matches the closed form on each, orders -4..4
         f, _ = random_bandlimited(SphereGrid(24, 40), lmax=8, mmax=4, seed=3)
-        ratios, resolved = bridge_factors(f, 8)
+        ratios, resolved = bridge_factors(analyze(f, 8).values, oracle_sht(f, 8).values)
         ls, ms = np.nonzero(resolved)
         ms = ms - 8
         assert resolved.sum() == sum(2 * min(l, 4) + 1 for l in range(9))
@@ -228,6 +250,10 @@ class TestBridge:
         for l, m, rho in zip(ls, ms, ratios[resolved]):
             expect = bridge_factor_candidate(l, m)
             assert abs(rho - expect) < 1e-9 * abs(expect), (l, m)
+
+    def test_factors_need_two_tables_of_one_shape(self):
+        with pytest.raises(SchemaError):
+            bridge_factors(np.ones((3, 5)), np.ones((4, 7)))
 
     def test_random_bandlimited_consistency(self):
         grid = SphereGrid(32, 20)

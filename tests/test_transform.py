@@ -25,6 +25,7 @@ from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
 from crown_harmonics.testbed import (
     BumpSpec,
     bridge_factor_candidate,
+    lm_grid,
     make_bump,
     random_bandlimited,
     random_table,
@@ -38,7 +39,6 @@ from crown_harmonics.transform import (
     TableProvider,
     analyze,
     extend,
-    lm_grid,
     ray_points,
     synthesize,
 )
