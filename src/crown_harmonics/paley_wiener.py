@@ -124,8 +124,12 @@ def type_estimate(provider, t_max: float = 40.0, n_samples: int = 160,
 
     Each K-type is fitted on its own line samples (see fit_type); the
     type of a K-finite function is the largest type among its K-type
-    components, so the fit with the largest upper end is returned.
+    components, so the fit with the largest upper end is returned. The
+    arguments are checked by Calibration's rules before the provider is
+    called: a tail_fraction outside (0, 1], or one that leaves fit_type
+    fewer than 8 tail samples, raises SchemaError.
     """
+    Calibration(t_max=t_max, n_samples=n_samples, tail_fraction=tail_fraction)
     ts, vals = sample_line(provider, t_max, n_samples)
     return fit_type(ts, vals, tail_fraction)
 
@@ -196,11 +200,17 @@ def _require_finite(values, points, ktypes):
 def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
     """(origins, steps) of the disc lattice: n_angles rays from the centre
     -1/2, read at n_radii + 1 points, with steps (disc_radius / n_radii)
-    e^{i angle}. The steps come in exact pairs +step, -step, each pair
-    adjacent: the angles 2 pi k / n_angles, k < n_angles / 2, each
-    followed by its opposite."""
-    angles = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
-    half = disc_radius / n_radii * np.exp(1j * angles)
+    e^{i angle} at the angles 2 pi k / n_angles, n_angles a multiple of 4.
+    The steps come in exact pairs +step, -step, each pair adjacent: the
+    angles k < n_angles / 2, each followed by its opposite. The steps of
+    the first quadrant, k <= n_angles / 4, are computed, the one at pi/2
+    exactly imaginary, and each step of the second quadrant is the exact
+    -conj of one of them. So every ray past the first n_angles / 2 + 1
+    is the exact conjugate of an earlier one."""
+    quarter = n_angles // 4
+    angles = 2.0 * math.pi * np.arange(quarter) / n_angles
+    first = np.append(disc_radius / n_radii * np.exp(1j * angles), 1j * (disc_radius / n_radii))
+    half = np.concatenate([first, -first[quarter - 1:0:-1].conj()])
     return np.full(n_angles, -0.5 + 0.0j), np.stack([half, -half], axis=1).ravel()
 
 
@@ -209,9 +219,13 @@ def decay_profile(provider, disc_radius: float = 20.0):
 
     The provider is evaluated once, on the refined lattice, in one
     eval_rays call over its 32 rays from the centre -1/2 (see
-    _disc_rays), read at 17 points each; the centre is dropped. The base
-    lattice is every other radius and every other angle of it, and is
-    the base sizes' rays up to roundoff. So every weighted maximum
+    _disc_rays), read at 17 points each; the centre is dropped. Rays
+    17..31 are the exact conjugates of earlier rays, so an ExtendProvider
+    computes the 17 rays of the first and third quadrants (289 points),
+    from the start and the nine first-quadrant step kernels where no
+    point is reflected, and reads the other 15 from their kernels. The
+    base lattice is every other radius and every other angle of it, and
+    is the base sizes' rays up to roundoff. So every weighted maximum
     computed from the refined lattice dominates the base value and the
     doubling ratio is at least 1 by construction. Returns (base_pts,
     base_mags, dense_pts, dense_mags), radius-major with the points as

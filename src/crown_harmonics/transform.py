@@ -189,6 +189,27 @@ def ray_points(origins, steps, n: int) -> np.ndarray:
     return points
 
 
+def _conjugate_twins(points: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """For each ray of a batch, the later ray whose origin and step are its
+    exact conjugates, or -1.
+
+    A ray with a twin is not itself one, and has at most one; a ray whose
+    points are all real is its own conjugate and has none. A ray that is
+    conjugate to an earlier one only up to roundoff has none either.
+    """
+    twins = np.full(len(points), -1)
+    if not points.shape[1]:
+        return twins
+    waiting = {}
+    for i, key in enumerate(zip(points[:, 0].tolist(), steps.tolist())):
+        partner = waiting.pop(key, None)
+        if partner is not None:
+            twins[partner] = i
+        elif points[i].imag.any():
+            waiting.setdefault((key[0].conjugate(), key[1].conjugate()), i)
+    return twins
+
+
 def _format_ell(ell) -> str:
     ell = complex(ell)
     return f"{ell.real:g}" if ell.imag == 0.0 else f"{ell:g}"
@@ -218,7 +239,22 @@ class ExtendProvider(CoefficientProvider):
     one long dot product of the kernel with weights and cosines folded
     together gives up the short row sum and the pairwise cosine sum. The
     kernel is shared by all K-types. eval_many takes one point per ray,
-    so a single point takes an exact exponential.
+    so a single point takes an exact exponential, unless it is the exact
+    conjugate of an earlier one.
+
+    Q(theta, pi - c) = conj Q(theta, c), and the folded cosines of mode m
+    at pi - c are (-1)^|m| times those at c, so phi(conj ell, m) =
+    (-1)^|m| conj(the fold of conj(w f_m) Q^ell). A ray whose origin and
+    step are the exact conjugates of an earlier ray's, off the real axis,
+    is read from that ray's kernels: one more (K x rows)(rows x 257) row
+    product per point, with the conjugate weights, into a second block
+    buffer, folded by the same cosines, conjugated and multiplied by
+    (-1)^|m|. It takes the earlier ray's routes and no exponential, step
+    multiply or route test of its own; its reflected points take b_m,
+    and its poles the direct value, at its own parameters. A block ends
+    at the first point where either ray is not finite. The product stays
+    separate from the earlier ray's: one over 2K rows takes a different
+    BLAS edge kernel and changes the last bits of the computed ray.
 
     Routes are decided per ray, from the last significant row, so the
     route arrays grow with the longest ray, not with the batch. The log
@@ -296,6 +332,12 @@ class ExtendProvider(CoefficientProvider):
         np.exp(kernel, out=kernel)
         return kernel
 
+    def _fold(self, block: np.ndarray) -> np.ndarray:
+        """The values of a block of row products: times the folded cosines, in
+        place, then summed over the 257 samples."""
+        np.multiply(block, self._cosines, out=block)
+        return np.add.reduce(block, axis=2)
+
     def _contract(self, kernel: np.ndarray) -> np.ndarray:
         """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
         return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
@@ -327,12 +369,24 @@ class ExtendProvider(CoefficientProvider):
         reflect = np.zeros(points.shape, dtype=bool)
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
         prod = np.empty((_RAY_BLOCK, len(ms), edge.size), dtype=complex)
+        # twins[i] is the later ray read from ray i's kernels, or -1; a twin
+        # is contracted with the conjugate weights into its own block
+        twins = _conjugate_twins(points, steps)
+        derived = np.zeros(len(points), dtype=bool)
+        derived[twins[twins >= 0]] = True
+        if derived.any():
+            conj_weighted = self._weighted.conj()
+            twin_prod = np.empty_like(prod)
+            parity = np.where(ks % 2, -1.0, 1.0)
         # kernel is the working buffer a run steps; across rays the call
         # holds the last run-start kernel and the last step kernel, each
         # with its power
         kernel = np.empty_like(self._log_q)
         start_power = start = step_power = step_kernel = None
         for i, (ray, step) in enumerate(zip(points, steps)):
+            if derived[i]:
+                continue
+            twin = twins[i]
             # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
             # the last row; where the direct power would cancel, -ell-1 is
             # reflected
@@ -342,6 +396,8 @@ class ExtendProvider(CoefficientProvider):
             a += edge.real
             reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
                 -a.min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+            if twin >= 0:
+                reflect[twin] = reflect[i]
             routes = reflect[i].tolist()
             # a run of points on one route starts from Q^power: the held
             # start if the power is the same, else an exact exponential.
@@ -379,14 +435,23 @@ class ExtendProvider(CoefficientProvider):
                             start_power, start = power, self._kernel(power)
                         np.copyto(kernel, start)
                     np.matmul(self._weighted, kernel, out=block[b])
+                    if twin >= 0:
+                        np.matmul(conj_weighted, kernel, out=twin_prod[b])
                     prev = route
-                np.multiply(block, self._cosines, out=block)
-                values = np.add.reduce(block, axis=2)
+                values = self._fold(block)
                 finite = np.isfinite(values).all(axis=1)
+                if twin >= 0:
+                    # phi(conj ell, m) = (-1)^|m| conj(the fold of conj(w f_m) Q^ell)
+                    twin_values = self._fold(twin_prod[:w])
+                    np.conjugate(twin_values, out=twin_values)
+                    twin_values *= parity
+                    finite &= np.isfinite(twin_values).all(axis=1)
                 if not finite.all():
                     w, prev = int(finite.argmin()) + 1, None
                     start_power = step_power = step_kernel = None
                 out[i * n + j:i * n + j + w] = values[:w]
+                if twin >= 0:
+                    out[twin * n + j:twin * n + j + w] = twin_values[:w]
                 j += w
         # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
         # the rule leaves roundoff there, or the alias of mode m - 512

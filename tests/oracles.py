@@ -8,7 +8,8 @@ import numpy as np
 
 from crown_harmonics.errors import SingularParameterError
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.sphere import DEFAULT_BOUNDARY_SAMPLES, SUPPORT_REL_THRESHOLD
+from crown_harmonics.sphere import DEFAULT_BOUNDARY_SAMPLES, SUPPORT_REL_THRESHOLD, GridFunction
+from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import (
     _LOG_AMP_ADVANTAGE_MIN,
     _LOG_AMP_DIRECT_MAX,
@@ -190,3 +191,17 @@ def extend_reference(f, ells, m: int, own_rows: bool = False):
 
     values, floors = zip(*(one(complex(ell)) for ell in ells))
     return np.array(values), np.array(floors)
+
+
+def certify_class(name, r, grid):
+    """The four bump classes of the certify benchmark at radius r."""
+    if name == "two-type":
+        inner = make_bump(BumpSpec(0.6 * r), grid)
+        outer = make_bump(BumpSpec(r, ktype=2), grid)
+        return GridFunction(grid, inner.values + outer.values)
+    spec = {"smooth-zonal": BumpSpec(r), "smooth-ktype1": BumpSpec(r, ktype=1),
+            "cospow-p8": BumpSpec(r, "cospow", p=8)}[name]
+    return make_bump(spec, grid)
+
+
+CERTIFY_CLASSES = ("smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8")

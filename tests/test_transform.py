@@ -44,7 +44,9 @@ from crown_harmonics.transform import (
 )
 from crown_harmonics.serialization import dumps_table, loads_table
 from oracles import (
+    CERTIFY_CLASSES,
     FakeProvider,
+    certify_class,
     extend_reference,
     per_order_analyze,
     per_order_synthesize,
@@ -353,20 +355,6 @@ class TestProviders:
                 provider.eval(ell, 0)
 
 
-def certify_class(name, r, grid):
-    """The four bump classes of the certify benchmark at radius r."""
-    if name == "two-type":
-        inner = make_bump(BumpSpec(0.6 * r), grid)
-        outer = make_bump(BumpSpec(r, ktype=2), grid)
-        return GridFunction(grid, inner.values + outer.values)
-    spec = {"smooth-zonal": BumpSpec(r), "smooth-ktype1": BumpSpec(r, ktype=1),
-            "cospow-p8": BumpSpec(r, "cospow", p=8)}[name]
-    return make_bump(spec, grid)
-
-
-CERTIFY_CLASSES = ("smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8")
-
-
 class TestBatchedProviders:
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_extend_matches_full_boundary_route(self, name):
@@ -494,7 +482,12 @@ def per_point_rays(provider, origins, steps, n):
     the held one if the step is the same, its reciprocal if the step is
     its negation, else an exact _kernel, and a step kernel that is not
     finite is not used. Every point is one _contract, and a value that
-    is not finite ends its run and drops both held kernels.
+    is not finite ends its run and drops both held kernels. The first
+    later ray whose origin and step are the exact conjugates of a ray
+    with a point off the real axis is read from that ray's kernels, with
+    its routes: (-1)^|m| times the conjugate of the contraction with the
+    conjugate weights, and a value of either that is not finite ends the
+    run.
     """
     ms = sorted(provider.ktypes)
     ks = np.abs(ms)
@@ -504,12 +497,28 @@ def per_point_rays(provider, origins, steps, n):
     out = np.zeros((ells.size, len(ms)), dtype=complex)
     reflect = np.zeros(points.shape, dtype=bool)
     steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
+    twins, derived = {}, set()
+    for i in range(len(points) if n else 0):
+        if i in derived or not np.any(points[i].imag):
+            continue
+        later = [q for q in range(i + 1, len(points)) if q not in derived and q not in twins
+                 and points[q, 0] == np.conj(points[i, 0]) and steps[q] == np.conj(steps[i])]
+        if later:
+            twins[i] = later[0]
+            derived.add(later[0])
+    conj_weighted = provider._weighted.conj()
+    parity = np.where(ks % 2, -1.0, 1.0)
     start = step = (None, None)
     for i, (ray, ray_step) in enumerate(zip(points, steps)):
+        if i in derived:
+            continue
+        twin = twins.get(i)
         a = np.multiply.outer(ray.real, edge.real) - np.multiply.outer(ray.imag, edge.imag)
         log_amp = a.max(axis=1)
         reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
             -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+        if twin is not None:
+            reflect[twin] = reflect[i]
         prev = None
         for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
             power, delta = (-ell - 1.0, -ray_step) if route else (ell, ray_step)
@@ -524,6 +533,10 @@ def per_point_rays(provider, origins, steps, n):
                     start = (power, provider._kernel(power))
                 kernel = start[1].copy()
             values = out[i * n + j] = provider._contract(kernel)
+            if twin is not None:
+                conjugate = np.sum((conj_weighted @ kernel) * provider._cosines, axis=1)
+                out[twin * n + j] = np.conj(conjugate) * parity
+                values = np.r_[values, conjugate]
             prev = route
             if not np.all(np.isfinite(values)):
                 prev, start, step = None, (None, None), (None, None)
@@ -604,7 +617,8 @@ class TestRays:
     def test_blocks_are_the_per_point_loop(self, name, r):
         # points are folded in blocks, so the ray lengths straddle one and
         # two blocks; the rays are the line, two pairs of opposite disc rays
-        # (along Re l, which the wide caps reflect, and along Im l), the
+        # (along Re l, which the wide caps reflect, and along Im l, where the
+        # second is the conjugate of the first, read from its kernels), the
         # reflected integers and rays that cross between the routes
         provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
         disc_origins, disc_steps = _disc_rays(20.0, 16, 32)
@@ -637,6 +651,45 @@ class TestRays:
         for j, m in enumerate(sorted(provider.ktypes)):
             ref, floor = extend_reference(f, points, m, own_rows=True)
             assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), m
+
+    @pytest.mark.parametrize("r", [0.35, 1.0, 1.45])
+    @pytest.mark.parametrize("name", ["smooth-ktype1", "two-type"])
+    def test_conjugate_rays_are_read_from_their_partners(self, name, r):
+        # Q(theta, pi - c) = conj Q(theta, c), so phi(conj ell, m) is
+        # (-1)^|m| times the conjugate of the fold of conj(w f_m) Q^ell: the
+        # exact conjugates of two rays, one up the line and one that the
+        # wide caps reflect at large negative Re l, take no kernel of their
+        # own, leave the first two rays as they are alone, and agree with
+        # their own call within 10x the roundoff floor of the FFT route. An
+        # imaginary part of i times the class at 0.6 r gives every K-type
+        # row weights of varying phase; smooth-ktype1 has odd m
+        grid = SphereGrid(144, 8)
+        f = GridFunction(grid, certify_class(name, r, grid).values
+                         + 1j * certify_class(name, 0.6 * r, grid).values)
+        provider = ExtendProvider(f)
+        origins, steps, n = np.array([-0.5 + 0.5j, -0.5]), np.array([0.5j, -1.25 + 0.3j]), 33
+        both, calls = count_kernels(provider, lambda p: p.eval_rays(
+            np.r_[origins, origins.conj()], np.r_[steps, steps.conj()], n))
+        first, first_calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, n))
+        assert calls == first_calls
+        assert np.array_equal(both[:first.shape[0]], first)
+        alone = np.concatenate([provider.eval_rays(o, s, n)
+                                for o, s in zip(origins.conj(), steps.conj())])
+        points = ray_points(origins.conj(), steps.conj(), n).ravel()
+        for j, m in enumerate(sorted(provider.ktypes)):
+            _, floor = extend_reference(f, points, m)
+            assert np.all(np.abs(both[first.shape[0]:, j] - alone[:, j]) <= 10.0 * floor), m
+
+    def test_rays_conjugate_up_to_roundoff_are_computed(self):
+        # a ray whose origin or step is one ulp off the conjugate of an
+        # earlier ray's is no twin: it is computed, bit for bit as in its
+        # own call
+        provider = ExtendProvider(certify_class("smooth-ktype1", 1.0, SphereGrid(144, 8)))
+        origin, step = -0.5 + 2.0j, 1.1 + 0.7j
+        near = (complex(origin.real, np.nextafter(-origin.imag, 0.0)), np.conj(step))
+        for o, s in (near, (np.conj(origin), np.conj(step) + 2e-16j)):
+            got = provider.eval_rays([origin, o], [step, s], 17)
+            assert np.array_equal(got[17:], provider.eval_rays(o, s, 17)), (o, s)
 
     def test_blocks_restart_after_a_value_that_is_not_finite(self):
         # up the tempered line in steps of 30 the kernel overflows first at
