@@ -12,7 +12,6 @@ the ladder ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +26,21 @@ _GENERATORS = ("Z", "X", "Y")
 _CAP_NODES = 96
 
 
-@dataclass(frozen=True)
-class PrincipalSeriesFunction:
-    """Finite collection of azimuthal components at one spectral parameter.
-
-    components maps the azimuthal frequency m to a complex amplitude;
-    lam is the spectral coordinate (the coefficient of the positive
-    root), so the shifted parameter entering the boundary action is
-    nu = lam + 1/2.
-    """
-
-    components: dict
-    lam: complex
-
-    def __post_init__(self):
-        comps = {int(m): complex(v) for m, v in dict(self.components).items()}
-        for m, v in comps.items():
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise SchemaError(f"non-finite component at m={m}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "lam", complex(self.lam))
-
-    @property
-    def nu(self) -> complex:
-        return self.lam + 0.5
+def _generator(label) -> str:
+    gen = str(label).upper()
+    if gen not in _GENERATORS:
+        raise SchemaError(f"unknown generator label {label!r}; expected Z, X, or Y")
+    return gen
 
 
-def sigma_action(psi: PrincipalSeriesFunction, generator: str) -> PrincipalSeriesFunction:
+def sigma_action(c, nu, generator: str) -> np.ndarray:
     """Boundary model of a rotation generator on azimuthal components.
 
-    With nu = lam + 1/2 and input amplitudes c_m:
+    c is a principal-series vector: a complex array whose last axis is
+    the order window |m| <= M, amplitude c_m at index m + M. nu is the
+    shifted spectral parameter (lam + 1/2, lam the coefficient of the
+    positive root) and broadcasts over the leading axes of c. The result
+    is the window |m| <= M + 1, entry m at index m + M + 1:
 
         Z:  out[m]   = i m c_m
         X:  out[m+1] += -(i/2)(nu + m) c_m
@@ -64,73 +48,56 @@ def sigma_action(psi: PrincipalSeriesFunction, generator: str) -> PrincipalSerie
         Y:  out[m+1] += -(1/2)(nu + m) c_m
             out[m-1] += +(1/2)(nu - m) c_m
 
-    Only the frequencies allowed by the selection rule are ever
-    written, so vanishing of the others is structural, not numerical.
-    The action is first order: each generator moves m by at most one.
+    Each generator moves m by at most one, so an order that no input
+    reaches under the selection rule holds an exact zero.
     """
-    gen = str(generator).upper()
-    if gen not in _GENERATORS:
-        raise SchemaError(f"unknown generator label {generator!r}; expected Z, X, or Y")
-    nu = psi.nu
-    out: dict = {}
-
-    def add(m, v):
-        out[m] = out.get(m, 0.0 + 0.0j) + v
-
-    for m, c in psi.components.items():
-        if gen == "Z":
-            add(m, 1j * m * c)
-        elif gen == "X":
-            add(m + 1, -0.5j * (nu + m) * c)
-            add(m - 1, -0.5j * (nu - m) * c)
-        else:
-            add(m + 1, -0.5 * (nu + m) * c)
-            add(m - 1, 0.5 * (nu - m) * c)
-    return PrincipalSeriesFunction(out, psi.lam)
+    gen = _generator(generator)
+    c = np.asarray(c, dtype=complex)
+    nu = np.asarray(nu, dtype=complex)[..., None]
+    m = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2
+    shape = np.broadcast_shapes(c.shape[:-1], nu.shape[:-1]) + (c.shape[-1] + 2,)
+    out = np.zeros(shape, dtype=complex)
+    if gen == "Z":
+        out[..., 1:-1] = 1j * m * c
+        return out
+    up, down = (-0.5j, -0.5j) if gen == "X" else (-0.5, 0.5)
+    out[..., 2:] += up * (nu + m) * c
+    out[..., :-2] += down * (nu - m) * c
+    return out
 
 
-def ladder_components(handle, generator: str) -> dict:
+def ladder_components(handle, generator: str, theta) -> np.ndarray:
     """Azimuthal components of a rotation derivative of a pure-type handle.
 
     The handle carries a single K-type m0 with radial profile h, i.e.
-    f = exp(i m0 phi) h(theta). Output maps each resulting K-type m to
-    a callable theta -> radial profile of that component:
+    f = exp(i m0 phi) h(theta). Rows 0, 1, 2 of the (3, len(theta))
+    result are the radial profiles of the orders m0 - 1, m0, m0 + 1:
 
         Z:  m0      -> i m0 h
         X:  m0 +- 1 -> -h'/2 +- (m0/2) cot(theta) h
         Y:  m0 + 1  ->  (i/2)(h' - m0 cot(theta) h)
             m0 - 1  -> -(i/2)(h' + m0 cot(theta) h)
 
+    and the rows the selection rule does not reach are exact zeros.
     These are the vector fields -cos(phi) d_theta + cot(theta) sin(phi)
     d_phi (X), -sin(phi) d_theta - cot(theta) cos(phi) d_phi (Y), and
     d_phi (Z), split into azimuthal frequencies. The cot terms drop out
     for zonal input, and for |m0| >= 1 the profile h carries a
     sin(theta)^{|m0|} factor that keeps them bounded at the pole.
     """
-    gen = str(generator).upper()
+    gen = _generator(generator)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     m0 = int(handle.ktype)
-    h = handle.profile
-    hp = handle.profile_d1
-
+    out = np.zeros((3, theta.size), dtype=complex)
+    h = handle.profile(theta)
     if gen == "Z":
-        return {m0: (lambda th: 1j * m0 * h(th))}
-
-    def cot_term(th):
-        if m0 == 0:
-            return np.zeros_like(np.asarray(th, dtype=float))
-        return m0 * (np.cos(th) / np.sin(th)) * h(th)
-
-    if gen == "X":
-        return {
-            m0 + 1: (lambda th: -0.5 * hp(th) + 0.5 * cot_term(th)),
-            m0 - 1: (lambda th: -0.5 * hp(th) - 0.5 * cot_term(th)),
-        }
-    if gen == "Y":
-        return {
-            m0 + 1: (lambda th: 0.5j * (hp(th) - cot_term(th))),
-            m0 - 1: (lambda th: -0.5j * (hp(th) + cot_term(th))),
-        }
-    raise SchemaError(f"unknown generator label {generator!r}; expected Z, X, or Y")
+        out[1] = 1j * m0 * h
+        return out
+    hp = handle.profile_d1(theta)
+    cot = m0 * (np.cos(theta) / np.sin(theta)) * h if m0 else np.zeros(theta.size)
+    lower, upper = (-0.5, -0.5) if gen == "X" else (-0.5j, 0.5j)
+    out[0], out[2] = lower * (hp + cot), upper * (hp - cot)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,43 +135,41 @@ def intertwine_check(f, generators, ells) -> float:
     scalar counts as one), the left side transforms the rotation
     derivative of f at ell and the right side applies the boundary model
     at nu = -ell to the transform of f; the residual of the pair is the
-    largest difference over the K-types either side reaches, relative to
-    the largest value on both sides, and the worst pair is returned.
+    largest difference over the orders m0 - 1, m0, m0 + 1, relative to
+    the largest value on both sides, and the worst pair is returned. A
+    pair whose sides are both zero has no residual.
 
     Both sides integrate with a quadrature rule fitted to the support
     cap, so no accuracy is lost to the support edge. The cap's rule and
-    log table are built once per call, and each parameter takes one
-    kernel_mode_profiles call over the orders m0 - 1, m0, m0 + 1, which
-    every generator shares.
+    log table are built once per call, and one kernel_mode_profiles call
+    over every parameter and the three orders serves every generator;
+    each generator's two sides are (parameters x 3) arrays. A side that
+    is not finite raises NumericalError.
     """
     if not getattr(f, "handle_ok", False):
         raise SchemaError("intertwine_check needs a pole-centered bump handle")
-    gens = [str(g).upper() for g in generators]
-    for gen in gens:
-        if gen not in _GENERATORS:
-            raise SchemaError(f"unknown generator label {gen!r}")
+    gens = [_generator(g) for g in generators]
     theta, weights = cap_quadrature(f.radius, _CAP_NODES)
-    log_q = boundary_log_pairing(theta)
     m0 = f.ktype
-    ms = (m0 - 1, m0, m0 + 1)
-    seed_profile = f.profile(theta)
-    profiles = {gen: {m: prof(theta) for m, prof in ladder_components(f, gen).items()}
-                for gen in gens}
-
-    worst = 0.0
-    for ell in np.atleast_1d(np.asarray(ells, dtype=complex)).tolist():
-        weighted = weights[:, None] * kernel_mode_profiles(ell, log_q, ms)
-        kernel = dict(zip(ms, weighted.T))
-        seed = complex(np.sum(seed_profile * kernel[m0]))
-        psi = PrincipalSeriesFunction({m0: seed}, lam=-ell - 0.5)
-        for gen, components in profiles.items():
-            lhs = {m: complex(np.sum(prof * kernel[m])) for m, prof in components.items()}
-            rhs = sigma_action(psi, gen).components
-            scale = max(abs(v) for v in [*lhs.values(), *rhs.values()])
-            if scale > 0.0:
-                gap = max(abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in set(lhs) | set(rhs))
-                worst = max(worst, gap / scale)
-    return worst
+    ells = np.atleast_1d(np.asarray(ells, dtype=complex))
+    # kernel[p, :, j]: weighted kernel mode m0 - 1 + j at ells[p]
+    kernel = weights[:, None] * kernel_mode_profiles(
+        ells, boundary_log_pairing(theta), (m0 - 1, m0, m0 + 1))
+    # the transform of f as a principal-series vector on |m| <= |m0|: m0
+    # sits at index at, and so do the orders m0 - 1..m0 + 1 of the action
+    at = m0 + abs(m0)
+    window = np.zeros((ells.size, 2 * abs(m0) + 1), dtype=complex)
+    window[:, at] = kernel[:, :, 1] @ f.profile(theta)
+    residuals = []
+    for gen in gens:
+        lhs = np.einsum("jr,prj->pj", ladder_components(f, gen, theta), kernel)
+        rhs = sigma_action(window, -ells, gen)[:, at:at + 3]
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise NumericalError(f"intertwine_check: a side of generator {gen} is not finite")
+        scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+        gap = np.abs(lhs - rhs).max(axis=1)
+        residuals.append(np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0))
+    return float(np.max(residuals, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

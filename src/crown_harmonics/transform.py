@@ -154,9 +154,9 @@ class CoefficientProvider:
     n): its values at the points origins[i] + j steps[i], j = 0..n-1
     (see ray_points), as an array of shape (rays * n, len(ktypes)) with
     rows in ray-major order and column j holding the K-type
-    sorted(ktypes)[j]. eval_many(ells) is eval_rays with one point per
-    ray, and eval(ell, m) is one entry of it, exactly 0 for m outside
-    the declared set. A provider raises its own errors.
+    sorted(ktypes)[j]. eval(ell, m) is one entry of eval_rays at the
+    single point ell, exactly 0 for m outside the declared set. A
+    provider raises its own errors.
     """
 
     ktypes: frozenset = frozenset()
@@ -164,14 +164,11 @@ class CoefficientProvider:
     def eval_rays(self, origins, steps, n: int) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def eval_many(self, ells) -> np.ndarray:
-        return self.eval_rays(ells, 0.0, 1)
-
     def eval(self, ell, m: int) -> complex:
         m = int(m)
         if m not in self.ktypes:
             return 0.0 + 0.0j
-        return complex(self.eval_many([ell])[0, sorted(self.ktypes).index(m)])
+        return complex(self.eval_rays([ell], 0.0, 1)[0, sorted(self.ktypes).index(m)])
 
 
 def ray_points(origins, steps, n: int) -> np.ndarray:
@@ -238,9 +235,8 @@ class ExtendProvider(CoefficientProvider):
     through a different BLAS edge kernel and changes its last bit, and
     one long dot product of the kernel with weights and cosines folded
     together gives up the short row sum and the pairwise cosine sum. The
-    kernel is shared by all K-types. eval_many takes one point per ray,
-    so a single point takes an exact exponential, unless it is the exact
-    conjugate of an earlier one.
+    kernel is shared by all K-types. A ray of one point takes an exact
+    exponential, unless it is the exact conjugate of an earlier one.
 
     Q(theta, pi - c) = conj Q(theta, c), and the folded cosines of mode m
     at pi - c are (-1)^|m| times those at c, so phi(conj ell, m) =
@@ -337,10 +333,6 @@ class ExtendProvider(CoefficientProvider):
         place, then summed over the 257 samples."""
         np.multiply(block, self._cosines, out=block)
         return np.add.reduce(block, axis=2)
-
-    def _contract(self, kernel: np.ndarray) -> np.ndarray:
-        """sum over rows of w f_m G_m for every K-type m, from the kernel samples."""
-        return np.sum((self._weighted @ kernel) * self._cosines, axis=1)
 
     # a kernel power, or the reciprocal of an underflowed step kernel, may
     # overflow; the values it leaves are not finite, and the callers'
@@ -467,7 +459,8 @@ class ExtendProvider(CoefficientProvider):
         pole = singular_distance(ks, t[:, None]) < POLE_TOL
         for i, at_pole in zip(rows, pole):
             if at_pole.any():
-                out[i, at_pole] = self._contract(self._kernel(ells[i]))[at_pole]
+                direct = self._fold((self._weighted @ self._kernel(ells[i]))[None])[0]
+                out[i, at_pole] = direct[at_pole]
         return out
 
     # perfbench/tracer.py wraps eval from this class's own __dict__
@@ -532,6 +525,9 @@ class TableProvider(CoefficientProvider):
 # synthesize: the inversion series
 
 
+# a legal table can describe an f past the double range: the products may
+# overflow, and the finite test on the grid reports it
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> GridFunction:
     """Partial inversion sum of a coefficient provider on a grid.
 
@@ -555,7 +551,9 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     A provider raises its own errors, and they propagate. A provider's
     own limits stay its own: an ExtendProvider raises
     GridResolutionError where its boundary rule would alias, a
-    TableProvider reads 0 past its lmax.
+    TableProvider reads 0 past its lmax. A grid value that is not finite
+    raises NumericalError naming lmax: a legal table, such as the one
+    entry l = m = 511, can describe an f beyond the double range.
     """
     require_resolution(grid, 0)
     ms = sorted(provider.ktypes)
@@ -596,4 +594,9 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
         live = np.array([m for m in ms if abs(m) <= lmax])
         negative = (live < 0).astype(int)
         spectrum[:, live % grid.n_phi] = profiles[np.searchsorted(ks, abs(live)), negative].T
-    return GridFunction(grid, np.fft.ifft(spectrum, axis=1) * grid.n_phi)
+    values = np.fft.ifft(spectrum, axis=1) * grid.n_phi
+    if not np.isfinite(values).all():
+        raise NumericalError(
+            f"synthesize: grid values are not finite at lmax={lmax}; the series "
+            "left the double range")
+    return GridFunction(grid, values)

@@ -4,17 +4,26 @@ They stand in for library code the tests need as an oracle or a fake
 but the library itself never calls.
 """
 
+import math
+
 import numpy as np
 
 from crown_harmonics.errors import SingularParameterError
 from crown_harmonics.intertwining import intertwiner_rational
-from crown_harmonics.sphere import DEFAULT_BOUNDARY_SAMPLES, SUPPORT_REL_THRESHOLD, GridFunction
+from crown_harmonics.paley_wiener import pw_report
+from crown_harmonics.sphere import (
+    DEFAULT_BOUNDARY_SAMPLES,
+    SUPPORT_REL_THRESHOLD,
+    GridFunction,
+    SphereGrid,
+)
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import (
     _LOG_AMP_ADVANTAGE_MIN,
     _LOG_AMP_DIRECT_MAX,
     CoefficientProvider,
     CoefficientTable,
+    ExtendProvider,
     ray_points,
 )
 
@@ -134,7 +143,7 @@ class FakeProvider(CoefficientProvider):
     """Coefficient provider from a function (ell, m) -> complex.
 
     eval_rays calls the function at every point of the rays and every
-    declared K-type; eval_many and eval are the base class's.
+    declared K-type; eval is the base class's.
     """
 
     def __init__(self, fn, ktypes):
@@ -205,3 +214,27 @@ def certify_class(name, r, grid):
 
 
 CERTIFY_CLASSES = ("smooth-zonal", "smooth-ktype1", "two-type", "cospow-p8")
+
+
+#: radii of the whole-crown sweep, from a cap of 3 grid rows to pi/2 - 0.07
+WHOLE_CROWN_RADII = (0.08, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 1.0, 1.15, 1.3,
+                     1.45, 1.5)
+
+#: the known wrong verdicts of the sweep, each with the ROADMAP item that mends it
+WHOLE_CROWN_WRONG = {
+    ("smooth-zonal", 1.45): "item 6: false rejection at 1.1 r, decay doubling ratio 2.09",
+    ("smooth-zonal", 1.5): "item 6: false rejection at 1.1 r, decay doubling ratio 2.23",
+    ("cospow-p8", 0.08): "item 7: false acceptance at r/2, r_hat 0.0434 on a 3-row cap",
+}
+
+
+def whole_crown_report(name, r):
+    """One case of the whole-crown sweep: (report, low, high).
+
+    The pw_report of certify class name at radius r on 144 x 8, with
+    verdicts at low = r/2, which must reject, and high = min(1.1 r,
+    pi/2 - 1e-3), which must accept.
+    """
+    low, high = r / 2, min(1.1 * r, math.pi / 2.0 - 1e-3)
+    report = pw_report(ExtendProvider(certify_class(name, r, SphereGrid(144, 8))), [low, high])
+    return report, low, high

@@ -6,7 +6,11 @@ the measurement is out of tolerance. The same checks back the CLI
 command `crown-harmonics verify`.
 """
 
+import dataclasses
+import math
+
 import numpy as np
+import pytest
 
 from crown_harmonics import verify
 from crown_harmonics.verify import (
@@ -168,24 +172,86 @@ def test_scalar_probe_independence_holds_b_m_to_its_tolerance(monkeypatch):
 
 def test_oracle_integrals_are_batched(monkeypatch):
     # one probe_integral call per (m, probe angle) over the stacked
-    # parameters [-t, t], and one kernel_mode_profiles call per angle
-    # over the degrees 0..50
+    # parameters [-t, t], and one kernel_mode_profiles call over the
+    # degrees 0..50 on the log table of the three angles
     calls = []
 
     def spy(name, batched_arg):
         exact = getattr(verify, name)
 
         def counted(*args):
-            calls.append((name, np.shape(args[batched_arg])))
+            calls.append((name, *(np.shape(args[j]) for j in batched_arg)))
             return exact(*args)
 
         monkeypatch.setattr(verify, name, counted)
 
-    spy("probe_integral", 1)
-    spy("kernel_mode_profiles", 0)
+    spy("probe_integral", [1])
+    spy("kernel_mode_profiles", [0, 1])
     monkeypatch.setattr(verify, "intertwiner_scalar", lambda m, t: 1.0)
     _assert_check(check_scalar_probe_independence())
     assert calls == [("probe_integral", (50,))] * 9
     calls.clear()
     _assert_check(check_zonal_kernel())
-    assert calls == [("kernel_mode_profiles", (51,))] * 3
+    assert calls == [("kernel_mode_profiles", (51,), (3, 257))]
+
+
+def _poisoned(exact, n, poison):
+    """exact, except that its n-th call (from 0) returns poison(result)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        calls.append(None)
+        return poison(result) if len(calls) == n + 1 else result
+
+    return wrapped
+
+
+def _nan_at(index):
+    def poison(values):
+        values = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+        values[index] = np.nan
+        return values
+    return poison
+
+
+def _nan_r_hat(est):
+    return dataclasses.replace(est, r_hat=float("nan"))
+
+
+def _nan_table(table):
+    values = table.values.copy()
+    values[5, table.lmax] = np.nan  # l = 5, m = 0
+    return type(table)(values)
+
+
+def _nan_fresh_projection(tables):
+    return [*tables[:3], _nan_table(tables[3]), *tables[4:]]
+
+
+#: one NaN in one comparison of each check that collects its comparisons:
+#: (check, name in verify, which call, how its result is poisoned)
+_POISONS = {
+    "zonal-kernel-identity": (check_zonal_kernel, "assoc_legendre", 0, _nan_at(7)),
+    "extension-integer-agreement": (check_extend_matches_analyze, "analyze", 1, _nan_table),
+    "type-estimate-accuracy": (check_type_estimate, "type_estimate", 1, _nan_r_hat),
+    "scalar-probe-independence": (check_scalar_probe_independence, "intertwiner_rational", 1,
+                                  _nan_at(7)),
+    "ladder-ratio-rationality": (check_ladder_ratios, "kostant_ratio", 4,
+                                 lambda out: (out[0], float("nan"))),
+    "intertwining-identity": (check_intertwining, "intertwine_check", 1,
+                              lambda residual: float("nan")),
+    "classical-bridge": (check_classical_bridge, "oracle_sht", 0, _nan_fresh_projection),
+}
+
+
+@pytest.mark.parametrize("name", list(_POISONS))
+def test_a_nan_comparison_fails_its_check(monkeypatch, name):
+    # one NaN among a check's comparisons is its measurement, not a pass
+    check, target, n, poison = _POISONS[name]
+    monkeypatch.setattr(verify, target, _poisoned(getattr(verify, target), n, poison))
+    result = check()
+    print(result.line())
+    assert result.name == name
+    assert result.passed is False
+    assert math.isnan(result.measured)

@@ -22,7 +22,7 @@ from crown_harmonics.serialization import (
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump, random_table
-from crown_harmonics.transform import TableProvider, analyze, extend, synthesize
+from crown_harmonics.transform import CoefficientTable, TableProvider, analyze, extend, synthesize
 
 
 @pytest.fixture
@@ -94,6 +94,20 @@ class TestSynthesize:
         got = loads_grid_function(out.read_text())
         expect = synthesize(TableProvider(table), SphereGrid(24, 16), 4)
         assert np.max(np.abs(got.values - expect.values)) < 1e-14 * np.max(np.abs(expect.values))
+
+    def test_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        # a legal one-entry table whose series leaves the double range
+        # exits 4 with a numerical error, not 2 for a NaN it cannot serialize
+        values = np.zeros((512, 1023), dtype=complex)
+        values[511, 1022] = 1.0
+        tpath = tmp_path / "table.json"
+        tpath.write_text(dumps_table(CoefficientTable(values)))
+        out = tmp_path / "f.json"
+        rc = main(["synthesize", "--input", str(tpath), "--grid", "513x1024",
+                   "--output", str(out)])
+        assert rc == 4 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical" and "lmax=511" in err["message"]
 
     def test_duplicate_key_is_schema_error(self, tmp_path, capsys):
         tpath = tmp_path / "table.json"

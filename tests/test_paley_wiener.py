@@ -7,6 +7,7 @@ and a constant provider on a nonzero azimuthal type must be rejected
 for breaking the reflection symmetry.
 """
 
+import json
 import math
 
 import numpy as np
@@ -29,7 +30,14 @@ from crown_harmonics.paley_wiener import (
 from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
 from crown_harmonics.transform import ExtendProvider, ray_points, synthesize
-from oracles import CERTIFY_CLASSES, FakeProvider, certify_class
+from oracles import (
+    CERTIFY_CLASSES,
+    WHOLE_CROWN_RADII,
+    WHOLE_CROWN_WRONG,
+    FakeProvider,
+    certify_class,
+    whole_crown_report,
+)
 
 
 def symmetric_poly_provider():
@@ -197,7 +205,7 @@ class TestWeylResidual:
             for j in range(4):
                 if j:
                     kernel *= held[1]
-                reference.append(provider._contract(kernel))
+                reference.append(np.sum((provider._weighted @ kernel) * provider._cosines, axis=1))
         assert np.array_equal(got, reference)
         assert calls == len(powers) - calls == 9
 
@@ -393,18 +401,6 @@ class TestReport:
             report.verdict_for(0.25)
 
 
-#: radii of the whole-crown sweep, from a cap of 3 grid rows to pi/2 - 0.07
-WHOLE_CROWN_RADII = (0.08, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 1.0, 1.15, 1.3,
-                     1.45, 1.5)
-
-#: the known wrong verdicts of the sweep, each with the ROADMAP item that mends it
-WHOLE_CROWN_WRONG = {
-    ("smooth-zonal", 1.45): "item 6: false rejection at 1.1 r, decay doubling ratio 2.09",
-    ("smooth-zonal", 1.5): "item 6: false rejection at 1.1 r, decay doubling ratio 2.23",
-    ("cospow-p8", 0.08): "item 7: false acceptance at r/2, r_hat 0.0434 on a 3-row cap",
-}
-
-
 @pytest.mark.parametrize("cls, r", [
     pytest.param(cls, r, marks=pytest.mark.xfail(reason=WHOLE_CROWN_WRONG[cls, r], strict=True))
     if (cls, r) in WHOLE_CROWN_WRONG else (cls, r)
@@ -413,7 +409,28 @@ def test_whole_crown_verdicts(cls, r):
     # every certify class over the crown on 144 x 8: the default
     # calibration rejects half the true radius and accepts 1.1 times it,
     # clamped inside the crown
-    high = min(1.1 * r, math.pi / 2.0 - 1e-3)
-    report = pw_report(ExtendProvider(certify_class(cls, r, SphereGrid(144, 8))), [r / 2, high])
-    assert not report.passed(r / 2)
+    report, low, high = whole_crown_report(cls, r)
+    assert not report.passed(low)
     assert report.passed(high), report.verdict_for(high).reasons
+
+
+def test_sweep_script_sees_no_diff_against_its_own_baseline(tmp_path, capsys):
+    # tests/sweep_verdicts.py on one class and one radius: a baseline it
+    # has just written gives no changed verdict and no moved field, and a
+    # flipped verdict in the baseline makes it exit 1
+    import sweep_verdicts
+
+    case = ["--sweep", "crown", "--classes", "smooth-ktype1", "--radii", "0.55"]
+    base, now = tmp_path / "base.jsonl", tmp_path / "now.jsonl"
+    assert sweep_verdicts.main([*case, "--output", str(base)]) == 0
+    [line] = [json.loads(t) for t in base.read_text().splitlines()]
+    assert line["case"] == ["smooth-ktype1", 0.55] and line["verdicts"] == [False, True]
+    assert sweep_verdicts.main([*case, "--output", str(now), "--baseline", str(base)]) == 0
+    err = capsys.readouterr().err
+    assert "0 changed verdicts; 0 cases in only one file" in err
+    moves = [row for row in err.splitlines() if row.startswith("move ")]
+    assert moves and all(" 0.000e+00 at " in row for row in moves)
+    line["verdicts"] = [True, True]
+    base.write_text(json.dumps(line) + "\n")
+    assert sweep_verdicts.main([*case, "--output", str(now), "--baseline", str(base)]) == 1
+    assert "changed ('crown', 'smooth-ktype1', 0.55)" in capsys.readouterr().err

@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from crown_harmonics.errors import CrownDomainError, SchemaError
+from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
 from crown_harmonics.intertwining import intertwiner_rational
 from crown_harmonics.reduction import (
     LadderFunction,
-    PrincipalSeriesFunction,
     cap_quadrature,
     intertwine_check,
     kostant_ratio,
@@ -37,8 +36,12 @@ from crown_harmonics.verify import _ladder_scalar
 GENERIC_TS = [0.3 + 0.4j, -1.2 + 0.9j, 2.1 - 0.6j, 0.05 + 1.5j]
 
 
-def psi_of(components, nu):
-    return PrincipalSeriesFunction(dict(components), lam=nu - 0.5)
+def window(components, M):
+    """Principal-series vector on |m| <= M from a sparse {m: amplitude} dict."""
+    c = np.zeros(2 * M + 1, dtype=complex)
+    for m, v in components.items():
+        c[m + M] = v
+    return c
 
 
 def ladder_scalar(m, t):
@@ -53,62 +56,73 @@ def ladder_scalar(m, t):
 class TestSigmaAction:
     def test_frozen_zonal_seed(self):
         nu = 0.7 - 0.3j
-        psi = psi_of({0: 1.0}, nu)
-        x = sigma_action(psi, "X").components
-        y = sigma_action(psi, "Y").components
-        z = sigma_action(psi, "Z").components
-        assert x == {1: -0.5j * nu, -1: -0.5j * nu}
-        assert y == {1: -0.5 * nu, -1: 0.5 * nu}
-        assert z == {0: 0.0}
+        c = window({0: 1.0}, 0)
+        x = sigma_action(c, nu, "X")
+        y = sigma_action(c, nu, "Y")
+        z = sigma_action(c, nu, "Z")
+        # the window |m| <= 1, entry m at index m + 1
+        assert np.array_equal(x, [-0.5j * nu, 0.0, -0.5j * nu])
+        assert np.array_equal(y, [0.5 * nu, 0.0, -0.5 * nu])
+        assert np.array_equal(z, [0.0, 0.0, 0.0])
 
     def test_frozen_type_one_seed(self):
         nu = 1.1 + 0.2j
-        psi = psi_of({1: 1.0}, nu)
-        z = sigma_action(psi, "Z").components
-        x = sigma_action(psi, "X").components
-        assert z == {1: 1j}
-        assert x == {2: -0.5j * (nu + 1.0), 0: -0.5j * (nu - 1.0)}
+        c = window({1: 1.0}, 1)
+        z = sigma_action(c, nu, "Z")
+        x = sigma_action(c, nu, "X")
+        # the window |m| <= 2, entry m at index m + 2
+        assert np.array_equal(z, [0.0, 0.0, 0.0, 1j, 0.0])
+        assert np.array_equal(x, [0.0, 0.0, -0.5j * (nu - 1.0), 0.0, -0.5j * (nu + 1.0)])
 
     def test_vacuous_point(self):
         # at nu = 0 the zonal seed is annihilated by X and Y
-        psi = psi_of({0: 2.0}, 0.0)
         for gen in ("X", "Y"):
-            acted = sigma_action(psi, gen)
-            assert all(v == 0.0 for v in acted.components.values())
+            assert not sigma_action(window({0: 2.0}, 0), 0.0, gen).any()
 
     def test_bracket_is_minus_z(self):
         rng = np.random.default_rng(17)
         nu = 0.8 + 0.45j
-        comps = {
-            m: complex(rng.standard_normal(), rng.standard_normal())
-            for m in range(-3, 4)
-        }
-        psi = psi_of(comps, nu)
-        xy = sigma_action(sigma_action(psi, "Y"), "X").components
-        yx = sigma_action(sigma_action(psi, "X"), "Y").components
-        mz = {m: -v for m, v in sigma_action(psi, "Z").components.items()}
-        keys = set(xy) | set(yx) | set(mz)
-        worst = max(
-            abs(xy.get(m, 0.0) - yx.get(m, 0.0) - mz.get(m, 0.0)) for m in keys
-        )
-        assert worst < 1e-13
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        xy = sigma_action(sigma_action(c, nu, "Y"), nu, "X")
+        yx = sigma_action(sigma_action(c, nu, "X"), nu, "Y")
+        # -Z on |m| <= 3, padded to the window |m| <= 5 of the brackets
+        mz = np.pad(-sigma_action(c, nu, "Z"), 1)
+        assert np.max(np.abs(xy - yx - mz)) < 1e-13
+
+    def test_nu_broadcasts_over_leading_axes(self):
+        # one call over several parameters is the stack of one call each
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        nus = np.array([0.3 + 0.1j, -1.2, 2.0 - 0.7j, 0.5j])
+        for gen in ("Z", "X", "Y"):
+            batch = sigma_action(c, nus, gen)
+            assert batch.shape == (4, 7)
+            for p in range(4):
+                assert np.array_equal(batch[p], sigma_action(c[p], nus[p], gen))
 
     def test_unknown_generator(self):
         with pytest.raises(SchemaError):
-            sigma_action(psi_of({0: 1.0}, 0.5), "W")
+            sigma_action(window({0: 1.0}, 0), 0.5, "W")
 
 
-class TestPrincipalSeriesFunction:
-    def test_nu_property(self):
-        psi = PrincipalSeriesFunction({0: 1.0}, lam=-1.5)
-        assert psi.nu == -1.0
-        assert psi.components == {0: 1.0}
+class TestLadderComponents:
+    def test_selection_rule_rows_are_exact_zeros(self):
+        # rows m0 - 1, m0, m0 + 1; Z reaches m0 only, X and Y m0 +- 1 only
+        grid = SphereGrid(64, 16)
+        for m0 in (0, 1, 2, -1):
+            bump = make_bump(BumpSpec(radius=0.7, ktype=m0), grid)
+            z = ladder_components(bump, "Z", grid.theta)
+            assert z.shape == (3, grid.n_theta)
+            assert not z[[0, 2]].any()
+            for gen in ("X", "Y"):
+                rows = ladder_components(bump, gen, grid.theta)
+                assert not rows[1].any()
+                assert rows[[0, 2]].any()
 
-    def test_rejects_non_finite(self):
+    def test_unknown_generator(self):
+        bump = make_bump(BumpSpec(radius=0.6, ktype=1), SphereGrid(16, 8))
         with pytest.raises(SchemaError):
-            PrincipalSeriesFunction({0: float("nan")}, lam=0.0)
-        with pytest.raises(SchemaError):
-            PrincipalSeriesFunction({1: complex(1.0, float("inf"))}, lam=0.0)
+            ladder_components(bump, "W", [0.3])
 
 
 class TestCapQuadrature:
@@ -144,24 +158,40 @@ class TestIntertwineCheck:
 
     def test_one_cap_call_is_worst_single_pair(self, monkeypatch):
         # one call over every generator and parameter builds the cap's
-        # log table once and returns the worst of the single-pair residuals
+        # log table once, takes every kernel mode from one call, and
+        # returns the worst of the single-pair residuals
         import crown_harmonics.reduction as reduction
 
         grid = SphereGrid(64, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         ells = (0.4 + 0.6j, 2.2 - 0.8j)
         singles = [intertwine_check(bump, gen, ell) for gen in "ZXY" for ell in ells]
-        builds = []
+        builds, modes = [], []
 
-        def spy(theta):
+        def log_spy(theta):
             builds.append(len(theta))
             return boundary_log_pairing(theta)
 
-        monkeypatch.setattr(reduction, "boundary_log_pairing", spy)
+        def modes_spy(ell, log_q, ms):
+            modes.append(np.shape(ell))
+            return kernel_mode_profiles(ell, log_q, ms)
+
+        monkeypatch.setattr(reduction, "boundary_log_pairing", log_spy)
+        monkeypatch.setattr(reduction, "kernel_mode_profiles", modes_spy)
         worst = intertwine_check(bump, "ZXY", ells)
-        assert len(builds) == 1
+        assert builds == [96] and modes == [(2,)]
         assert abs(worst - max(singles)) <= 1e-15
         assert 0.0 < worst < 1e-10
+
+    def test_non_finite_side_raises(self, monkeypatch):
+        # a NaN derivative profile must not read as a zero residual
+        grid = SphereGrid(64, 16)
+        bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
+        monkeypatch.setattr(bump, "profile_d1", lambda theta: np.full(np.shape(theta), np.nan))
+        assert intertwine_check(bump, "Z", 0.4 + 0.6j) < 1e-14  # Z reads h only
+        for gen in ("X", "Y", "ZXY"):
+            with pytest.raises(NumericalError):
+                intertwine_check(bump, gen, (0.4 + 0.6j, 2.2 - 0.8j))
 
     def test_rejects_unknown_generator_label(self):
         grid = SphereGrid(64, 16)
@@ -176,21 +206,13 @@ class TestIntertwineCheck:
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         ell = 0.4 + 0.6j
         theta, weights = cap_quadrature(0.6, 96)
-        ms = (0, 1, 2)
-        kernel = weights[:, None] * kernel_mode_profiles(ell, boundary_log_pairing(theta), ms)
-        lhs = {
-            m: complex(np.sum(prof(theta) * kernel[:, ms.index(m)]))
-            for m, prof in ladder_components(bump, "X").items()
-        }
-        seed = complex(np.sum(bump.profile(theta) * kernel[:, 1]))
-        rhs = sigma_action(
-            PrincipalSeriesFunction({1: seed}, lam=-ell - 0.5), "Y"
-        ).components
-        scale = max(abs(v) for v in list(lhs.values()) + list(rhs.values()))
-        worst = max(
-            abs(lhs.get(m, 0.0) - rhs.get(m, 0.0)) for m in set(lhs) | set(rhs)
-        )
-        assert worst / scale > 1e-2
+        log_q = boundary_log_pairing(theta)
+        kernel = weights[:, None] * kernel_mode_profiles(ell, log_q, (0, 1, 2))
+        lhs = np.sum(ladder_components(bump, "X", theta).T * kernel, axis=0)
+        seed = np.sum(bump.profile(theta) * kernel[:, 1])
+        rhs = sigma_action(window({1: seed}, 1), -ell, "Y")[1:4]
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        assert np.max(np.abs(lhs - rhs)) / scale > 1e-2
 
     def test_requires_handle(self):
         grid = SphereGrid(16, 8)
@@ -282,34 +304,36 @@ class TestSigmaTransformedProvider:
         grid = SphereGrid(64, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         base = ExtendProvider(bump)
-        psi = PrincipalSeriesFunction(
-            {m: base.eval(2.0, m) for m in base.ktypes}, lam=-2.5)
-        assert set(sigma_action(psi, "Z").components) == {1}
-        assert set(sigma_action(psi, "X").components) == {0, 2}
-        assert set(sigma_action(psi, "Y").components) == {0, 2}
+        c = window({m: base.eval(2.0, m) for m in base.ktypes}, 1)
+        # nonzero entries of the window |m| <= 2 sit at m + 2
+        assert np.flatnonzero(sigma_action(c, -2.0, "Z")).tolist() == [3]
+        assert np.flatnonzero(sigma_action(c, -2.0, "X")).tolist() == [2, 4]
+        assert np.flatnonzero(sigma_action(c, -2.0, "Y")).tolist() == [2, 4]
 
     def test_closes_with_geometric_derivative(self):
         # analyze o (rotation derivative) must equal the boundary model
-        # at lam = -l - 1/2 applied to the extension of f, degree by
-        # degree; the derivative bump is rougher than the seed, so the
-        # grid is kept generous
+        # at nu = -l applied to the extension of f, degree by degree; the
+        # derivative bump is rougher than the seed, so the grid is kept
+        # generous
         grid = SphereGrid(768, 16)
         bump = make_bump(BumpSpec(radius=0.6, ktype=1), grid)
         base = ExtendProvider(bump)
         lmax = 5
+        ls = np.arange(lmax + 1)
+        # c[l] is the extension of f at degree l on the window |m| <= 1
+        c = np.zeros((lmax + 1, 3), dtype=complex)
+        c[:, 2] = base.eval_rays(0.0, 1.0, lmax + 1)[:, 0]
         for gen in ("Z", "X", "Y"):
             # the rotation derivative sampled from its azimuthal components
-            values = sum(np.outer(profile(grid.theta), np.exp(1j * m * grid.phi_nodes))
-                         for m, profile in ladder_components(bump, gen).items())
+            profiles = ladder_components(bump, gen, grid.theta)
+            values = sum(np.outer(profiles[j], np.exp(1j * m * grid.phi_nodes))
+                         for j, m in enumerate((0, 1, 2)))
             derived = analyze(GridFunction(grid, values), lmax)
             scale = max(np.max(np.abs(derived.values)), 1e-300)
-            worst = 0.0
-            for l in range(lmax + 1):
-                psi = PrincipalSeriesFunction(
-                    {m: base.eval(float(l), m) for m in base.ktypes}, lam=-l - 0.5)
-                acted = sigma_action(psi, gen).components
-                assert set(acted) == ({1} if gen == "Z" else {0, 2})
-                for m, got in acted.items():
-                    if abs(m) <= l:
-                        worst = max(worst, abs(got - derived.values[l, m + derived.lmax]))
+            # acted[l] on the window |m| <= 2; |m| <= l lies in the table
+            acted = sigma_action(c, -ls, gen)
+            # the orders off the selection rule hold exact zeros
+            assert not acted[:, [0, 1, 2, 4] if gen == "Z" else [0, 1, 3]].any()
+            worst = max(abs(acted[l, m + 2] - derived.values[l, m + lmax])
+                        for l in range(lmax + 1) for m in range(-2, 3) if abs(m) <= l)
             assert worst / scale < 1e-9

@@ -226,6 +226,12 @@ class TestAnalyzeSynthesize:
         with pytest.raises(GridResolutionError, match=r"l=509 with K-type \|m\|=3"):
             synthesize(provider, grid, 509)
 
+    def test_synthesize_raises_past_the_double_range(self):
+        # the one-entry table l = m = 511 is legal, but |b_511(-511.5)| ~ 4^511
+        # overflows; the grid is reported as not finite instead of returned
+        with pytest.raises(NumericalError, match="lmax=511"):
+            synthesize(TableProvider(table(511, {(511, 511): 1.0})), SphereGrid(513, 1024), 511)
+
 
 class TestZonalTransform:
     def test_agrees_with_analyze(self):
@@ -281,7 +287,7 @@ class TestExtend:
         g = make_bump(BumpSpec(0.8), grid).values[:, :1]
         f = GridFunction(grid, g * np.exp(400j * grid.phi_nodes))
         provider = ExtendProvider(f, ktypes=(400,))
-        assert np.all(provider.eval_many([199.0, 200.0]) == 0.0)
+        assert np.all(provider.eval_rays([199.0, 200.0], 0.0, 1) == 0.0)
         assert extend(f, 200.0, 400) == 0.0
 
     def test_zero_function_extends_to_zero(self):
@@ -370,7 +376,7 @@ class TestBatchedProviders:
         for r in (0.35, 0.7, 1.0):
             f = certify_class(name, r, grid)
             provider = ExtendProvider(f)
-            values = provider.eval_many(ells)
+            values = provider.eval_rays(ells, 0.0, 1)
             for j, m in enumerate(sorted(provider.ktypes)):
                 ref, floor = extend_reference(f, ells, m)
                 assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), (r, m)
@@ -384,10 +390,10 @@ class TestBatchedProviders:
         table_provider = TableProvider(random_table(6, 6, seed=3))
         for provider, points in ((extend_provider, ells), (table_provider, [4.0, 9.0, 0.0])):
             ms = sorted(provider.ktypes)
-            batch = provider.eval_many(points)
+            batch = provider.eval_rays(points, 0.0, 1)
             assert batch.shape == (len(points), len(ms))
             for i, ell in enumerate(points):
-                one = provider.eval_many([ell])
+                one = provider.eval_rays([ell], 0.0, 1)
                 assert np.array_equal(one[0], batch[i])
                 for j, m in enumerate(ms):
                     assert provider.eval(ell, m) == one[0, j]
@@ -405,10 +411,10 @@ class TestBatchedProviders:
     def test_table_eval_many_checks_the_whole_batch_first(self):
         provider = TableProvider(table(1, {(1, 0): 1.0}))
         with pytest.raises(ProviderError, match="nonnegative integers, got ell") as info:
-            provider.eval_many([1.0, 0.5, -3.0])
+            provider.eval_rays([1.0, 0.5, -3.0], 0.0, 1)
         assert info.value.ell == 0.5
         with pytest.raises(ProviderError, match="nonnegative integers, got ell") as info:
-            provider.eval_many([1.0, 2.0, -3.0])
+            provider.eval_rays([1.0, 2.0, -3.0], 0.0, 1)
         assert info.value.ell == -3.0
 
     def test_empty_ktype_set_gives_no_columns(self):
@@ -418,11 +424,11 @@ class TestBatchedProviders:
                      ExtendProvider(GridFunction(grid, np.zeros((24, 8), dtype=complex))),
                      TableProvider(table(2, {})))
         for provider in providers:
-            assert provider.eval_many([1.0, -2.0, 0.5j]).shape == (3, 0)
+            assert provider.eval_rays([1.0, -2.0, 0.5j], 0.0, 1).shape == (3, 0)
 
     def test_eval_rays_alone_makes_a_provider(self):
-        # a provider implements eval_rays only: eval_many is one point per
-        # ray, and eval one entry of it, exactly 0 outside the K-types
+        # a provider implements eval_rays only: eval is one entry of it at
+        # a single point, exactly 0 outside the K-types
         class Linear(CoefficientProvider):
             ktypes = frozenset({2, -1})
 
@@ -430,8 +436,8 @@ class TestBatchedProviders:
                 return ray_points(origins, steps, n).reshape(-1, 1) * [-1.0, 2.0]
 
         provider = Linear()
-        assert "eval_many" not in vars(Linear) and "eval" not in vars(Linear)
-        assert np.array_equal(provider.eval_many([1.0, 2.0j]), [[-1.0, 2.0], [-2.0j, 4.0j]])
+        assert "eval" not in vars(Linear)
+        assert np.array_equal(provider.eval_rays([1.0, 2.0j], 0.0, 1), [[-1.0, 2.0], [-2.0j, 4.0j]])
         assert provider.eval(2.0j, 2) == 4.0j and provider.eval(2.0j, -1) == -2.0j
         for m in (0, 1, 3):
             got = provider.eval(2.0j, m)
@@ -465,7 +471,7 @@ class TestBatchedProviders:
         powers = []
         kernel = provider._kernel
         provider._kernel = lambda power: powers.append(power) or kernel(power)
-        got = provider.eval_many([-19.0])
+        got = provider.eval_rays([-19.0], 0.0, 1)
         assert powers == [18.0, -19.0]
         for j, m in enumerate((19, 20)):
             ref, floor = extend_reference(f, [-19.0], m)
@@ -481,8 +487,9 @@ def per_point_rays(provider, origins, steps, n):
     point of the run multiplies the kernel in place by the step kernel:
     the held one if the step is the same, its reciprocal if the step is
     its negation, else an exact _kernel, and a step kernel that is not
-    finite is not used. Every point is one _contract, and a value that
-    is not finite ends its run and drops both held kernels. The first
+    finite is not used. Every point is one contraction of the weights with
+    the kernel and the folded cosines, and a value that is not finite
+    ends its run and drops both held kernels. The first
     later ray whose origin and step are the exact conjugates of a ray
     with a point off the real axis is read from that ray's kernels, with
     its routes: (-1)^|m| times the conjugate of the contraction with the
@@ -532,7 +539,8 @@ def per_point_rays(provider, origins, steps, n):
                 if start[0] != power:
                     start = (power, provider._kernel(power))
                 kernel = start[1].copy()
-            values = out[i * n + j] = provider._contract(kernel)
+            values = out[i * n + j] = np.sum((provider._weighted @ kernel) * provider._cosines,
+                                             axis=1)
             if twin is not None:
                 conjugate = np.sum((conj_weighted @ kernel) * provider._cosines, axis=1)
                 out[twin * n + j] = np.conj(conjugate) * parity
@@ -571,13 +579,12 @@ class TestRays:
     def test_single_points_take_the_exact_exponential(self):
         # one point per ray is the per-point route: the direct value, or
         # b_m times the value at -ell-1, each from an exact exponential,
-        # bit for bit, and one entry of the batch
+        # bit for bit
         grid = SphereGrid(144, 8)
         for name, r in (("two-type", 0.8), ("smooth-ktype1", 1.3), ("cospow-p8", 1.0)):
             provider = ExtendProvider(certify_class(name, r, grid))
             ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j, -129.0, 8.5 - 14.0j]
             batch = provider.eval_rays(ells, 0.0, 1)
-            assert np.array_equal(batch, provider.eval_many(ells))
             for ell, got in zip(ells, batch):
                 ell = complex(ell)
                 a = np.real(ell * provider._log_q)
@@ -713,7 +720,7 @@ class TestRays:
         for origin, step in ((-0.5 - 600.0j, 300.0j), (800.5, -800.0)):
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 rays = provider.eval_rays([origin], [step], 3)
-                points = provider.eval_many([origin, origin + step, origin + 2 * step])
+                points = provider.eval_rays([origin, origin + step, origin + 2 * step], 0.0, 1)
             assert np.all(np.isfinite(rays[1]))
             assert np.array_equal(rays, points, equal_nan=True), origin
 
