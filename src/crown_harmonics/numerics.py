@@ -38,11 +38,12 @@ class QuadratureRule1D:
 def gauss_legendre(n: int) -> QuadratureRule1D:
     """Gauss-Legendre nodes and weights of order n.
 
-    Roots of P_n, the last entry of assoc_legendre's order-0 column, are
-    refined by Newton iteration from the Chebyshev initial guesses
-    cos(pi*(4k+3)/(4n+2)) to tolerance 1e-15, which is deterministic and
-    reproducible for any fixed n. Raises NumericalError when 100 Newton
-    steps do not reach the tolerance.
+    Roots of P_n are refined by Newton iteration from the Chebyshev
+    initial guesses cos(pi*(4k+3)/(4n+2)) to tolerance 1e-15, which is
+    deterministic and reproducible for any fixed n. Each step runs
+    assoc_legendre's order-0 recurrence, same expression and order,
+    holding two rows, so memory stays O(n). Raises NumericalError when
+    100 Newton steps do not reach the tolerance.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise SchemaError(f"quadrature order must be a positive integer, got {n!r}")
@@ -50,7 +51,9 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
     dp = np.ones_like(x)
     for _ in range(100):
-        p0, p1 = assoc_legendre(n, 0, x)[-2:]
+        p0, p1 = np.zeros_like(x), np.ones_like(x)
+        for j in range(1, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         # p1 = P_n(x), p0 = P_{n-1}(x); derivative from the same pair
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         dx = p1 / dp

@@ -1,11 +1,12 @@
 """Support-radius certification from spectral data.
 
 Given a coefficient provider, this module estimates the exponential
-type along the tempered line, measures polynomially-weighted decay
-constants on a disc of spectral parameters, checks the reflection
-symmetry against the closed-form intertwining scalars, and combines
-the three into a per-radius verdict: the spectral data is consistent
-with support in a cap of that radius or it is not.
+type along the tempered line, checks the reflection symmetry against
+the closed-form intertwining scalars, and combines the two into a
+per-radius verdict: the spectral data is consistent with support in a
+cap of that radius or it is not. Polynomially-weighted decay constants
+on a disc of spectral parameters are reported beside the verdicts as
+evidence of the growth condition.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,8 @@ from .transform import ray_points
 _WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
 _WEYL_POINTS = 4
 
-_DISC_BASE_RADII = 8
-_DISC_BASE_ANGLES = 16
+_DISC_RADII = 16
+_DISC_ANGLES = 32
 
 
 @dataclass(frozen=True)
@@ -34,18 +36,18 @@ class Calibration:
 
     weyl_tol bounds the reflection-symmetry residual, type_slack is the
     multiplicative allowance on the candidate radius when compared with
-    the type interval's upper end, decay_ratio_max bounds the growth of
-    each decay constant when the sampling lattice is doubled. The line
-    and disc sampling parameters are exposed so the verdict is fully
-    reproducible from the report alone. A non-finite or out-of-range
-    value, a decay_kmax or n_samples that is not an int (a bool counts
-    as not), or an n_samples and tail_fraction that leave fit_type fewer
-    than 8 tail samples raises SchemaError.
+    the type interval's upper end. decay_kmax is the highest order of the
+    reported decay constants. The line and disc sampling parameters are
+    exposed so the report is fully reproducible from its calibration
+    alone. A non-finite or out-of-range value, a decay_kmax or n_samples
+    that is not an int (a bool counts as not), an n_samples and
+    tail_fraction that leave fit_type fewer than 8 tail samples, or a
+    decay_kmax whose weight (1.5 + disc_radius)^decay_kmax at the disc's
+    rim is not below the largest float raises SchemaError.
     """
 
     weyl_tol: float = 1e-6
     type_slack: float = 0.10
-    decay_ratio_max: float = 2.0
     decay_kmax: int = 3
     t_max: float = 80.0
     n_samples: int = 160
@@ -59,13 +61,17 @@ class Calibration:
                    or not isinstance(getattr(self, k), numbers.Integral)]
         broken += [rule for rule, holds in (
             ("weyl_tol > 0", self.weyl_tol > 0), ("type_slack >= 0", self.type_slack >= 0),
-            ("decay_ratio_max > 0", self.decay_ratio_max > 0), ("t_max > 0", self.t_max > 0),
-            ("decay_kmax >= 0", self.decay_kmax >= 0), ("n_samples >= 8", self.n_samples >= 8),
+            ("t_max > 0", self.t_max > 0), ("decay_kmax >= 0", self.decay_kmax >= 0),
+            ("n_samples >= 8", self.n_samples >= 8),
             ("0 < tail_fraction <= 1", 0 < self.tail_fraction <= 1),
             ("disc_radius > 0", self.disc_radius > 0)) if not holds]
         if not broken and self.n_samples - _tail_start(self.n_samples, self.tail_fraction) < 8:
             broken.append("n_samples - round(n_samples * (1 - tail_fraction)) >= 8, "
                           "the tail samples of the type fit")
+        if not broken and (self.decay_kmax * math.log(1.5 + self.disc_radius)
+                           >= math.log(sys.float_info.max)):
+            broken.append("decay_kmax * log(1.5 + disc_radius) < log(largest float), "
+                          "the decay weight at the disc's rim")
         if broken:
             raise SchemaError("calibration needs " + ", ".join(broken))
 
@@ -215,64 +221,46 @@ def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
 
 
 def decay_profile(provider, disc_radius: float = 20.0):
-    """Evaluate max_m |phi| on two nested lattices over |l + 1/2| <= R.
+    """Evaluate max_m |phi| on a lattice over |l + 1/2| <= R.
 
-    The provider is evaluated once, on the refined lattice, in one
-    eval_rays call over its 32 rays from the centre -1/2 (see
-    _disc_rays), read at 17 points each; the centre is dropped. Rays
-    17..31 are the exact conjugates of earlier rays, so an ExtendProvider
-    computes the 17 rays of the first and third quadrants (289 points),
-    from the start and the nine first-quadrant step kernels where no
-    point is reflected, and reads the other 15 from their kernels. The
-    base lattice is every other radius and every other angle of it, and
-    is the base sizes' rays up to roundoff. So every weighted maximum
-    computed from the refined lattice dominates the base value and the
-    doubling ratio is at least 1 by construction. Returns (base_pts,
-    base_mags, dense_pts, dense_mags), radius-major with the points as
+    The 16 radii x 32 angles are one eval_rays call over 32 rays from
+    the centre -1/2 (see _disc_rays), read at 17 points each; the centre
+    is dropped. Rays 17..31 are the exact conjugates of earlier rays, so
+    an ExtendProvider computes 17 rays (289 points), from the start and
+    nine step kernels, and reads the other 15 from their kernels.
+    Returns (points, magnitudes), radius-major with the points as
     evaluated; evaluate once, reuse for every radius.
     """
     ktypes = sorted(provider.ktypes)
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
-    n_radii, n_angles = 2 * _DISC_BASE_RADII, 2 * _DISC_BASE_ANGLES
-    origins, steps = _disc_rays(disc_radius, n_radii, n_angles)
-    # radius-major: row k of the lattice is radius (k + 1) R / n_radii
-    dense_pts = ray_points(origins, steps, n_radii + 1)[:, 1:].T.ravel()
-    # ray-major (angle, radius) to the radius-major layout of dense_pts
-    values = provider.eval_rays(origins, steps, n_radii + 1).reshape(n_angles, n_radii + 1, -1)
-    values = values[:, 1:].transpose(1, 0, 2).reshape(dense_pts.size, -1)
-    _require_finite(values, dense_pts, ktypes)
-    dense_mags = np.abs(values).max(axis=1)
-    # rays 4k and 4k + 1 hold the angles of the base lattice
-    base = (slice(1, None, 2), np.arange(n_angles) % 4 < 2)
-    return (dense_pts.reshape(n_radii, n_angles)[base].ravel(),
-            dense_mags.reshape(n_radii, n_angles)[base].ravel(),
-            dense_pts, dense_mags)
+    origins, steps = _disc_rays(disc_radius, _DISC_RADII, _DISC_ANGLES)
+    # radius-major: row k of the lattice is radius (k + 1) R / _DISC_RADII
+    points = ray_points(origins, steps, _DISC_RADII + 1)[:, 1:].T.ravel()
+    # ray-major (angle, radius) to the radius-major layout of points
+    values = provider.eval_rays(origins, steps, _DISC_RADII + 1)
+    values = values.reshape(_DISC_ANGLES, _DISC_RADII + 1, -1)[:, 1:]
+    values = values.transpose(1, 0, 2).reshape(points.size, -1)
+    _require_finite(values, points, ktypes)
+    return points, np.abs(values).max(axis=1)
 
 
 def decay_constants(profile, r: float, kmax: int = 3):
     """Weighted sup constants C_k = max |phi| (1+|l|)^k e^{-r |Im l|}.
 
     profile is the output of decay_profile, so one disc scan serves
-    every radius. Returns (constants, ratios) keyed by k = 0..kmax,
-    where ratios[k] compares the refined-lattice constant against the
-    base lattice; a ratio under the calibrated bound means the maximum
-    is resolved rather than still climbing with the sample count.
+    every radius. Returns {k: C_k} for k = 0..kmax. A constant whose
+    weighted magnitude overflows reads inf.
     """
     if r < 0.0:
         raise CrownDomainError("decay weight radius must be nonnegative")
-    base_pts, base_mags, dense_pts, dense_mags = profile
-    constants, ratios = {}, {}
-    for k in range(kmax + 1):
-        wb = base_mags * (1.0 + np.abs(base_pts)) ** k \
-            * np.exp(-r * np.abs(base_pts.imag))
-        wd = dense_mags * (1.0 + np.abs(dense_pts)) ** k \
-            * np.exp(-r * np.abs(dense_pts.imag))
-        cb = float(np.max(wb))
-        cd = float(np.max(wd))
-        constants[k] = cd
-        ratios[k] = cd / cb if cb > 0.0 else 1.0
-    return constants, ratios
+    points, mags = profile
+    constants = {}
+    with np.errstate(over="ignore"):
+        for k in range(kmax + 1):
+            weighted = mags * (1.0 + np.abs(points)) ** k * np.exp(-r * np.abs(points.imag))
+            constants[k] = float(np.max(weighted))
+    return constants
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +318,14 @@ class RadiusVerdict:
 class PWReport:
     """Bundle of spectral evidence plus per-radius verdicts.
 
-    decay_constants and decay_ratios are both taken at the type estimate
-    r_hat; each verdict uses the constants at its own radius.
+    decay_constants are taken at the type estimate r_hat: evidence of
+    the growth condition, reported beside the verdicts and part of none.
     line_samples holds the line scan as (ts, max over K-types of |phi|).
     """
 
     ktypes: tuple
     type_estimate: TypeEstimate
     decay_constants: dict
-    decay_ratios: dict
     weyl_residual: float
     verdicts: tuple
     samples_used: str
@@ -359,12 +346,11 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     """Judge whether spectral data is consistent with each support radius.
 
     A radius passes when the type interval's upper end does not exceed
-    the radius (with multiplicative slack), the decay constants up to
-    the calibrated order are finite and stable under doubling the disc
-    lattice, and the reflection-symmetry residual is below tolerance.
-    The expensive pieces (line scan, disc scan, symmetry lattice) are
-    computed once and shared across all candidate radii, each from one
-    eval_rays call.
+    the radius (with multiplicative slack) and the reflection-symmetry
+    residual is below tolerance. The expensive pieces (line scan, disc
+    scan, symmetry lattice) are computed once and shared across all
+    candidate radii, each from one eval_rays call. A decay constant at
+    r_hat that is not finite raises NumericalError naming its order.
     """
     calib = calibration or Calibration()
     radii = sorted(float(r) for r in candidate_radii)
@@ -381,47 +367,28 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     line_vals = line_vals.max(axis=0)
     profile = decay_profile(provider, calib.disc_radius)
     wr = weyl_residual(provider)
-    hat_constants, hat_ratios = decay_constants(profile, te.r_hat, calib.decay_kmax)
+    hat_constants = decay_constants(profile, te.r_hat, calib.decay_kmax)
+    overflowed = [k for k, c in hat_constants.items() if not math.isfinite(c)]
+    if overflowed:
+        raise NumericalError(f"decay constant C_{overflowed[0]} at r_hat={te.r_hat:.6g} "
+                             f"overflowed on the disc |l+1/2| <= {calib.disc_radius:g}")
 
     verdicts = []
     for r in radii:
         reasons = []
         if te.upper > r * (1.0 + calib.type_slack):
-            reasons.append(
-                f"type upper bound {te.upper:.6g} exceeds radius {r:.6g} "
-                f"(slack {calib.type_slack:g})"
-            )
-        consts, ratios = decay_constants(profile, r, calib.decay_kmax)
-        bad = [k for k in consts
-               if not math.isfinite(consts[k]) or ratios[k] > calib.decay_ratio_max]
-        if bad:
-            worst_k = max(bad, key=lambda k: ratios[k])
-            reasons.append(
-                f"decay constant C_{worst_k} unstable under lattice doubling "
-                f"(ratio {ratios[worst_k]:.4g} > {calib.decay_ratio_max:g})"
-            )
+            reasons.append(f"type upper bound {te.upper:.6g} exceeds radius {r:.6g} "
+                           f"(slack {calib.type_slack:g})")
         if wr > calib.weyl_tol:
-            reasons.append(
-                f"symmetry residual {wr:.6g} exceeds tolerance "
-                f"{calib.weyl_tol:g}"
-            )
+            reasons.append(f"symmetry residual {wr:.6g} exceeds tolerance {calib.weyl_tol:g}")
         verdicts.append(RadiusVerdict(r, not reasons, tuple(reasons)))
 
-    n_base = _DISC_BASE_RADII * _DISC_BASE_ANGLES
     samples_used = (
         f"line Re l = -1/2: {calib.n_samples} samples to t_max={calib.t_max:g}; "
-        f"disc |l+1/2| <= {calib.disc_radius:g}: {n_base} base + {4 * n_base} "
-        f"refined points; symmetry lattice: {len(_WEYL_IM)} rays of {_WEYL_POINTS} "
-        f"points per side"
+        f"disc |l+1/2| <= {calib.disc_radius:g}: {_DISC_RADII * _DISC_ANGLES} points, "
+        f"{_DISC_RADII} radii x {_DISC_ANGLES} angles; symmetry lattice: "
+        f"{len(_WEYL_IM)} rays of {_WEYL_POINTS} points per side"
     )
-    return PWReport(
-        ktypes=tuple(sorted(provider.ktypes)),
-        type_estimate=te,
-        decay_constants=hat_constants,
-        decay_ratios=hat_ratios,
-        weyl_residual=wr,
-        verdicts=tuple(verdicts),
-        samples_used=samples_used,
-        calibration=calib,
-        line_samples=(ts, line_vals),
-    )
+    return PWReport(ktypes=tuple(sorted(provider.ktypes)), type_estimate=te,
+                    decay_constants=hat_constants, weyl_residual=wr, verdicts=tuple(verdicts),
+                    samples_used=samples_used, calibration=calib, line_samples=(ts, line_vals))

@@ -312,13 +312,6 @@ def dumps_report(report) -> str:
             for k, v in sorted(report.decay_constants.items())
         )
     )
-    parts.append(
-        '"decay_ratios": {%s}'
-        % ",".join(
-            f'"{k}": {format_float(v)}'
-            for k, v in sorted(report.decay_ratios.items())
-        )
-    )
     parts.append('"weyl_residual": %s' % format_float(report.weyl_residual))
     verdicts = ",".join(
         '{"radius": %s, "passed": %s, "reasons": %s}'

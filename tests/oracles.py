@@ -222,8 +222,6 @@ WHOLE_CROWN_RADII = (0.08, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 1.0, 
 
 #: the known wrong verdicts of the sweep, each with the ROADMAP item that mends it
 WHOLE_CROWN_WRONG = {
-    ("smooth-zonal", 1.45): "item 6: false rejection at 1.1 r, decay doubling ratio 2.09",
-    ("smooth-zonal", 1.5): "item 6: false rejection at 1.1 r, decay doubling ratio 2.23",
     ("cospow-p8", 0.08): "item 7: false acceptance at r/2, r_hat 0.0434 on a 3-row cap",
 }
 

@@ -12,11 +12,13 @@ setup, make_input, run_op and check, imported from
 perfbench/workloads.py, so the cases cannot drift from the benchmark's.
 
 Each line holds the case key, the two radii, their verdicts and
-reasons, r_hat and its interval, the decay constants and ratios, the
-symmetry residual and, for a certify op, the rebuilt exterior mass and
-the check's failure. A case that raises a library error gets a line
-with the error instead. The summary goes to stderr: per sweep the wrong
-verdicts (and which of them are known) or failed ops. With --baseline,
+reasons, r_hat and its interval, the decay constants, the symmetry
+residual and, for a certify op, the rebuilt exterior mass and the
+check's failure. A case that raises a library error gets a line with
+the error instead. The summary goes to stderr: per sweep the wrong
+verdicts (and which of them are known) or failed ops, and how many
+failed verdicts each kind of reason (type, symmetry) decides alone,
+with no reason of the other kind beside it. With --baseline,
 every verdict that changed against the baseline's line of the same case
 is printed, then the largest relative move of each measured field, and
 the exit status is 1 if any verdict changed. Cases in only one of the
@@ -53,8 +55,10 @@ CERTIFY_SEEDS = range(1, 11)
 CERTIFY_OPS = 180
 
 #: fields whose relative moves the baseline diff reports
-_MEASURED = ("r_hat", "type_interval", "decay_constants", "decay_ratios", "weyl_residual",
-             "exterior_mass")
+_MEASURED = ("r_hat", "type_interval", "decay_constants", "weyl_residual", "exterior_mass")
+
+#: the kinds of verdict reason, each known by how its reasons start
+_REASON_KINDS = {"type": "type upper bound", "symmetry": "symmetry residual"}
 
 
 def _report_fields(report, low, high) -> dict:
@@ -68,7 +72,6 @@ def _report_fields(report, low, high) -> dict:
         "r_hat": te.r_hat,
         "type_interval": [te.lower, te.upper],
         "decay_constants": {str(k): v for k, v in report.decay_constants.items()},
-        "decay_ratios": {str(k): v for k, v in report.decay_ratios.items()},
         "weyl_residual": report.weyl_residual,
     }
 
@@ -154,6 +157,19 @@ def compare(baseline, lines):
     return changed, moves, len(old) + len(lines) - 2 * matched
 
 
+def _decided_alone(lines) -> str:
+    """How many failed verdicts of the lines each kind of reason decides
+    alone: every reason of the verdict is of that kind."""
+    counts = dict.fromkeys(_REASON_KINDS, 0)
+    for b in lines:
+        for reasons in b.get("reasons", ()):
+            kinds = {next((kind for kind, start in _REASON_KINDS.items()
+                           if reason.startswith(start)), "other") for reason in reasons}
+            if len(kinds) == 1 and kinds <= counts.keys():
+                counts[kinds.pop()] += 1
+    return "decided alone by " + ", ".join(f"{kind} {n}" for kind, n in counts.items())
+
+
 def _summary(lines) -> str:
     parts = []
     crown = [b for b in lines if b["sweep"] == "crown"]
@@ -161,12 +177,12 @@ def _summary(lines) -> str:
         wrong = [b for b in crown if not b.get("right")]
         known = sum(1 for b in wrong if b["known_wrong"])
         parts.append(f"crown: {len(crown) - len(wrong)} right, {len(wrong)} wrong "
-                     f"({known} known)")
+                     f"({known} known), {_decided_alone(crown)}")
     ops = [b for b in lines if b["sweep"] == "certify"]
     if ops:
         failed = sum(1 for b in ops
                      if "error" in b or b["failure"] is not None or not b["consistent"])
-        parts.append(f"certify: {failed}/{len(ops)} failed ops")
+        parts.append(f"certify: {failed}/{len(ops)} failed ops, {_decided_alone(ops)}")
     return "; ".join(parts)
 
 

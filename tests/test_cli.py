@@ -226,6 +226,20 @@ class TestPwReport:
         assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+    @pytest.mark.parametrize("override", ["decay_kmax=240", "decay_ratio_max=2"])
+    def test_overflowing_or_removed_knob_exits_before_evaluation(self, capsys, bump_file,
+                                                                  monkeypatch, override):
+        # (1 + |l|)^240 overflows on the R = 20 disc, and the doubling
+        # bound is no longer a key: schema errors before any provider
+        built = []
+        monkeypatch.setattr("crown_harmonics.cli.ExtendProvider", built.append)
+        path, _ = bump_file
+        rc = main(["pw-report", "--input", str(path), "--radii", "0.5",
+                   "--calib", override])
+        assert rc == 2 and built == []
+        assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
+
 class TestNumericalFailureStderr:
     @pytest.mark.parametrize("args", [
         ["extend", "--ell", "0,10000", "--m", "0"],

@@ -5,6 +5,8 @@ rationals) before the implementations were written; scipy
 cross-checks run alongside where available.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,39 @@ class TestGaussLegendre:
                 gauss_legendre(7)
         finally:
             gauss_legendre.cache_clear()
+
+    @staticmethod
+    def _column_rule(n):
+        # the Newton iteration on the last two rows of the whole
+        # assoc_legendre order-0 column, (n + 1) x n per step
+        x = np.cos(np.pi * (4 * np.arange(n) + 3) / (4 * n + 2))
+        for _ in range(100):
+            p0, p1 = assoc_legendre(n, 0, x)[-2:]
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x = x - dx
+            if np.max(np.abs(dx)) < numerics._NEWTON_TOL:
+                break
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        order = np.argsort(x)
+        return x[order], w[order]
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 64, 96, 130, 144, 258, 513, 1000])
+    def test_two_row_recurrence_is_the_column_bit_for_bit(self, n):
+        nodes, weights = self._column_rule(n)
+        rule = gauss_legendre.__wrapped__(n)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+    def test_memory_does_not_grow_with_the_square_of_the_order(self):
+        # the whole column would hold 2001 x 2000 floats, about 31 MiB
+        tracemalloc.start()
+        try:
+            gauss_legendre.__wrapped__(2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestComplexAbs:

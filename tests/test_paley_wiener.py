@@ -9,6 +9,7 @@ for breaking the reflection symmetry.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,8 +44,7 @@ from oracles import (
 def symmetric_poly_provider():
     # phi depends on l only through the Casimir value l(l+1), which is
     # invariant under l -> -l-1, so the reflection identity holds with
-    # the trivial m=0 scalar; the decay is kept gentle so the disc
-    # maxima are resolved at the base lattice
+    # the trivial m=0 scalar; the decay is kept gentle, rational in l
     return FakeProvider(
         lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
         ktypes=(0,),
@@ -126,19 +126,26 @@ class TestTypeFit:
 
 
 class TestDecayConstants:
-    def test_ratios_at_least_one(self):
+    def test_constants_finite_and_positive(self):
         provider = symmetric_poly_provider()
         profile = decay_profile(provider, disc_radius=10.0)
-        consts, ratios = decay_constants(profile, 0.5, kmax=3)
+        consts = decay_constants(profile, 0.5, kmax=3)
+        assert sorted(consts) == [0, 1, 2, 3]
         for k in range(4):
             assert math.isfinite(consts[k]) and consts[k] > 0.0
-            assert ratios[k] >= 1.0
 
-    def test_zero_provider_ratios_default_to_one(self):
+    def test_zero_provider_constants_are_zero(self):
         provider = FakeProvider(lambda ell, m: 0.0, ktypes=(0,))
-        consts, ratios = decay_constants(decay_profile(provider), 0.5, kmax=2)
-        assert all(consts[k] == 0.0 for k in range(3))
-        assert all(ratios[k] == 1.0 for k in range(3))
+        consts = decay_constants(decay_profile(provider), 0.5, kmax=2)
+        assert consts == {0: 0.0, 1: 0.0, 2: 0.0}
+
+    def test_overflowed_constant_reads_inf(self):
+        # 1e300 (1 + |l|)^k passes the largest float from k = 7 on the
+        # R = 20 disc, whose real points reach |l| = 19.5
+        provider = FakeProvider(lambda ell, m: 1e300, ktypes=(0,))
+        consts = decay_constants(decay_profile(provider), 0.0, kmax=8)
+        assert math.isfinite(consts[6])
+        assert consts[7] == consts[8] == math.inf
 
     def test_negative_radius_rejected(self):
         with pytest.raises(CrownDomainError):
@@ -226,7 +233,6 @@ class TestCalibration:
         ("type_slack", float("nan")),
         ("type_slack", -0.01),
         ("weyl_tol", 0.0),
-        ("decay_ratio_max", -2.0),
         ("disc_radius", 0.0),
         ("t_max", -40.0),
         ("decay_kmax", -1),
@@ -237,12 +243,30 @@ class TestCalibration:
         ("decay_kmax", True),
         ("n_samples", 80.5),
         ("n_samples", True),
+        ("decay_kmax", 240),
     ])
     def test_rejects_out_of_range_values(self, key, value):
         with pytest.raises(SchemaError):
             Calibration(**{key: value})
         with pytest.raises(SchemaError):
             Calibration().replaced(**{key: value})
+
+    def test_removed_knob_is_an_unknown_key(self):
+        # the lattice-doubling verdict and its bound are gone
+        assert "decay_ratio_max" not in Calibration().as_dict()
+        assert len(Calibration().as_dict()) == 7
+        with pytest.raises(SchemaError, match="unknown calibration key"):
+            Calibration().replaced(decay_ratio_max=2.0)
+
+    @pytest.mark.parametrize("disc_radius", [0.5, 5.0, 20.0, 80.0, 1e6])
+    def test_decay_weight_stays_below_the_largest_float(self, disc_radius):
+        # decay_kmax is accepted exactly while (1.5 + R)^decay_kmax, the
+        # weight at the disc's rim, stays below the largest float
+        kmax = math.ceil(math.log(sys.float_info.max) / math.log(1.5 + disc_radius)) - 1
+        calib = Calibration(decay_kmax=kmax, disc_radius=disc_radius)
+        assert math.isfinite((1.5 + disc_radius) ** calib.decay_kmax)
+        with pytest.raises(SchemaError, match="decay weight"):
+            Calibration(decay_kmax=kmax + 1, disc_radius=disc_radius)
 
     def test_accepts_the_edges_of_each_range(self):
         calib = Calibration(type_slack=0.0, decay_kmax=0, n_samples=8, tail_fraction=1.0)
@@ -305,24 +329,28 @@ class TestReport:
         assert not report.passed(r / 2)
         assert report.passed(1.1 * r), report.verdict_for(1.1 * r).reasons
 
-    def test_decay_ratios_are_taken_at_r_hat(self):
-        # the constants and ratios both come from the r_hat weight; on the
-        # r = 1.0 bump those ratios differ from the ones at radius 0.5
+    def test_decay_constants_are_taken_at_r_hat(self):
+        # the reported constants come from the r_hat weight; on the
+        # r = 1.0 bump they differ from the ones at radius 0.5
         provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
         report = pw_report(provider, [0.5, 1.1])
         calib = report.calibration
         profile = decay_profile(provider, calib.disc_radius)
         at_hat = decay_constants(profile, report.type_estimate.r_hat, calib.decay_kmax)
-        assert report.decay_constants == at_hat[0]
-        assert report.decay_ratios == at_hat[1]
-        at_tight = decay_constants(profile, 0.5, calib.decay_kmax)
-        assert report.decay_ratios != at_tight[1]
+        assert report.decay_constants == at_hat
+        assert report.decay_constants != decay_constants(profile, 0.5, calib.decay_kmax)
+
+    def test_overflowed_decay_constant_raises(self):
+        # a finite provider of magnitude 1e300 overflows C_7 on the
+        # R = 20 disc; the report names the order instead of carrying inf
+        provider = FakeProvider(lambda ell, m: 1e300, ktypes=(0,))
+        with pytest.raises(NumericalError, match=r"decay constant C_7 "):
+            pw_report(provider, [0.5], Calibration(decay_kmax=8))
 
     def test_each_stage_is_one_batched_call(self):
         # line, disc and symmetry lattice (both sides of the identity):
-        # one eval_rays call each, and the disc evaluates only the refined
-        # lattice, since the base lattice is every other point of it; its
-        # 32 rays start at the centre, 17 points each
+        # one eval_rays call each; the disc's 32 rays start at the centre,
+        # 17 points each
         provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
                                     ktypes=(0, 1))
         pw_report(provider, [0.5])
@@ -331,19 +359,14 @@ class TestReport:
         synthesize(provider, SphereGrid(8, 8), 6)
         assert provider.batches == [7]
 
-    def test_base_disc_lattice_is_read_from_the_refined_one(self):
-        # the refined lattice is evaluated along rays from the centre, which
-        # is dropped, so its every other radius and angle is the base
-        # lattice up to the roundoff of the ray steps; the angles of the
-        # base lattice are the rays 4k and 4k + 1, a pair of opposite steps
-        base_pts, base_mags, dense_pts, dense_mags = decay_profile(symmetric_poly_provider(), 20.0)
-        assert np.array_equal(dense_pts, ray_points(*_disc_rays(20.0, 16, 32), 17)[:, 1:].T.ravel())
-        base_angles = np.arange(32) % 4 < 2
-        assert np.array_equal(base_pts, dense_pts.reshape(16, 32)[1::2, base_angles].ravel())
-        shift = np.max(np.abs(base_pts - ray_points(*_disc_rays(20.0, 8, 16), 9)[:, 1:].T.ravel()))
-        assert shift <= 8 * np.finfo(float).eps * 20.0
-        for ell, mag in zip(base_pts, base_mags):
-            assert mag == dense_mags[np.flatnonzero(dense_pts == ell)[0]]
+    def test_disc_lattice_is_read_radius_major_from_the_rays(self):
+        # the lattice is evaluated along rays from the centre, which is
+        # dropped, and laid out radius-major; each magnitude is the
+        # largest K-type's at its own point
+        provider = FakeProvider(lambda ell, m: (m + 1) * ell, ktypes=(0, 1))
+        points, mags = decay_profile(provider, 20.0)
+        assert np.array_equal(points, ray_points(*_disc_rays(20.0, 16, 32), 17)[:, 1:].T.ravel())
+        assert np.array_equal(mags, np.abs(2 * points))
 
     def test_kernel_exponentials_one_per_ray(self, monkeypatch):
         # every lattice of pw_report and the rebuild is made of rays, and
@@ -414,6 +437,18 @@ def test_whole_crown_verdicts(cls, r):
     assert report.passed(high), report.verdict_for(high).reasons
 
 
+@pytest.mark.parametrize("r", [0.35, 1.0])
+@pytest.mark.parametrize("cls", CERTIFY_CLASSES)
+@pytest.mark.parametrize("disc_radius", [5.0, 20.0, 40.0, 80.0])
+def test_verdicts_do_not_depend_on_the_disc(disc_radius, cls, r):
+    # the disc only reports decay constants, so its radius moves no
+    # verdict: half the true radius is rejected and 1.1 times it accepted
+    provider = ExtendProvider(certify_class(cls, r, SphereGrid(144, 8)))
+    report = pw_report(provider, [r / 2, 1.1 * r], Calibration(disc_radius=disc_radius))
+    assert not report.passed(r / 2)
+    assert report.passed(1.1 * r), report.verdict_for(1.1 * r).reasons
+
+
 def test_sweep_script_sees_no_diff_against_its_own_baseline(tmp_path, capsys):
     # tests/sweep_verdicts.py on one class and one radius: a baseline it
     # has just written gives no changed verdict and no moved field, and a
@@ -428,6 +463,7 @@ def test_sweep_script_sees_no_diff_against_its_own_baseline(tmp_path, capsys):
     assert sweep_verdicts.main([*case, "--output", str(now), "--baseline", str(base)]) == 0
     err = capsys.readouterr().err
     assert "0 changed verdicts; 0 cases in only one file" in err
+    assert "crown: 1 right, 0 wrong (0 known), decided alone by type 1, symmetry 0" in err
     moves = [row for row in err.splitlines() if row.startswith("move ")]
     assert moves and all(" 0.000e+00 at " in row for row in moves)
     line["verdicts"] = [True, True]

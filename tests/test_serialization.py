@@ -282,9 +282,17 @@ class TestReportSerialization:
         text = dumps_report(report)
         obj = json.loads(text)
         assert list(obj.keys()) == [
-            "ktypes", "type_estimate", "decay_constants", "decay_ratios",
+            "ktypes", "type_estimate", "decay_constants",
             "weyl_residual", "verdicts", "samples_used", "calibration",
         ]
+        assert list(obj["decay_constants"]) == ["0", "1", "2", "3"]
+        assert list(obj["calibration"]) == [
+            "decay_kmax", "disc_radius", "n_samples", "t_max", "tail_fraction",
+            "type_slack", "weyl_tol",
+        ]
+        assert obj["samples_used"].startswith(
+            "line Re l = -1/2: 160 samples to t_max=80; "
+            "disc |l+1/2| <= 20: 512 points, 16 radii x 32 angles; ")
         assert obj["ktypes"] == [0]
         assert set(obj["type_estimate"]) == {
             "r_hat", "lower", "upper", "t_max", "n_samples"
