@@ -16,7 +16,9 @@ At integer degree the boundary modes of Q^l have a closed form
 complex degree they come from one rule: the 512-sample trapezoid rule
 on the boundary circle, folded onto its half by the symmetry
 Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
-kernel_mode_profiles). This module is the only one that forms boundary
+kernel_mode_profiles). The rule on 512/s samples, s = 2, 4, 8, is every
+s-th sample of these tables with s times the folded weights there;
+transform.ExtendProvider evaluates each call on one of them. This module is the only one that forms boundary
 samples or takes the log of the pairing, which it builds in real
 arithmetic from the real and imaginary parts of Q; kernel_mode_profiles
 takes an array of parameters and any list of orders on one log table,
@@ -37,8 +39,9 @@ from .errors import GridResolutionError, SchemaError
 from .numerics import gauss_legendre
 
 #: samples of the boundary trapezoid rule behind every complex-degree
-#: kernel mode (only the half boundary is formed). Mode m of Q^l is
-#: alias-free while l + |m| < DEFAULT_BOUNDARY_SAMPLES.
+#: kernel mode (only the half boundary is formed), and the ceiling of the
+#: rules, strides of this one, that ExtendProvider picks per call. Mode m
+#: of Q^l is alias-free while l + |m| < DEFAULT_BOUNDARY_SAMPLES.
 DEFAULT_BOUNDARY_SAMPLES = 512
 
 #: a grid row counts toward the support when its peak magnitude exceeds

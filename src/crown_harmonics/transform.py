@@ -10,9 +10,10 @@ At integer degree the boundary modes of Q^ell have the closed form
 of sphere.kernel_mode_sweep, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
 cap-supported f against boundary modes of Q^ell by the folded
-512-sample trapezoid rule of sphere.boundary_fold, a route that
-shares no inner loop with analyze; agreement of the two routes at
-integer ell is one of the library's primary cross-checks. synthesize
+trapezoid rule of sphere.boundary_fold, on at most 512 samples and as
+few as the cap allows, a route that shares no inner loop with analyze;
+agreement of the two routes at integer ell is one of the library's
+primary cross-checks. synthesize
 runs the inversion series
 
     f(x) = sum over ell of (2*ell+1) * (1/2*pi)
@@ -69,6 +70,19 @@ _SWEEP_BLOCK = 8
 
 #: points of a ray whose extension values eval_rays folds at once
 _RAY_BLOCK = 16
+
+#: samples of the smallest boundary rule eval_rays evaluates on; the rules
+#: double from it up to the ceiling DEFAULT_BOUNDARY_SAMPLES
+_MIN_SAMPLES = 64
+
+#: off the integers eval_rays starts on the fewest samples N with
+#: N a >= _STRIP_EFOLDS, where a is the half-width of the strip in which
+#: the kernel of the last row is analytic and the rule errs like e^{-N a}
+#: (Trefethen and Weideman, SIAM Rev. 56, 2014): e^-130 ~ 1e-57 leaves
+#: some 40 decades below eps for the growth of Q^ell inside the strip
+_STRIP_EFOLDS = 130.0
+
+_EPS = np.finfo(float).eps
 
 #: i^k at k % 4, exact
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -217,7 +231,8 @@ class ExtendProvider(CoefficientProvider):
 
     Precomputes, on the significant rows of f, the half-boundary log
     table of sphere.boundary_log_pairing, one weighted row vector per
-    K-type and the sphere.boundary_fold weights of the K-types. eval_rays
+    K-type and the sphere.boundary_fold weights of the K-types, on 512
+    samples and on their strides to 256, 128 and 64. eval_rays
     steps the kernel along each ray, since Q^(ell + step) = Q^ell Q^step:
     a run of points on one route (direct, or reflected through -ell-1)
     starts from Q^power, and each further point multiplies it by Q^step.
@@ -227,23 +242,24 @@ class ExtendProvider(CoefficientProvider):
     to the held one reuses it, and a step that is its exact negation
     takes its reciprocal, Q^-step = 1/Q^step, which also serves the
     reflected run of a ray. Every further point costs one in-place
-    multiply by Q^step and one (K x rows)(rows x 257) row product into a
-    block buffer; every block of _RAY_BLOCK points costs one multiply by
-    the folded cosines, one pairwise sum over the 257 samples, one
-    finiteness test and one write. The row product stays per point: one
-    product over a whole block takes the last sample of each point
-    through a different BLAS edge kernel and changes its last bit, and
-    one long dot product of the kernel with weights and cosines folded
-    together gives up the short row sum and the pairwise cosine sum. The
-    kernel is shared by all K-types. A ray of one point takes an exact
+    multiply by Q^step and one (K x rows)(rows x (N/2 + 1)) row product
+    into a block buffer, on the call's rule of N samples; every block of
+    _RAY_BLOCK points costs one multiply by the folded cosines, one
+    pairwise sum over the N/2 + 1 samples, one finiteness test and one
+    write. The row product stays per point: one product over a whole
+    block takes the last sample of each point through a different BLAS
+    edge kernel and changes its last bit, and one long dot product of the
+    kernel with weights and cosines folded together gives up the short
+    row sum and the pairwise cosine sum. The kernel is shared by all
+    K-types. A ray of one point takes an exact
     exponential, unless it is the exact conjugate of an earlier one.
 
     Q(theta, pi - c) = conj Q(theta, c), and the folded cosines of mode m
     at pi - c are (-1)^|m| times those at c, so phi(conj ell, m) =
     (-1)^|m| conj(the fold of conj(w f_m) Q^ell). A ray whose origin and
     step are the exact conjugates of an earlier ray's, off the real axis,
-    is read from that ray's kernels: one more (K x rows)(rows x 257) row
-    product per point, with the conjugate weights, into a second block
+    is read from that ray's kernels: one more (K x rows)(rows x (N/2 + 1))
+    row product per point, with the conjugate weights, into a second block
     buffer, folded by the same cosines, conjugated and multiplied by
     (-1)^|m|. It takes the earlier ray's routes and no exponential, step
     multiply or route test of its own; its reflected points take b_m,
@@ -252,8 +268,20 @@ class ExtendProvider(CoefficientProvider):
     separate from the earlier ray's: one over 2K rows takes a different
     BLAS edge kernel and changes the last bits of the computed ray.
 
-    Routes are decided per ray, from the last significant row, so the
-    route arrays grow with the longest ray, not with the batch. The log
+    Each call evaluates one rule of N in {64, 128, 256, 512} samples.
+    On nonnegative integers l the rule is exact while l + min(|m|, l) < N;
+    off them Q^ell of the last row, at theta, is analytic in the strip
+    |Im c| < asinh(cot theta), where the rule errs like e^{-N strip}.
+    A call starts on the fewest samples that cover both. Below 512, each
+    block also folds its even samples, the rule on N/2 samples, and a
+    point off the integers (or its conjugate twin) whose two values
+    differ by more than its roundoff floor eps (1 + |power|) e^amp
+    sum_rows |w| redoes the call on 2N samples. On 512 the values are
+    those of the 512-sample rule, bit for bit.
+
+    Routes are decided per ray, from the last significant row on 512
+    samples whatever the rule, so they do not depend on N and the route
+    arrays grow with the longest ray, not with the batch. The log
     table lies in the log image of the segment |z| <= 1,
     Re z >= cos(theta_last), where Re(ell log Q) and Re((-ell-1) log Q)
     are harmonic: each peaks on the boundary, on the arc (where it is
@@ -315,40 +343,61 @@ class ExtendProvider(CoefficientProvider):
         if self.is_zero:
             return
         ms = sorted(self.ktypes)
-        self._log_q = boundary_log_pairing(f.grid.theta[mask])
-        self._cosines = boundary_fold(ms)
+        theta = f.grid.theta[mask]
+        log_q, cosines = boundary_log_pairing(theta), boundary_fold(ms)
+        # rule N: sample k is sample k s of the ceiling rule, s = 512 / N, and
+        # its fold weights are s times the ceiling's there, an exact scale
+        self._rules = {DEFAULT_BOUNDARY_SAMPLES // s: (np.ascontiguousarray(log_q[:, ::s]),
+                                                      s * cosines[:, ::s])
+                       for s in (1, 2, 4, 8)}
+        # half-width of the strip around the real c-axis where Q^ell of the
+        # last row is analytic: Q vanishes at cos c = i cot(theta)
+        self._strip = math.asinh(1.0 / math.tan(theta[-1]))
         columns = row_modes[:, [m % f.grid.n_phi for m in ms]]
         magnitude = np.abs(columns)
         own = magnitude > SUPPORT_REL_THRESHOLD * magnitude.max(axis=0)
         self._weighted = np.where(own, f.grid.theta_weights[mask][:, None] * columns, 0.0).T
+        self._weight_sums = np.abs(self._weighted).sum(axis=1)
 
-    def _kernel(self, power: complex) -> np.ndarray:
-        """Q^power on the half-boundary samples of the significant rows."""
-        kernel = power * self._log_q
+    @staticmethod
+    def _kernel(power: complex, log_q: np.ndarray) -> np.ndarray:
+        """Q^power on the half-boundary samples log_q of one rule."""
+        kernel = power * log_q
         np.exp(kernel, out=kernel)
         return kernel
 
-    def _fold(self, block: np.ndarray) -> np.ndarray:
-        """The values of a block of row products: times the folded cosines, in
-        place, then summed over the 257 samples."""
-        np.multiply(block, self._cosines, out=block)
+    @staticmethod
+    def _fold(block: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+        """The values of a block of row products: times the folded cosines of
+        one rule, in place, then summed over its samples."""
+        np.multiply(block, cosines, out=block)
         return np.add.reduce(block, axis=2)
+
+    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
+        return self._eval_rays(origins, steps, n)[0]
 
     # a kernel power, or the reciprocal of an underflowed step kernel, may
     # overflow; the values it leaves are not finite, and the callers'
     # finite checks report that as a numerical failure
     @np.errstate(over="ignore", invalid="ignore")
-    def eval_rays(self, origins, steps, n: int) -> np.ndarray:
+    def _eval_rays(self, origins, steps, n: int, start: int | None = None):
+        """eval_rays, and the samples N of the rule its values come from
+        (None when it evaluates nothing). start, when given, is the first N
+        tried in place of the start rule's."""
         ms = sorted(self.ktypes)
         points = ray_points(origins, steps, n)
         if not np.all(np.isfinite(points)):
             raise SchemaError("spectral parameter must be finite")
-        out = np.zeros((points.size, len(ms)), dtype=complex)
         if not ms or self.is_zero:
-            return out
+            return np.zeros((points.size, len(ms)), dtype=complex), None
         ks = np.abs(ms)
         ells = points.ravel()
         integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
+        # the rule of N samples errs like e^{-N strip} off the integers, and is
+        # exact at a nonnegative integer l with l + min(|m|, l) < N. The strip
+        # counts in every call, so a point takes the same rule alone as in a
+        # batch of smaller integers
+        need = max(_MIN_SAMPLES, _STRIP_EFOLDS / self._strip)
         if integer.any():
             l = int(ells.real[integer].max())
             k = min(int(ks.max()), l)
@@ -357,13 +406,57 @@ class ExtendProvider(CoefficientProvider):
                     f"degree l={l} with K-type |m|={k} aliases on the "
                     f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
                     f"need l + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
-        edge = self._log_q[-1]
-        reflect = np.zeros(points.shape, dtype=bool)
+            need = max(need, l + k + 1)
+        samples = start or min(DEFAULT_BOUNDARY_SAMPLES, 1 << math.ceil(math.log2(need)))
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-        prod = np.empty((_RAY_BLOCK, len(ms), edge.size), dtype=complex)
-        # twins[i] is the later ray read from ray i's kernels, or -1; a twin
-        # is contracted with the conjugate weights into its own block
+        # twins[i] is the later ray read from ray i's kernels, or -1
         twins = _conjugate_twins(points, steps)
+        # below the ceiling every point off the nonnegative integers is held
+        # to its roundoff floor by the estimate, else the call is redone on
+        # twice the samples
+        checked = None if integer.all() else ~integer.reshape(points.shape)
+        while True:
+            walked = self._walk(points, steps, twins, self._rules[samples],
+                                checked if samples < DEFAULT_BOUNDARY_SAMPLES else None)
+            if walked is not None:
+                break
+            samples *= 2
+        out, reflect = walked
+        # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
+        # the rule leaves roundoff there, or the alias of mode m - N
+        out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
+        rows = np.flatnonzero(reflect.ravel())
+        if not rows.size:
+            return out, samples
+        # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), every b_m from one ladder
+        # over the reflected points; at ell = -n-1 with n < |m| the identity
+        # reads 0 * inf, so the direct value of the ceiling rule replaces the
+        # product there
+        t = ells[rows] + 0.5
+        out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
+        pole = singular_distance(ks, t[:, None]) < POLE_TOL
+        log_q, cosines = self._rules[DEFAULT_BOUNDARY_SAMPLES]
+        for i, at_pole in zip(rows, pole):
+            if at_pole.any():
+                direct = self._fold((self._weighted @ self._kernel(ells[i], log_q))[None], cosines)
+                out[i, at_pole] = direct[0, at_pole]
+        return out, samples
+
+    def _walk(self, points, steps, twins, rule, checked):
+        """Values of the rays on one rule, before b_m and the exact zeros,
+        and the route of every point; None once a point that checked marks
+        (or its twin's) misses its roundoff floor by the estimate."""
+        log_q, cosines = rule
+        ms = sorted(self.ktypes)
+        n = points.shape[1]
+        ks = np.abs(ms)
+        out = np.zeros((points.size, len(ms)), dtype=complex)
+        # routes are decided on the last row of the ceiling rule, whatever the
+        # rule evaluated
+        edge = self._rules[DEFAULT_BOUNDARY_SAMPLES][0][-1]
+        reflect = np.zeros(points.shape, dtype=bool)
+        prod = np.empty((_RAY_BLOCK, len(ms), log_q.shape[1]), dtype=complex)
+        # a twin is contracted with the conjugate weights into its own block
         derived = np.zeros(len(points), dtype=bool)
         derived[twins[twins >= 0]] = True
         if derived.any():
@@ -373,7 +466,7 @@ class ExtendProvider(CoefficientProvider):
         # kernel is the working buffer a run steps; across rays the call
         # holds the last run-start kernel and the last step kernel, each
         # with its power
-        kernel = np.empty_like(self._log_q)
+        kernel = np.empty_like(log_q)
         start_power = start = step_power = step_kernel = None
         for i, (ray, step) in enumerate(zip(points, steps)):
             if derived[i]:
@@ -386,11 +479,21 @@ class ExtendProvider(CoefficientProvider):
             a -= np.multiply.outer(ray.imag, edge.imag)
             log_amp = a.max(axis=1)
             a += edge.real
+            reflected_amp = -a.min(axis=1)
             reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
-                -a.min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+                reflected_amp < log_amp - _LOG_AMP_ADVANTAGE_MIN)
             if twin >= 0:
                 reflect[twin] = reflect[i]
             routes = reflect[i].tolist()
+            if checked is not None:
+                # the roundoff floor eps (1 + |power|) e^amp sum_rows |w| of
+                # each point and K-type, on the route the point takes; a
+                # point that is not checked has floor inf
+                power = np.where(reflect[i], -ray - 1.0, ray)
+                floor = _EPS * (1.0 + np.abs(power)) * np.exp(
+                    np.where(reflect[i], reflected_amp, log_amp))
+                floor[~checked[i]] = np.inf
+                floor = np.multiply.outer(floor, self._weight_sums)
             # a run of points on one route starts from Q^power: the held
             # start if the power is the same, else an exact exponential.
             # Each further point multiplies the kernel in place by Q^step:
@@ -416,7 +519,7 @@ class ExtendProvider(CoefficientProvider):
                         if step_kernel is not None and delta == -step_power:
                             np.reciprocal(step_kernel, out=step_kernel)
                         else:
-                            step_kernel = self._kernel(delta)
+                            step_kernel = self._kernel(delta, log_q)
                         step_power = delta
                         if not np.isfinite(step_kernel).all():
                             step_kernel = None
@@ -424,44 +527,40 @@ class ExtendProvider(CoefficientProvider):
                         kernel *= step_kernel
                     else:
                         if power != start_power:
-                            start_power, start = power, self._kernel(power)
+                            start_power, start = power, self._kernel(power, log_q)
                         np.copyto(kernel, start)
                     np.matmul(self._weighted, kernel, out=block[b])
                     if twin >= 0:
                         np.matmul(conj_weighted, kernel, out=twin_prod[b])
                     prev = route
-                values = self._fold(block)
+                values = self._fold(block, cosines)
                 finite = np.isfinite(values).all(axis=1)
+                # the estimate of each value's error is its difference from
+                # the rule of half the samples: the even ones, at twice the
+                # folded weights
+                miss = None
+                if checked is not None:
+                    miss = np.abs(values - 2.0 * np.add.reduce(block[:, :, ::2], axis=2))
+                    miss = miss > floor[j:j + w]
                 if twin >= 0:
                     # phi(conj ell, m) = (-1)^|m| conj(the fold of conj(w f_m) Q^ell)
-                    twin_values = self._fold(twin_prod[:w])
+                    twin_values = self._fold(twin_prod[:w], cosines)
+                    if checked is not None:
+                        miss |= np.abs(twin_values - 2.0 * np.add.reduce(
+                            twin_prod[:w, :, ::2], axis=2)) > floor[j:j + w]
                     np.conjugate(twin_values, out=twin_values)
                     twin_values *= parity
                     finite &= np.isfinite(twin_values).all(axis=1)
                 if not finite.all():
                     w, prev = int(finite.argmin()) + 1, None
                     start_power = step_power = step_kernel = None
+                if miss is not None and (miss[:w] & finite[:w, None]).any():
+                    return None
                 out[i * n + j:i * n + j + w] = values[:w]
                 if twin >= 0:
                     out[twin * n + j:twin * n + j + w] = twin_values[:w]
                 j += w
-        # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
-        # the rule leaves roundoff there, or the alias of mode m - 512
-        out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
-        rows = np.flatnonzero(reflect.ravel())
-        if not rows.size:
-            return out
-        # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), every b_m from one ladder
-        # over the reflected points; at ell = -n-1 with n < |m| the identity
-        # reads 0 * inf, so the direct value replaces the product there
-        t = ells[rows] + 0.5
-        out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
-        pole = singular_distance(ks, t[:, None]) < POLE_TOL
-        for i, at_pole in zip(rows, pole):
-            if at_pole.any():
-                direct = self._fold((self._weighted @ self._kernel(ells[i]))[None])[0]
-                out[i, at_pole] = direct[at_pole]
-        return out
+        return out, reflect
 
     # perfbench/tracer.py wraps eval from this class's own __dict__
     eval = CoefficientProvider.eval

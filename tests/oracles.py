@@ -114,19 +114,20 @@ def per_order_synthesize(provider, grid, lmax: int) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=1) * grid.n_phi
 
 
-def full_boundary_log_pairing(theta):
-    """Principal log of Q((theta, 0), c) on the whole 512-sample boundary circle."""
+def full_boundary_log_pairing(theta, samples: int = DEFAULT_BOUNDARY_SAMPLES):
+    """Principal log of Q((theta, 0), c) on the whole boundary circle of samples points."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    c = 2.0 * np.pi * np.arange(DEFAULT_BOUNDARY_SAMPLES) / DEFAULT_BOUNDARY_SAMPLES
+    c = 2.0 * np.pi * np.arange(samples) / samples
     return np.log(np.cos(theta)[:, None] + 1j * np.sin(theta)[:, None] * np.cos(c)[None, :])
 
 
 def fft_kernel_modes(ell, log_q):
-    """Every boundary mode of Q^ell by a 512-point FFT on the full circle.
+    """Every boundary mode of Q^ell by an FFT on the full circle.
 
-    Column m % 512 of the (rows, 512) result is mode m; log_q comes from
-    full_boundary_log_pairing. The reference for the folded rule of
-    sphere.kernel_mode_profiles, which must equal it up to roundoff.
+    Column m % N of the (rows, N) result is mode m, where N samples of
+    log_q come from full_boundary_log_pairing. The reference for the
+    folded rule of sphere.kernel_mode_profiles, which must equal it up
+    to roundoff at N = 512.
     """
     return np.fft.fft(np.exp(complex(ell) * log_q), axis=-1) / log_q.shape[-1]
 
@@ -157,14 +158,16 @@ class FakeProvider(CoefficientProvider):
         return np.array(values, dtype=complex).reshape(ells.size, len(ms))
 
 
-def extend_reference(f, ells, m: int, own_rows: bool = False):
+def extend_reference(f, ells, m: int, own_rows: bool = False,
+                     samples: int = DEFAULT_BOUNDARY_SAMPLES):
     """phi(ell, m) of a cap-supported f by the full-boundary FFT route.
 
     Every grid row whose peak exceeds SUPPORT_REL_THRESHOLD of the
     overall peak contributes its weighted azimuthal mode times the
-    column m of fft_kernel_modes (a 512-point FFT of Q^ell), with
-    the direct-or-reflected rule of ExtendProvider (direct where the
-    reflection scalar has a pole). own_rows keeps only the rows where
+    column m of fft_kernel_modes (an FFT of Q^ell on samples points),
+    with the direct-or-reflected rule of ExtendProvider, decided on 512
+    samples whatever samples is (direct where the reflection scalar has
+    a pole). own_rows keeps only the rows where
     the K-type's own mode exceeds SUPPORT_REL_THRESHOLD of its own peak,
     as ExtendProvider does; without it every significant row counts.
     Returns (values, floors) over ells, where floor = eps * e^{log amp}
@@ -178,18 +181,19 @@ def extend_reference(f, ells, m: int, own_rows: bool = False):
     if own_rows:
         magnitude = np.abs(weighted / f.grid.theta_weights[rows])
         weighted[magnitude <= SUPPORT_REL_THRESHOLD * magnitude.max()] = 0.0
-    log_q = full_boundary_log_pairing(f.grid.theta[rows])
+    log_q = full_boundary_log_pairing(f.grid.theta[rows], samples)
+    route_q = full_boundary_log_pairing(f.grid.theta[rows])
 
     def direct(power):
-        column = fft_kernel_modes(power, log_q)[:, m % DEFAULT_BOUNDARY_SAMPLES]
+        column = fft_kernel_modes(power, log_q)[:, m % samples]
         log_amp = np.max(np.real(power * log_q))
         floor = np.finfo(float).eps * np.exp(log_amp) * np.sum(np.abs(weighted))
         return complex(np.sum(weighted * column)), floor
 
     def one(ell):
-        log_amp = np.max(np.real(ell * log_q))
+        log_amp = np.max(np.real(ell * route_q))
         if (log_amp > _LOG_AMP_DIRECT_MAX
-                and np.max(np.real((-ell - 1.0) * log_q)) < log_amp - _LOG_AMP_ADVANTAGE_MIN):
+                and np.max(np.real((-ell - 1.0) * route_q)) < log_amp - _LOG_AMP_ADVANTAGE_MIN):
             try:
                 b = intertwiner_rational(m, ell + 0.5)
             except SingularParameterError:

@@ -6,6 +6,7 @@ cos(theta), the reflection scalar b_0 is 1, and the degree weight is 3.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,15 @@ from crown_harmonics.errors import (
 )
 from crown_harmonics.intertwining import intertwiner_ladder, intertwiner_rational
 from crown_harmonics.numerics import assoc_legendre
-from crown_harmonics.paley_wiener import _disc_rays
-from crown_harmonics.sphere import GridFunction, SphereGrid, support_radius
+from crown_harmonics.paley_wiener import _disc_rays, _weyl_rays
+from crown_harmonics.sphere import (
+    SUPPORT_REL_THRESHOLD,
+    GridFunction,
+    SphereGrid,
+    boundary_fold,
+    boundary_log_pairing,
+    support_radius,
+)
 from crown_harmonics.testbed import (
     BumpSpec,
     bridge_factor_candidate,
@@ -33,6 +41,7 @@ from crown_harmonics.testbed import (
 from crown_harmonics.transform import (
     _LOG_AMP_ADVANTAGE_MIN,
     _LOG_AMP_DIRECT_MAX,
+    _STRIP_EFOLDS,
     CoefficientProvider,
     CoefficientTable,
     ExtendProvider,
@@ -364,7 +373,7 @@ class TestProviders:
 class TestBatchedProviders:
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_extend_matches_full_boundary_route(self, name):
-        # the half-boundary cosine rule against the 512-point FFT route on
+        # the half-boundary cosine rule against the FFT route on
         # the tempered line, the disc and the reflected integers, within
         # 10x the roundoff floor eps e^{log amp} sum |w f_m|; on the line,
         # where the type is fitted, with the same per-K-type rows, the
@@ -373,15 +382,18 @@ class TestBatchedProviders:
         line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
         ells = np.concatenate([line, ray_points(*_disc_rays(20.0, 16, 32), 17).T.ravel()[::19],
                                -np.arange(0, 129, 16) - 1.0])
+        # route on each call's own N samples. The line is read in its own
+        # call, as sample_line reads it
         for r in (0.35, 0.7, 1.0):
             f = certify_class(name, r, grid)
             provider = ExtendProvider(f)
-            values = provider.eval_rays(ells, 0.0, 1)
+            values, samples = provider._eval_rays(ells, 0.0, 1)
+            on_line, line_samples = provider._eval_rays(line, 0.0, 1)
             for j, m in enumerate(sorted(provider.ktypes)):
-                ref, floor = extend_reference(f, ells, m)
+                ref, floor = extend_reference(f, ells, m, samples=samples)
                 assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), (r, m)
-                ref, _ = extend_reference(f, line, m, own_rows=True)
-                assert np.all(np.abs(values[:line.size, j] - ref) <= 1e-14 * np.abs(ref)), (r, m)
+                ref, _ = extend_reference(f, line, m, own_rows=True, samples=line_samples)
+                assert np.all(np.abs(on_line[:, j] - ref) <= 1e-14 * np.abs(ref)), (r, m)
 
     def test_eval_is_one_entry_of_eval_many(self):
         grid = SphereGrid(144, 8)
@@ -468,20 +480,19 @@ class TestBatchedProviders:
                                    for m in (19, 20)))
         provider = ExtendProvider(f)
         assert provider.ktypes == frozenset({19, 20})
-        powers = []
-        kernel = provider._kernel
-        provider._kernel = lambda power: powers.append(power) or kernel(power)
-        got = provider.eval_rays([-19.0], 0.0, 1)
-        assert powers == [18.0, -19.0]
+        got, powers = count_kernels(provider, lambda p: p.eval_rays([-19.0], 0.0, 1))
+        assert powers == [(18.0, 512), (-19.0, 512)]
         for j, m in enumerate((19, 20)):
             ref, floor = extend_reference(f, [-19.0], m)
             assert abs(got[0, j] - ref[0]) <= 10.0 * floor[0]
 
 
-def per_point_rays(provider, origins, steps, n):
-    """eval_rays one point at a time: the reference for its blocks.
+def per_point_rays(provider, origins, steps, n, rule):
+    """eval_rays on a boundary rule (log_q, cosines), one point at a
+    time: the reference for its blocks.
 
-    Routes, zeros below the order and reflections as in eval_rays, away
+    Routes (decided on the 512-sample last row), zeros below the order
+    and reflections as in eval_rays, away
     from the poles of b_m; each run starts from the held start kernel if
     its power is the held one, else from an exact _kernel; every further
     point of the run multiplies the kernel in place by the step kernel:
@@ -500,7 +511,8 @@ def per_point_rays(provider, origins, steps, n):
     ks = np.abs(ms)
     points = ray_points(origins, steps, n)
     ells = points.ravel()
-    edge = provider._log_q[-1]
+    edge = provider._rules[512][0][-1]
+    log_q, cosines = rule
     out = np.zeros((ells.size, len(ms)), dtype=complex)
     reflect = np.zeros(points.shape, dtype=bool)
     steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
@@ -532,17 +544,16 @@ def per_point_rays(provider, origins, steps, n):
             if route == prev and step[0] != delta:
                 held = step[1] is not None and np.all(np.isfinite(step[1]))
                 step = (delta, np.reciprocal(step[1]) if held and step[0] == -delta
-                        else provider._kernel(delta))
+                        else provider._kernel(delta, log_q))
             if route == prev and np.all(np.isfinite(step[1])):
                 kernel = kernel * step[1]
             else:
                 if start[0] != power:
-                    start = (power, provider._kernel(power))
+                    start = (power, provider._kernel(power, log_q))
                 kernel = start[1].copy()
-            values = out[i * n + j] = np.sum((provider._weighted @ kernel) * provider._cosines,
-                                             axis=1)
+            values = out[i * n + j] = np.sum((provider._weighted @ kernel) * cosines, axis=1)
             if twin is not None:
-                conjugate = np.sum((conj_weighted @ kernel) * provider._cosines, axis=1)
+                conjugate = np.sum((conj_weighted @ kernel) * cosines, axis=1)
                 out[twin * n + j] = np.conj(conjugate) * parity
                 values = np.r_[values, conjugate]
             prev = route
@@ -557,14 +568,21 @@ def per_point_rays(provider, origins, steps, n):
 
 
 def count_kernels(provider, evaluate):
-    """evaluate(provider) and the number of _kernel calls it made."""
+    """evaluate(provider) and the (power, samples N of the rule) of every
+    _kernel call it made."""
     calls = []
     kernel = provider._kernel
-    provider._kernel = lambda power: calls.append(power) or kernel(power)
+    provider._kernel = lambda power, log_q: (
+        calls.append((complex(power), 2 * (log_q.shape[1] - 1))) or kernel(power, log_q))
     try:
-        return evaluate(provider), len(calls)
+        return evaluate(provider), calls
     finally:
         del provider._kernel
+
+
+def kernels_on(calls, samples):
+    """How many of the count_kernels calls took the rule of samples points."""
+    return sum(n == samples for _, n in calls)
 
 
 class TestRays:
@@ -577,22 +595,23 @@ class TestRays:
         assert points.shape == (2, 5) and np.array_equal(points[:, 0], origins)
 
     def test_single_points_take_the_exact_exponential(self):
-        # one point per ray is the per-point route: the direct value, or
-        # b_m times the value at -ell-1, each from an exact exponential,
-        # bit for bit
+        # one point per ray is the per-point route on the call's rule: the
+        # direct value, or b_m times the value at -ell-1, each from an exact
+        # exponential, bit for bit
         grid = SphereGrid(144, 8)
         for name, r in (("two-type", 0.8), ("smooth-ktype1", 1.3), ("cospow-p8", 1.0)):
             provider = ExtendProvider(certify_class(name, r, grid))
             ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j, -129.0, 8.5 - 14.0j]
-            batch = provider.eval_rays(ells, 0.0, 1)
+            batch, samples = provider._eval_rays(ells, 0.0, 1)
+            log_q, cosines = provider._rules[samples]
+            route_q = provider._rules[512][0]
             for ell, got in zip(ells, batch):
                 ell = complex(ell)
-                a = np.real(ell * provider._log_q)
+                a = np.real(ell * route_q)
                 reflect = (a.max() > np.log(1e12) and
-                           (-a - provider._log_q.real).max() < a.max() - np.log(1e3))
+                           (-a - route_q.real).max() < a.max() - np.log(1e3))
                 power = -ell - 1.0 if reflect else ell
-                want = np.sum((provider._weighted @ np.exp(power * provider._log_q))
-                              * provider._cosines, axis=1)
+                want = np.sum((provider._weighted @ np.exp(power * log_q)) * cosines, axis=1)
                 if reflect:
                     want = want * [intertwiner_rational(m, ell + 0.5)
                                    for m in sorted(provider.ktypes)]
@@ -626,7 +645,8 @@ class TestRays:
         # two blocks; the rays are the line, two pairs of opposite disc rays
         # (along Re l, which the wide caps reflect, and along Im l, where the
         # second is the conjugate of the first, read from its kernels), the
-        # reflected integers and rays that cross between the routes
+        # reflected integers and rays that cross between the routes. The
+        # reference runs on the rule the call ended on
         provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
         disc_origins, disc_steps = _disc_rays(20.0, 16, 32)
         pairs = np.r_[0:2, 16:18]
@@ -635,11 +655,12 @@ class TestRays:
                 ([-40.0 + 3.0j, 30.0 - 5.0j], [1.0 + 0.1j, -1.0 + 0.05j]))
         for n in (1, 15, 16, 17, 33, 160):
             for origins, steps in rays:
-                got, calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, n))
+                (got, samples), calls = count_kernels(
+                    provider, lambda p: p._eval_rays(origins, steps, n))
                 want, want_calls = count_kernels(
-                    provider, lambda p: per_point_rays(p, origins, steps, n))
+                    provider, lambda p: per_point_rays(p, origins, steps, n, p._rules[samples]))
                 assert np.array_equal(got, want, equal_nan=True), (n, origins)
-                assert calls == want_calls, (n, origins)
+                assert kernels_on(calls, samples) == len(want_calls), (n, origins)
 
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_shared_origin_and_opposite_steps_share_exponentials(self, name):
@@ -652,8 +673,9 @@ class TestRays:
         half = np.array([1.25, 0.3 + 0.9j, -0.7 + 1.1j])
         steps = np.stack([half, -half], axis=1).ravel()
         origins = np.full(steps.size, -0.5 + 2.0j)
-        values, calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, 17))
-        assert calls == 1 + half.size
+        (values, samples), calls = count_kernels(provider,
+                                                 lambda p: p._eval_rays(origins, steps, 17))
+        assert kernels_on(calls, samples) == 1 + half.size
         points = ray_points(origins, steps, 17).ravel()
         for j, m in enumerate(sorted(provider.ktypes)):
             ref, floor = extend_reference(f, points, m, own_rows=True)
@@ -703,8 +725,9 @@ class TestRays:
         # j = 19, inside the second block; the values after it restart
         provider = ExtendProvider(make_bump(BumpSpec(1.3), SphereGrid(144, 8)))
         with np.errstate(over="ignore", invalid="ignore"):
-            got, calls = count_kernels(provider, lambda p: p.eval_rays(-0.5, 30j, 40))
-            want, want_calls = count_kernels(provider, lambda p: per_point_rays(p, -0.5, 30j, 40))
+            (got, samples), calls = count_kernels(provider, lambda p: p._eval_rays(-0.5, 30j, 40))
+            want, want_calls = count_kernels(
+                provider, lambda p: per_point_rays(p, -0.5, 30j, 40, p._rules[samples]))
         finite = np.isfinite(want).all(axis=1)
         assert finite[:19].all() and not finite[19]
         assert np.array_equal(got, want, equal_nan=True)
@@ -744,6 +767,142 @@ class TestRays:
                 extend(f, 1e4j, 0)
 
 
+def half_rule(rule):
+    """The boundary rule on the even samples of rule: half the samples, at
+    twice the folded weights."""
+    log_q, cosines = rule
+    return log_q[:, ::2], 2.0 * cosines[:, ::2]
+
+
+#: (origins, steps, n, stride) of the line, disc, symmetry lattice and
+#: rebuild calls of a certify op; every stride-th point is compared
+_CERTIFY_CALLS = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 17, 11),
+                  (*_weyl_rays(), 4, 3), (0.0, 1.0, 129, 8))
+
+
+class TestBoundaryRules:
+    """eval_rays on N = 64..512 boundary samples, N chosen once per call."""
+
+    def test_rules_are_strides_of_the_ceiling(self):
+        # rule N is every (512/N)-th sample of the 512 tables of the
+        # significant rows, with its fold weights times 512/N, bit for bit
+        f = certify_class("two-type", 0.7, SphereGrid(144, 8))
+        provider = ExtendProvider(f)
+        magnitude = np.abs(f.values)
+        rows = magnitude.max(axis=1) > SUPPORT_REL_THRESHOLD * magnitude.max()
+        log_q = boundary_log_pairing(f.grid.theta[rows])
+        cosines = boundary_fold(sorted(provider.ktypes))
+        assert sorted(provider._rules) == [64, 128, 256, 512]
+        for n, (sub_log_q, sub_cosines) in provider._rules.items():
+            s = 512 // n
+            assert sub_log_q.shape == (log_q.shape[0], n // 2 + 1)
+            assert np.array_equal(sub_log_q, log_q[:, ::s])
+            assert np.array_equal(sub_cosines, s * cosines[:, ::s])
+
+    @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_values_are_within_floor_and_estimate_of_finer_rules(self, name, r):
+        # the line, disc, symmetry lattice and rebuild calls of a certify op
+        # on the rule each call chose, against the FFT route on 512 and on
+        # 1024 samples: within 10x the roundoff floor plus the estimate, the
+        # difference from the rule on half the samples. The rebuild's
+        # integer ray is exact on its rule and takes no estimate
+        f = certify_class(name, r, SphereGrid(144, 8))
+        provider = ExtendProvider(f)
+        for origins, steps, n, stride in _CERTIFY_CALLS:
+            values, samples = provider._eval_rays(origins, steps, n)
+            points = ray_points(origins, steps, n).ravel()
+            pick = np.unique(np.r_[np.arange(stride - 1, points.size, stride), points.size - 1])
+            estimate = np.zeros(values.shape)
+            if not np.all(points == np.round(points.real)):
+                half = per_point_rays(provider, origins, steps, n,
+                                      half_rule(provider._rules[samples]))
+                estimate = np.abs(values - half)
+            for j, m in enumerate(sorted(provider.ktypes)):
+                for fine in (512, 1024):
+                    ref, floor = extend_reference(f, points[pick], m, own_rows=True, samples=fine)
+                    err = np.abs(values[pick, j] - ref)
+                    assert np.all(err <= 10.0 * floor + estimate[pick, j]), (n, samples, m, fine)
+
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_a_call_at_the_ceiling_is_the_512_rule(self, name):
+        # a call that reaches 512 samples, from its start rule, from a
+        # retry or forced there, takes no estimate and computes the values
+        # of the 512-sample rule bit for bit
+        provider = ExtendProvider(certify_class(name, 1.3, SphereGrid(144, 8)))
+        ceiling = provider._rules[512]
+        for origins, steps, n, _ in _CERTIFY_CALLS:
+            want = per_point_rays(provider, origins, steps, n, ceiling)
+            got, samples = provider._eval_rays(origins, steps, n, start=512)
+            assert samples == 512 and np.array_equal(got, want), n
+        # the start rule asks for 405 samples or more at r = 1.3 off the
+        # integers; at r = 0.7 it asks for 128, and the direct powers down
+        # to -113 are redone until they end on 512
+        got, samples = provider._eval_rays(-0.5 + 0.5j, 0.5j, 160)
+        assert samples == 512
+        assert np.array_equal(got, per_point_rays(provider, -0.5 + 0.5j, 0.5j, 160, ceiling))
+        provider = ExtendProvider(certify_class(name, 0.7, SphereGrid(144, 8)))
+        (got, samples), calls = count_kernels(provider, lambda p: p._eval_rays(-1.0, -16.0, 9))
+        assert calls[0][1] == 128 and samples == 512
+        assert np.array_equal(got, per_point_rays(provider, -1.0, -16.0, 9, provider._rules[512]))
+
+    def test_an_integer_call_takes_the_exact_rule_and_no_estimate(self):
+        # on nonnegative integers the rule of N samples is exact while
+        # l + min(|m|, l) < N: the rebuild ray 0..128 of K-types up to 2
+        # takes 256 samples, and on a cap narrow enough for the strip
+        # the ray 0..40 takes 64. The rule on 32 samples would alias at
+        # l >= 31, so an estimate would have redone the call; every value
+        # stays within 10x the floor of the 512-point FFT route
+        grid = SphereGrid(144, 8)
+        two_type = ExtendProvider(certify_class("two-type", 0.35, grid))
+        assert two_type._eval_rays(0.0, 1.0, 129)[1] == 256
+        f = make_bump(BumpSpec(0.2, ktype=1), grid)
+        provider = ExtendProvider(f)
+        assert _STRIP_EFOLDS / provider._strip < 64
+        for start in (None, 64):
+            values, samples = provider._eval_rays(0.0, 1.0, 41, start=start)
+            assert samples == 64
+            ref, floor = extend_reference(f, np.arange(41.0), 1, own_rows=True)
+            assert np.all(np.abs(values[:, 0] - ref) <= 10.0 * floor)
+
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_a_start_forced_to_64_retries_up_to_a_passing_rule(self, name):
+        # on the wide cap r = 1.3 the 64-sample rule misses the floor: the
+        # call is redone on 128, 256, ... samples until every point passes,
+        # and its values are those of the call started there
+        provider = ExtendProvider(certify_class(name, 1.3, SphereGrid(144, 8)))
+        for origins, steps, n, _ in _CERTIFY_CALLS[:3]:
+            (got, samples), calls = count_kernels(
+                provider, lambda p: p._eval_rays(origins, steps, n, start=64))
+            tried = sorted({rule for _, rule in calls})
+            assert samples > 64 and tried == [64 << k for k in range(len(tried))], tried
+            assert tried[-1] == samples
+            want, again = provider._eval_rays(origins, steps, n, start=samples)
+            assert again == samples and np.array_equal(got, want)
+
+    def test_calls_from_two_threads_are_the_sequential_calls(self):
+        # the rules are built once and passed to each call, so two calls on
+        # different rules share one provider across threads
+        provider = ExtendProvider(certify_class("two-type", 0.7, SphereGrid(144, 8)))
+        calls = ((-0.5 + 0.5j, 0.5j, 160), (-1.0, -16.0, 9))
+        sequential = [provider._eval_rays(*call) for call in calls]
+        assert [samples for _, samples in sequential] == [128, 512]
+        barrier, results = threading.Barrier(2), [[], []]
+
+        def run(k):
+            barrier.wait()
+            for _ in range(8):
+                results[k].append(provider.eval_rays(*calls[k]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for (want, _), got in zip(sequential, results):
+            assert len(got) == 8 and all(np.array_equal(g, want) for g in got)
+
+
 class TestRebuild:
     """synthesize of an ExtendProvider, the rebuild of the certify benchmark."""
 
@@ -765,11 +924,8 @@ class TestRebuild:
         # the rebuild reads the integer ray, where |Q^l| <= 1: every kernel
         # power, the step included, is a nonnegative real
         provider = ExtendProvider(certify_class("two-type", 1.3, SphereGrid(144, 8)))
-        powers = []
-        kernel = provider._kernel
-        provider._kernel = lambda power: powers.append(complex(power)) or kernel(power)
-        synthesize(provider, SphereGrid(144, 16), 128)
-        assert powers and all(p.imag == 0.0 and p.real >= 0.0 for p in powers)
+        _, powers = count_kernels(provider, lambda p: synthesize(p, SphereGrid(144, 16), 128))
+        assert powers and all(p.imag == 0.0 and p.real >= 0.0 for p, _ in powers)
 
 
 class TestSynthesizeProviderErrors:
