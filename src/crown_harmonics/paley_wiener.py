@@ -4,9 +4,9 @@ Given a coefficient provider, this module estimates the exponential
 type along the tempered line, checks the reflection symmetry against
 the closed-form intertwining scalars, and combines the two into a
 per-radius verdict: the spectral data is consistent with support in a
-cap of that radius or it is not. Polynomially-weighted decay constants
-on a disc of spectral parameters are reported beside the verdicts as
-evidence of the growth condition.
+cap of that radius or it is not. Polynomially-weighted decay constants,
+maxima over a span of the real axis, are reported beside the verdicts
+as evidence of the growth condition.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .transform import ray_points
 _WEYL_IM = (-0.9, -0.3, 0.4, 1.1)
 _WEYL_POINTS = 4
 
-_DISC_RADII = 16
-_DISC_ANGLES = 32
-
 
 @dataclass(frozen=True)
 class Calibration:
@@ -37,13 +34,15 @@ class Calibration:
     weyl_tol bounds the reflection-symmetry residual, type_slack is the
     multiplicative allowance on the candidate radius when compared with
     the type interval's upper end. decay_kmax is the highest order of the
-    reported decay constants. The line and disc sampling parameters are
-    exposed so the report is fully reproducible from its calibration
-    alone. A non-finite or out-of-range value, a decay_kmax or n_samples
-    that is not an int (a bool counts as not), an n_samples and
-    tail_fraction that leave fit_type fewer than 8 tail samples, or a
-    decay_kmax whose weight (1.5 + disc_radius)^decay_kmax at the disc's
-    rim is not below the largest float raises SchemaError.
+    reported decay constants, and disc_radius the half-length R of the
+    real-axis span |l + 1/2| <= R they are read on. The line and axis
+    sampling parameters are exposed so the report is fully reproducible
+    from its calibration alone. A non-finite or out-of-range value, a
+    decay_kmax or n_samples that is not an int (a bool counts as not),
+    an n_samples and tail_fraction that leave fit_type fewer than 8 tail
+    samples, or a decay_kmax whose weight |disc_radius + 2i|^decay_kmax
+    at the ends of the span is not below the largest float raises
+    SchemaError.
     """
 
     weyl_tol: float = 1e-6
@@ -68,10 +67,10 @@ class Calibration:
         if not broken and self.n_samples - _tail_start(self.n_samples, self.tail_fraction) < 8:
             broken.append("n_samples - round(n_samples * (1 - tail_fraction)) >= 8, "
                           "the tail samples of the type fit")
-        if not broken and (self.decay_kmax * math.log(1.5 + self.disc_radius)
+        if not broken and (self.decay_kmax * math.log(math.hypot(self.disc_radius, 2.0))
                            >= math.log(sys.float_info.max)):
-            broken.append("decay_kmax * log(1.5 + disc_radius) < log(largest float), "
-                          "the decay weight at the disc's rim")
+            broken.append("decay_kmax * log(hypot(disc_radius, 2)) < log(largest float), "
+                          "the decay weight at the ends of the real span")
         if broken:
             raise SchemaError("calibration needs " + ", ".join(broken))
 
@@ -192,7 +191,7 @@ def fit_type(ts, vals, tail_fraction: float = 0.5) -> TypeEstimate:
 
 
 # ---------------------------------------------------------------------------
-# decay constants on a spectral disc
+# decay constants on the real axis
 
 
 def _require_finite(values, points, ktypes):
@@ -203,64 +202,58 @@ def _require_finite(values, points, ktypes):
         raise NumericalError(f"provider not finite at l={points[i]:.4g}, m={ktypes[j]}")
 
 
-def _disc_rays(disc_radius: float, n_radii: int, n_angles: int):
-    """(origins, steps) of the disc lattice: n_angles rays from the centre
-    -1/2, read at n_radii + 1 points, with steps (disc_radius / n_radii)
-    e^{i angle} at the angles 2 pi k / n_angles, n_angles a multiple of 4.
-    The steps come in exact pairs +step, -step, each pair adjacent: the
-    angles k < n_angles / 2, each followed by its opposite. The steps of
-    the first quadrant, k <= n_angles / 4, are computed, the one at pi/2
-    exactly imaginary, and each step of the second quadrant is the exact
-    -conj of one of them. So every ray past the first n_angles / 2 + 1
-    is the exact conjugate of an earlier one."""
-    quarter = n_angles // 4
-    angles = 2.0 * math.pi * np.arange(quarter) / n_angles
-    first = np.append(disc_radius / n_radii * np.exp(1j * angles), 1j * (disc_radius / n_radii))
-    half = np.concatenate([first, -first[quarter - 1:0:-1].conj()])
-    return np.full(n_angles, -0.5 + 0.0j), np.stack([half, -half], axis=1).ravel()
+def _axis_rays(half_length: float):
+    """(origins, steps, n) of the real-axis scan |l + 1/2| <= half_length:
+    two rays from -1/2 with the opposite steps +h and -h, read at n points
+    each, where n - 1 = ceil(4 half_length) and h = half_length / (n - 1)
+    <= 1/4."""
+    intervals = math.ceil(4.0 * half_length)
+    h = half_length / intervals
+    return np.full(2, -0.5), np.array([h, -h]), intervals + 1
 
 
 def decay_profile(provider, disc_radius: float = 20.0):
-    """Evaluate max_m |phi| on a lattice over |l + 1/2| <= R.
+    """Evaluate max_m |phi| on the real axis |l + 1/2| <= R, R = disc_radius.
 
-    The 16 radii x 32 angles are one eval_rays call over 32 rays from
-    the centre -1/2 (see _disc_rays), read at 17 points each; the centre
-    is dropped. Rays 17..31 are the exact conjugates of earlier rays, so
-    an ExtendProvider computes 17 rays (289 points), from the start and
-    nine step kernels, and reads the other 15 from their kernels.
-    Returns (points, magnitudes), radius-major with the points as
-    evaluated; evaluate once, reuse for every radius.
+    The axis is one eval_rays call over the two rays of _axis_rays, so an
+    ExtendProvider takes one start and one step exponential: the rays
+    share the start -1/2, and the second steps by the reciprocal of the
+    first's step kernel. Both sides of -1/2 are evaluated; neither is read
+    from the other through b_m, since weyl_residual tests that symmetry.
+    Returns (points, magnitudes) in ascending order of the real l, with
+    -1/2 once; evaluate once, reuse for every order.
     """
     ktypes = sorted(provider.ktypes)
     if not ktypes:
         raise SchemaError("provider exposes no azimuthal types")
-    origins, steps = _disc_rays(disc_radius, _DISC_RADII, _DISC_ANGLES)
-    # radius-major: row k of the lattice is radius (k + 1) R / _DISC_RADII
-    points = ray_points(origins, steps, _DISC_RADII + 1)[:, 1:].T.ravel()
-    # ray-major (angle, radius) to the radius-major layout of points
-    values = provider.eval_rays(origins, steps, _DISC_RADII + 1)
-    values = values.reshape(_DISC_ANGLES, _DISC_RADII + 1, -1)[:, 1:]
-    values = values.transpose(1, 0, 2).reshape(points.size, -1)
+    origins, steps, n = _axis_rays(disc_radius)
+    # ascending l: the second ray reversed, without its copy of -1/2, then the first
+    order = np.r_[2 * n - 1:n:-1, 0:n]
+    points = ray_points(origins, steps, n).ravel()[order].real
+    values = provider.eval_rays(origins, steps, n)[order]
     _require_finite(values, points, ktypes)
     return points, np.abs(values).max(axis=1)
 
 
-def decay_constants(profile, r: float, kmax: int = 3):
-    """Weighted sup constants C_k = max |phi| (1+|l|)^k e^{-r |Im l|}.
+def decay_constants(profile, kmax: int = 3):
+    """Weighted sup constants C_k = max |phi| |l + 1/2 + 2i|^k on the real axis.
 
-    profile is the output of decay_profile, so one disc scan serves
-    every radius. Returns {k: C_k} for k = 0..kmax. A constant whose
-    weighted magnitude overflows reads inf.
+    In the upper half-plane phi(l) (l + 1/2 + 2i)^k e^{i rho (l + 1/2)}
+    is holomorphic, and for every rho at or above the type of phi it is
+    bounded by its supremum on the real axis (Phragmen-Lindelof for a
+    half-plane); the lower half-plane is the same with l + 1/2 - 2i, of
+    equal modulus on the axis. So the growth constants sup |phi|
+    |l + 1/2 +- 2i|^k e^{-rho |Im l|} are real-axis maxima, the same for
+    every such rho, and C_k takes no radius. profile is the output of
+    decay_profile, whose spacing h <= 1/4 reads the supremum over its span
+    within the factor 1 / (1 - sigma h / 2) of Bernstein's inequality,
+    sigma <= pi/2 on the crown. Returns {k: C_k} for k = 0..kmax. A
+    constant whose weighted magnitude overflows reads inf.
     """
-    if r < 0.0:
-        raise CrownDomainError("decay weight radius must be nonnegative")
     points, mags = profile
-    constants = {}
+    weight = np.hypot(points + 0.5, 2.0)
     with np.errstate(over="ignore"):
-        for k in range(kmax + 1):
-            weighted = mags * (1.0 + np.abs(points)) ** k * np.exp(-r * np.abs(points.imag))
-            constants[k] = float(np.max(weighted))
-    return constants
+        return {k: float(np.max(mags * weight ** k)) for k in range(kmax + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +311,10 @@ class RadiusVerdict:
 class PWReport:
     """Bundle of spectral evidence plus per-radius verdicts.
 
-    decay_constants are taken at the type estimate r_hat: evidence of
-    the growth condition, reported beside the verdicts and part of none.
+    decay_constants are the real-axis maxima of decay_constants, which
+    bound the weighted growth for every radius at or above the type:
+    evidence of the growth condition, reported beside the verdicts and
+    part of none.
     line_samples holds the line scan as (ts, max over K-types of |phi|).
     """
 
@@ -347,10 +342,10 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
 
     A radius passes when the type interval's upper end does not exceed
     the radius (with multiplicative slack) and the reflection-symmetry
-    residual is below tolerance. The expensive pieces (line scan, disc
+    residual is below tolerance. The expensive pieces (line scan, axis
     scan, symmetry lattice) are computed once and shared across all
-    candidate radii, each from one eval_rays call. A decay constant at
-    r_hat that is not finite raises NumericalError naming its order.
+    candidate radii, each from one eval_rays call. A decay constant that
+    is not finite raises NumericalError naming its order.
     """
     calib = calibration or Calibration()
     radii = sorted(float(r) for r in candidate_radii)
@@ -367,11 +362,11 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
     line_vals = line_vals.max(axis=0)
     profile = decay_profile(provider, calib.disc_radius)
     wr = weyl_residual(provider)
-    hat_constants = decay_constants(profile, te.r_hat, calib.decay_kmax)
-    overflowed = [k for k, c in hat_constants.items() if not math.isfinite(c)]
+    constants = decay_constants(profile, calib.decay_kmax)
+    overflowed = [k for k, c in constants.items() if not math.isfinite(c)]
     if overflowed:
-        raise NumericalError(f"decay constant C_{overflowed[0]} at r_hat={te.r_hat:.6g} "
-                             f"overflowed on the disc |l+1/2| <= {calib.disc_radius:g}")
+        raise NumericalError(f"decay constant C_{overflowed[0]} overflowed on the real "
+                             f"axis |l+1/2| <= {calib.disc_radius:g}")
 
     verdicts = []
     for r in radii:
@@ -383,12 +378,12 @@ def pw_report(provider, candidate_radii, calibration: Calibration | None = None)
             reasons.append(f"symmetry residual {wr:.6g} exceeds tolerance {calib.weyl_tol:g}")
         verdicts.append(RadiusVerdict(r, not reasons, tuple(reasons)))
 
+    _, (h, _), n = _axis_rays(calib.disc_radius)
     samples_used = (
         f"line Re l = -1/2: {calib.n_samples} samples to t_max={calib.t_max:g}; "
-        f"disc |l+1/2| <= {calib.disc_radius:g}: {_DISC_RADII * _DISC_ANGLES} points, "
-        f"{_DISC_RADII} radii x {_DISC_ANGLES} angles; symmetry lattice: "
-        f"{len(_WEYL_IM)} rays of {_WEYL_POINTS} points per side"
+        f"real axis |l+1/2| <= {calib.disc_radius:g}: {2 * n - 1} points at spacing {h:g}; "
+        f"symmetry lattice: {len(_WEYL_IM)} rays of {_WEYL_POINTS} points per side"
     )
     return PWReport(ktypes=tuple(sorted(provider.ktypes)), type_estimate=te,
-                    decay_constants=hat_constants, weyl_residual=wr, verdicts=tuple(verdicts),
+                    decay_constants=constants, weyl_residual=wr, verdicts=tuple(verdicts),
                     samples_used=samples_used, calibration=calib, line_samples=(ts, line_vals))

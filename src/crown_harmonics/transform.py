@@ -200,27 +200,6 @@ def ray_points(origins, steps, n: int) -> np.ndarray:
     return points
 
 
-def _conjugate_twins(points: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """For each ray of a batch, the later ray whose origin and step are its
-    exact conjugates, or -1.
-
-    A ray with a twin is not itself one, and has at most one; a ray whose
-    points are all real is its own conjugate and has none. A ray that is
-    conjugate to an earlier one only up to roundoff has none either.
-    """
-    twins = np.full(len(points), -1)
-    if not points.shape[1]:
-        return twins
-    waiting = {}
-    for i, key in enumerate(zip(points[:, 0].tolist(), steps.tolist())):
-        partner = waiting.pop(key, None)
-        if partner is not None:
-            twins[partner] = i
-        elif points[i].imag.any():
-            waiting.setdefault((key[0].conjugate(), key[1].conjugate()), i)
-    return twins
-
-
 def _format_ell(ell) -> str:
     ell = complex(ell)
     return f"{ell.real:g}" if ell.imag == 0.0 else f"{ell:g}"
@@ -251,22 +230,7 @@ class ExtendProvider(CoefficientProvider):
     edge kernel and changes its last bit, and one long dot product of the
     kernel with weights and cosines folded together gives up the short
     row sum and the pairwise cosine sum. The kernel is shared by all
-    K-types. A ray of one point takes an exact
-    exponential, unless it is the exact conjugate of an earlier one.
-
-    Q(theta, pi - c) = conj Q(theta, c), and the folded cosines of mode m
-    at pi - c are (-1)^|m| times those at c, so phi(conj ell, m) =
-    (-1)^|m| conj(the fold of conj(w f_m) Q^ell). A ray whose origin and
-    step are the exact conjugates of an earlier ray's, off the real axis,
-    is read from that ray's kernels: one more (K x rows)(rows x (N/2 + 1))
-    row product per point, with the conjugate weights, into a second block
-    buffer, folded by the same cosines, conjugated and multiplied by
-    (-1)^|m|. It takes the earlier ray's routes and no exponential, step
-    multiply or route test of its own; its reflected points take b_m,
-    and its poles the direct value, at its own parameters. A block ends
-    at the first point where either ray is not finite. The product stays
-    separate from the earlier ray's: one over 2K rows takes a different
-    BLAS edge kernel and changes the last bits of the computed ray.
+    K-types. A ray of one point takes an exact exponential.
 
     Each call evaluates one rule of N in {64, 128, 256, 512} samples.
     On nonnegative integers l the rule is exact while l + min(|m|, l) < N;
@@ -274,9 +238,9 @@ class ExtendProvider(CoefficientProvider):
     |Im c| < asinh(cot theta), where the rule errs like e^{-N strip}.
     A call starts on the fewest samples that cover both. Below 512, each
     block also folds its even samples, the rule on N/2 samples, and a
-    point off the integers (or its conjugate twin) whose two values
-    differ by more than its roundoff floor eps (1 + |power|) e^amp
-    sum_rows |w| redoes the call on 2N samples. On 512 the values are
+    point off the integers whose two values differ by more than its
+    roundoff floor eps (1 + |power|) e^amp sum_rows |w| redoes the call
+    on 2N samples. On 512 the values are
     those of the 512-sample rule, bit for bit.
 
     Routes are decided per ray, from the last significant row on 512
@@ -409,14 +373,12 @@ class ExtendProvider(CoefficientProvider):
             need = max(need, l + k + 1)
         samples = start or min(DEFAULT_BOUNDARY_SAMPLES, 1 << math.ceil(math.log2(need)))
         steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-        # twins[i] is the later ray read from ray i's kernels, or -1
-        twins = _conjugate_twins(points, steps)
         # below the ceiling every point off the nonnegative integers is held
         # to its roundoff floor by the estimate, else the call is redone on
         # twice the samples
         checked = None if integer.all() else ~integer.reshape(points.shape)
         while True:
-            walked = self._walk(points, steps, twins, self._rules[samples],
+            walked = self._walk(points, steps, self._rules[samples],
                                 checked if samples < DEFAULT_BOUNDARY_SAMPLES else None)
             if walked is not None:
                 break
@@ -442,36 +404,25 @@ class ExtendProvider(CoefficientProvider):
                 out[i, at_pole] = direct[0, at_pole]
         return out, samples
 
-    def _walk(self, points, steps, twins, rule, checked):
+    def _walk(self, points, steps, rule, checked):
         """Values of the rays on one rule, before b_m and the exact zeros,
         and the route of every point; None once a point that checked marks
-        (or its twin's) misses its roundoff floor by the estimate."""
+        misses its roundoff floor by the estimate."""
         log_q, cosines = rule
         ms = sorted(self.ktypes)
         n = points.shape[1]
-        ks = np.abs(ms)
         out = np.zeros((points.size, len(ms)), dtype=complex)
         # routes are decided on the last row of the ceiling rule, whatever the
         # rule evaluated
         edge = self._rules[DEFAULT_BOUNDARY_SAMPLES][0][-1]
         reflect = np.zeros(points.shape, dtype=bool)
         prod = np.empty((_RAY_BLOCK, len(ms), log_q.shape[1]), dtype=complex)
-        # a twin is contracted with the conjugate weights into its own block
-        derived = np.zeros(len(points), dtype=bool)
-        derived[twins[twins >= 0]] = True
-        if derived.any():
-            conj_weighted = self._weighted.conj()
-            twin_prod = np.empty_like(prod)
-            parity = np.where(ks % 2, -1.0, 1.0)
         # kernel is the working buffer a run steps; across rays the call
         # holds the last run-start kernel and the last step kernel, each
         # with its power
         kernel = np.empty_like(log_q)
         start_power = start = step_power = step_kernel = None
         for i, (ray, step) in enumerate(zip(points, steps)):
-            if derived[i]:
-                continue
-            twin = twins[i]
             # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
             # the last row; where the direct power would cancel, -ell-1 is
             # reflected
@@ -482,8 +433,6 @@ class ExtendProvider(CoefficientProvider):
             reflected_amp = -a.min(axis=1)
             reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
                 reflected_amp < log_amp - _LOG_AMP_ADVANTAGE_MIN)
-            if twin >= 0:
-                reflect[twin] = reflect[i]
             routes = reflect[i].tolist()
             if checked is not None:
                 # the roundoff floor eps (1 + |power|) e^amp sum_rows |w| of
@@ -530,8 +479,6 @@ class ExtendProvider(CoefficientProvider):
                             start_power, start = power, self._kernel(power, log_q)
                         np.copyto(kernel, start)
                     np.matmul(self._weighted, kernel, out=block[b])
-                    if twin >= 0:
-                        np.matmul(conj_weighted, kernel, out=twin_prod[b])
                     prev = route
                 values = self._fold(block, cosines)
                 finite = np.isfinite(values).all(axis=1)
@@ -542,23 +489,12 @@ class ExtendProvider(CoefficientProvider):
                 if checked is not None:
                     miss = np.abs(values - 2.0 * np.add.reduce(block[:, :, ::2], axis=2))
                     miss = miss > floor[j:j + w]
-                if twin >= 0:
-                    # phi(conj ell, m) = (-1)^|m| conj(the fold of conj(w f_m) Q^ell)
-                    twin_values = self._fold(twin_prod[:w], cosines)
-                    if checked is not None:
-                        miss |= np.abs(twin_values - 2.0 * np.add.reduce(
-                            twin_prod[:w, :, ::2], axis=2)) > floor[j:j + w]
-                    np.conjugate(twin_values, out=twin_values)
-                    twin_values *= parity
-                    finite &= np.isfinite(twin_values).all(axis=1)
                 if not finite.all():
                     w, prev = int(finite.argmin()) + 1, None
                     start_power = step_power = step_kernel = None
                 if miss is not None and (miss[:w] & finite[:w, None]).any():
                     return None
                 out[i * n + j:i * n + j + w] = values[:w]
-                if twin >= 0:
-                    out[twin * n + j:twin * n + j + w] = twin_values[:w]
                 j += w
         return out, reflect
 

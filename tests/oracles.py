@@ -206,6 +206,48 @@ def extend_reference(f, ells, m: int, own_rows: bool = False,
     return np.array(values), np.array(floors)
 
 
+def half_square_max(provider, rho, half_length, kmax, spacing=0.02):
+    """{k: max of |phi| |l + 1/2 +- 2i|^k e^{-rho |Im l|}} over the boundaries
+    of the upper and lower half-squares |Re(l + 1/2)| <= half_length,
+    0 <= +-Im l <= half_length, sampled at spacing, with + in the upper
+    half-plane and - in the lower, for k = 0..kmax.
+
+    The reference for decay_constants: for rho at or above the type of
+    phi, Phragmen-Lindelof puts each maximum on the real axis. The
+    boundaries are seven rays in two eval_rays calls: the real side and
+    the two far sides along Re l, then the four sides along Im l.
+    """
+    h = half_length
+    along = (np.array([-0.5 - h, -0.5 - h + 1j * h, -0.5 - h - 1j * h]), spacing,
+             round(2 * h / spacing) + 1)
+    across = (np.array([-0.5 - h, -0.5 + h] * 2), np.repeat([1j * spacing, -1j * spacing], 2),
+              round(h / spacing) + 1)
+    points = np.concatenate([ray_points(*along).ravel(), ray_points(*across).ravel()])
+    mags = np.abs(np.concatenate([provider.eval_rays(*along), provider.eval_rays(*across)]))
+    damped = mags.max(axis=1) * np.exp(-rho * np.abs(points.imag))
+    weight = np.abs(points + 0.5 + np.where(points.imag < 0.0, -2j, 2j))
+    return {k: float(np.max(damped * weight ** k)) for k in range(kmax + 1)}
+
+
+def _disc_steps(radius, n_radii, n_angles):
+    """Steps of n_angles rays from a centre, read at n_radii + 1 points out to
+    radius: adjacent pairs +step, -step at the angles 2 pi k / n_angles,
+    k < n_angles / 2. The first-quadrant steps are computed, the one at
+    pi/2 exactly imaginary, and each second-quadrant step is the exact
+    -conj of one of them."""
+    quarter = n_angles // 4
+    angles = 2.0 * math.pi * np.arange(quarter) / n_angles
+    first = np.append(radius / n_radii * np.exp(1j * angles), 1j * (radius / n_radii))
+    half = np.concatenate([first, -first[quarter - 1:0:-1].conj()])
+    return np.stack([half, -half], axis=1).ravel()
+
+
+#: (origins, steps) of 32 rays of 17 points from -1/2 over the disc
+#: |l + 1/2| <= 20, in 16 adjacent pairs of opposite steps: rays in every
+#: direction off the real axis, with exact conjugates among them
+DISC_RAYS = (np.full(32, -0.5 + 0.0j), _disc_steps(20.0, 16, 32))
+
+
 def certify_class(name, r, grid):
     """The four bump classes of the certify benchmark at radius r."""
     if name == "two-type":

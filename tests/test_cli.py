@@ -229,8 +229,9 @@ class TestPwReport:
     @pytest.mark.parametrize("override", ["decay_kmax=240", "decay_ratio_max=2"])
     def test_overflowing_or_removed_knob_exits_before_evaluation(self, capsys, bump_file,
                                                                   monkeypatch, override):
-        # (1 + |l|)^240 overflows on the R = 20 disc, and the doubling
-        # bound is no longer a key: schema errors before any provider
+        # |l + 1/2 + 2i|^240 overflows at the ends of the R = 20 real span
+        # (236 is the largest order that does not), and the doubling bound
+        # is no longer a key: schema errors before any provider
         built = []
         monkeypatch.setattr("crown_harmonics.cli.ExtendProvider", built.append)
         path, _ = bump_file

@@ -18,7 +18,7 @@ from crown_harmonics.errors import CrownDomainError, NumericalError, SchemaError
 from crown_harmonics.intertwining import singular_distance
 from crown_harmonics.paley_wiener import (
     Calibration,
-    _disc_rays,
+    _axis_rays,
     _weyl_rays,
     decay_constants,
     decay_profile,
@@ -30,13 +30,14 @@ from crown_harmonics.paley_wiener import (
 )
 from crown_harmonics.sphere import GridFunction, SphereGrid
 from crown_harmonics.testbed import BumpSpec, make_bump
-from crown_harmonics.transform import ExtendProvider, ray_points, synthesize
+from crown_harmonics.transform import CoefficientProvider, ExtendProvider, ray_points, synthesize
 from oracles import (
     CERTIFY_CLASSES,
     WHOLE_CROWN_RADII,
     WHOLE_CROWN_WRONG,
     FakeProvider,
     certify_class,
+    half_square_max,
     whole_crown_report,
 )
 
@@ -125,31 +126,79 @@ class TestTypeFit:
         assert np.array_equal(vals, [[1.0] * 8, [2.0] * 8])
 
 
+class OffAxisProvider(CoefficientProvider):
+    """A provider's values times cos(2 (l + 1/2)): at most as large on the
+    real axis, and of type 2 more than the provider's off it."""
+
+    def __init__(self, provider):
+        self._provider = provider
+        self.ktypes = provider.ktypes
+
+    def eval_rays(self, origins, steps, n):
+        factor = np.cos(2.0 * (ray_points(origins, steps, n).ravel() + 0.5))
+        return self._provider.eval_rays(origins, steps, n) * factor[:, None]
+
+
+def bernstein_bounds(provider, r):
+    """(lower, constant, upper) per order k = 0..3: the decay constants on
+    the default span, and the half-square maxima at rho = min(1.1 r,
+    pi/2 - 1e-3) times and over 1 - (pi/2) h/2, the Bernstein factor of
+    the axis spacing h."""
+    half_length = Calibration().disc_radius
+    h = _axis_rays(half_length)[1][0]
+    factor = 1.0 - (math.pi / 2.0) * h / 2.0
+    rho = min(1.1 * r, math.pi / 2.0 - 1e-3)
+    bound = half_square_max(provider, rho, half_length, 3)
+    constants = decay_constants(decay_profile(provider, half_length), 3)
+    return [(factor * bound[k], constants[k], bound[k] / factor) for k in range(4)]
+
+
 class TestDecayConstants:
     def test_constants_finite_and_positive(self):
         provider = symmetric_poly_provider()
         profile = decay_profile(provider, disc_radius=10.0)
-        consts = decay_constants(profile, 0.5, kmax=3)
+        consts = decay_constants(profile, kmax=3)
         assert sorted(consts) == [0, 1, 2, 3]
         for k in range(4):
             assert math.isfinite(consts[k]) and consts[k] > 0.0
 
     def test_zero_provider_constants_are_zero(self):
         provider = FakeProvider(lambda ell, m: 0.0, ktypes=(0,))
-        consts = decay_constants(decay_profile(provider), 0.5, kmax=2)
+        consts = decay_constants(decay_profile(provider), kmax=2)
         assert consts == {0: 0.0, 1: 0.0, 2: 0.0}
 
     def test_overflowed_constant_reads_inf(self):
-        # 1e300 (1 + |l|)^k passes the largest float from k = 7 on the
-        # R = 20 disc, whose real points reach |l| = 19.5
+        # 1e300 |l + 1/2 + 2i|^k passes the largest float from k = 7 on the
+        # R = 20 span, whose ends have weight |20 + 2i| = 20.1
         provider = FakeProvider(lambda ell, m: 1e300, ktypes=(0,))
-        consts = decay_constants(decay_profile(provider), 0.0, kmax=8)
+        consts = decay_constants(decay_profile(provider), kmax=8)
         assert math.isfinite(consts[6])
         assert consts[7] == consts[8] == math.inf
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(CrownDomainError):
-            decay_constants(decay_profile(symmetric_poly_provider()), -0.1)
+    def test_unit_provider_reads_the_weight_at_the_ends(self):
+        # |phi| = 1 leaves the weight |l + 1/2 + 2i|^k, largest at the ends
+        # of the span, -1/2 -+ R with R = 10
+        profile = decay_profile(FakeProvider(lambda ell, m: 1.0, ktypes=(0,)), 10.0)
+        assert profile[0][0] == -10.5 and profile[0][-1] == 9.5
+        assert decay_constants(profile, 3) == {k: math.hypot(10.0, 2.0) ** k for k in range(4)}
+
+    @pytest.mark.parametrize("r", [0.35, 1.0, 1.45])
+    @pytest.mark.parametrize("cls", CERTIFY_CLASSES)
+    def test_constants_are_the_half_square_maxima(self, cls, r):
+        # Phragmen-Lindelof: above the type, the weighted maximum over the
+        # boundary of each half-square sits on the real axis, which the
+        # axis samples read within the Bernstein factor of their spacing
+        provider = ExtendProvider(certify_class(cls, r, SphereGrid(144, 8)))
+        for k, (lower, constant, upper) in enumerate(bernstein_bounds(provider, r)):
+            assert lower <= constant <= upper, k
+
+    def test_a_provider_growing_off_the_axis_misses_the_maxima(self):
+        # cos(2 (l + 1/2)) keeps the provider's values on the real axis at
+        # most as large, and grows like e^{2 |Im l|} off it, past the weight
+        # e^{-rho |Im l|}: the half-square maxima leave the axis
+        provider = ExtendProvider(certify_class("smooth-zonal", 1.0, SphereGrid(144, 8)))
+        bounds = bernstein_bounds(OffAxisProvider(provider), 1.0)
+        assert all(constant < lower for lower, constant, _ in bounds)
 
 
 class TestWeylResidual:
@@ -264,11 +313,14 @@ class TestCalibration:
 
     @pytest.mark.parametrize("disc_radius", [0.5, 5.0, 20.0, 80.0, 1e6])
     def test_decay_weight_stays_below_the_largest_float(self, disc_radius):
-        # decay_kmax is accepted exactly while (1.5 + R)^decay_kmax, the
-        # weight at the disc's rim, stays below the largest float
-        kmax = math.ceil(math.log(sys.float_info.max) / math.log(1.5 + disc_radius)) - 1
+        # decay_kmax is accepted exactly while |R + 2i|^decay_kmax, the
+        # weight at the ends of the real span, stays below the largest
+        # float: at R = 20 up to 236
+        weight = math.hypot(disc_radius, 2.0)
+        kmax = math.ceil(math.log(sys.float_info.max) / math.log(weight)) - 1
         calib = Calibration(decay_kmax=kmax, disc_radius=disc_radius)
-        assert math.isfinite((1.5 + disc_radius) ** calib.decay_kmax)
+        assert math.isfinite(weight ** calib.decay_kmax)
+        assert disc_radius != 20.0 or kmax == 236
         with pytest.raises(SchemaError, match="decay weight"):
             Calibration(decay_kmax=kmax + 1, disc_radius=disc_radius)
 
@@ -333,54 +385,61 @@ class TestReport:
         assert not report.passed(r / 2)
         assert report.passed(1.1 * r), report.verdict_for(1.1 * r).reasons
 
-    def test_decay_constants_are_taken_at_r_hat(self):
-        # the reported constants come from the r_hat weight; on the
-        # r = 1.0 bump they differ from the ones at radius 0.5
+    def test_decay_constants_do_not_depend_on_r_hat(self):
+        # the constants are real-axis maxima: a shorter line moves r_hat on
+        # the r = 1.0 bump and leaves them as they are
         provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
         report = pw_report(provider, [0.5, 1.1])
-        calib = report.calibration
-        profile = decay_profile(provider, calib.disc_radius)
-        at_hat = decay_constants(profile, report.type_estimate.r_hat, calib.decay_kmax)
-        assert report.decay_constants == at_hat
-        assert report.decay_constants != decay_constants(profile, 0.5, calib.decay_kmax)
+        short = pw_report(provider, [0.5, 1.1], Calibration(t_max=40.0, n_samples=80))
+        assert short.type_estimate.r_hat != report.type_estimate.r_hat
+        assert short.decay_constants == report.decay_constants
+        profile = decay_profile(provider, report.calibration.disc_radius)
+        assert report.decay_constants == decay_constants(profile, report.calibration.decay_kmax)
 
     def test_overflowed_decay_constant_raises(self):
-        # a finite provider of magnitude 1e300 overflows C_7 on the
-        # R = 20 disc; the report names the order instead of carrying inf
+        # a finite provider of magnitude 1e300 overflows C_7 on the R = 20
+        # real span; the report names the order and the span instead of
+        # carrying inf
         provider = FakeProvider(lambda ell, m: 1e300, ktypes=(0,))
-        with pytest.raises(NumericalError, match=r"decay constant C_7 "):
+        with pytest.raises(NumericalError,
+                           match=r"decay constant C_7 overflowed on the real axis \|l\+1/2\| <= 20$"):
             pw_report(provider, [0.5], Calibration(decay_kmax=8))
 
     def test_each_stage_is_one_batched_call(self):
-        # line, disc and symmetry lattice (both sides of the identity):
-        # one eval_rays call each; the disc's 32 rays start at the centre,
-        # 17 points each
+        # line, real axis and symmetry lattice (both sides of the
+        # identity): one eval_rays call each; the axis is two rays of 81
+        # points from -1/2
         provider = CountingProvider(lambda ell, m: 1.0 / (25.0 + abs(ell * (ell + 1.0))),
                                     ktypes=(0, 1))
         pw_report(provider, [0.5])
-        assert provider.batches == [160, 544, 32]
+        assert provider.batches == [160, 162, 32]
         provider.batches.clear()
         synthesize(provider, SphereGrid(8, 8), 6)
         assert provider.batches == [7]
 
-    def test_disc_lattice_is_read_radius_major_from_the_rays(self):
-        # the lattice is evaluated along rays from the centre, which is
-        # dropped, and laid out radius-major; each magnitude is the
-        # largest K-type's at its own point
+    @pytest.mark.parametrize("half_length, h", [(20.0, 0.25), (0.1, 0.1), (7.3, 7.3 / 30)])
+    def test_axis_is_read_in_ascending_order_from_two_rays(self, half_length, h):
+        # two rays from -1/2 with steps +-h, h = R / ceil(4R) <= 1/4, out to
+        # R; the profile holds the real l in ascending order, -1/2 once, and
+        # each magnitude is the largest K-type's at its own point
+        origins, steps, n = _axis_rays(half_length)
+        assert np.array_equal(origins, [-0.5, -0.5]) and np.array_equal(steps, [h, -h])
+        assert n == math.ceil(4 * half_length) + 1
         provider = FakeProvider(lambda ell, m: (m + 1) * ell, ktypes=(0, 1))
-        points, mags = decay_profile(provider, 20.0)
-        assert np.array_equal(points, ray_points(*_disc_rays(20.0, 16, 32), 17)[:, 1:].T.ravel())
+        points, mags = decay_profile(provider, half_length)
+        rays = ray_points(origins, steps, n)
+        assert np.array_equal(points, np.r_[rays[1, :0:-1], rays[0]].real)
+        assert np.all(np.diff(points) > 0.0) and np.count_nonzero(points == -0.5) == 1
+        assert np.allclose(points[[0, -1]], [-0.5 - half_length, -0.5 + half_length])
         assert np.array_equal(mags, np.abs(2 * points))
 
     def test_kernel_exponentials_one_per_ray(self, monkeypatch):
         # every lattice of pw_report and the rebuild is made of rays, and
         # within one eval_rays call a kernel power takes one exponential.
-        # The disc's 32 rays share the start -1/2; it computes the 17 whose
-        # steps lie in the first or third quadrant: 8 pairs of opposite
-        # steps and the step at pi/2 (1 + 9), and reads the other 15, their
-        # exact conjugates, from their kernels.
-        # The symmetry lattice has 8 starts and the steps +-1/2 (8 + 1),
-        # the line and the rebuild 2 each. Per point, these would be 865.
+        # The axis's two rays share the start -1/2, and the second steps by
+        # the reciprocal of the first's step kernel (1 + 1). The symmetry
+        # lattice has 8 starts and the steps +-1/2 (8 + 1), the line and
+        # the rebuild 2 each. Per point, these would be 483.
         # Kernels of every boundary rule count, so a call redone on more
         # samples counts its exponentials again
         provider = ExtendProvider(make_bump(BumpSpec(radius=1.0), SphereGrid(144, 8)))
@@ -389,13 +448,13 @@ class TestReport:
         monkeypatch.setattr(np, "exp",
                             lambda x, *a, **k: shapes.append(np.shape(x)) or exp(x, *a, **k))
         decay_profile(provider)
-        disc = sum(shape in kernel_shapes for shape in shapes)
+        axis = sum(shape in kernel_shapes for shape in shapes)
         shapes.clear()
         pw_report(provider, [0.5, 1.1])
         synthesize(provider, SphereGrid(144, 16), 128)
         monkeypatch.undo()
-        assert disc == 10
-        assert sum(shape in kernel_shapes for shape in shapes) <= 23
+        assert axis == 2
+        assert sum(shape in kernel_shapes for shape in shapes) <= 15
 
     def test_line_overflow_names_the_first_bad_t(self):
         # t_max = 1000 drives the r = 1.3 bump past the float range; the
@@ -448,8 +507,8 @@ def test_whole_crown_verdicts(cls, r):
 @pytest.mark.parametrize("cls", CERTIFY_CLASSES)
 @pytest.mark.parametrize("disc_radius", [5.0, 20.0, 40.0, 80.0])
 def test_verdicts_do_not_depend_on_the_disc(disc_radius, cls, r):
-    # the disc only reports decay constants, so its radius moves no
-    # verdict: half the true radius is rejected and 1.1 times it accepted
+    # the real span only reports decay constants, so its half-length
+    # disc_radius moves no verdict: half the true radius is rejected and 1.1 times it accepted
     provider = ExtendProvider(certify_class(cls, r, SphereGrid(144, 8)))
     report = pw_report(provider, [r / 2, 1.1 * r], Calibration(disc_radius=disc_radius))
     assert not report.passed(r / 2)

@@ -292,7 +292,7 @@ class TestReportSerialization:
         ]
         assert obj["samples_used"].startswith(
             "line Re l = -1/2: 160 samples to t_max=80; "
-            "disc |l+1/2| <= 20: 512 points, 16 radii x 32 angles; ")
+            "real axis |l+1/2| <= 20: 161 points at spacing 0.25; ")
         assert obj["ktypes"] == [0]
         assert set(obj["type_estimate"]) == {
             "r_hat", "lower", "upper", "t_max", "n_samples"

@@ -21,7 +21,7 @@ from crown_harmonics.errors import (
 )
 from crown_harmonics.intertwining import intertwiner_ladder, intertwiner_rational
 from crown_harmonics.numerics import assoc_legendre
-from crown_harmonics.paley_wiener import _disc_rays, _weyl_rays
+from crown_harmonics.paley_wiener import _axis_rays, _weyl_rays
 from crown_harmonics.sphere import (
     SUPPORT_REL_THRESHOLD,
     GridFunction,
@@ -54,6 +54,7 @@ from crown_harmonics.transform import (
 from crown_harmonics.serialization import dumps_table, loads_table
 from oracles import (
     CERTIFY_CLASSES,
+    DISC_RAYS,
     FakeProvider,
     certify_class,
     extend_reference,
@@ -373,14 +374,14 @@ class TestProviders:
 class TestBatchedProviders:
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_extend_matches_full_boundary_route(self, name):
-        # the half-boundary cosine rule against the FFT route on
-        # the tempered line, the disc and the reflected integers, within
+        # the half-boundary cosine rule against the FFT route on the
+        # tempered line, the disc lattice and the reflected integers, within
         # 10x the roundoff floor eps e^{log amp} sum |w f_m|; on the line,
         # where the type is fitted, with the same per-K-type rows, the
         # values agree to roundoff relative to themselves
         grid = SphereGrid(144, 8)
         line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
-        ells = np.concatenate([line, ray_points(*_disc_rays(20.0, 16, 32), 17).T.ravel()[::19],
+        ells = np.concatenate([line, ray_points(*DISC_RAYS, 17).T.ravel()[::19],
                                -np.arange(0, 129, 16) - 1.0])
         # route on each call's own N samples. The line is read in its own
         # call, as sample_line reads it
@@ -500,12 +501,7 @@ def per_point_rays(provider, origins, steps, n, rule):
     its negation, else an exact _kernel, and a step kernel that is not
     finite is not used. Every point is one contraction of the weights with
     the kernel and the folded cosines, and a value that is not finite
-    ends its run and drops both held kernels. The first
-    later ray whose origin and step are the exact conjugates of a ray
-    with a point off the real axis is read from that ray's kernels, with
-    its routes: (-1)^|m| times the conjugate of the contraction with the
-    conjugate weights, and a value of either that is not finite ends the
-    run.
+    ends its run and drops both held kernels.
     """
     ms = sorted(provider.ktypes)
     ks = np.abs(ms)
@@ -516,28 +512,12 @@ def per_point_rays(provider, origins, steps, n, rule):
     out = np.zeros((ells.size, len(ms)), dtype=complex)
     reflect = np.zeros(points.shape, dtype=bool)
     steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-    twins, derived = {}, set()
-    for i in range(len(points) if n else 0):
-        if i in derived or not np.any(points[i].imag):
-            continue
-        later = [q for q in range(i + 1, len(points)) if q not in derived and q not in twins
-                 and points[q, 0] == np.conj(points[i, 0]) and steps[q] == np.conj(steps[i])]
-        if later:
-            twins[i] = later[0]
-            derived.add(later[0])
-    conj_weighted = provider._weighted.conj()
-    parity = np.where(ks % 2, -1.0, 1.0)
     start = step = (None, None)
     for i, (ray, ray_step) in enumerate(zip(points, steps)):
-        if i in derived:
-            continue
-        twin = twins.get(i)
         a = np.multiply.outer(ray.real, edge.real) - np.multiply.outer(ray.imag, edge.imag)
         log_amp = a.max(axis=1)
         reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
             -(a + edge.real).min(axis=1) < log_amp - _LOG_AMP_ADVANTAGE_MIN)
-        if twin is not None:
-            reflect[twin] = reflect[i]
         prev = None
         for j, (ell, route) in enumerate(zip(ray, reflect[i].tolist())):
             power, delta = (-ell - 1.0, -ray_step) if route else (ell, ray_step)
@@ -552,10 +532,6 @@ def per_point_rays(provider, origins, steps, n, rule):
                     start = (power, provider._kernel(power, log_q))
                 kernel = start[1].copy()
             values = out[i * n + j] = np.sum((provider._weighted @ kernel) * cosines, axis=1)
-            if twin is not None:
-                conjugate = np.sum((conj_weighted @ kernel) * cosines, axis=1)
-                out[twin * n + j] = np.conj(conjugate) * parity
-                values = np.r_[values, conjugate]
             prev = route
             if not np.all(np.isfinite(values)):
                 prev, start, step = None, (None, None), (None, None)
@@ -620,15 +596,16 @@ class TestRays:
     @pytest.mark.parametrize("r", [0.35, 0.7, 1.0, 1.3])
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_progressions_stay_within_the_roundoff_floor(self, name, r):
-        # the line, disc and rebuild rays of pw_report and synthesize, and
-        # the reflected integers, where the reflected route steps too,
-        # stepped by one multiply per point, against the 512-point FFT
-        # route within 10x its roundoff floor (as TestFoldedRuleAgainstFFT);
-        # a spread of points on each stage, ray ends included
+        # the line, real axis and rebuild rays of pw_report and synthesize,
+        # the disc lattice, and the reflected integers, where the reflected
+        # route steps too, stepped by one multiply per point, against the
+        # 512-point FFT route within 10x its roundoff floor (as
+        # TestFoldedRuleAgainstFFT); a spread of points on each stage, ray
+        # ends included
         grid = SphereGrid(144, 8)
         f = certify_class(name, r, grid)
         provider = ExtendProvider(f)
-        rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 17, 11),
+        rays = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_axis_rays(20.0), 8), (*DISC_RAYS, 17, 11),
                 (0.0, 1.0, 129, 8), (-1.0, -1.0, 129, 8))
         for origins, steps, n, stride in rays:
             values = provider.eval_rays(origins, steps, n)
@@ -643,12 +620,12 @@ class TestRays:
     def test_blocks_are_the_per_point_loop(self, name, r):
         # points are folded in blocks, so the ray lengths straddle one and
         # two blocks; the rays are the line, two pairs of opposite disc rays
-        # (along Re l, which the wide caps reflect, and along Im l, where the
-        # second is the conjugate of the first, read from its kernels), the
-        # reflected integers and rays that cross between the routes. The
-        # reference runs on the rule the call ended on
+        # (along Re l, which the wide caps reflect, and along Im l, the
+        # second the exact conjugate of the first), the reflected integers
+        # and rays that cross between the routes. The reference runs on the
+        # rule the call ended on
         provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
-        disc_origins, disc_steps = _disc_rays(20.0, 16, 32)
+        disc_origins, disc_steps = DISC_RAYS
         pairs = np.r_[0:2, 16:18]
         assert np.array_equal(disc_steps[pairs[1::2]], -disc_steps[pairs[::2]])
         rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[pairs], disc_steps[pairs]), (-1.0, -1.0),
@@ -681,45 +658,6 @@ class TestRays:
             ref, floor = extend_reference(f, points, m, own_rows=True)
             assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), m
 
-    @pytest.mark.parametrize("r", [0.35, 1.0, 1.45])
-    @pytest.mark.parametrize("name", ["smooth-ktype1", "two-type"])
-    def test_conjugate_rays_are_read_from_their_partners(self, name, r):
-        # Q(theta, pi - c) = conj Q(theta, c), so phi(conj ell, m) is
-        # (-1)^|m| times the conjugate of the fold of conj(w f_m) Q^ell: the
-        # exact conjugates of two rays, one up the line and one that the
-        # wide caps reflect at large negative Re l, take no kernel of their
-        # own, leave the first two rays as they are alone, and agree with
-        # their own call within 10x the roundoff floor of the FFT route. An
-        # imaginary part of i times the class at 0.6 r gives every K-type
-        # row weights of varying phase; smooth-ktype1 has odd m
-        grid = SphereGrid(144, 8)
-        f = GridFunction(grid, certify_class(name, r, grid).values
-                         + 1j * certify_class(name, 0.6 * r, grid).values)
-        provider = ExtendProvider(f)
-        origins, steps, n = np.array([-0.5 + 0.5j, -0.5]), np.array([0.5j, -1.25 + 0.3j]), 33
-        both, calls = count_kernels(provider, lambda p: p.eval_rays(
-            np.r_[origins, origins.conj()], np.r_[steps, steps.conj()], n))
-        first, first_calls = count_kernels(provider, lambda p: p.eval_rays(origins, steps, n))
-        assert calls == first_calls
-        assert np.array_equal(both[:first.shape[0]], first)
-        alone = np.concatenate([provider.eval_rays(o, s, n)
-                                for o, s in zip(origins.conj(), steps.conj())])
-        points = ray_points(origins.conj(), steps.conj(), n).ravel()
-        for j, m in enumerate(sorted(provider.ktypes)):
-            _, floor = extend_reference(f, points, m)
-            assert np.all(np.abs(both[first.shape[0]:, j] - alone[:, j]) <= 10.0 * floor), m
-
-    def test_rays_conjugate_up_to_roundoff_are_computed(self):
-        # a ray whose origin or step is one ulp off the conjugate of an
-        # earlier ray's is no twin: it is computed, bit for bit as in its
-        # own call
-        provider = ExtendProvider(certify_class("smooth-ktype1", 1.0, SphereGrid(144, 8)))
-        origin, step = -0.5 + 2.0j, 1.1 + 0.7j
-        near = (complex(origin.real, np.nextafter(-origin.imag, 0.0)), np.conj(step))
-        for o, s in (near, (np.conj(origin), np.conj(step) + 2e-16j)):
-            got = provider.eval_rays([origin, o], [step, s], 17)
-            assert np.array_equal(got[17:], provider.eval_rays(o, s, 17)), (o, s)
-
     def test_blocks_restart_after_a_value_that_is_not_finite(self):
         # up the tempered line in steps of 30 the kernel overflows first at
         # j = 19, inside the second block; the values after it restart
@@ -748,10 +686,10 @@ class TestRays:
             assert np.array_equal(rays, points, equal_nan=True), origin
 
     def test_route_memory_is_bounded_by_the_ray(self):
-        # routes are decided one ray at a time, so the disc's 32 rays of 16
-        # points hold route arrays of 16 x 257 samples, not 512 x 257
+        # routes are decided one ray at a time, so the disc lattice's 32 rays
+        # of 16 points hold route arrays of 16 x 257 samples, not 512 x 257
         provider = ExtendProvider(make_bump(BumpSpec(1.0), SphereGrid(144, 8)))
-        origins, steps = _disc_rays(20.0, 16, 32)
+        origins, steps = DISC_RAYS
         tracemalloc.start()
         try:
             provider.eval_rays(origins, steps, 16)
@@ -774,10 +712,11 @@ def half_rule(rule):
     return log_q[:, ::2], 2.0 * cosines[:, ::2]
 
 
-#: (origins, steps, n, stride) of the line, disc, symmetry lattice and
-#: rebuild calls of a certify op; every stride-th point is compared
-_CERTIFY_CALLS = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_disc_rays(20.0, 16, 32), 17, 11),
-                  (*_weyl_rays(), 4, 3), (0.0, 1.0, 129, 8))
+#: (origins, steps, n, stride) of the line, real axis, symmetry lattice
+#: and rebuild calls of a certify op, and of the disc lattice, rays in
+#: every direction off the axis; every stride-th point is compared
+_CERTIFY_CALLS = ((-0.5 + 0.5j, 0.5j, 160, 8), (*_axis_rays(20.0), 8), (*_weyl_rays(), 4, 3),
+                  (0.0, 1.0, 129, 8), (*DISC_RAYS, 17, 11))
 
 
 class TestBoundaryRules:
