@@ -218,8 +218,10 @@ def decay_profile(provider, disc_radius: float = 20.0):
     The axis is one eval_rays call over the two rays of _axis_rays, so an
     ExtendProvider takes one start and one step exponential: the rays
     share the start -1/2, and the second steps by the reciprocal of the
-    first's step kernel. Both sides of -1/2 are evaluated; neither is read
-    from the other through b_m, since weyl_residual tests that symmetry.
+    first's step kernel. Both sides of -1/2 are evaluated; off the
+    integers neither is read from the other through b_m, since
+    weyl_residual tests that symmetry there (a negative integer -n-1 is
+    b_m times the closed form at n, the provider's integer route).
     Returns (points, magnitudes) in ascending order of the real l, with
     -1/2 once; evaluate once, reuse for every order.
     """

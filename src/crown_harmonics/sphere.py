@@ -12,13 +12,15 @@ are well defined exactly on the crown cap theta < pi/2, where
 Re Q = cos(theta) > 0 keeps the principal logarithm holomorphic.
 
 At integer degree the boundary modes of Q^l have a closed form
-(kernel_mode_sweep, for many orders at once, one degree l per step). At
-complex degree they come from one rule: the 512-sample trapezoid rule
-on the boundary circle, folded onto its half by the symmetry
-Q(c) = Q(2 pi - c) (boundary_log_pairing, boundary_fold,
-kernel_mode_profiles). The rule on 512/s samples, s = 2, 4, 8, is every
-s-th sample of these tables with s times the folded weights there;
-transform.ExtendProvider evaluates each call on one of them. This module is the only one that forms boundary
+(kernel_mode_sweep, for many orders at once, one degree l per step),
+and so do the modes of order k > n at the negative degree -n-1
+(kernel_mode_at_pole). Off the integers they come from one rule: the
+512-sample trapezoid rule on the boundary circle, folded onto its half
+by the symmetry Q(c) = Q(2 pi - c) (boundary_log_pairing,
+boundary_fold, kernel_mode_profiles). The rule on 512/s samples,
+s = 2, 4, 8, is every s-th sample of these tables with s times the
+folded weights there; transform.ExtendProvider evaluates each call off
+the integers on one of them. This module is the only one that forms boundary
 samples or takes the log of the pairing, which it builds in real
 arithmetic from the real and imaginary parts of Q; kernel_mode_profiles
 takes an array of parameters and any list of orders on one log table,
@@ -257,6 +259,37 @@ def kernel_mode_sweep(orders, lmax: int, theta):
             g, g_prev, work = g.base[:n], g_prev.base[:n], work.base[:n]
             scale_live = scale[:, :n]
         yield l, g
+
+
+def kernel_mode_at_pole(n: int, k: int, theta) -> np.ndarray:
+    """Closed-form kernel mode k of Q^(-n-1), 0 <= n < k, over theta.
+
+    There Laplace's integral reads 0 * inf: i^k Gamma(-n) / Gamma(k - n)
+    P_n^k(cos theta), with P_n^k = 0. Through the Ferrers function of
+    order -k (DLMF 14.9.3, 14.9.5, 14.3.1) and Pfaff's transformation
+    (DLMF 15.8.1) its value is
+
+        G_k(-n-1; theta) = (-i)^k C(n+k, n) t^k cos(theta/2)^(2n)
+                           * sum_{j=0}^{n} C(n, j) (k-n)_j / (k+1)_j t^(2j),
+
+    t = tan(theta/2), a sum of positive terms, so it keeps its relative
+    accuracy where the boundary rule cancels. Returns G_k(-n-1; theta)
+    / i^k, as kernel_mode_sweep returns its rows. These are the modes at
+    the poles -n-1 of the reflection scalar b_k, where the reflection
+    cannot reach them.
+    """
+    half = np.atleast_1d(np.asarray(theta, dtype=float)) / 2.0
+    t2 = np.tan(half) ** 2
+    term = np.ones_like(half)
+    total = term.copy()
+    for j in range(n):
+        term *= (n - j) * (k - n + j) / ((j + 1) * (k + 1 + j)) * t2
+        total += term
+    # C(n+k, n) t^k as n growing factors on the small t^k, so neither overflows
+    scale = np.tan(half) ** k * np.cos(half) ** (2 * n)
+    for j in range(1, n + 1):
+        scale *= (k + j) / j
+    return (-1.0) ** k * scale * total
 
 
 def require_resolution(grid: SphereGrid, lmax: int):

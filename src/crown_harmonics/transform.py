@@ -9,11 +9,17 @@ pairing:
 At integer degree the boundary modes of Q^ell have the closed form
 of sphere.kernel_mode_sweep, and analyze pairs them with the azimuthal
 FFT of f. extend evaluates a single coefficient at any complex ell for
-cap-supported f against boundary modes of Q^ell by the folded
-trapezoid rule of sphere.boundary_fold, on at most 512 samples and as
-few as the cap allows, a route that shares no inner loop with analyze;
-agreement of the two routes at integer ell is one of the library's
-primary cross-checks. synthesize
+cap-supported f: at an integer degree from the same closed form, as
+analyze does (and, at the poles of the reflection scalar, from
+sphere.kernel_mode_at_pole), and off the integers against boundary
+modes of Q^ell by the folded trapezoid rule of sphere.boundary_fold,
+on at most 512 samples and as few as the cap allows. The library thus
+has one integer evaluator, and the independent check of the integers
+lives in the tier-1 tests: the integer rays of
+test_progressions_stay_within_the_roundoff_floor and the reflected
+integers of test_extend_matches_full_boundary_route
+(tests/test_transform.py) against the full-boundary FFT route of
+tests/oracles.py, which shares no code with the sweep. synthesize
 runs the inversion series
 
     f(x) = sum over ell of (2*ell+1) * (1/2*pi)
@@ -51,6 +57,7 @@ from .sphere import (
     SphereGrid,
     boundary_fold,
     boundary_log_pairing,
+    kernel_mode_at_pole,
     kernel_mode_sweep,
     require_resolution,
     support_radius,
@@ -71,11 +78,16 @@ _SWEEP_BLOCK = 8
 #: points of a ray whose extension values eval_rays folds at once
 _RAY_BLOCK = 16
 
+#: within this distance of -1 the reflected exponent Re((ell + 1) log Q) is
+#: flat to its roundoff on the last row, and its computed minimum may sit on
+#: any sample: ExtendProvider reads such a point's whole row for its routes
+_FLAT_REFLECTED = 1e-9
+
 #: samples of the smallest boundary rule eval_rays evaluates on; the rules
 #: double from it up to the ceiling DEFAULT_BOUNDARY_SAMPLES
 _MIN_SAMPLES = 64
 
-#: off the integers eval_rays starts on the fewest samples N with
+#: eval_rays starts on the fewest samples N with
 #: N a >= _STRIP_EFOLDS, where a is the half-width of the strip in which
 #: the kernel of the last row is analytic and the rule errs like e^{-N a}
 #: (Trefethen and Weideman, SIAM Rev. 56, 2014): e^-130 ~ 1e-57 leaves
@@ -208,13 +220,31 @@ def _format_ell(ell) -> str:
 class ExtendProvider(CoefficientProvider):
     """Provider wrapping the holomorphic extension of a grid function.
 
-    Precomputes, on the significant rows of f, the half-boundary log
-    table of sphere.boundary_log_pairing, one weighted row vector per
-    K-type and the sphere.boundary_fold weights of the K-types, on 512
-    samples and on their strides to 256, 128 and 64. eval_rays
-    steps the kernel along each ray, since Q^(ell + step) = Q^ell Q^step:
-    a run of points on one route (direct, or reflected through -ell-1)
-    starts from Q^power, and each further point multiplies it by Q^step.
+    Precomputes, on the significant rows of f, one weighted row vector
+    per K-type, the half-boundary log table of
+    sphere.boundary_log_pairing and the sphere.boundary_fold weights of
+    the K-types, on 512 samples and on their strides to 256, 128 and 64.
+
+    At an integer degree the value is the closed form. A nonnegative
+    integer l takes the modes G_|m|(l; theta) of sphere.kernel_mode_sweep
+    on the kept rows, contracted with the weighted row vectors and i^|m|
+    as analyze contracts them: no boundary samples, no aliasing limit,
+    and exactly 0 at l < |m|. The integers of one call share one sweep up
+    to the largest of them. A negative integer -n-1 is b_m(-n-1/2) times
+    the value at n; at a K-type with |m| > n, where b_m has a pole, it
+    takes the modes of sphere.kernel_mode_at_pole, as does a reflected
+    point within POLE_TOL of the pole. Each integer's value is computed
+    the same way in every batch, so it is the same alone as in a batch.
+    The sweep's time and memory grow with the degree, so a batch with an
+    integer outside -512 <= l < 512, the degrees a coefficient table
+    holds and their reflections, raises SchemaError before any
+    evaluation.
+
+    Off the integers eval_rays steps the kernel along each ray, since
+    Q^(ell + step) = Q^ell Q^step: a run of points on one route (direct,
+    or reflected through -ell-1) starts from Q^power, and each further
+    point multiplies it by Q^step. The integers of a ray are stepped over
+    like any point, so the values off the integers do not depend on them.
     Within one call each kernel power takes one exponential, and two
     kernels are held across rays, the last run start and the last step
     kernel: a run that starts at the held power copies it, a step equal
@@ -232,26 +262,31 @@ class ExtendProvider(CoefficientProvider):
     row sum and the pairwise cosine sum. The kernel is shared by all
     K-types. A ray of one point takes an exact exponential.
 
-    Each call evaluates one rule of N in {64, 128, 256, 512} samples.
-    On nonnegative integers l the rule is exact while l + min(|m|, l) < N;
-    off them Q^ell of the last row, at theta, is analytic in the strip
-    |Im c| < asinh(cot theta), where the rule errs like e^{-N strip}.
-    A call starts on the fewest samples that cover both. Below 512, each
-    block also folds its even samples, the rule on N/2 samples, and a
-    point off the integers whose two values differ by more than its
-    roundoff floor eps (1 + |power|) e^amp sum_rows |w| redoes the call
-    on 2N samples. On 512 the values are
-    those of the 512-sample rule, bit for bit.
+    A call with a point off the integers evaluates one rule of N in
+    {64, 128, 256, 512} samples. Q^ell of the last row, at theta, is
+    analytic in the strip |Im c| < asinh(cot theta), where the rule errs
+    like e^{-N strip}, and a call starts on the fewest samples that cover
+    it. Below 512, each block also folds its even samples, the rule on
+    N/2 samples, and a point off the integers whose two values differ by
+    more than its roundoff floor eps (1 + |power|) e^amp sum_rows |w|
+    redoes the call on 2N samples. On 512 the values are those of the
+    512-sample rule, bit for bit.
 
-    Routes are decided per ray, from the last significant row on 512
-    samples whatever the rule, so they do not depend on N and the route
-    arrays grow with the longest ray, not with the batch. The log
+    Routes are decided once per call, from the last significant row on
+    512 samples whatever the rule, so they do not depend on N. The log
     table lies in the log image of the segment |z| <= 1,
     Re z >= cos(theta_last), where Re(ell log Q) and Re((-ell-1) log Q)
     are harmonic: each peaks on the boundary, on the arc (where it is
     linear in arg z) at the arc's ends. The chord and both ends are the
-    last row's samples, so both maxima of a ray are one product of its
-    points with that row.
+    last row's samples. Along the chord Re(ell log Q) is convex or
+    concave in arg Q, with its one critical point at
+    arg Q = atan(Im ell / Re ell), and Re((ell + 1) log Q) has its one at
+    atan(Im ell / (Re ell + 1)). So the extremes over the row sit at its
+    two ends or next to those points, and each point reads 10 samples of
+    the row instead of 257, with the extremes of the whole row bit for
+    bit. Within _FLAT_REFLECTED of -1, Re((ell + 1) log Q) is flat to its
+    roundoff, its computed minimum may sit on any sample, and the point
+    reads the whole row.
 
     It applies the boundary_fold weights to its own kernel samples: the
     rule of sphere.kernel_mode_profiles, summed over rows first since the
@@ -268,13 +303,6 @@ class ExtendProvider(CoefficientProvider):
     are every order of the grid, -((n_phi-1)//2)..n_phi//2. A detected or
     declared K-type with 2|m| >= n_phi is aliased on the grid and raises
     GridResolutionError here, before any evaluation.
-
-    Mode m of Q^l aliases on the boundary rule once l + |m| reaches
-    DEFAULT_BOUNDARY_SAMPLES. A batch holding a nonnegative integer l
-    with l + min(|m|, l) >= DEFAULT_BOUNDARY_SAMPLES for one of the
-    K-types raises GridResolutionError before any kernel exponential.
-    At a nonnegative integer l < |m| the value is exactly 0, as in
-    analyze.
     """
 
     def __init__(self, f: GridFunction, ktypes=None):
@@ -307,16 +335,19 @@ class ExtendProvider(CoefficientProvider):
         if self.is_zero:
             return
         ms = sorted(self.ktypes)
-        theta = f.grid.theta[mask]
-        log_q, cosines = boundary_log_pairing(theta), boundary_fold(ms)
+        self._theta = f.grid.theta[mask]
+        log_q, cosines = boundary_log_pairing(self._theta), boundary_fold(ms)
         # rule N: sample k is sample k s of the ceiling rule, s = 512 / N, and
         # its fold weights are s times the ceiling's there, an exact scale
         self._rules = {DEFAULT_BOUNDARY_SAMPLES // s: (np.ascontiguousarray(log_q[:, ::s]),
                                                       s * cosines[:, ::s])
                        for s in (1, 2, 4, 8)}
+        # the last row on 512 samples, where routes are decided; its arg Q
+        # descends from theta_last to -theta_last
+        self._edge = log_q[-1].copy()
         # half-width of the strip around the real c-axis where Q^ell of the
         # last row is analytic: Q vanishes at cos c = i cot(theta)
-        self._strip = math.asinh(1.0 / math.tan(theta[-1]))
+        self._strip = math.asinh(1.0 / math.tan(self._theta[-1]))
         columns = row_modes[:, [m % f.grid.n_phi for m in ms]]
         magnitude = np.abs(columns)
         own = magnitude > SUPPORT_REL_THRESHOLD * magnitude.max(axis=0)
@@ -345,9 +376,9 @@ class ExtendProvider(CoefficientProvider):
     # finite checks report that as a numerical failure
     @np.errstate(over="ignore", invalid="ignore")
     def _eval_rays(self, origins, steps, n: int, start: int | None = None):
-        """eval_rays, and the samples N of the rule its values come from
-        (None when it evaluates nothing). start, when given, is the first N
-        tried in place of the start rule's."""
+        """eval_rays, and the samples N of the rule its values off the
+        integers come from (None when every point is an integer). start,
+        when given, is the first N tried in place of the start rule's."""
         ms = sorted(self.ktypes)
         points = ray_points(origins, steps, n)
         if not np.all(np.isfinite(points)):
@@ -356,66 +387,118 @@ class ExtendProvider(CoefficientProvider):
             return np.zeros((points.size, len(ms)), dtype=complex), None
         ks = np.abs(ms)
         ells = points.ravel()
-        integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
-        # the rule of N samples errs like e^{-N strip} off the integers, and is
-        # exact at a nonnegative integer l with l + min(|m|, l) < N. The strip
-        # counts in every call, so a point takes the same rule alone as in a
-        # batch of smaller integers
-        need = max(_MIN_SAMPLES, _STRIP_EFOLDS / self._strip)
+        integer = (ells.imag == 0.0) & (ells.real == np.round(ells.real))
+        # a negative integer -n-1 reads the closed form at n, whose sweep
+        # costs time and memory linear in n
+        degrees = np.abs(ells.real[integer] + 0.5) - 0.5
+        if degrees.size and degrees.max() >= DEFAULT_BOUNDARY_SAMPLES:
+            raise SchemaError(
+                f"integer degree {ells.real[integer][degrees.argmax()]:g} lies outside the "
+                f"integer spectrum -{DEFAULT_BOUNDARY_SAMPLES} <= l < {DEFAULT_BOUNDARY_SAMPLES}")
+        out = np.empty((ells.size, len(ms)), dtype=complex)
+        samples = None
+        reflect = integer & (ells.real < 0.0)
+        if not integer.all():
+            # the rule of N samples errs like e^{-N strip}; below the ceiling
+            # every point off the integers is held to its roundoff floor by
+            # the estimate, else the call is redone on twice the samples
+            need = max(_MIN_SAMPLES, _STRIP_EFOLDS / self._strip)
+            samples = start or min(DEFAULT_BOUNDARY_SAMPLES, 1 << math.ceil(math.log2(need)))
+            steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
+            # where the direct power would cancel, -ell-1 is reflected
+            log_amp, reflected_amp = self._amplitudes(ells)
+            routes = (log_amp > _LOG_AMP_DIRECT_MAX) & (
+                reflected_amp < log_amp - _LOG_AMP_ADVANTAGE_MIN)
+            amps = np.where(routes, reflected_amp, log_amp)
+            checked = ~integer.reshape(points.shape)
+            while True:
+                walked = self._walk(points, steps, routes.reshape(points.shape),
+                                    amps.reshape(points.shape), self._rules[samples],
+                                    checked if samples < DEFAULT_BOUNDARY_SAMPLES else None)
+                if walked is not None:
+                    break
+                samples *= 2
+            out = walked
+            reflect |= routes & ~integer
         if integer.any():
-            l = int(ells.real[integer].max())
-            k = min(int(ks.max()), l)
-            if l + k >= DEFAULT_BOUNDARY_SAMPLES:
-                raise GridResolutionError(
-                    f"degree l={l} with K-type |m|={k} aliases on the "
-                    f"{DEFAULT_BOUNDARY_SAMPLES}-sample boundary grid; "
-                    f"need l + |m| < {DEFAULT_BOUNDARY_SAMPLES}")
-            need = max(need, l + k + 1)
-        samples = start or min(DEFAULT_BOUNDARY_SAMPLES, 1 << math.ceil(math.log2(need)))
-        steps = np.broadcast_to(np.asarray(steps, dtype=complex), points.shape[:1])
-        # below the ceiling every point off the nonnegative integers is held
-        # to its roundoff floor by the estimate, else the call is redone on
-        # twice the samples
-        checked = None if integer.all() else ~integer.reshape(points.shape)
-        while True:
-            walked = self._walk(points, steps, self._rules[samples],
-                                checked if samples < DEFAULT_BOUNDARY_SAMPLES else None)
-            if walked is not None:
-                break
-            samples *= 2
-        out, reflect = walked
-        # at a nonnegative integer l < |m| the exact value is 0, as in analyze;
-        # the rule leaves roundoff there, or the alias of mode m - N
-        out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
-        rows = np.flatnonzero(reflect.ravel())
+            out[integer] = self._closed_form(degrees)
+        rows = np.flatnonzero(reflect)
         if not rows.size:
             return out, samples
         # phi(ell) = b_m(ell + 1/2) phi(-ell - 1), every b_m from one ladder
         # over the reflected points; at ell = -n-1 with n < |m| the identity
-        # reads 0 * inf, so the direct value of the ceiling rule replaces the
-        # product there
+        # reads 0 * inf, and the modes of Q^ell there have their own closed
+        # form, which a reflected point within POLE_TOL of the pole takes too
         t = ells[rows] + 0.5
         out[rows] *= intertwiner_ladder(ks.max(), t)[:, ks]
         pole = singular_distance(ks, t[:, None]) < POLE_TOL
-        log_q, cosines = self._rules[DEFAULT_BOUNDARY_SAMPLES]
-        for i, at_pole in zip(rows, pole):
-            if at_pole.any():
-                direct = self._fold((self._weighted @ self._kernel(ells[i], log_q))[None], cosines)
-                out[i, at_pole] = direct[0, at_pole]
+        for i, j in zip(*np.nonzero(pole)):
+            n, k = round(-ells[rows[i]].real) - 1, int(ks[j])
+            modes = kernel_mode_at_pole(n, k, self._theta)
+            out[rows[i], j] = _I_POWERS[k % 4] * np.add.reduce(self._weighted[j] * modes)
         return out, samples
 
-    def _walk(self, points, steps, rule, checked):
-        """Values of the rays on one rule, before b_m and the exact zeros,
-        and the route of every point; None once a point that checked marks
-        misses its roundoff floor by the estimate."""
+    def _closed_form(self, degrees: np.ndarray) -> np.ndarray:
+        """Values at the nonnegative integer degrees, from one sweep of
+        sphere.kernel_mode_sweep up to the largest: i^|m| times the modes
+        G_|m|(l; theta) / i^|m| of the kept rows against the row vector of
+        m, summed along each row by itself."""
+        ks = np.abs(sorted(self.ktypes))
+        orders = sorted(set(ks.tolist()))
+        degrees = degrees.astype(int)
+        top = int(degrees.max())
+        # slot[l]: the row of modes that degree l fills, -1 if l is not asked
+        slot = np.full(top + 1, -1)
+        slot[degrees] = 0
+        asked = np.flatnonzero(slot == 0)
+        slot[asked] = np.arange(asked.size)
+        modes = np.zeros((asked.size, len(orders), self._theta.size))
+        if top >= orders[0]:
+            slot_of = slot.tolist()
+            for l, g in kernel_mode_sweep(orders, top, self._theta):
+                if slot_of[l] >= 0:
+                    modes[slot_of[l], :len(g)] = g
+        values = np.add.reduce(modes[:, np.searchsorted(orders, ks)] * self._weighted, axis=2)
+        return (values * _I_POWERS[ks % 4])[slot[degrees]]
+
+    def _amplitudes(self, ells: np.ndarray):
+        """max Re(ell log Q) and -min Re((ell + 1) log Q) over the last row on
+        512 samples, at every point: the log amplitudes of the direct and
+        the reflected route, from the row's two ends and the samples next
+        to the two critical points."""
+        edge = self._edge
+        x, y = ells.real[:, None], ells.imag[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            critical = np.arctan(np.concatenate([y / x, y / (x + 1.0)], axis=1))
+        # arg Q descends along the row: the samples at - 2 .. at + 1 hold the
+        # two that bracket a critical point, and one more on either side
+        at = np.searchsorted(-edge.imag, -critical)[:, :, None] + np.arange(-2, 2)
+        picks = np.concatenate([np.broadcast_to([0, edge.size - 1], (ells.size, 2)),
+                                at.reshape(ells.size, -1)], axis=1)
+        log_amp, reflected_amp = self._extremes(x, y, edge[np.clip(picks, 0, edge.size - 1)])
+        flat = np.abs(ells + 1.0) < _FLAT_REFLECTED
+        if flat.any():
+            log_amp[flat], reflected_amp[flat] = self._extremes(x[flat], y[flat], edge[None])
+        return log_amp, reflected_amp
+
+    @staticmethod
+    def _extremes(x, y, samples):
+        """max of a = x Re log Q - y Im log Q, and -min of a + Re log Q, over
+        the samples of each row."""
+        a = x * samples.real
+        a -= y * samples.imag
+        log_amp = a.max(axis=1)
+        a += samples.real
+        return log_amp, -a.min(axis=1)
+
+    def _walk(self, points, steps, reflect, amps, rule, checked):
+        """Values of the rays on one rule, before b_m; None once a point that
+        checked marks misses its roundoff floor by the estimate. reflect
+        holds the route of every point and amps its log amplitude on it."""
         log_q, cosines = rule
         ms = sorted(self.ktypes)
         n = points.shape[1]
         out = np.zeros((points.size, len(ms)), dtype=complex)
-        # routes are decided on the last row of the ceiling rule, whatever the
-        # rule evaluated
-        edge = self._rules[DEFAULT_BOUNDARY_SAMPLES][0][-1]
-        reflect = np.zeros(points.shape, dtype=bool)
         prod = np.empty((_RAY_BLOCK, len(ms), log_q.shape[1]), dtype=complex)
         # kernel is the working buffer a run steps; across rays the call
         # holds the last run-start kernel and the last step kernel, each
@@ -423,24 +506,13 @@ class ExtendProvider(CoefficientProvider):
         kernel = np.empty_like(log_q)
         start_power = start = step_power = step_kernel = None
         for i, (ray, step) in enumerate(zip(points, steps)):
-            # a = Re(ell log Q) and Re((-ell-1) log Q) = -(a + Re log Q) peak on
-            # the last row; where the direct power would cancel, -ell-1 is
-            # reflected
-            a = np.multiply.outer(ray.real, edge.real)
-            a -= np.multiply.outer(ray.imag, edge.imag)
-            log_amp = a.max(axis=1)
-            a += edge.real
-            reflected_amp = -a.min(axis=1)
-            reflect[i] = (log_amp > _LOG_AMP_DIRECT_MAX) & (
-                reflected_amp < log_amp - _LOG_AMP_ADVANTAGE_MIN)
             routes = reflect[i].tolist()
             if checked is not None:
                 # the roundoff floor eps (1 + |power|) e^amp sum_rows |w| of
                 # each point and K-type, on the route the point takes; a
                 # point that is not checked has floor inf
                 power = np.where(reflect[i], -ray - 1.0, ray)
-                floor = _EPS * (1.0 + np.abs(power)) * np.exp(
-                    np.where(reflect[i], reflected_amp, log_amp))
+                floor = _EPS * (1.0 + np.abs(power)) * np.exp(amps[i])
                 floor[~checked[i]] = np.inf
                 floor = np.multiply.outer(floor, self._weight_sums)
             # a run of points on one route starts from Q^power: the held
@@ -496,7 +568,7 @@ class ExtendProvider(CoefficientProvider):
                     return None
                 out[i * n + j:i * n + j + w] = values[:w]
                 j += w
-        return out, reflect
+        return out
 
     # perfbench/tracer.py wraps eval from this class's own __dict__
     eval = CoefficientProvider.eval
@@ -506,8 +578,10 @@ def extend(f: GridFunction, ell, m: int) -> complex:
     """One coefficient of f at a complex spectral parameter.
 
     Requires the support of f to stay inside the crown cap (checked via
-    support_radius). At integer ell this agrees with the analyze table;
-    off the integers it is the holomorphic interpolation of it. A value
+    support_radius). At a nonnegative integer ell it is the analyze
+    entry, from the same closed form on the rows of the cap, at every
+    degree; off the integers it is the holomorphic interpolation of the
+    table. A value
     that is not finite (the kernel overflowed) raises NumericalError.
     """
     value = ExtendProvider(f, ktypes=(m,)).eval(ell, m)
@@ -584,9 +658,9 @@ def synthesize(provider: CoefficientProvider, grid: SphereGrid, lmax: int) -> Gr
     numpy build and BLAS thread count.
 
     A provider raises its own errors, and they propagate. A provider's
-    own limits stay its own: an ExtendProvider raises
-    GridResolutionError where its boundary rule would alias, a
-    TableProvider reads 0 past its lmax. A grid value that is not finite
+    own limits stay its own: a TableProvider reads 0 past its lmax, and an
+    ExtendProvider takes the integer ray from the closed form, with no
+    limit. A grid value that is not finite
     raises NumericalError naming lmax: a legal table, such as the one
     entry l = m = 511, can describe an f beyond the double range.
     """

@@ -23,10 +23,11 @@ every verdict that changed against the baseline's line of the same case
 is printed, then the largest relative move of each measured field, and
 the exit status is 1 if any verdict changed. Cases in only one of the
 two files are counted, not compared. ExtendProvider values change in
-their last bits with the BLAS thread count, so write the baseline and
-the run with the same count (OPENBLAS_NUM_THREADS=1, say) to read a
-move of 0 as bit for bit. The full sweep takes about half a minute on
-one core.
+their last bits with the BLAS thread count, so the script sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+numpy is imported, unless they are already set: a baseline and a run
+written with the defaults read a move of 0 as bit for bit. The full
+sweep takes about half a minute on one core.
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":
+    # one BLAS thread unless the caller sets another count, before numpy is
+    # imported: ExtendProvider values change in their last bits with it
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

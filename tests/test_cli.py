@@ -142,6 +142,18 @@ class TestExtend:
         obj = json.loads(capsys.readouterr().out)
         assert obj["ell"] == [1.5, 0.5]
 
+    def test_integer_degree_past_the_boundary_rule(self, tmp_path, capsys):
+        # l = 511, m = 1 takes the closed form: exit 0 with the analyze
+        # entry, here of the same bump on a grid with the 1024 azimuths
+        # analyze needs at lmax = 511
+        path = tmp_path / "bump.json"
+        path.write_text(dumps_grid_function(make_bump(BumpSpec(0.6, ktype=1), SphereGrid(513, 8))))
+        rc = main(["extend", "--input", str(path), "--ell", "511", "--m", "1"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        table = analyze(make_bump(BumpSpec(0.6, ktype=1), SphereGrid(513, 1024)), 511).values
+        assert abs(complex(obj["re"], obj["im"]) - table[511, 512]) < 1e-14 * np.abs(table).max()
+
     def test_full_support_is_domain_error(self, tmp_path, capsys):
         grid = SphereGrid(16, 8)
         path = tmp_path / "one.json"

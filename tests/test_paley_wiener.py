@@ -503,6 +503,18 @@ def test_whole_crown_verdicts(cls, r):
     assert report.passed(high), report.verdict_for(high).reasons
 
 
+@pytest.mark.parametrize("r", [r for r in WHOLE_CROWN_RADII if r >= 1.0])
+@pytest.mark.parametrize("cls", CERTIFY_CLASSES)
+def test_whole_crown_rebuild_stays_on_the_cap(cls, r):
+    # where the cap holds 46 or more of the 144 rows, the certify rebuild
+    # (synthesize on 144 x 16 at lmax 128) leaves at most 1e-5 of its peak
+    # beyond 1.21 r, the bound certificate-and-rebuild holds at r = 1.0
+    grid, out = SphereGrid(144, 8), SphereGrid(144, 16)
+    assert np.count_nonzero(grid.theta <= r) >= 46
+    rebuilt = np.abs(synthesize(ExtendProvider(certify_class(cls, r, grid)), out, 128).values)
+    assert rebuilt[out.theta > 1.21 * r].max() <= 1e-5 * rebuilt.max()
+
+
 @pytest.mark.parametrize("r", [0.35, 1.0])
 @pytest.mark.parametrize("cls", CERTIFY_CLASSES)
 @pytest.mark.parametrize("disc_radius", [5.0, 20.0, 40.0, 80.0])

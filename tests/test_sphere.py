@@ -18,6 +18,7 @@ from crown_harmonics.sphere import (
     GridFunction,
     SphereGrid,
     boundary_log_pairing,
+    kernel_mode_at_pole,
     kernel_mode_profiles,
     kernel_mode_sweep,
     require_resolution,
@@ -367,6 +368,28 @@ class TestKernelModeSweep:
             for k, digest in zip(orders, digests):
                 expect = recurrence_kernel_modes(k, lmax, theta)
                 assert digest.digest() == hashlib.sha256(expect.tobytes()).digest(), (orders[:3], k)
+
+
+class TestKernelModeAtPole:
+    THETAS = np.array([0.3, 0.7, 1.1, 1.4])
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_matches_the_fft_of_the_negative_power(self, k):
+        # mode k of Q^(-n-1), n < k, against the FFT of Q^(-n-1) on 4096
+        # boundary samples, within 100 eps of |Q|^(-n-1) <= cos(theta)^(-n-1),
+        # the FFT's roundoff scale
+        log_q = full_boundary_log_pairing(self.THETAS, 4096)
+        for n in range(k):
+            want = fft_kernel_modes(-n - 1.0, log_q)[:, k] / 1j ** k
+            got = kernel_mode_at_pole(n, k, self.THETAS)
+            floor = 100.0 * np.finfo(float).eps * np.cos(self.THETAS) ** (-n - 1.0)
+            assert np.all(np.abs(got - want) <= floor), (k, n)
+
+    def test_order_one_at_minus_one(self):
+        # (1/2 pi) int e^{-ic} / (cos theta + i sin theta cos c) dc
+        # = -i tan(theta/2)
+        got = kernel_mode_at_pole(0, 1, self.THETAS)
+        assert np.allclose(got, -np.tan(self.THETAS / 2.0), rtol=1e-15, atol=0.0)
 
 
 class TestRotate:

@@ -28,6 +28,7 @@ from crown_harmonics.sphere import (
     SphereGrid,
     boundary_fold,
     boundary_log_pairing,
+    kernel_mode_at_pole,
     support_radius,
 )
 from crown_harmonics.testbed import (
@@ -41,7 +42,6 @@ from crown_harmonics.testbed import (
 from crown_harmonics.transform import (
     _LOG_AMP_ADVANTAGE_MIN,
     _LOG_AMP_DIRECT_MAX,
-    _STRIP_EFOLDS,
     CoefficientProvider,
     CoefficientTable,
     ExtendProvider,
@@ -218,23 +218,16 @@ class TestAnalyzeSynthesize:
         with pytest.raises(GridResolutionError):
             synthesize(TableProvider(table(4, {(4, 3): 1.0})), grid, 4)
 
-    def test_synthesize_rejects_boundary_aliasing(self):
+    def test_tables_synthesize_past_the_boundary_rule(self):
         # mode m of Q^l aliases on the 512-sample boundary grid once
         # l + |m| >= 512. A table never touches that grid, so it
-        # synthesizes past it; an ExtendProvider raises before any kernel
-        # exponential
+        # synthesizes past it
         grid = SphereGrid(4, 8)
         for t, lmax in ((table(512, {(0, 0): 1.0}), 512), (table(509, {(509, 3): 1.0}), 509),
                         (table(508, {(508, 3): 1.0}), 508)):
             assert np.all(np.isfinite(synthesize(TableProvider(t), grid, lmax).values))
         t = random_table(300, 300, seed=1)
         assert np.all(np.isfinite(synthesize(TableProvider(t), SphereGrid(302, 602), 300).values))
-        provider = ExtendProvider(make_bump(BumpSpec(0.5, ktype=3), SphereGrid(48, 8)))
-        # l + |m| = 511 is the largest alias-free pair
-        assert np.all(np.isfinite(synthesize(provider, grid, 508).values))
-        provider._kernel = None  # a kernel exponential would fail here
-        with pytest.raises(GridResolutionError, match=r"l=509 with K-type \|m\|=3"):
-            synthesize(provider, grid, 509)
 
     def test_synthesize_raises_past_the_double_range(self):
         # the one-entry table l = m = 511 is legal, but |b_511(-511.5)| ~ 4^511
@@ -272,13 +265,38 @@ class TestExtend:
         with pytest.raises(CrownDomainError):
             extend(f, 2.0, 0)
 
-    def test_aliased_integer_degree_raises(self):
-        # mode m of Q^l aliases on the 512-sample boundary rule once
-        # l + min(|m|, l) >= 512: the value would be wrong, so it raises
-        f = make_bump(BumpSpec(0.6, ktype=1), SphereGrid(48, 8))
-        assert np.isfinite(extend(f, 510.0, 1))
-        with pytest.raises(GridResolutionError, match=r"l=511 with K-type \|m\|=1"):
-            extend(f, 511.0, 1)
+    def test_integer_degrees_agree_with_analyze_past_the_boundary_rule(self):
+        # an integer degree takes the closed form, not the boundary rule,
+        # so it has no aliasing limit: on a grid where analyze resolves
+        # lmax = 511 the integer ray agrees with analyze at every l, where
+        # l + |m| reaches 514, and one degree alone is its entry of the ray.
+        # synthesize reads the same ray and takes no kernel exponential
+        grid = SphereGrid(513, 1024)
+        f = GridFunction(grid, make_bump(BumpSpec(0.6, ktype=1), grid).values
+                         + make_bump(BumpSpec(0.5, ktype=3), grid).values)
+        t = analyze(f, 511)
+        provider = ExtendProvider(f)
+        assert provider.ktypes == frozenset({1, 3})
+        (values, samples), calls = count_kernels(provider, lambda p: p._eval_rays(0.0, 1.0, 512))
+        assert samples is None and calls == []
+        for j, m in enumerate((1, 3)):
+            assert np.max(np.abs(values[:, j] - t.values[:, m + 511])) < 1e-14 * np.max(np.abs(t.values))
+        assert extend(f, 511.0, 1) == values[511, 0] and extend(f, 509.0, 3) == values[509, 1]
+        small = SphereGrid(4, 8)
+        (rebuilt, calls) = count_kernels(provider, lambda p: synthesize(p, small, 511))
+        assert np.all(np.isfinite(rebuilt.values)) and calls == []
+
+    def test_integer_degrees_outside_the_table_spectrum_raise(self):
+        # the closed form's sweep is linear in the degree: integers outside
+        # -512 <= l < 512 raise before any evaluation, off the integers the
+        # rule still answers
+        provider = ExtendProvider(make_bump(BumpSpec(0.6, ktype=1), SphereGrid(48, 8)))
+        provider._kernel = None  # a kernel exponential would fail here
+        for ell in (512.0, -513.0, 1e300, -1e300):
+            with pytest.raises(SchemaError, match="outside the integer spectrum"):
+                provider.eval_rays([ell, 0.5j], 0.0, 1)
+        del provider._kernel
+        assert np.all(np.isfinite(provider.eval_rays([511.0, -512.0, 600.5], 0.0, 1)))
 
     def test_exact_zero_below_the_order(self):
         # at a nonnegative integer l < |m| the value is 0, as in analyze;
@@ -290,9 +308,8 @@ class TestExtend:
         assert all(extend(f, float(l), 3) == 0.0 for l in range(3))
 
     def test_exact_zero_where_the_rule_would_alias(self):
-        # at (l, m) = (200, 400) the rule returns the alias of mode -112 of
-        # Q^200; l + min(|m|, l) = 400 stays inside the guard, and the
-        # exact value is 0
+        # at (l, m) = (200, 400) the rule would return the alias of mode
+        # -112 of Q^200; the closed form gives the exact value 0
         grid = SphereGrid(24, 802)
         g = make_bump(BumpSpec(0.8), grid).values[:, :1]
         f = GridFunction(grid, g * np.exp(400j * grid.phi_nodes))
@@ -383,8 +400,10 @@ class TestBatchedProviders:
         line = -0.5 + 1j * np.linspace(0.5, 80.0, 8)
         ells = np.concatenate([line, ray_points(*DISC_RAYS, 17).T.ravel()[::19],
                                -np.arange(0, 129, 16) - 1.0])
-        # route on each call's own N samples. The line is read in its own
-        # call, as sample_line reads it
+        # route on each call's own N samples; the reflected integers take
+        # the closed form, exact on any rule, and are held to the route on
+        # 512. The line is read in its own call, as sample_line reads it
+        integer = ells == np.round(ells.real)
         for r in (0.35, 0.7, 1.0):
             f = certify_class(name, r, grid)
             provider = ExtendProvider(f)
@@ -392,6 +411,7 @@ class TestBatchedProviders:
             on_line, line_samples = provider._eval_rays(line, 0.0, 1)
             for j, m in enumerate(sorted(provider.ktypes)):
                 ref, floor = extend_reference(f, ells, m, samples=samples)
+                ref[integer], floor[integer] = extend_reference(f, ells[integer], m)
                 assert np.all(np.abs(values[:, j] - ref) <= 10.0 * floor), (r, m)
                 ref, _ = extend_reference(f, line, m, own_rows=True, samples=line_samples)
                 assert np.all(np.abs(on_line[:, j] - ref) <= 1e-14 * np.abs(ref)), (r, m)
@@ -473,28 +493,35 @@ class TestBatchedProviders:
         assert np.isfinite(got) and abs(got - ref[0]) <= 10.0 * floor[0]
         assert np.all(np.isfinite(synthesize(provider, grid, 30).values))
 
-    def test_reflection_pole_computes_the_direct_values_once(self):
-        # two K-types with a pole of the reflection scalar at ell = -19
-        # share one direct kernel exponential, next to the one reflected one
+    def test_reflection_pole_takes_the_closed_form(self):
+        # two K-types with a pole of the reflection scalar at ell = -19 take
+        # the closed form of sphere.kernel_mode_at_pole and no kernel
+        # exponential; a reflected point within POLE_TOL of the pole takes
+        # the same value
         grid = SphereGrid(96, 48)
         f = GridFunction(grid, sum(make_bump(BumpSpec(1.4, ktype=m), grid).values
                                    for m in (19, 20)))
         provider = ExtendProvider(f)
         assert provider.ktypes == frozenset({19, 20})
         got, powers = count_kernels(provider, lambda p: p.eval_rays([-19.0], 0.0, 1))
-        assert powers == [(18.0, 512), (-19.0, 512)]
+        assert powers == []
         for j, m in enumerate((19, 20)):
             ref, floor = extend_reference(f, [-19.0], m)
             assert abs(got[0, j] - ref[0]) <= 10.0 * floor[0]
+            pole = kernel_mode_at_pole(18, m, provider._theta)
+            assert got[0, j] == (1, 1j, -1, -1j)[m % 4] * np.sum(provider._weighted[j] * pole)
+        near = provider.eval_rays([-19.0 + 1e-15j], 0.0, 1)
+        assert np.array_equal(near, got)
 
 
 def per_point_rays(provider, origins, steps, n, rule):
     """eval_rays on a boundary rule (log_q, cosines), one point at a
     time: the reference for its blocks.
 
-    Routes (decided on the 512-sample last row), zeros below the order
-    and reflections as in eval_rays, away
-    from the poles of b_m; each run starts from the held start kernel if
+    Routes (decided from every sample of the 512-sample last row) and
+    reflections as in eval_rays, away from the poles of b_m, and the
+    integers as eval_rays gives them alone; the walk steps through the
+    integers like any point. Each run starts from the held start kernel if
     its power is the held one, else from an exact _kernel; every further
     point of the run multiplies the kernel in place by the step kernel:
     the held one if the step is the same, its reciprocal if the step is
@@ -535,11 +562,12 @@ def per_point_rays(provider, origins, steps, n, rule):
             prev = route
             if not np.all(np.isfinite(values)):
                 prev, start, step = None, (None, None), (None, None)
-    integer = (ells.imag == 0.0) & (ells.real >= 0.0) & (ells.real == np.round(ells.real))
-    out[integer[:, None] & (ells.real[:, None] < ks)] = 0.0
     rows = np.flatnonzero(reflect.ravel())
     if rows.size:
         out[rows] *= intertwiner_ladder(ks.max(), ells[rows] + 0.5)[:, ks]
+    integer = (ells.imag == 0.0) & (ells.real == np.round(ells.real))
+    if integer.any():
+        out[integer] = provider.eval_rays(ells[integer], 0.0, 1)
     return out
 
 
@@ -571,13 +599,14 @@ class TestRays:
         assert points.shape == (2, 5) and np.array_equal(points[:, 0], origins)
 
     def test_single_points_take_the_exact_exponential(self):
-        # one point per ray is the per-point route on the call's rule: the
-        # direct value, or b_m times the value at -ell-1, each from an exact
-        # exponential, bit for bit
+        # one point per ray off the integers is the per-point route on the
+        # call's rule: the direct value, or b_m times the value at -ell-1,
+        # each from an exact exponential, bit for bit; the routes are read
+        # here from every sample of every row
         grid = SphereGrid(144, 8)
         for name, r in (("two-type", 0.8), ("smooth-ktype1", 1.3), ("cospow-p8", 1.0)):
             provider = ExtendProvider(certify_class(name, r, grid))
-            ells = [-0.5 + 7.0j, 3.0, -97.0, 2.5 - 11.0j, -40.0 + 3.0j, -129.0, 8.5 - 14.0j]
+            ells = [-0.5 + 7.0j, 3.5, -97.5, 2.5 - 11.0j, -40.0 + 3.0j, -129.5, 8.5 - 14.0j]
             batch, samples = provider._eval_rays(ells, 0.0, 1)
             log_q, cosines = provider._rules[samples]
             route_q = provider._rules[512][0]
@@ -621,15 +650,16 @@ class TestRays:
         # points are folded in blocks, so the ray lengths straddle one and
         # two blocks; the rays are the line, two pairs of opposite disc rays
         # (along Re l, which the wide caps reflect, and along Im l, the
-        # second the exact conjugate of the first), the reflected integers
+        # second the exact conjugate of the first), the reflected
+        # half-integers, the real axis, whose integers take the closed form,
         # and rays that cross between the routes. The reference runs on the
         # rule the call ended on
         provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
         disc_origins, disc_steps = DISC_RAYS
         pairs = np.r_[0:2, 16:18]
         assert np.array_equal(disc_steps[pairs[1::2]], -disc_steps[pairs[::2]])
-        rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[pairs], disc_steps[pairs]), (-1.0, -1.0),
-                ([-40.0 + 3.0j, 30.0 - 5.0j], [1.0 + 0.1j, -1.0 + 0.05j]))
+        rays = ((-0.5 + 0.5j, 0.5j), (disc_origins[pairs], disc_steps[pairs]), (-1.5, -1.0),
+                _axis_rays(20.0)[:2], ([-40.0 + 3.0j, 30.0 - 5.0j], [1.0 + 0.1j, -1.0 + 0.05j]))
         for n in (1, 15, 16, 17, 33, 160):
             for origins, steps in rays:
                 (got, samples), calls = count_kernels(
@@ -705,6 +735,46 @@ class TestRays:
                 extend(f, 1e4j, 0)
 
 
+def full_row_amplitudes(theta_last, ells):
+    """max Re(ell log Q) and -min Re((ell + 1) log Q) over all 257 samples of
+    the row theta_last: the (points x 257) products routes were read from."""
+    edge = boundary_log_pairing(theta_last)[0]
+    a = np.multiply.outer(ells.real, edge.real) - np.multiply.outer(ells.imag, edge.imag)
+    log_amp = a.max(axis=1)
+    a += edge.real
+    return log_amp, -a.min(axis=1)
+
+
+class TestRoutes:
+    """Routes read from the extremes of the last row, once per call."""
+
+    @pytest.mark.parametrize("r", [0.35, 1.0, 1.45])
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_extremes_are_the_full_row_products(self, name, r):
+        # the maxima and minima each call reads from 10 samples per point
+        # are those of all 257, bit for bit: on the line, real axis,
+        # symmetry lattice and rebuild calls of a certify op, and on points
+        # where the row is degenerate: Re l in {0, -1, +-1e-300}, l = 0,
+        # |l| = 1e4, a critical point on a sample, and points near -1, where
+        # Re((l + 1) log Q) is flat to its roundoff
+        provider = ExtendProvider(certify_class(name, r, SphereGrid(144, 8)))
+        theta = provider._theta[-1]
+        arg = boundary_log_pairing(theta)[0].imag
+        calls = [ray_points(*call[:3]).ravel() for call in _CERTIFY_CALLS[:4]]
+        rims = np.array([0.0, -1.0, 1e-300, -1e-300])
+        ims = np.array([0.0, 1e-300, 1e-17, 0.3, 7.0, 160.0, 1e4])
+        degenerate = (rims[:, None] + 1j * np.r_[ims, -ims]).ravel()
+        xs = np.array([0.3, 2.0, -5.0, 1e4])
+        # arg Q = atan(Im l / Re l) or atan(Im l / (Re l + 1)) on a sample
+        on_sample = (xs[:, None] * (1.0 + 1j * np.tan(arg[::16]))).ravel()
+        near = -1.0 + np.array([1e-17j, -1e-16j, 1e-13 + 1e-16j, -3e-12 + 2e-15j, 1e-10, 1e-8j])
+        for ells in (*calls, degenerate, on_sample, on_sample - 1.0, near,
+                     np.array([0.0, 1e4, -1e4, 1e4j, -1e4j, 1e4 * np.exp(0.7j)])):
+            want = full_row_amplitudes(theta, ells)
+            got = provider._amplitudes(ells)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def half_rule(rule):
     """The boundary rule on the even samples of rule: half the samples, at
     twice the folded weights."""
@@ -765,44 +835,53 @@ class TestBoundaryRules:
 
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_a_call_at_the_ceiling_is_the_512_rule(self, name):
-        # a call that reaches 512 samples, from its start rule, from a
-        # retry or forced there, takes no estimate and computes the values
-        # of the 512-sample rule bit for bit
+        # a call off the integers that reaches 512 samples, from its start
+        # rule, from a retry or forced there, takes no estimate and computes
+        # the values of the 512-sample rule bit for bit; the rebuild's
+        # integer ray evaluates no rule
         provider = ExtendProvider(certify_class(name, 1.3, SphereGrid(144, 8)))
         ceiling = provider._rules[512]
         for origins, steps, n, _ in _CERTIFY_CALLS:
             want = per_point_rays(provider, origins, steps, n, ceiling)
             got, samples = provider._eval_rays(origins, steps, n, start=512)
-            assert samples == 512 and np.array_equal(got, want), n
-        # the start rule asks for 405 samples or more at r = 1.3 off the
-        # integers; at r = 0.7 it asks for 128, and the direct powers down
-        # to -113 are redone until they end on 512
+            points = ray_points(origins, steps, n)
+            integers = np.all(points == np.round(points.real))
+            assert samples == (None if integers else 512) and np.array_equal(got, want), n
+        # the start rule asks for 405 samples or more at r = 1.3; at r = 0.7
+        # it asks for 128, and the direct powers down to -113.5 are redone
+        # until they end on 512
         got, samples = provider._eval_rays(-0.5 + 0.5j, 0.5j, 160)
         assert samples == 512
         assert np.array_equal(got, per_point_rays(provider, -0.5 + 0.5j, 0.5j, 160, ceiling))
         provider = ExtendProvider(certify_class(name, 0.7, SphereGrid(144, 8)))
-        (got, samples), calls = count_kernels(provider, lambda p: p._eval_rays(-1.0, -16.0, 9))
+        (got, samples), calls = count_kernels(provider, lambda p: p._eval_rays(-1.5, -16.0, 9))
         assert calls[0][1] == 128 and samples == 512
-        assert np.array_equal(got, per_point_rays(provider, -1.0, -16.0, 9, provider._rules[512]))
+        assert np.array_equal(got, per_point_rays(provider, -1.5, -16.0, 9, provider._rules[512]))
 
-    def test_an_integer_call_takes_the_exact_rule_and_no_estimate(self):
-        # on nonnegative integers the rule of N samples is exact while
-        # l + min(|m|, l) < N: the rebuild ray 0..128 of K-types up to 2
-        # takes 256 samples, and on a cap narrow enough for the strip
-        # the ray 0..40 takes 64. The rule on 32 samples would alias at
-        # l >= 31, so an estimate would have redone the call; every value
-        # stays within 10x the floor of the 512-point FFT route
-        grid = SphereGrid(144, 8)
-        two_type = ExtendProvider(certify_class("two-type", 0.35, grid))
-        assert two_type._eval_rays(0.0, 1.0, 129)[1] == 256
-        f = make_bump(BumpSpec(0.2, ktype=1), grid)
+    @pytest.mark.parametrize("name", CERTIFY_CLASSES)
+    def test_an_integer_call_takes_the_closed_form_and_no_rule(self, name):
+        # a call of integers evaluates no rule and takes no kernel
+        # exponential, whatever start it is given: the rebuild ray 0..128
+        # and the reflected integers -1..-129 agree with analyze of the
+        # same bump on a grid that resolves L = 128, through b_m, and every
+        # point takes the value it takes alone
+        f = certify_class(name, 1.0, SphereGrid(144, 8))
         provider = ExtendProvider(f)
-        assert _STRIP_EFOLDS / provider._strip < 64
+        t = analyze(certify_class(name, 1.0, SphereGrid(144, 258)), 128)
+        ms = sorted(provider.ktypes)
         for start in (None, 64):
-            values, samples = provider._eval_rays(0.0, 1.0, 41, start=start)
-            assert samples == 64
-            ref, floor = extend_reference(f, np.arange(41.0), 1, own_rows=True)
-            assert np.all(np.abs(values[:, 0] - ref) <= 10.0 * floor)
+            (values, samples), calls = count_kernels(
+                provider, lambda p: p._eval_rays([0.0, -1.0], [1.0, -1.0], 129, start=start))
+            assert samples is None and calls == []
+            b = intertwiner_ladder(128, -np.arange(129) - 0.5)[:, np.abs(ms)]
+            want = t.values[:, np.array(ms) + 128]
+            ls = np.arange(129)[:, None]
+            scale = np.max(np.abs(t.values))
+            assert np.max(np.abs(values[:129] - want)) < 1e-13 * scale
+            reflected = np.where(ls >= np.abs(ms), values[129:] - b * want, 0.0)
+            assert np.max(np.abs(reflected) / np.maximum(np.abs(b), 1.0)) < 1e-13 * scale
+        alone = provider.eval_rays([0.0, 7.0, 128.0, -1.0, -8.0, -129.0], 0.0, 1)
+        assert np.array_equal(alone, values[[0, 7, 128, 129, 136, 257]])
 
     @pytest.mark.parametrize("name", CERTIFY_CLASSES)
     def test_a_start_forced_to_64_retries_up_to_a_passing_rule(self, name):
@@ -823,7 +902,7 @@ class TestBoundaryRules:
         # the rules are built once and passed to each call, so two calls on
         # different rules share one provider across threads
         provider = ExtendProvider(certify_class("two-type", 0.7, SphereGrid(144, 8)))
-        calls = ((-0.5 + 0.5j, 0.5j, 160), (-1.0, -16.0, 9))
+        calls = ((-0.5 + 0.5j, 0.5j, 160), (-1.5, -16.0, 9))
         sequential = [provider._eval_rays(*call) for call in calls]
         assert [samples for _, samples in sequential] == [128, 512]
         barrier, results = threading.Barrier(2), [[], []]
@@ -859,12 +938,11 @@ class TestRebuild:
         ref = synthesize(TableProvider(own), out, 128).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_kernel_powers_are_nonnegative(self):
-        # the rebuild reads the integer ray, where |Q^l| <= 1: every kernel
-        # power, the step included, is a nonnegative real
+    def test_the_rebuild_takes_no_kernel_exponential(self):
+        # the rebuild reads the integer ray, which takes the closed form
         provider = ExtendProvider(certify_class("two-type", 1.3, SphereGrid(144, 8)))
         _, powers = count_kernels(provider, lambda p: synthesize(p, SphereGrid(144, 16), 128))
-        assert powers and all(p.imag == 0.0 and p.real >= 0.0 for p, _ in powers)
+        assert powers == []
 
 
 class TestSynthesizeProviderErrors:
